@@ -58,6 +58,15 @@ def _scene_from_config(config: RunConfig):
     )
 
 
+def _pair_matches(matcher: OracleMatcher, recon_views: list[int]):
+    """Coarse matches of every selected pair of reconstruction views, lazily."""
+    pairs = select_view_pairs([matcher.scene.views[v] for v in recon_views])
+    for a, b in pairs:
+        yield from matcher.coarse_match_pair(
+            matcher.observations(recon_views[a]), matcher.observations(recon_views[b])
+        )
+
+
 def reconstruct_scene(scene, config: RunConfig, recon_views: list[int]):
     """Matching -> tracks -> triangulation -> refinement -> aggregation.
 
@@ -66,17 +75,9 @@ def reconstruct_scene(scene, config: RunConfig, recon_views: list[int]):
     matcher = OracleMatcher(scene, window=config.refine_window)
     poses = [p for p, _ in scene.views]
     intrs = [k for _, k in scene.views]
-    views = [(scene.views[v][0], scene.views[v][1]) for v in recon_views]
-    pairs = select_view_pairs(views)
-
-    def matches():
-        for a, b in pairs:
-            va, vb = recon_views[a], recon_views[b]
-            yield from matcher.coarse_match_pair(
-                matcher.observations(va), matcher.observations(vb)
-            )
-
-    tracks, track_stats = build_tracks(matches(), config.min_track_length)
+    tracks, track_stats = build_tracks(
+        _pair_matches(matcher, recon_views), config.min_track_length
+    )
     recon = triangulate_tracks(
         tracks, poses, intrs, max_reproj_px=config.max_reproj_px, stats=track_stats
     )
@@ -192,15 +193,7 @@ def cmd_reconstruct(args) -> int:
     tracks_to_json(recon.tracks, out / "tracks.json")
     if args.dump_matches:
         matcher = OracleMatcher(scene, window=config.refine_window)
-        pairs = select_view_pairs([scene.views[v] for v in recon_views])
-        all_matches = []
-        for a, b in pairs:
-            all_matches.extend(
-                matcher.coarse_match_pair(
-                    matcher.observations(recon_views[a]), matcher.observations(recon_views[b])
-                )
-            )
-        dump_matches_csv(all_matches, out / "matches.csv")
+        dump_matches_csv(_pair_matches(matcher, recon_views), out / "matches.csv")
 
     stats["accuracy"] = {
         "coarse": point_cloud_accuracy(recon.points, scene.points),

@@ -69,10 +69,7 @@ class MatchingFrontend(ABC):
 
     @abstractmethod
     def coarse_match_pair(
-        self,
-        obs_a: ViewObservations,
-        obs_b: ViewObservations,
-        outlier_rate: float | None = None,
+        self, obs_a: ViewObservations, obs_b: ViewObservations
     ) -> list[CoarseMatch]:
         """Grid-resolution matches between two distinct views."""
 
@@ -104,14 +101,11 @@ class OracleMatcher(MatchingFrontend):
         return self._obs_cache[view_id]
 
     def coarse_match_pair(
-        self,
-        obs_a: ViewObservations,
-        obs_b: ViewObservations,
-        outlier_rate: float | None = None,
+        self, obs_a: ViewObservations, obs_b: ViewObservations
     ) -> list[CoarseMatch]:
         if obs_a.view_id == obs_b.view_id:
             raise ValueError("coarse matching needs two distinct views")
-        rate = self.scene.noise.outlier_rate if outlier_rate is None else outlier_rate
+        rate = self.scene.noise.outlier_rate
 
         winners_a = {
             int(obs_a.point_ids[r]): r for r in np.flatnonzero(obs_a.cell_winner)

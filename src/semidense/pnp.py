@@ -497,8 +497,9 @@ def ransac_pnp(
     if best is None or best_count < 4:
         return PnPResult(pose=None, iterations=i)
 
-    pose = SE3Pose(*best)
-    inliers = np.flatnonzero(reprojection_errors(pose, intr, points, pixels) <= inlier_px)
+    hypothesis = pose = SE3Pose(*best)
+    hyp_errs = reprojection_errors(hypothesis, intr, points, pixels)
+    inliers = np.flatnonzero(hyp_errs <= inlier_px)
     if len(inliers) >= 4:
         # unpolished refit on all inliers; it replaces the hypothesis only if it
         # reprojects better, and the chosen pose is polished once below
@@ -527,6 +528,7 @@ def ransac_pnp(
     final_errs = reprojection_errors(pose, intr, points, pixels)
     final_inliers = np.flatnonzero(final_errs <= inlier_px)
     if len(final_inliers) < 4:
-        final_inliers = inliers
+        # the polish lost the consensus: report the hypothesis it started from
+        pose, final_errs, final_inliers = hypothesis, hyp_errs, inliers
     mean_err = float(np.mean(final_errs[final_inliers]))
     return PnPResult(pose=pose, inliers=final_inliers, mean_error=mean_err, iterations=i)

@@ -23,7 +23,6 @@ from .geometry import backproject, relative_pose
 from .matching import Cell, FineMatchQuery, MatchingFrontend
 from .scene import ViewObservations
 from .tracks import CoarseReconstruction, FeatureTrack
-from .util import parallel_map
 
 LM_INITIAL_LAMBDA = 1e-3
 LM_MAX_ITERS = 50
@@ -181,56 +180,66 @@ def refine_track_nodes(
     )
 
 
-def _source_geometry(rt: RefinedTrack, poses, intrinsics):
-    """Stacked relative poses, intrinsics, and targets for the source nodes."""
-    pose_r = poses[rt.ref_view]
-    rel = [relative_pose(pose_r, poses[s.view_id]) for s in rt.sources]
-    R = np.stack([r.rotation for r in rel])
-    t = np.stack([r.translation for r in rel])
-    K = [intrinsics[s.view_id] for s in rt.sources]
-    targets = np.stack([s.pixel for s in rt.sources])
-    return pose_r, R, t, K, targets
+@dataclass(frozen=True)
+class DepthProblem:
+    """The depth residual of one refined track, stacked once over its sources.
 
-
-def _residuals(ray, R, t, K, targets, d):
-    """Residuals (S, 2) of Eq.-style cost at depth d; None if cheirality breaks."""
-    p = R @ (d * ray) + t
-    z = p[:, 2]
-    if np.any(z <= 1e-12):
-        return None
-    fx = np.array([k.fx for k in K])
-    fy = np.array([k.fy for k in K])
-    cx = np.array([k.cx for k in K])
-    cy = np.array([k.cy for k in K])
-    u = fx * p[:, 0] / z + cx
-    v = fy * p[:, 1] / z + cy
-    return np.stack([u, v], axis=1) - targets
-
-
-def depth_cost(rt: RefinedTrack, poses, intrinsics, d: float) -> float:
-    """Sum of squared source reprojection errors at reference depth d."""
-    _, R, t, K, targets = _source_geometry(rt, poses, intrinsics)
-    ray = backproject(np.asarray(rt.u_ref, dtype=float), 1.0, intrinsics[rt.ref_view])
-    r = _residuals(ray, R, t, K, targets, d)
-    return np.inf if r is None else float(np.sum(r * r))
-
-
-def depth_jacobian(rt: RefinedTrack, poses, intrinsics, d: float) -> np.ndarray:
-    """Analytic d(residual)/d(depth), shape (n_sources, 2).
-
-    Chain rule through backprojection (constant ray direction), the
-    relative rigid transform, and the pinhole projection.
+    A source's residual at reference depth d is its pinhole projection of
+    p = d * Rray + t minus its refined pixel, where Rray is the relative
+    rotation applied to the reference ray and t the relative translation.
     """
-    _, R, t, K, targets = _source_geometry(rt, poses, intrinsics)
-    ray = backproject(np.asarray(rt.u_ref, dtype=float), 1.0, intrinsics[rt.ref_view])
-    p = R @ (d * ray) + t          # (S, 3)
-    dp = R @ ray                   # (S, 3), derivative of p w.r.t. d
-    z = p[:, 2]
-    fx = np.array([k.fx for k in K])
-    fy = np.array([k.fy for k in K])
-    du = fx * (dp[:, 0] * z - p[:, 0] * dp[:, 2]) / (z * z)
-    dv = fy * (dp[:, 1] * z - p[:, 1] * dp[:, 2]) / (z * z)
-    return np.stack([du, dv], axis=1)
+
+    Rray: np.ndarray     # (S, 3)
+    t: np.ndarray        # (S, 3)
+    fx: np.ndarray       # (S,)
+    fy: np.ndarray
+    cx: np.ndarray
+    cy: np.ndarray
+    targets: np.ndarray  # (S, 2)
+
+    @classmethod
+    def from_track(cls, rt: RefinedTrack, poses, intrinsics) -> DepthProblem:
+        pose_r = poses[rt.ref_view]
+        rel = [relative_pose(pose_r, poses[s.view_id]) for s in rt.sources]
+        R = np.stack([r.rotation for r in rel])
+        ray = backproject(np.asarray(rt.u_ref, dtype=float), 1.0, intrinsics[rt.ref_view])
+        K = [intrinsics[s.view_id] for s in rt.sources]
+        return cls(
+            Rray=R @ ray,
+            t=np.stack([r.translation for r in rel]),
+            fx=np.array([k.fx for k in K]),
+            fy=np.array([k.fy for k in K]),
+            cx=np.array([k.cx for k in K]),
+            cy=np.array([k.cy for k in K]),
+            targets=np.stack([s.pixel for s in rt.sources]),
+        )
+
+    def residuals(self, d: float) -> np.ndarray | None:
+        """Residuals (S, 2) at depth d; None if a source sees the point behind it."""
+        p = d * self.Rray + self.t
+        z = p[:, 2]
+        if np.any(z <= 1e-12):
+            return None
+        u = self.fx * p[:, 0] / z + self.cx
+        v = self.fy * p[:, 1] / z + self.cy
+        return np.stack([u, v], axis=1) - self.targets
+
+    def jacobian(self, d: float) -> np.ndarray:
+        """Analytic d(residual)/d(depth), shape (S, 2).
+
+        Chain rule through backprojection (constant ray direction), the
+        relative rigid transform, and the pinhole projection.
+        """
+        p = d * self.Rray + self.t
+        z = p[:, 2]
+        du = self.fx * (self.Rray[:, 0] * z - p[:, 0] * self.Rray[:, 2]) / (z * z)
+        dv = self.fy * (self.Rray[:, 1] * z - p[:, 1] * self.Rray[:, 2]) / (z * z)
+        return np.stack([du, dv], axis=1)
+
+    def cost(self, d: float) -> float:
+        """Sum of squared source reprojection errors at depth d (inf past cheirality)."""
+        r = self.residuals(d)
+        return np.inf if r is None else float(np.sum(r * r))
 
 
 def optimize_depth(
@@ -248,42 +257,21 @@ def optimize_depth(
     lambda x10. Flat geometry (near-zero curvature, e.g. pure rotation) and
     clamped depths are flagged non-converged.
     """
-    pose_r, R, t, K, targets = _source_geometry(rt, poses, intrinsics)
-    intr_r = intrinsics[rt.ref_view]
-    ray = backproject(np.asarray(rt.u_ref, dtype=float), 1.0, intr_r)
-    fx = np.array([k.fx for k in K])
-    fy = np.array([k.fy for k in K])
-    cx = np.array([k.cx for k in K])
-    cy = np.array([k.cy for k in K])
-    Rray = R @ ray
-
-    def residuals_at(depth):
-        p = depth * Rray + t
-        z = p[:, 2]
-        if np.any(z <= 1e-12):
-            return None, None
-        u = fx * p[:, 0] / z + cx
-        v = fy * p[:, 1] / z + cy
-        return np.stack([u, v], axis=1) - targets, p
-
-    def jacobian_at(p):
-        z = p[:, 2]
-        du = fx * (Rray[:, 0] * z - p[:, 0] * Rray[:, 2]) / (z * z)
-        dv = fy * (Rray[:, 1] * z - p[:, 1] * Rray[:, 2]) / (z * z)
-        return np.stack([du, dv], axis=1)
+    pose_r = poses[rt.ref_view]
+    problem = DepthProblem.from_track(rt, poses, intrinsics)
 
     d0 = float(pose_r.transform(rt.point_init)[2])
     d = d0 if d0 > 0 else MIN_DEPTH_CLAMP
     hit_clamp = d0 <= 0
 
-    r, p = residuals_at(d)
+    r = problem.residuals(d)
     cost = np.inf if r is None else float(np.sum(r * r))
     lam = LM_INITIAL_LAMBDA
     converged = False
 
     if np.isfinite(cost):
         for _ in range(max_iters):
-            J = jacobian_at(p).ravel()
+            J = problem.jacobian(d).ravel()
             g = float(J @ r.ravel())
             H = float(J @ J)
             if H < 1e-18:
@@ -292,12 +280,12 @@ def optimize_depth(
             d_new = d + step
             if d_new <= 0:
                 d_new = MIN_DEPTH_CLAMP
-            r_new, p_new = residuals_at(d_new)
+            r_new = problem.residuals(d_new)
             cost_new = np.inf if r_new is None else float(np.sum(r_new * r_new))
             if cost_new <= cost:
                 hit_clamp = d_new == MIN_DEPTH_CLAMP
                 decrease = cost - cost_new
-                d, cost, r, p = d_new, cost_new, r_new, p_new
+                d, cost, r = d_new, cost_new, r_new
                 lam = max(lam / 10.0, 1e-12)
                 if decrease <= rel_tol * cost + 1e-24:
                     converged = True
@@ -313,12 +301,12 @@ def optimize_depth(
     # RMS per-source pixel error: monotone whenever the summed cost is
     n_src = len(rt.sources)
     final_cost = float(np.sqrt(cost / n_src)) if np.isfinite(cost) else np.inf
-    init_r, _ = residuals_at(d0) if d0 > 0 else (None, None)
+    init_r = problem.residuals(d0) if d0 > 0 else None
     initial_mean = (
         float(np.sqrt(np.sum(init_r * init_r) / n_src)) if init_r is not None else np.inf
     )
 
-    point = pose_r.inverse().transform(backproject(rt.u_ref, d, intr_r))
+    point = pose_r.inverse().transform(backproject(rt.u_ref, d, intrinsics[rt.ref_view]))
     return RefinedTrack(
         track_id=rt.track_id,
         ref_view=rt.ref_view,
@@ -399,23 +387,15 @@ def refine_reconstruction(
     min_confidence: float = 0.2,
 ) -> tuple[PointCloudModel, list[RefinedTrack], RefineStats]:
     """Full refinement pass over a coarse reconstruction (deterministic order)."""
-
-    def refine_one(track: FeatureTrack) -> tuple[RefinedTrack | None, RefineStats]:
-        local = RefineStats()  # per-task stats keep the parallel map race-free
-        ref_idx = select_reference_node(track, poses)
-        rt = refine_track_nodes(track, ref_idx, matcher, min_confidence, local)
-        if rt is None:
-            return None, local
-        return optimize_depth(rt, poses, intrinsics), local
-
-    results = parallel_map(refine_one, recon.tracks)
     stats = RefineStats()
     refined = []
-    for rt, local in results:
-        stats.dropped_low_confidence_nodes += local.dropped_low_confidence_nodes
-        stats.dropped_tracks += local.dropped_tracks
-        if rt is not None:
-            refined.append(rt)
-    stats.non_converged = sum(not rt.converged for rt in refined)
+    for track in recon.tracks:
+        ref_idx = select_reference_node(track, poses)
+        rt = refine_track_nodes(track, ref_idx, matcher, min_confidence, stats)
+        if rt is None:
+            continue
+        rt = optimize_depth(rt, poses, intrinsics)
+        stats.non_converged += not rt.converged
+        refined.append(rt)
     model = aggregate_features(refined, observations, stats)
     return model, refined, stats

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import CheiralityError, DegenerateGeometryError
 from .geometry import CameraIntrinsics, SE3Pose, mean_reprojection_error, triangulate
 from .matching import Cell, CoarseMatch
-from .util import parallel_map
 
 Node = tuple[int, Cell]
 
@@ -151,7 +150,9 @@ def triangulate_tracks(
     """
     stats = stats if stats is not None else TrackStats()
 
-    def solve(track: FeatureTrack):
+    kept_tracks: list[FeatureTrack] = []
+    points: list[np.ndarray] = []
+    for track in tracks:
         obs = [
             (poses[v], intrinsics[v], np.asarray(cell, dtype=float))
             for v, cell in track.nodes
@@ -159,35 +160,24 @@ def triangulate_tracks(
         try:
             point = triangulate(obs)
         except DegenerateGeometryError:
-            return "degenerate", None, None
+            stats.rejected_degenerate += 1
+            continue
         except CheiralityError:
-            return "cheirality", None, None
+            stats.rejected_cheirality += 1
+            continue
         err = mean_reprojection_error(point, obs)
         if err > max_reproj_px:
-            return "reprojection", None, None
-        return "ok", point, err
-
-    results = parallel_map(solve, list(tracks))
-
-    kept_tracks: list[FeatureTrack] = []
-    points: list[np.ndarray] = []
-    for track, (status, point, err) in zip(tracks, results):
-        if status == "degenerate":
-            stats.rejected_degenerate += 1
-        elif status == "cheirality":
-            stats.rejected_cheirality += 1
-        elif status == "reprojection":
             stats.rejected_reprojection += 1
-        else:
-            kept_tracks.append(
-                FeatureTrack(
-                    track_id=track.track_id,
-                    nodes=list(track.nodes),
-                    point_coarse=point,
-                    reproj_error=err,
-                )
+            continue
+        kept_tracks.append(
+            FeatureTrack(
+                track_id=track.track_id,
+                nodes=list(track.nodes),
+                point_coarse=point,
+                reproj_error=err,
             )
-            points.append(point)
+        )
+        points.append(point)
 
     pts = np.array(points) if points else np.zeros((0, 3))
     return CoarseReconstruction(tracks=kept_tracks, points=pts, stats=stats)

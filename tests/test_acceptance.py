@@ -32,7 +32,7 @@ from semidense.pose_matching import (
     coarse_match_2d3d,
     fine_match_2d3d,
 )
-from semidense.refine import depth_cost, depth_jacobian, optimize_depth
+from semidense.refine import DepthProblem, optimize_depth
 
 BYPASS = AttentionStack(layers=[])
 
@@ -96,8 +96,9 @@ class TestAcceptance:
                 rng, n_src, pixel_noise=0.5
             )
             out = optimize_depth(rt, poses, intrs)
+            problem = DepthProblem.from_track(rt, poses, intrs)
             gs = support.golden_section_minimize(
-                lambda d: depth_cost(rt, poses, intrs, d),
+                problem.cost,
                 0.5 * d_true,
                 2.0 * d_true,
                 tol=1e-10 * d_true,
@@ -115,7 +116,7 @@ class TestAcceptance:
                 rng, n_src, pixel_noise=1.0
             )
             d = d_true * rng.uniform(0.85, 1.15)
-            ana = depth_jacobian(rt, poses, intrs, d)
+            ana = DepthProblem.from_track(rt, poses, intrs).jacobian(d)
             h = 1e-5 * d
 
             def residuals(depth):

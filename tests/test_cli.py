@@ -2,22 +2,22 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import semidense
 from semidense.cli import main
 from semidense.formats import load_scene, save_model
 from semidense.refine import PointCloudModel
 from semidense.scene import NoiseModel, generate_scene
 
-FAST = [
-    "--n-points", "60",
-    "--n-views", "6",
-    "--n-query-views", "2",
-    "--n-coarse-layers", "0",
-    "--n-fine-layers", "0",
-]
+FAST_SIZE = ["--n-points", "60", "--n-views", "6", "--n-query-views", "2"]
+FAST = FAST_SIZE + ["--n-coarse-layers", "0", "--n-fine-layers", "0"]
 
 
 def run(*argv) -> int:
@@ -213,13 +213,16 @@ class TestPipelineDeterminism:
         agg = list(csv.DictReader((tmp_path / "n" / "metrics.csv").open()))[-1]
         assert float(agg["ok_5cm_5deg"]) == 1.0
 
-    def test_worker_count_does_not_change_results(self, tmp_path, monkeypatch):
-        assert run("pipeline", "--out", tmp_path / "single", *FAST) == 0
-        monkeypatch.setenv("SEMIDENSE_THREADS", "4")
-        assert run("pipeline", "--out", tmp_path / "multi", *FAST) == 0
-        assert (tmp_path / "single" / "metrics.csv").read_bytes() == (
-            tmp_path / "multi" / "metrics.csv"
-        ).read_bytes()
-        assert (tmp_path / "single" / "model" / "refined.ply").read_bytes() == (
-            tmp_path / "multi" / "model" / "refined.ply"
-        ).read_bytes()
+    def test_blas_thread_count_does_not_change_results(self, tmp_path):
+        # attention on, so the BLAS-backed matrix products run at both settings
+        src = str(Path(semidense.__file__).resolve().parents[1])
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            subprocess.run(
+                [sys.executable, "-m", "semidense", "pipeline",
+                 "--out", str(tmp_path / f"t{threads}"), *FAST_SIZE],
+                env=env, check=True, capture_output=True,
+            )
+        for name in ("metrics.csv", "model/refined.ply"):
+            assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()

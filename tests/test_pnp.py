@@ -191,6 +191,23 @@ class TestRansacPnP:
         errs = reprojection_errors(res.pose, intr, points, pixels)
         assert np.all(errs[res.inliers] <= 3.0)
 
+    def test_lost_polish_falls_back_to_hypothesis(self, monkeypatch):
+        # a polish that throws the pose far off keeps < 4 inliers; the result
+        # must then be the hypothesis pose with inliers measured under it
+        rng = np.random.default_rng(111)
+        pose, points, pixels, intr = _pose_and_points(rng, 80)
+        pixels = pixels + rng.normal(0, 0.5, pixels.shape)
+        pixels[:20] += rng.uniform(20, 100, (20, 2))
+        far = SE3Pose(pose.rotation, pose.translation + np.array([100.0, 0.0, 0.0]))
+        monkeypatch.setattr("semidense.pnp.lm_pose_polish", lambda *args, **kwargs: far)
+        res = ransac_pnp(points, pixels, intr, inlier_px=3.0, seed=2)
+        assert res.ok
+        assert not np.array_equal(res.pose.matrix, far.matrix)
+        errs = reprojection_errors(res.pose, intr, points, pixels)
+        assert len(res.inliers) >= 4
+        assert np.all(errs[res.inliers] <= 3.0)
+        assert res.mean_error == pytest.approx(np.mean(errs[res.inliers]), rel=1e-12)
+
     def test_robust_recovery_monte_carlo(self):
         # 70 noisy inliers + 30 uniform outliers, 100 seeded trials
         successes = 0

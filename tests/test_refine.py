@@ -7,12 +7,11 @@ import support
 from semidense.geometry import SE3Pose, backproject, project
 from semidense.matching import OracleMatcher, select_view_pairs
 from semidense.refine import (
+    DepthProblem,
     RefinedTrack,
     RefineStats,
     SourceNode,
     aggregate_features,
-    depth_cost,
-    depth_jacobian,
     optimize_depth,
     refine_reconstruction,
     refine_track_nodes,
@@ -144,8 +143,9 @@ class TestOptimizeDepth:
         for _ in range(50):
             rt, poses, intrs, d_true = support.random_refined_track(rng, 8, pixel_noise=0.5)
             out = optimize_depth(rt, poses, intrs)
+            problem = DepthProblem.from_track(rt, poses, intrs)
             gs = support.golden_section_minimize(
-                lambda d: depth_cost(rt, poses, intrs, d),
+                problem.cost,
                 0.5 * d_true,
                 2.0 * d_true,
                 tol=1e-10 * d_true,
@@ -207,7 +207,7 @@ class TestDepthJacobian:
         for _ in range(200):
             rt, poses, intrs, d_true = support.random_refined_track(rng, 6, pixel_noise=0.5)
             d = d_true * rng.uniform(0.9, 1.1)
-            ana = depth_jacobian(rt, poses, intrs, d)
+            ana = DepthProblem.from_track(rt, poses, intrs).jacobian(d)
             fd = self._fd_jacobian(rt, poses, intrs, d, h=1e-5 * d)
             rel = np.abs(ana - fd).max() / max(np.abs(fd).max(), 1e-12)
             worst = max(worst, rel)
@@ -225,7 +225,7 @@ class TestDepthJacobian:
             sources=[SourceNode(view_id=0, cell=(4.0, 4.0), pixel=u_ref.copy(), confidence=1.0)],
             point_init=np.array([0.0, 0.0, 0.0]),
         )
-        J = depth_jacobian(rt, [pose], [intr], 4.0)
+        J = DepthProblem.from_track(rt, [pose], [intr]).jacobian(4.0)
         np.testing.assert_allclose(J, 0.0, atol=1e-12)
 
     def test_pure_rotation_is_zero(self):
@@ -244,7 +244,7 @@ class TestDepthJacobian:
             sources=[SourceNode(view_id=1, cell=(4.0, 4.0), pixel=u_ref.copy(), confidence=1.0)],
             point_init=np.zeros(3),
         )
-        J = depth_jacobian(rt, [ref, rot_only], [intr, intr], 4.0)
+        J = DepthProblem.from_track(rt, [ref, rot_only], [intr, intr]).jacobian(4.0)
         np.testing.assert_allclose(J, 0.0, atol=1e-9)
 
 
