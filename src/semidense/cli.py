@@ -233,13 +233,13 @@ def cmd_estimate(args) -> int:
         scene = load_scene(args.scene)
         model, manifest = load_model(args.model)
         stacks = _stacks_from_args(args, config)
+        query_views = _parse_views(args.views, scene.n_views, manifest)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     if model.n_points == 0:
         print("error: empty model", file=sys.stderr)
         return EXIT_EMPTY
-    query_views = _parse_views(args.views, scene.n_views, manifest)
     if not query_views or any(not 0 <= v < scene.n_views for v in query_views):
         print(f"error: invalid query views {query_views}", file=sys.stderr)
         return EXIT_USAGE
@@ -293,6 +293,8 @@ def cmd_eval(args) -> int:
         scene = load_scene(args.scene)
         with open(args.poses) as fh:
             payload = json.load(fh)
+        if not isinstance(payload, dict) or not isinstance(payload.get("queries"), list):
+            raise ValueError(f"{args.poses} has no 'queries' list")
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 from .scene import NoiseModel
@@ -56,6 +57,10 @@ class RunConfig:
     units_to_cm: float = 10.0
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.n_points < 8:
             raise ValueError("n_points must be at least 8")
         if self.n_views < 2:

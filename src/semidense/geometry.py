@@ -179,6 +179,27 @@ def rotation_from_rotvec(w: np.ndarray) -> np.ndarray:
     return rotation_from_axis_angle(w / angle, angle)
 
 
+def pinhole(p_cam: np.ndarray, fx, fy, cx, cy) -> np.ndarray:
+    """Pixels (..., 2) of camera-frame points (..., 3).
+
+    The intrinsics broadcast over the leading axes. There is no depth check:
+    each caller applies its own rule.
+    """
+    z = p_cam[..., 2]
+    return np.stack([fx * p_cam[..., 0] / z + cx, fy * p_cam[..., 1] / z + cy], axis=-1)
+
+
+def pinhole_jacobian(p_cam: np.ndarray, fx, fy) -> np.ndarray:
+    """d(pixel)/d(camera point) of camera-frame points (..., 3), shape (..., 2, 3)."""
+    x, y, z = p_cam[..., 0], p_cam[..., 1], p_cam[..., 2]
+    J = np.zeros(p_cam.shape[:-1] + (2, 3))
+    J[..., 0, 0] = fx / z
+    J[..., 0, 2] = -fx * x / (z * z)
+    J[..., 1, 1] = fy / z
+    J[..., 1, 2] = -fy * y / (z * z)
+    return J
+
+
 def project(pose: SE3Pose, intrinsics: CameraIntrinsics, points: np.ndarray) -> np.ndarray:
     """Project world points to pixels; raises CheiralityError on non-positive depth.
 
@@ -189,22 +210,25 @@ def project(pose: SE3Pose, intrinsics: CameraIntrinsics, points: np.ndarray) -> 
     z = p_cam[:, 2]
     if np.any(z <= MIN_DEPTH):
         raise CheiralityError(f"point at depth {z.min():.3g} is behind the camera")
-    u = intrinsics.fx * p_cam[:, 0] / z + intrinsics.cx
-    v = intrinsics.fy * p_cam[:, 1] / z + intrinsics.cy
-    pix = np.stack([u, v], axis=1)
+    k = intrinsics
+    pix = pinhole(p_cam, k.fx, k.fy, k.cx, k.cy)
     return pix[0] if single else pix
 
 
 def project_with_depth(
     pose: SE3Pose, intrinsics: CameraIntrinsics, points: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batch projection that reports depths instead of raising; pixels are NaN behind."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Batch projection that reports instead of raising: (pixels, depths, visible).
+
+    Pixels are NaN behind the camera. A point is visible when its depth
+    exceeds MIN_DEPTH and its pixel lies inside the image.
+    """
     p_cam = np.atleast_2d(pose.transform(points))
     z = p_cam[:, 2]
-    safe = np.where(z > MIN_DEPTH, z, np.nan)
-    u = intrinsics.fx * p_cam[:, 0] / safe + intrinsics.cx
-    v = intrinsics.fy * p_cam[:, 1] / safe + intrinsics.cy
-    return np.stack([u, v], axis=1), z
+    front = z > MIN_DEPTH
+    k = intrinsics
+    pix = pinhole(np.where(front[:, None], p_cam, np.nan), k.fx, k.fy, k.cx, k.cy)
+    return pix, z, front & k.contains(pix)
 
 
 def backproject(pixel: np.ndarray, depth, intrinsics: CameraIntrinsics) -> np.ndarray:
@@ -228,15 +252,16 @@ def relative_pose(xi_r: SE3Pose, xi_s: SE3Pose) -> SE3Pose:
     return xi_s.compose(xi_r.inverse())
 
 
-def _projection_jacobian(intrinsics: CameraIntrinsics, p_cam: np.ndarray) -> np.ndarray:
-    """d(pixel)/d(camera point) for one camera-frame point, shape (2, 3)."""
-    x, y, z = p_cam
-    return np.array(
-        [
-            [intrinsics.fx / z, 0.0, -intrinsics.fx * x / (z * z)],
-            [0.0, intrinsics.fy / z, -intrinsics.fy * y / (z * z)],
-        ]
-    )
+def _stack_observations(observations: Sequence[Observation]):
+    """An observation list as arrays: R (n, 3, 3), t (n, 3), k (4, n), pixels (n, 2).
+
+    The rows of k are fx, fy, cx and cy.
+    """
+    R = np.array([pose.rotation for pose, _, _ in observations])
+    t = np.array([pose.translation for pose, _, _ in observations])
+    k = np.array([(i.fx, i.fy, i.cx, i.cy) for _, i, _ in observations], dtype=float).T
+    pixels = np.array([np.asarray(pixel, dtype=float) for _, _, pixel in observations])
+    return R, t, k, pixels
 
 
 def triangulate(observations: Sequence[Observation]) -> np.ndarray:
@@ -248,19 +273,20 @@ def triangulate(observations: Sequence[Observation]) -> np.ndarray:
     """
     if len(observations) < 2:
         raise ValueError("triangulation needs at least 2 observations")
+    R, t, k, pixels = _stack_observations(observations)
 
-    centers = np.array([pose.camera_center for pose, _, _ in observations])
+    centers = -(t[:, None, :] @ R)[:, 0]  # -R^T t per view
     bbox_diag = np.linalg.norm(centers.max(axis=0) - centers.min(axis=0))
     if bbox_diag < 1e-9 * (1.0 + np.abs(centers).max()):
         raise DegenerateGeometryError("all camera centers coincide; depth unobservable")
 
-    rows = []
-    for pose, intr, pixel in observations:
-        P = intr.matrix @ np.hstack([pose.rotation, pose.translation[:, None]])
-        u, v = np.asarray(pixel, dtype=float)
-        rows.append(u * P[2] - P[0])
-        rows.append(v * P[2] - P[1])
-    A = np.array(rows)
+    K = np.zeros((len(R), 3, 3))
+    K[:, 0, 0], K[:, 1, 1], K[:, 0, 2], K[:, 1, 2] = k
+    K[:, 2, 2] = 1.0
+    P = K @ np.concatenate([R, t[:, :, None]], axis=2)
+    A = np.stack(
+        [pixels[:, :1] * P[:, 2] - P[:, 0], pixels[:, 1:] * P[:, 2] - P[:, 1]], axis=1
+    ).reshape(-1, 4)
     norms = np.linalg.norm(A, axis=1)
     norms[norms == 0] = 1.0
     A = A / norms[:, None]
@@ -275,25 +301,15 @@ def triangulate(observations: Sequence[Observation]) -> np.ndarray:
         raise DegenerateGeometryError("triangulated point at infinity (parallel rays)")
     point = X_h[:3] / X_h[3]
 
-    for pose, _, _ in observations:
-        z = pose.transform(point)[2]
-        if z <= MIN_DEPTH:
-            raise CheiralityError(f"triangulated point has depth {z:.3g} in one view")
-
-    polished = _gauss_newton_polish(point, observations)
-    return polished
-
-
-def _reprojection_residuals(point: np.ndarray, observations: Sequence[Observation]) -> np.ndarray:
-    res = []
-    for pose, intr, pixel in observations:
-        res.append(project(pose, intr, point) - np.asarray(pixel, dtype=float))
-    return np.concatenate(res)
+    z = (point @ np.swapaxes(R, 1, 2) + t)[:, 2]
+    if np.any(z <= MIN_DEPTH):
+        raise CheiralityError(
+            f"triangulated point has depth {z[z <= MIN_DEPTH][0]:.3g} in one view"
+        )
+    return _gauss_newton_polish(point, R, t, k, pixels)
 
 
-def _gauss_newton_polish(
-    point: np.ndarray, observations: Sequence[Observation], max_steps: int = 10
-) -> np.ndarray:
+def _gauss_newton_polish(point, R, t, k, pixels, max_steps: int = 10) -> np.ndarray:
     """Gauss-Newton polish on reprojection error, run to convergence.
 
     A single step leaves ~1e-8 frame dependence under pixel noise; iterating
@@ -301,24 +317,24 @@ def _gauss_newton_polish(
     which is invariant under a common rigid transform of all cameras.
     Steps that increase the cost or break cheirality are rejected.
     """
+    Rt = np.swapaxes(R, 1, 2)
     scale = 1.0 + np.linalg.norm(point)
+    p_cam = point @ Rt + t
+    r = (pinhole(p_cam, *k) - pixels).ravel()
     for _ in range(max_steps):
-        r = _reprojection_residuals(point, observations)
-        J = np.zeros((2 * len(observations), 3))
-        for i, (pose, intr, _) in enumerate(observations):
-            p_cam = pose.transform(point)
-            J[2 * i : 2 * i + 2] = _projection_jacobian(intr, p_cam) @ pose.rotation
+        J = (pinhole_jacobian(p_cam, k[0], k[1]) @ R).reshape(-1, 3)
         try:
             delta = np.linalg.solve(J.T @ J, -J.T @ r)
         except np.linalg.LinAlgError:
             return point
         candidate = point + delta
-        if any(pose.transform(candidate)[2] <= MIN_DEPTH for pose, _, _ in observations):
+        p_new = candidate @ Rt + t
+        if np.any(p_new[:, 2] <= MIN_DEPTH):
             return point
-        r_new = _reprojection_residuals(candidate, observations)
+        r_new = (pinhole(p_new, *k) - pixels).ravel()
         if not r_new @ r_new < r @ r:
             return point
-        point = candidate
+        point, p_cam, r = candidate, p_new, r_new
         if np.linalg.norm(delta) < 1e-13 * scale:
             break
     return point
@@ -326,5 +342,8 @@ def _gauss_newton_polish(
 
 def mean_reprojection_error(point: np.ndarray, observations: Sequence[Observation]) -> float:
     """Mean pixel distance between projections and observed pixels."""
-    r = _reprojection_residuals(point, observations).reshape(-1, 2)
-    return float(np.mean(np.linalg.norm(r, axis=1)))
+    R, t, k, pixels = _stack_observations(observations)
+    p_cam = point @ np.swapaxes(R, 1, 2) + t
+    if np.any(p_cam[:, 2] <= MIN_DEPTH):
+        raise CheiralityError("point is behind a camera")
+    return float(np.mean(np.linalg.norm(pinhole(p_cam, *k) - pixels, axis=1)))

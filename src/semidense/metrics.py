@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import MIN_DEPTH, CameraIntrinsics, SE3Pose
+from .geometry import MIN_DEPTH, CameraIntrinsics, SE3Pose, pinhole
 
 UNITS_TO_CM = 10.0
 PROJ2D_THRESHOLD_PX = 5.0
@@ -102,23 +102,14 @@ def proj2d(
 ) -> tuple[float, bool]:
     """Mean reprojected pixel distance; cheirality failure counts as infinite."""
     pts = np.asarray(model_points, dtype=float)
-    for pose in (gt,):
-        if np.any(pose.transform(pts)[:, 2] <= MIN_DEPTH):
-            raise ValueError("ground-truth pose puts model points behind the camera")
+    p_gt = gt.transform(pts)
+    if np.any(p_gt[:, 2] <= MIN_DEPTH):
+        raise ValueError("ground-truth pose puts model points behind the camera")
     p_est = est.transform(pts)
     if np.any(p_est[:, 2] <= MIN_DEPTH):
         return np.inf, False
-
-    def pix(p):
-        return np.stack(
-            [
-                intr.fx * p[:, 0] / p[:, 2] + intr.cx,
-                intr.fy * p[:, 1] / p[:, 2] + intr.cy,
-            ],
-            axis=1,
-        )
-
-    err = float(np.mean(np.linalg.norm(pix(p_est) - pix(gt.transform(pts)), axis=1)))
+    k = (intr.fx, intr.fy, intr.cx, intr.cy)
+    err = float(np.mean(np.linalg.norm(pinhole(p_est, *k) - pinhole(p_gt, *k), axis=1)))
     return err, err <= threshold_px
 
 

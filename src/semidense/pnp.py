@@ -19,6 +19,8 @@ from .geometry import (
     MIN_DEPTH,
     CameraIntrinsics,
     SE3Pose,
+    pinhole,
+    pinhole_jacobian,
     rotation_checks,
     rotation_from_rotvec,
 )
@@ -50,12 +52,10 @@ class PnPResult:
 def _reprojection_errors(R, t, intr, points, pixels):
     """Pixel errors of (..., 3, 3)/(..., 3) poses on (..., n) correspondences; inf behind."""
     p_cam = points @ np.swapaxes(R, -1, -2) + t[..., None, :]
-    z = p_cam[..., 2]
-    ok = z > MIN_DEPTH
-    z = np.where(ok, z, 1.0)
-    u = intr.fx * p_cam[..., 0] / z + intr.cx
-    v = intr.fy * p_cam[..., 1] / z + intr.cy
-    return np.where(ok, np.hypot(u - pixels[..., 0], v - pixels[..., 1]), np.inf)
+    ok = p_cam[..., 2] > MIN_DEPTH
+    pix = pinhole(np.where(ok[..., None], p_cam, 1.0), intr.fx, intr.fy, intr.cx, intr.cy)
+    d = pix - pixels
+    return np.where(ok, np.hypot(d[..., 0], d[..., 1]), np.inf)
 
 
 def reprojection_errors(
@@ -374,12 +374,9 @@ def lm_pose_polish(
 
     def residuals(Rc, tc):
         p = points @ Rc.T + tc
-        z = p[:, 2]
-        if np.any(z <= MIN_DEPTH):
+        if np.any(p[:, 2] <= MIN_DEPTH):
             return None, None
-        u = intr.fx * p[:, 0] / z + intr.cx
-        v = intr.fy * p[:, 1] / z + intr.cy
-        return np.column_stack([u - pixels[:, 0], v - pixels[:, 1]]), p
+        return pinhole(p, intr.fx, intr.fy, intr.cx, intr.cy) - pixels, p
 
     r, p_cam = residuals(R, t)
     if r is None:
@@ -389,12 +386,7 @@ def lm_pose_polish(
 
     for _ in range(max_iters):
         n = len(points)
-        z = p_cam[:, 2]
-        Jproj = np.zeros((n, 2, 3))
-        Jproj[:, 0, 0] = intr.fx / z
-        Jproj[:, 0, 2] = -intr.fx * p_cam[:, 0] / (z * z)
-        Jproj[:, 1, 1] = intr.fy / z
-        Jproj[:, 1, 2] = -intr.fy * p_cam[:, 1] / (z * z)
+        Jproj = pinhole_jacobian(p_cam, intr.fx, intr.fy)
 
         rp = points @ R.T  # rotated points (camera frame minus t)
         skew = np.zeros((n, 3, 3))

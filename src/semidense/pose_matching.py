@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import AttentionStack, positional_encode
-from .geometry import MIN_DEPTH, CameraIntrinsics, project_with_depth
+from .geometry import CameraIntrinsics, project_with_depth
 from .refine import PointCloudModel
 from .scene import GRID_STRIDE, SyntheticScene, render_observations
 
@@ -124,14 +124,20 @@ def synthesize_query_maps(scene: SyntheticScene, view_id: int) -> QueryFeatureMa
     return QueryFeatureMaps(coarse=coarse, fine=fine, intrinsics=intr)
 
 
-def dual_softmax(scores: np.ndarray) -> np.ndarray:
-    """Entrywise product of row-wise and column-wise softmax."""
+def _row_col_softmax(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two factors of the dual-softmax: row-wise and column-wise softmax."""
     s = scores - scores.max(axis=1, keepdims=True)
     rows = np.exp(s)
     rows /= rows.sum(axis=1, keepdims=True)
     s = scores - scores.max(axis=0, keepdims=True)
     cols = np.exp(s)
     cols /= cols.sum(axis=0, keepdims=True)
+    return rows, cols
+
+
+def dual_softmax(scores: np.ndarray) -> np.ndarray:
+    """Entrywise product of row-wise and column-wise softmax."""
+    rows, cols = _row_col_softmax(scores)
     return rows * cols
 
 
@@ -279,9 +285,7 @@ def ground_truth_matches(
     Cell indices address the flattened row-major coarse grid; observability
     means positive depth and in-bounds projection. Used for supervision.
     """
-    pix, z = project_with_depth(pose, intrinsics, model.points)
-    ok = (z > MIN_DEPTH) & np.all(np.isfinite(pix), axis=1)
-    ok[ok] &= intrinsics.contains(pix[ok])
+    pix, _, ok = project_with_depth(pose, intrinsics, model.points)
     wc = intrinsics.width // GRID_STRIDE
     cols = np.clip((pix[:, 0] // GRID_STRIDE).astype(int), 0, wc - 1)
     rows = np.clip(
@@ -290,25 +294,3 @@ def ground_truth_matches(
     cells = rows * wc + cols
     cells[~ok] = -1
     return ok, cells, pix
-
-
-def sample_or_pad(model: PointCloudModel, n: int, seed: int = 0) -> PointCloudModel:
-    """Random subsample (without replacement) or pad (with replacement) to n points.
-
-    Training-path utility; the test path always uses all reconstructed points.
-    """
-    m = model.n_points
-    if m == 0:
-        raise ValueError("cannot sample from an empty model")
-    rng = np.random.default_rng([seed, 41])
-    if m >= n:
-        idx = np.sort(rng.choice(m, size=n, replace=False))
-    else:
-        pad = rng.choice(m, size=n - m, replace=True)
-        idx = np.concatenate([np.arange(m), np.sort(pad)])
-    return PointCloudModel(
-        points=model.points[idx],
-        coarse_features=model.coarse_features[idx],
-        fine_features=model.fine_features[idx],
-        track_ids=model.track_ids[idx],
-    )

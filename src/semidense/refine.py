@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import backproject, relative_pose
+from .geometry import backproject, pinhole, pinhole_jacobian
 from .matching import Cell, FineMatchQuery, MatchingFrontend
 from .scene import ViewObservations
 from .tracks import CoarseReconstruction, FeatureTrack
@@ -99,22 +99,17 @@ def select_reference_node(track: FeatureTrack, poses) -> int:
     if track.point_coarse is None:
         raise ValueError("track must be triangulated before reference selection")
 
-    point = track.point_coarse
-    rays = []
-    for view_id, _ in track.nodes:
-        d = point - poses[view_id].camera_center
-        rays.append(d / np.linalg.norm(d))
-
+    R = np.array([poses[view_id].rotation for view_id, _ in track.nodes])
+    t = np.array([poses[view_id].translation for view_id, _ in track.nodes])
+    centers = -(t[:, None, :] @ R)[:, 0]  # -R^T t per view
+    d = track.point_coarse - centers
+    rays = d / np.linalg.norm(d, axis=1, keepdims=True)
+    cos = np.clip((R[:, None, 2, :] * rays[None]).sum(axis=2), -1.0, 1.0)  # (axis, ray)
+    n = len(rays)
+    others = np.arccos(cos)[~np.eye(n, dtype=bool)].reshape(n, n - 1)
     best_idx = 0
     best_angle = np.inf
-    for idx, (view_id, _) in enumerate(track.nodes):
-        axis = poses[view_id].optical_axis
-        angles = [
-            np.arccos(np.clip(axis @ rays[k], -1.0, 1.0))
-            for k in range(len(track.nodes))
-            if k != idx
-        ]
-        mean_angle = float(np.mean(angles))
+    for idx, mean_angle in enumerate(others.mean(axis=1).tolist()):
         if mean_angle < best_angle - 1e-12:
             best_angle = mean_angle
             best_idx = idx
@@ -199,14 +194,14 @@ class DepthProblem:
 
     @classmethod
     def from_track(cls, rt: RefinedTrack, poses, intrinsics) -> DepthProblem:
-        pose_r = poses[rt.ref_view]
-        rel = [relative_pose(pose_r, poses[s.view_id]) for s in rt.sources]
-        R = np.stack([r.rotation for r in rel])
+        R_r, t_r = poses[rt.ref_view].rotation, poses[rt.ref_view].translation
+        R_s = np.array([poses[s.view_id].rotation for s in rt.sources])
+        t_s = np.array([poses[s.view_id].translation for s in rt.sources])
         ray = backproject(np.asarray(rt.u_ref, dtype=float), 1.0, intrinsics[rt.ref_view])
         K = [intrinsics[s.view_id] for s in rt.sources]
         return cls(
-            Rray=R @ ray,
-            t=np.stack([r.translation for r in rel]),
+            Rray=(R_s @ R_r.T) @ ray,
+            t=R_s @ (-R_r.T @ t_r) + t_s,
             fx=np.array([k.fx for k in K]),
             fy=np.array([k.fy for k in K]),
             cx=np.array([k.cx for k in K]),
@@ -217,12 +212,9 @@ class DepthProblem:
     def residuals(self, d: float) -> np.ndarray | None:
         """Residuals (S, 2) at depth d; None if a source sees the point behind it."""
         p = d * self.Rray + self.t
-        z = p[:, 2]
-        if np.any(z <= 1e-12):
+        if np.any(p[:, 2] <= 1e-12):
             return None
-        u = self.fx * p[:, 0] / z + self.cx
-        v = self.fy * p[:, 1] / z + self.cy
-        return np.stack([u, v], axis=1) - self.targets
+        return pinhole(p, self.fx, self.fy, self.cx, self.cy) - self.targets
 
     def jacobian(self, d: float) -> np.ndarray:
         """Analytic d(residual)/d(depth), shape (S, 2).
@@ -231,10 +223,7 @@ class DepthProblem:
         relative rigid transform, and the pinhole projection.
         """
         p = d * self.Rray + self.t
-        z = p[:, 2]
-        du = self.fx * (self.Rray[:, 0] * z - p[:, 0] * self.Rray[:, 2]) / (z * z)
-        dv = self.fy * (self.Rray[:, 1] * z - p[:, 1] * self.Rray[:, 2]) / (z * z)
-        return np.stack([du, dv], axis=1)
+        return (pinhole_jacobian(p, self.fx, self.fy) @ self.Rray[:, :, None])[:, :, 0]
 
     def cost(self, d: float) -> float:
         """Sum of squared source reprojection errors at depth d (inf past cheirality)."""

@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import VisibilityError
 from .geometry import (
-    MIN_DEPTH,
     CameraIntrinsics,
     SE3Pose,
     project_with_depth,
@@ -238,10 +237,7 @@ def generate_scene(
 
     visible_counts = np.zeros(n_points, dtype=int)
     for pose, k in views:
-        pix, z = project_with_depth(pose, k, points)
-        ok = (z > MIN_DEPTH) & np.all(np.isfinite(pix), axis=1)
-        ok[ok] &= k.contains(pix[ok])
-        visible_counts += ok
+        visible_counts += project_with_depth(pose, k, points)[2]
     if visible_counts.min() < 2:
         raise ValueError(
             "scene has points visible in fewer than 2 views; "
@@ -255,9 +251,7 @@ def render_observations(scene: SyntheticScene, view_id: int) -> ViewObservations
     if not 0 <= view_id < scene.n_views:
         raise ValueError(f"view_id {view_id} out of range")
     pose, intr = scene.views[view_id]
-    pix, z = project_with_depth(pose, intr, scene.points)
-    in_frustum = (z > MIN_DEPTH) & np.all(np.isfinite(pix), axis=1)
-    in_frustum[in_frustum] &= intr.contains(pix[in_frustum])
+    pix, z, in_frustum = project_with_depth(pose, intr, scene.points)
 
     drop_rng = np.random.default_rng([scene.seed, _STREAM_DROPOUT, view_id])
     dropped = drop_rng.uniform(size=scene.n_points) < scene.noise.dropout_rate
@@ -316,9 +310,9 @@ def oracle_fine_location(
     center so it stays inside the refinement window.
     """
     pose, intr = scene.views[view_id]
-    pix, z = project_with_depth(pose, intr, scene.points[point_id][None])
+    pix, _, visible = project_with_depth(pose, intr, scene.points[point_id][None])
     pix = pix[0]
-    if not (z[0] > MIN_DEPTH and np.all(np.isfinite(pix)) and intr.contains(pix)):
+    if not visible[0]:
         raise VisibilityError(f"point {point_id} not visible in view {view_id}")
 
     rng = np.random.default_rng([scene.seed, _STREAM_FINE_NOISE, view_id, point_id])

@@ -192,6 +192,42 @@ class TestEstimateAndEval:
         assert float(agg["ok_3cm_3deg"]) == 1.0
 
 
+class TestBadInputs:
+    """Each command turns a bad input into exit 2 and one `error:` line."""
+
+    def _assert_usage_error(self, rc, capsys, mention):
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert mention in err
+
+    def test_synth_nan_noise(self, tmp_path, capsys):
+        rc = run("synth", "--out", tmp_path / "s.json", "--fine-noise-sigma", "nan", *FAST)
+        self._assert_usage_error(rc, capsys, "fine_noise_sigma")
+        assert not (tmp_path / "s.json").exists()
+
+    def test_reconstruct_infinite_tau(self, tmp_path, workspace, capsys):
+        rc = run("reconstruct", "--scene", workspace / "scene.json",
+                 "--out", tmp_path / "m", "--tau", "inf", *FAST)
+        self._assert_usage_error(rc, capsys, "tau")
+
+    def test_estimate_unparsable_views(self, tmp_path, workspace, capsys):
+        rc = run("estimate", "--scene", workspace / "scene.json", "--model", workspace / "model",
+                 "--out", tmp_path / "est", "--views", "abc", *FAST)
+        self._assert_usage_error(rc, capsys, "abc")
+
+    def test_eval_poses_without_queries(self, tmp_path, workspace, capsys):
+        poses_path = tmp_path / "p.json"
+        poses_path.write_text(json.dumps({"poses": []}))
+        rc = run("eval", "--scene", workspace / "scene.json", "--poses", poses_path,
+                 "--out", tmp_path / "m.csv", *FAST)
+        self._assert_usage_error(rc, capsys, "queries")
+
+    def test_pipeline_nan_focal(self, tmp_path, capsys):
+        rc = run("pipeline", "--out", tmp_path / "run", "--focal", "nan", *FAST)
+        self._assert_usage_error(rc, capsys, "focal")
+
+
 class TestPipelineDeterminism:
     def test_metrics_byte_identical(self, tmp_path):
         assert run("pipeline", "--out", tmp_path / "r1", *FAST) == 0

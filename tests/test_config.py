@@ -36,6 +36,10 @@ class TestValidation:
             {"dropout_rate": 1.0},
             {"distance_min": 5.0, "distance_max": 3.0},
             {"image_size": 500},
+            {"fine_noise_sigma": float("nan")},
+            {"tau": float("inf")},
+            {"focal": float("nan")},
+            {"inlier_px": float("-inf")},
         ):
             with pytest.raises(ValueError):
                 RunConfig(**bad).validate()

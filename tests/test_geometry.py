@@ -6,11 +6,15 @@ import support
 
 from semidense.errors import CheiralityError, DegenerateGeometryError
 from semidense.geometry import (
+    MIN_DEPTH,
     CameraIntrinsics,
     SE3Pose,
     backproject,
     mean_reprojection_error,
+    pinhole,
+    pinhole_jacobian,
     project,
+    project_with_depth,
     relative_pose,
     triangulate,
 )
@@ -47,6 +51,65 @@ class TestProject:
         got = project(pose, intr, pts)
         want = np.array([support.pixel_of(pose, intr, p) for p in pts])
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+class TestPinholeKernel:
+    def test_stack_with_per_row_intrinsics(self):
+        rng = np.random.default_rng(8)
+        intrs = [
+            _simple_intr(f=100.0, cx=3.0, cy=4.0),
+            CameraIntrinsics(fx=250.0, fy=180.0, cx=320.0, cy=240.0, width=640, height=480),
+        ]
+        pts = rng.standard_normal((2, 5, 3))
+        pts[..., 2] = np.abs(pts[..., 2]) + 0.5
+        fx, fy, cx, cy = np.array([(i.fx, i.fy, i.cx, i.cy) for i in intrs]).T[:, :, None]
+        got = pinhole(pts, fx, fy, cx, cy)  # (2, 1) intrinsics against (2, 5) points
+        assert got.shape == (2, 5, 2)
+        want = [[support.pixel_of(SE3Pose.identity(), intrs[i], p) for p in pts[i]] for i in range(2)]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_jacobian_vs_central_differences(self):
+        rng = np.random.default_rng(9)
+        pts = rng.standard_normal((20, 3))
+        pts[:, 2] = np.abs(pts[:, 2]) + 0.5
+        fx, fy = rng.uniform(100.0, 900.0, size=(2, 20))
+        J = pinhole_jacobian(pts, fx, fy)
+        h = 1e-6
+        fd = np.zeros_like(J)
+        for a in range(3):
+            step = np.zeros(3)
+            step[a] = h
+            plus = pinhole(pts + step, fx, fy, 0.0, 0.0)
+            minus = pinhole(pts - step, fx, fy, 0.0, 0.0)
+            fd[:, :, a] = (plus - minus) / (2.0 * h)
+        np.testing.assert_allclose(J, fd, rtol=1e-6, atol=1e-6 * np.abs(J).max())
+
+    def test_visible_mask_matches_brute_force_rule(self):
+        intr = _simple_intr(w=1000, h=1000)
+        pose = SE3Pose.identity()
+        pts = np.array([
+            [0.0, 5.0, 1.0],       # u = 0: inside
+            [10.0, 5.0, 1.0],      # u = width: outside
+            [2.0, 3.0, -1.0],      # behind the camera
+            [0.0, 0.0, 0.0],       # at the camera centre
+            [np.nan, 5.0, 1.0],    # NaN pixel
+            [4.0, 9.0, 2.0],       # inside
+        ])
+        pix, depths, visible = project_with_depth(pose, intr, pts)
+        np.testing.assert_array_equal(depths, pose.transform(pts)[:, 2])
+        want = []
+        for p in pts:
+            z = pose.transform(p)[2]
+            if not z > MIN_DEPTH:
+                want.append(False)
+                continue
+            u, v = support.pixel_of(pose, intr, p)
+            want.append(bool(
+                np.isfinite(u) and np.isfinite(v) and 0 <= u < intr.width and 0 <= v < intr.height
+            ))
+        assert want == [True, False, False, False, False, True]
+        np.testing.assert_array_equal(visible, want)
+        assert np.isnan(pix[2:5]).all()
 
 
 class TestBackproject:

@@ -13,7 +13,6 @@ from semidense.pose_matching import (
     fine_match_2d3d,
     ground_truth_matches,
     mutual_nearest_neighbors,
-    sample_or_pad,
     synthesize_query_maps,
     window_expectation,
 )
@@ -263,26 +262,3 @@ class TestGroundTruthMatches:
             center = grid_cell_center(pix[j])
             expected = int(center[1] // GRID_STRIDE) * wc + int(center[0] // GRID_STRIDE)
             assert cells[j] == expected
-
-
-class TestSampleOrPad:
-    def test_subsample(self):
-        rng = np.random.default_rng(83)
-        model = random_model(rng, n=50)
-        out = sample_or_pad(model, 20, seed=1)
-        assert out.n_points == 20
-        assert len(np.unique(out.track_ids)) == 20
-
-    def test_pad(self):
-        rng = np.random.default_rng(84)
-        model = random_model(rng, n=5)
-        out = sample_or_pad(model, 12, seed=1)
-        assert out.n_points == 12
-        np.testing.assert_array_equal(out.points[:5], model.points)
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(85)
-        model = random_model(rng, n=30)
-        a = sample_or_pad(model, 10, seed=3)
-        b = sample_or_pad(model, 10, seed=3)
-        np.testing.assert_array_equal(a.points, b.points)
