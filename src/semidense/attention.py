@@ -87,19 +87,21 @@ def linear_attention(
 
     Equivalent to the explicit softmax-free quadratic form
     out_i = sum_j phi(q_i).phi(k_j) v_j / sum_j phi(q_i).phi(k_j).
+    Inputs are (..., N, C) stacks; leading axes broadcast, one independent
+    attention per slice.
     """
     queries = np.asarray(queries, dtype=float)
     keys = np.asarray(keys, dtype=float)
     values = np.asarray(values, dtype=float)
-    if queries.shape[1] != keys.shape[1] or keys.shape[0] != values.shape[0]:
+    if queries.shape[-1] != keys.shape[-1] or keys.shape[-2] != values.shape[-2]:
         raise ValueError(
             f"shape mismatch: Q{queries.shape} K{keys.shape} V{values.shape}"
         )
     Q = elu_plus_one(queries)
     K = elu_plus_one(keys)
-    kv = K.T @ values                      # (C, Cv)
-    z = Q @ K.sum(axis=0)                  # (N,)
-    return (Q @ kv) / np.maximum(z, eps)[:, None]
+    kv = np.swapaxes(K, -1, -2) @ values              # (..., C, Cv)
+    z = (Q @ K.sum(axis=-2)[..., None])[..., 0]       # (..., N)
+    return (Q @ kv) / np.maximum(z, eps)[..., None]
 
 
 @dataclass
@@ -113,6 +115,7 @@ class AttentionLayer:
     ff2: np.ndarray
 
     def apply(self, x: np.ndarray, source: np.ndarray) -> np.ndarray:
+        """x attends to source; (..., N, C) stacks with matching leading axes."""
         message = linear_attention(x @ self.wq, source @ self.wk, source @ self.wv)
         h = x + message
         return h + np.maximum(h @ self.ff1, 0.0) @ self.ff2
@@ -152,7 +155,10 @@ class AttentionStack:
         return cls(layers=layers)
 
     def transform(self, feats_a: np.ndarray, feats_b: np.ndarray):
-        """Self-attend each set, then cross-attend both directions, per layer."""
+        """Self-attend each set, then cross-attend both directions, per layer.
+
+        Sets are (N, C) or (..., N, C) stacks of independent problems.
+        """
         a, b = np.asarray(feats_a, dtype=float), np.asarray(feats_b, dtype=float)
         for self_layer, cross_layer in self.layers:
             a = self_layer.apply(a, a)

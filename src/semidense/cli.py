@@ -30,7 +30,7 @@ from .metrics import (
     rotation_error_deg,
     translation_error,
 )
-from .pnp import ransac_pnp
+from .pnp import PnPResult, ransac_pnp
 from .pose_matching import coarse_match_2d3d, fine_match_2d3d, synthesize_query_maps
 from .refine import refine_reconstruction
 from .scene import generate_scene
@@ -117,8 +117,6 @@ def estimate_views(scene, model, config: RunConfig, query_views, stacks=None):
                 seed=[config.seed, _RANSAC_SEED_STREAM, view],
             )
         else:
-            from .pnp import PnPResult
-
             res = PnPResult(pose=None)
         results.append(
             {

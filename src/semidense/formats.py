@@ -9,6 +9,7 @@ u64 rows, u64 cols, and the row-major little-endian payload.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -43,22 +44,42 @@ def write_fmat(path, sections: dict[str, np.ndarray]) -> None:
 
 
 def read_fmat(path) -> dict[str, np.ndarray]:
+    """Read every section; a truncated or malformed file raises ValueError."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
+        size = os.fstat(fh.fileno()).st_size
+
+        def take(n: int, what: str) -> bytes:
+            if n > size - fh.tell():
+                raise ValueError(f"{path}: truncated FMAT file in {what}")
+            return fh.read(n)
+
+        magic = take(4, "header")
         if magic != FMAT_MAGIC:
-            raise ValueError(f"not an FMAT file: bad magic {magic!r}")
-        version, count = struct.unpack("<II", fh.read(8))
+            raise ValueError(f"{path}: not an FMAT file: bad magic {magic!r}")
+        version, count = struct.unpack("<II", take(8, "header"))
         if version != FMAT_VERSION:
-            raise ValueError(f"unsupported FMAT version {version}")
+            raise ValueError(f"{path}: unsupported FMAT version {version}")
         sections: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(name_len).decode("utf-8")
-            code, rows, cols = struct.unpack("<BQQ", fh.read(17))
+        for i in range(count):
+            (name_len,) = struct.unpack("<I", take(4, f"section {i} header"))
+            try:
+                name = take(name_len, f"section {i} name").decode("utf-8")
+            except UnicodeDecodeError:
+                raise ValueError(f"{path}: section {i} name is not UTF-8") from None
+            code, rows, cols = struct.unpack("<BQQ", take(17, f"section {name!r} header"))
+            if code not in _DTYPE_CODES:
+                raise ValueError(f"{path}: section {name!r} has unknown dtype code {code}")
             dtype = np.dtype(_DTYPE_CODES[code])
-            payload = fh.read(rows * cols * dtype.itemsize)
+            payload = take(rows * cols * dtype.itemsize, f"section {name!r} payload")
             sections[name] = np.frombuffer(payload, dtype=dtype).reshape(rows, cols).copy()
     return sections
+
+
+def _require(mapping, keys, where) -> None:
+    """Raise ValueError naming `where` unless `mapping` holds every key."""
+    missing = [k for k in keys if k not in mapping]
+    if missing:
+        raise ValueError(f"{where}: missing {', '.join(missing)}")
 
 
 def write_ply(path, points: np.ndarray, binary: bool = False) -> None:
@@ -145,9 +166,12 @@ def load_scene(json_path) -> SyntheticScene:
     json_path = Path(json_path)
     with open(json_path) as fh:
         payload = json.load(fh)
-    if payload.get("format") != "semidense-scene":
+    if not isinstance(payload, dict) or payload.get("format") != "semidense-scene":
         raise ValueError(f"{json_path} is not a scene file")
-    sections = read_fmat(json_path.parent / payload["sidecar"])
+    _require(payload, ("sidecar", "views", "noise", "seed", "diameter"), json_path)
+    sidecar = json_path.parent / payload["sidecar"]
+    sections = read_fmat(sidecar)
+    _require(sections, ("points", "desc_coarse", "desc_fine"), sidecar)
     views = [
         (
             SE3Pose.from_matrix(np.array(v["pose"], dtype=float)),
@@ -201,11 +225,18 @@ def load_model(model_dir):
     from .refine import PointCloudModel
 
     model_dir = Path(model_dir)
-    with open(model_dir / "model.json") as fh:
+    manifest_path = model_dir / "model.json"
+    with open(manifest_path) as fh:
         manifest = json.load(fh)
-    if manifest.get("format") != "semidense-model":
+    if not isinstance(manifest, dict) or manifest.get("format") != "semidense-model":
         raise ValueError(f"{model_dir} is not a model directory")
-    sections = read_fmat(model_dir / manifest["files"]["features"])
+    _require(manifest, ("files", "track_ids", "recon_views"), manifest_path)
+    if not isinstance(manifest["files"], dict):
+        raise ValueError(f"{manifest_path}: files is not a mapping")
+    _require(manifest["files"], ("features",), f"{manifest_path} files")
+    features = model_dir / manifest["files"]["features"]
+    sections = read_fmat(features)
+    _require(sections, ("points", "coarse_features", "fine_features"), features)
     model = PointCloudModel(
         points=sections["points"],
         coarse_features=sections["coarse_features"],

@@ -75,6 +75,43 @@ FINE_SPLAT_SIGMA_PX = 1.0
 _FINE_SPLAT_RADIUS_CELLS = 3
 
 
+def _splat_fine(fine: np.ndarray, pixels: np.ndarray, desc: np.ndarray) -> None:
+    """Blend each row's Gaussian descriptor peak into `fine` in place, in row order.
+
+    A peak updates every cell x of its clipped 7x7 stencil to
+    g*desc + (1-g)*x. The updates are applied in rounds: round k holds the
+    k-th update of every cell, so no cell repeats within a round and each
+    cell receives its updates in row order, with the same arithmetic as
+    blending one row at a time.
+    """
+    hf, wf, cf = fine.shape
+    offsets = np.arange(-_FINE_SPLAT_RADIUS_CELLS, _FINE_SPLAT_RADIUS_CELLS + 1)
+    cs = np.rint(pixels[:, :1] / FINE_STRIDE).astype(int) + offsets  # (n, 7)
+    rs = np.rint(pixels[:, 1:] / FINE_STRIDE).astype(int) + offsets
+    du = cs * FINE_STRIDE - pixels[:, :1]
+    dv = rs * FINE_STRIDE - pixels[:, 1:]
+    d2 = dv[:, :, None] ** 2 + du[:, None, :] ** 2
+    g = np.exp(-d2 / (2.0 * FINE_SPLAT_SIGMA_PX**2))
+    inside = ((rs >= 0) & (rs < hf))[:, :, None] & ((cs >= 0) & (cs < wf))[:, None, :]
+    cell = (rs[:, :, None] * wf + cs[:, None, :])[inside]  # row-major: in row order
+    src = np.broadcast_to(np.arange(len(pixels))[:, None, None], inside.shape)[inside]
+    g = g[inside]
+
+    by_cell = np.argsort(cell, kind="stable")
+    sorted_cells = cell[by_cell]
+    k = np.arange(len(cell)) - np.searchsorted(sorted_cells, sorted_cells)  # k-th update of its cell
+    perm = by_cell[np.argsort(k, kind="stable")]
+    cell, src, g = cell[perm], src[perm], g[perm][:, None]
+
+    flat = fine.reshape(-1, cf)  # a view: `fine` is C-contiguous
+    lo = 0
+    for hi in np.cumsum(np.bincount(k)):
+        idx = cell[lo:hi]
+        gk = g[lo:hi]
+        flat[idx] = gk * desc[src[lo:hi]] + (1.0 - gk) * flat[idx]
+        lo = hi
+
+
 def synthesize_query_maps(scene: SyntheticScene, view_id: int) -> QueryFeatureMaps:
     """Splat observed descriptors onto coarse/fine grids over a noise floor.
 
@@ -97,28 +134,13 @@ def synthesize_query_maps(scene: SyntheticScene, view_id: int) -> QueryFeatureMa
     fine = rng.standard_normal((hf, wf, cf))
     fine /= np.linalg.norm(fine, axis=2, keepdims=True)
 
-    for row in np.flatnonzero(obs.cell_winner):
-        c = int(obs.cells[row, 0] // GRID_STRIDE)
-        r = int(obs.cells[row, 1] // GRID_STRIDE)
-        coarse[r, c] = obs.desc_coarse[row]
+    win = np.flatnonzero(obs.cell_winner)
+    cells = (obs.cells[win] // GRID_STRIDE).astype(int)
+    coarse[cells[:, 1], cells[:, 0]] = obs.desc_coarse[win]
 
     depths = pose.transform(scene.points[obs.point_ids])[:, 2]
     order = np.argsort(-depths)  # far first; nearer points blend over them
-    rad = _FINE_SPLAT_RADIUS_CELLS
-    for row in order:
-        u, v = obs.pixels[row]
-        c0 = int(np.rint(u / FINE_STRIDE))
-        r0 = int(np.rint(v / FINE_STRIDE))
-        cs = np.arange(max(c0 - rad, 0), min(c0 + rad + 1, wf))
-        rs = np.arange(max(r0 - rad, 0), min(r0 + rad + 1, hf))
-        if not len(cs) or not len(rs):
-            continue
-        du = cs * FINE_STRIDE - u
-        dv = rs * FINE_STRIDE - v
-        d2 = dv[:, None] ** 2 + du[None, :] ** 2
-        g = np.exp(-d2 / (2.0 * FINE_SPLAT_SIGMA_PX**2))[:, :, None]
-        block = fine[np.ix_(rs, cs)]
-        fine[np.ix_(rs, cs)] = g * obs.desc_fine[row] + (1.0 - g) * block
+    _splat_fine(fine, obs.pixels[order], obs.desc_fine[order])
     fine /= np.linalg.norm(fine, axis=2, keepdims=True)
 
     return QueryFeatureMaps(coarse=coarse, fine=fine, intrinsics=intr)
@@ -126,11 +148,11 @@ def synthesize_query_maps(scene: SyntheticScene, view_id: int) -> QueryFeatureMa
 
 def _row_col_softmax(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The two factors of the dual-softmax: row-wise and column-wise softmax."""
-    s = scores - scores.max(axis=1, keepdims=True)
-    rows = np.exp(s)
+    rows = scores - scores.max(axis=1, keepdims=True)
+    np.exp(rows, out=rows)
     rows /= rows.sum(axis=1, keepdims=True)
-    s = scores - scores.max(axis=0, keepdims=True)
-    cols = np.exp(s)
+    cols = scores - scores.max(axis=0, keepdims=True)
+    np.exp(cols, out=cols)
     cols /= cols.sum(axis=0, keepdims=True)
     return rows, cols
 
@@ -138,19 +160,25 @@ def _row_col_softmax(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def dual_softmax(scores: np.ndarray) -> np.ndarray:
     """Entrywise product of row-wise and column-wise softmax."""
     rows, cols = _row_col_softmax(scores)
-    return rows * cols
+    rows *= cols
+    return rows
 
 
 def mutual_nearest_neighbors(prob: np.ndarray, threshold: float) -> np.ndarray:
-    """(j, q) index pairs that are each other's argmax with prob >= threshold."""
+    """(j, q) index pairs that are each other's argmax with prob >= threshold.
+
+    Only columns that are some row's argmax can be mutual, so the column
+    argmax runs over those columns alone (whole columns: ties break as in a
+    full `argmax(axis=0)`).
+    """
     if prob.size == 0:
         return np.zeros((0, 2), dtype=int)
     row_best = prob.argmax(axis=1)
-    col_best = prob.argmax(axis=0)
+    cand, slot = np.unique(row_best, return_inverse=True)
+    col_best = prob[:, cand].argmax(axis=0)
     j = np.arange(prob.shape[0])
-    mutual = col_best[row_best[j]] == j
-    keep = mutual & (prob[j, row_best[j]] >= threshold)
-    return np.stack([j[keep], row_best[j[keep]]], axis=1)
+    keep = (col_best[slot] == j) & (prob[j, row_best] >= threshold)
+    return np.stack([j[keep], row_best[keep]], axis=1)
 
 
 def coarse_match_2d3d(
@@ -176,6 +204,7 @@ def coarse_match_2d3d(
             CorrespondenceSet(),
         )
 
+    cell_pixels = query.coarse_cell_pixels()
     f3 = model.coarse_features
     f2 = query.coarse.reshape(-1, query.coarse.shape[2])
     if not (np.all(np.isfinite(f3)) and np.all(np.isfinite(f2))):
@@ -184,7 +213,7 @@ def coarse_match_2d3d(
     if stack.n_layers > 0:
         box_min, box_max = model.bbox
         f3 = positional_encode(f3, model.points, box_min=box_min, box_extent=box_max - box_min)
-        f2 = positional_encode(f2, query.coarse_cell_pixels())
+        f2 = positional_encode(f2, cell_pixels)
         f3, f2 = stack.transform(f3, f2)
         f3 = f3 / np.maximum(np.linalg.norm(f3, axis=1, keepdims=True), 1e-12)
         f2 = f2 / np.maximum(np.linalg.norm(f2, axis=1, keepdims=True), 1e-12)
@@ -192,8 +221,6 @@ def coarse_match_2d3d(
     scores = (f3 @ f2.T) / tau
     prob = dual_softmax(scores)
     pairs = mutual_nearest_neighbors(prob, theta)
-
-    cell_pixels = query.coarse_cell_pixels()
     corr = CorrespondenceSet(
         coarse_points=pairs[:, 0].copy(),
         coarse_pixels=cell_pixels[pairs[:, 1]],
@@ -203,7 +230,7 @@ def coarse_match_2d3d(
 
 
 def window_expectation(probabilities: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Probability-weighted mean position over a cropped window."""
+    """Probability-weighted mean position over a cropped window (or a stack of them)."""
     p = np.asarray(probabilities, dtype=float)
     return p @ np.asarray(positions, dtype=float)
 
@@ -219,7 +246,8 @@ def fine_match_2d3d(
     """Refine each coarse match to sub-pixel by windowed softmax expectation.
 
     The w x w crop is centered on the coarse cell in the half-resolution
-    map (shifted and flagged at borders). Correlations are scaled by
+    map (shifted and flagged at borders); all crops go through the fine
+    stack together as one (M, w*w, C) stack. Correlations are scaled by
     1/fine_tau: the surrogate descriptors are unit-norm, so an unscaled
     softmax would flatten the expectation toward the window center.
     """
@@ -235,43 +263,35 @@ def fine_match_2d3d(
     if corr.n_coarse == 0:
         return out
 
-    points, pixels, confs, clamped = [], [], [], []
     offsets = np.arange(window)
-    for j, cell in zip(corr.coarse_points, corr.coarse_pixels):
-        cf = int(cell[0] // FINE_STRIDE)
-        rf = int(cell[1] // FINE_STRIDE)
-        c0 = int(np.clip(cf - half, 0, wf - window))
-        r0 = int(np.clip(rf - half, 0, hf - window))
-        was_clamped = (c0 != cf - half) or (r0 != rf - half)
+    cf = (corr.coarse_pixels[:, 0] // FINE_STRIDE).astype(int)
+    rf = (corr.coarse_pixels[:, 1] // FINE_STRIDE).astype(int)
+    c0 = np.clip(cf - half, 0, wf - window)
+    r0 = np.clip(rf - half, 0, hf - window)
+    cols = c0[:, None] + offsets  # (M, w)
+    rows = r0[:, None] + offsets
 
-        crop = query.fine[r0 : r0 + window, c0 : c0 + window].reshape(-1, query.fine.shape[2])
-        pos_u = (c0 + offsets) * FINE_STRIDE
-        pos_v = (r0 + offsets) * FINE_STRIDE
-        positions = np.stack(
-            [np.tile(pos_u, window), np.repeat(pos_v, window)], axis=1
-        ).astype(float)
+    # (M, w*w, C) windows in row-major order, and (M, w*w, 2) their (u, v) pixels
+    f2 = query.fine[rows[:, :, None], cols[:, None, :]].reshape(len(cf), window * window, -1)
+    positions = np.stack(
+        [np.tile(cols * FINE_STRIDE, window), np.repeat(rows * FINE_STRIDE, window, axis=1)],
+        axis=2,
+    ).astype(float)
+    f3 = model.fine_features[corr.coarse_points][:, None, :]  # (M, 1, C)
+    if stack.n_layers > 0:
+        f3, f2 = stack.transform(f3, f2)
+        f3 = f3 / np.maximum(np.linalg.norm(f3, axis=-1, keepdims=True), 1e-12)
+        f2 = f2 / np.maximum(np.linalg.norm(f2, axis=-1, keepdims=True), 1e-12)
 
-        f3 = model.fine_features[j][None, :]
-        f2 = crop
-        if stack.n_layers > 0:
-            f3, f2 = stack.transform(f3, f2)
-            f3 = f3 / np.maximum(np.linalg.norm(f3, axis=1, keepdims=True), 1e-12)
-            f2 = f2 / np.maximum(np.linalg.norm(f2, axis=1, keepdims=True), 1e-12)
+    logits = (f2 @ np.swapaxes(f3, -1, -2))[:, :, 0] / fine_tau
+    logits -= logits.max(axis=1, keepdims=True)
+    p = np.exp(logits)
+    p /= p.sum(axis=1, keepdims=True)
 
-        logits = (f2 @ f3[0]) / fine_tau
-        logits -= logits.max()
-        p = np.exp(logits)
-        p /= p.sum()
-
-        points.append(j)
-        pixels.append(window_expectation(p, positions))
-        confs.append(float(p.max()))
-        clamped.append(was_clamped)
-
-    out.fine_points = np.array(points, dtype=int)
-    out.fine_pixels = np.array(pixels)
-    out.fine_conf = np.array(confs)
-    out.fine_clamped = np.array(clamped, dtype=bool)
+    out.fine_points = corr.coarse_points.astype(int)
+    out.fine_pixels = window_expectation(p[:, None, :], positions)[:, 0]
+    out.fine_conf = p.max(axis=1)
+    out.fine_clamped = (c0 != cf - half) | (r0 != rf - half)
     return out
 
 

@@ -101,6 +101,24 @@ class TestLinearAttention:
         with pytest.raises(ValueError):
             linear_attention(np.ones((2, 4)), np.ones((3, 5)), np.ones((3, 4)))
 
+    def test_batched_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            linear_attention(np.ones((6, 2, 4)), np.ones((6, 3, 5)), np.ones((6, 3, 4)))
+        with pytest.raises(ValueError):
+            linear_attention(np.ones((6, 2, 4)), np.ones((6, 3, 4)), np.ones((6, 2, 4)))
+
+    def test_batched_equals_per_slice(self):
+        rng = np.random.default_rng(16)
+        for n in (1, 7, 25):
+            q = rng.standard_normal((9, n, 8))
+            k = rng.standard_normal((9, 25, 8))
+            v = rng.standard_normal((9, 25, 8))
+            out = linear_attention(q, k, v)
+            for i in range(9):
+                np.testing.assert_array_equal(out[i], linear_attention(q[i], k[i], v[i]))
+                slow = quadratic_attention(q[i], k[i], v[i])
+                assert np.abs(out[i] - slow).max() < 1e-12
+
 
 class TestAttentionStack:
     def test_zero_layers_identity(self):
@@ -140,6 +158,17 @@ class TestAttentionStack:
         rng = np.random.default_rng(13)
         a, b = rng.standard_normal((6, 8)), rng.standard_normal((7, 8))
         np.testing.assert_array_equal(stack.transform(a, b)[0], back.transform(a, b)[0])
+
+    def test_batched_transform_equals_per_slice(self):
+        stack = AttentionStack.random(2, 16, seed=17)
+        rng = np.random.default_rng(18)
+        a = rng.standard_normal((11, 1, 16))
+        b = rng.standard_normal((11, 25, 16))
+        out_a, out_b = stack.transform(a, b)
+        for i in range(11):
+            slice_a, slice_b = stack.transform(a[i], b[i])
+            np.testing.assert_array_equal(out_a[i], slice_a)
+            np.testing.assert_array_equal(out_b[i], slice_b)
 
     def test_permutation_equivariance(self):
         stack = AttentionStack.random(2, 16, seed=14)

@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -226,6 +228,42 @@ class TestBadInputs:
     def test_pipeline_nan_focal(self, tmp_path, capsys):
         rc = run("pipeline", "--out", tmp_path / "run", "--focal", "nan", *FAST)
         self._assert_usage_error(rc, capsys, "focal")
+
+    def _estimate(self, tmp_path, scene, model):
+        return run("estimate", "--scene", scene, "--model", model,
+                   "--out", tmp_path / "est", *FAST)
+
+    def test_estimate_model_without_files(self, tmp_path, workspace, capsys):
+        model = tmp_path / "model"
+        shutil.copytree(workspace / "model", model)
+        manifest = json.loads((model / "model.json").read_text())
+        del manifest["files"]
+        (model / "model.json").write_text(json.dumps(manifest))
+        rc = self._estimate(tmp_path, workspace / "scene.json", model)
+        self._assert_usage_error(rc, capsys, "files")
+
+    def _scene_with_fmat(self, tmp_path, workspace, edit):
+        scene = tmp_path / "scene.json"
+        shutil.copy(workspace / "scene.json", scene)
+        fmat = bytearray((workspace / "scene.fmat").read_bytes())
+        (tmp_path / "scene.fmat").write_bytes(edit(fmat))
+        return scene
+
+    def test_estimate_unknown_fmat_dtype(self, tmp_path, workspace, capsys):
+        def bad_code(fmat):
+            # magic, version and count, then the first section's name length and name
+            (name_len,) = struct.unpack_from("<I", fmat, 12)
+            fmat[16 + name_len] = 99
+            return bytes(fmat)
+
+        scene = self._scene_with_fmat(tmp_path, workspace, bad_code)
+        rc = self._estimate(tmp_path, scene, workspace / "model")
+        self._assert_usage_error(rc, capsys, "dtype code 99")
+
+    def test_estimate_truncated_fmat(self, tmp_path, workspace, capsys):
+        scene = self._scene_with_fmat(tmp_path, workspace, lambda fmat: bytes(fmat[:5000]))
+        rc = self._estimate(tmp_path, scene, workspace / "model")
+        self._assert_usage_error(rc, capsys, "truncated")
 
 
 class TestPipelineDeterminism:

@@ -47,6 +47,24 @@ class TestFmat:
         with pytest.raises(ValueError):
             read_fmat(path)
 
+    def test_every_truncation_rejected(self, tmp_path):
+        path = tmp_path / "t.fmat"
+        write_fmat(path, {"a": np.ones((2, 3)), "bb": np.ones((1, 2), dtype=np.float32)})
+        data = path.read_bytes()
+        for n in range(len(data)):
+            path.write_bytes(data[:n])
+            with pytest.raises(ValueError, match="t.fmat"):
+                read_fmat(path)
+
+    def test_huge_section_size_rejected_without_reading(self, tmp_path):
+        path = tmp_path / "t.fmat"
+        write_fmat(path, {"a": np.ones((2, 3))})
+        data = bytearray(path.read_bytes())
+        data[18:26] = (2**62).to_bytes(8, "little")  # rows of section "a"
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="truncated"):
+            read_fmat(path)
+
     def test_non_2d_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_fmat(tmp_path / "x.fmat", {"v": np.zeros(3)})

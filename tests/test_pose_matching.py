@@ -1,11 +1,18 @@
 """Coarse/fine 2D-3D matching: dual-softmax, MNN selection, window expectation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from semidense.attention import AttentionStack
 from semidense.matching import OracleMatcher, select_view_pairs
+from semidense.geometry import CameraIntrinsics, SE3Pose
 from semidense.pose_matching import (
+    _FINE_SPLAT_RADIUS_CELLS,
+    _STREAM_QUERY_MAPS,
+    FINE_SPLAT_SIGMA_PX,
+    FINE_STRIDE,
     CorrespondenceSet,
     QueryFeatureMaps,
     coarse_match_2d3d,
@@ -17,7 +24,13 @@ from semidense.pose_matching import (
     window_expectation,
 )
 from semidense.refine import PointCloudModel, refine_reconstruction
-from semidense.scene import GRID_STRIDE, NoiseModel, generate_scene, grid_cell_center
+from semidense.scene import (
+    GRID_STRIDE,
+    NoiseModel,
+    generate_scene,
+    grid_cell_center,
+    render_observations,
+)
 from semidense.tracks import build_tracks, triangulate_tracks
 
 BYPASS = AttentionStack(layers=[])
@@ -39,8 +52,6 @@ def random_model(rng, n=20, cc=16, cf=16) -> PointCloudModel:
 
 
 def random_query(rng, hw=16, cc=16, cf=16) -> QueryFeatureMaps:
-    from semidense.geometry import CameraIntrinsics
-
     size = hw * GRID_STRIDE
     intr = CameraIntrinsics(fx=200.0, fy=200.0, cx=size / 2, cy=size / 2, width=size, height=size)
     coarse = rng.standard_normal((hw, hw, cc))
@@ -48,6 +59,100 @@ def random_query(rng, hw=16, cc=16, cf=16) -> QueryFeatureMaps:
     fine = rng.standard_normal((size // 2, size // 2, cf))
     fine /= np.linalg.norm(fine, axis=2, keepdims=True)
     return QueryFeatureMaps(coarse=coarse, fine=fine, intrinsics=intr)
+
+
+def reference_query_maps(scene, view_id):
+    """Per-point splat loop: the oracle for `synthesize_query_maps`."""
+    pose, intr = scene.views[view_id]
+    obs = render_observations(scene, view_id)
+    hc, wc = intr.height // GRID_STRIDE, intr.width // GRID_STRIDE
+    hf, wf = intr.height // FINE_STRIDE, intr.width // FINE_STRIDE
+    rng = np.random.default_rng([scene.seed, _STREAM_QUERY_MAPS, view_id])
+    coarse = rng.standard_normal((hc, wc, scene.desc_coarse.shape[1]))
+    coarse /= np.linalg.norm(coarse, axis=2, keepdims=True)
+    fine = rng.standard_normal((hf, wf, scene.desc_fine.shape[1]))
+    fine /= np.linalg.norm(fine, axis=2, keepdims=True)
+
+    for row in np.flatnonzero(obs.cell_winner):
+        c = int(obs.cells[row, 0] // GRID_STRIDE)
+        r = int(obs.cells[row, 1] // GRID_STRIDE)
+        coarse[r, c] = obs.desc_coarse[row]
+
+    depths = pose.transform(scene.points[obs.point_ids])[:, 2]
+    rad = _FINE_SPLAT_RADIUS_CELLS
+    for row in np.argsort(-depths):
+        u, v = obs.pixels[row]
+        c0 = int(np.rint(u / FINE_STRIDE))
+        r0 = int(np.rint(v / FINE_STRIDE))
+        cs = np.arange(max(c0 - rad, 0), min(c0 + rad + 1, wf))
+        rs = np.arange(max(r0 - rad, 0), min(r0 + rad + 1, hf))
+        if not len(cs) or not len(rs):
+            continue
+        du = cs * FINE_STRIDE - u
+        dv = rs * FINE_STRIDE - v
+        d2 = dv[:, None] ** 2 + du[None, :] ** 2
+        g = np.exp(-d2 / (2.0 * FINE_SPLAT_SIGMA_PX**2))[:, :, None]
+        block = fine[np.ix_(rs, cs)]
+        fine[np.ix_(rs, cs)] = g * obs.desc_fine[row] + (1.0 - g) * block
+    fine /= np.linalg.norm(fine, axis=2, keepdims=True)
+    return coarse, fine
+
+
+def reference_fine_match(model, query, corr, stack, window=5, fine_tau=0.08):
+    """Per-window loop: the oracle for `fine_match_2d3d`."""
+    half = window // 2
+    hf, wf, _ = query.fine.shape
+    points, pixels, confs, clamped = [], [], [], []
+    offsets = np.arange(window)
+    for j, cell in zip(corr.coarse_points, corr.coarse_pixels):
+        cf = int(cell[0] // FINE_STRIDE)
+        rf = int(cell[1] // FINE_STRIDE)
+        c0 = int(np.clip(cf - half, 0, wf - window))
+        r0 = int(np.clip(rf - half, 0, hf - window))
+        crop = query.fine[r0 : r0 + window, c0 : c0 + window].reshape(-1, query.fine.shape[2])
+        pos_u = (c0 + offsets) * FINE_STRIDE
+        pos_v = (r0 + offsets) * FINE_STRIDE
+        positions = np.stack(
+            [np.tile(pos_u, window), np.repeat(pos_v, window)], axis=1
+        ).astype(float)
+        f3 = model.fine_features[j][None, :]
+        f2 = crop
+        if stack.n_layers > 0:
+            f3, f2 = stack.transform(f3, f2)
+            f3 = f3 / np.maximum(np.linalg.norm(f3, axis=1, keepdims=True), 1e-12)
+            f2 = f2 / np.maximum(np.linalg.norm(f2, axis=1, keepdims=True), 1e-12)
+        logits = (f2 @ f3[0]) / fine_tau
+        logits -= logits.max()
+        p = np.exp(logits)
+        p /= p.sum()
+        points.append(j)
+        pixels.append(window_expectation(p, positions))
+        confs.append(float(p.max()))
+        clamped.append((c0 != cf - half) or (r0 != rf - half))
+    return (
+        np.array(points, dtype=int),
+        np.array(pixels).reshape(-1, 2),
+        np.array(confs),
+        np.array(clamped, dtype=bool),
+    )
+
+
+def brute_force_mnn(prob, threshold):
+    """Double loop over rows and columns, first index winning ties."""
+    n, m = prob.shape
+    pairs = []
+    for j in range(n):
+        q = 0
+        for k in range(m):
+            if prob[j, k] > prob[j, q]:
+                q = k
+        i = 0
+        for k in range(n):
+            if prob[k, q] > prob[i, q]:
+                i = k
+        if i == j and prob[j, q] >= threshold:
+            pairs.append((j, q))
+    return np.array(pairs, dtype=int).reshape(-1, 2)
 
 
 def build_model(scene, matcher):
@@ -95,6 +200,32 @@ class TestDualSoftmax:
             pairs = mutual_nearest_neighbors(p, threshold=0.0)
             assert len(set(pairs[:, 0])) == len(pairs)
             assert len(set(pairs[:, 1])) == len(pairs)
+
+
+class TestMutualNearestNeighbors:
+    def test_equals_brute_force_with_ties(self):
+        rng = np.random.default_rng(85)
+        for _ in range(200):
+            n, m = rng.integers(1, 9, size=2)
+            # quarter steps: rows and columns are full of exact ties
+            prob = rng.integers(0, 4, size=(n, m)) / 4.0
+            for threshold in (0.0, *np.unique(prob), 1.0):
+                np.testing.assert_array_equal(
+                    mutual_nearest_neighbors(prob, threshold), brute_force_mnn(prob, threshold)
+                )
+
+    def test_tie_breaks_and_threshold_boundary(self):
+        prob = np.array(
+            [
+                [0.5, 0.5, 0.1],  # row tie: column 0 wins
+                [0.5, 0.2, 0.3],  # column 0 tie with row 0: row 0 wins
+                [0.1, 0.2, 0.4],
+            ]
+        )
+        for threshold, expected in ((0.4, [[0, 0], [2, 2]]), (0.45, [[0, 0]])):
+            got = mutual_nearest_neighbors(prob, threshold)
+            np.testing.assert_array_equal(got, expected)
+            np.testing.assert_array_equal(got, brute_force_mnn(prob, threshold))
 
 
 class TestCoarseMatch2d3d:
@@ -173,6 +304,47 @@ class TestCoarseMatch2d3d:
             assert base == remapped
 
 
+class TestSynthesizeQueryMaps:
+    """The array splat equals the per-point loop bit for bit."""
+
+    def _assert_equals_loop(self, scene, view_id):
+        qmaps = synthesize_query_maps(scene, view_id)
+        coarse, fine = reference_query_maps(scene, view_id)
+        np.testing.assert_array_equal(qmaps.coarse, coarse)
+        np.testing.assert_array_equal(qmaps.fine, fine)
+
+    def test_noisy_view_with_dropout(self):
+        noise = NoiseModel(descriptor_noise_sigma=0.1, dropout_rate=0.1)
+        scene = generate_scene(86, 300, 3, noise)
+        for view_id in range(scene.n_views):
+            assert render_observations(scene, view_id).point_ids.size > 200
+            self._assert_equals_loop(scene, view_id)
+
+    def test_splats_clipped_at_the_border(self):
+        scene = generate_scene(87, 300, 2, ZERO)
+        pose, intr = scene.views[0]
+        obs = render_observations(scene, 0)
+        u, v = np.median(obs.pixels, axis=0)
+        z = np.median(pose.transform(scene.points[obs.point_ids])[:, 2])
+        reach = _FINE_SPLAT_RADIUS_CELLS * FINE_STRIDE
+        for corner in ([0.0, 0.0], [intr.width, intr.height]):
+            # slide the camera so the object's median projection lands on the corner
+            shift = (np.array(corner) - [u, v]) * z / intr.fx
+            moved = SE3Pose(pose.rotation, pose.translation + [shift[0], shift[1], 0.0])
+            cornered = dataclasses.replace(scene, views=[(moved, intr), scene.views[1]])
+            pix = render_observations(cornered, 0).pixels
+            edge = np.minimum(pix, intr.width - pix)
+            assert len(pix) > 20 and np.all(np.any(edge < reach, axis=0))
+            self._assert_equals_loop(cornered, 0)
+
+    def test_no_visible_point(self):
+        scene = generate_scene(88, 60, 2, ZERO)
+        behind = SE3Pose(np.eye(3), np.array([0.0, 0.0, -10.0]))
+        scene = dataclasses.replace(scene, views=[(behind, scene.views[0][1]), scene.views[1]])
+        assert render_observations(scene, 0).point_ids.size == 0
+        self._assert_equals_loop(scene, 0)
+
+
 class TestWindowExpectation:
     def test_one_hot_at_center(self):
         positions = np.array([[u, v] for v in (2.0, 4.0, 6.0) for u in (2.0, 4.0, 6.0)])
@@ -240,6 +412,26 @@ class TestFineMatch2d3d:
         np.testing.assert_array_equal(out.fine_clamped, [False, True, True, True])
         size = query.intrinsics.width
         assert np.all(out.fine_pixels >= 0) and np.all(out.fine_pixels <= size - 2)
+
+    def test_batched_equals_per_window_loop(self):
+        rng = np.random.default_rng(89)
+        model = random_model(rng, n=40)
+        query = random_query(rng, hw=16)
+        cells = rng.integers(0, 16, size=(40, 2))
+        cells[:4] = [[0, 0], [15, 0], [0, 15], [15, 15]]  # windows clamped at the map border
+        corr = CorrespondenceSet(
+            coarse_points=rng.permutation(40),
+            coarse_pixels=cells * GRID_STRIDE + GRID_STRIDE / 2.0,
+            coarse_conf=np.ones(40),
+        )
+        for stack in (BYPASS, AttentionStack.random(1, 16, seed=90)):
+            out = fine_match_2d3d(model, query, corr, stack)
+            points, pixels, conf, clamped = reference_fine_match(model, query, corr, stack)
+            np.testing.assert_array_equal(out.fine_points, points)
+            np.testing.assert_array_equal(out.fine_pixels, pixels)
+            np.testing.assert_array_equal(out.fine_conf, conf)
+            np.testing.assert_array_equal(out.fine_clamped, clamped)
+            assert clamped[1:4].all() and not clamped[0]
 
     def test_even_window_rejected(self):
         rng = np.random.default_rng(81)
