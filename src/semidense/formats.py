@@ -172,22 +172,40 @@ def load_scene(json_path) -> SyntheticScene:
     sidecar = json_path.parent / payload["sidecar"]
     sections = read_fmat(sidecar)
     _require(sections, ("points", "desc_coarse", "desc_fine"), sidecar)
-    views = [
-        (
-            SE3Pose.from_matrix(np.array(v["pose"], dtype=float)),
-            CameraIntrinsics.from_dict(v["intrinsics"]),
-        )
-        for v in payload["views"]
-    ]
+    if not isinstance(payload["views"], list):
+        raise ValueError(f"{json_path}: views is not a list")
+    views = [_load_view(v, f"{json_path}: view {i}") for i, v in enumerate(payload["views"])]
+    try:
+        noise = NoiseModel.from_dict(payload["noise"])
+        seed, diameter = int(payload["seed"]), float(payload["diameter"])
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{json_path}: {e}") from None
     return SyntheticScene(
         points=sections["points"],
         desc_coarse=sections["desc_coarse"],
         desc_fine=sections["desc_fine"],
         views=views,
-        noise=NoiseModel.from_dict(payload["noise"]),
-        seed=int(payload["seed"]),
-        diameter=float(payload["diameter"]),
+        noise=noise,
+        seed=seed,
+        diameter=diameter,
     )
+
+
+def _load_view(view, where: str) -> tuple[SE3Pose, CameraIntrinsics]:
+    """One scene view: a finite 4x4 `pose` matrix and an `intrinsics` mapping."""
+    if not isinstance(view, dict):
+        raise ValueError(f"{where}: not a mapping")
+    _require(view, ("pose", "intrinsics"), where)
+    if not isinstance(view["intrinsics"], dict):
+        raise ValueError(f"{where}: intrinsics is not a mapping")
+    _require(view["intrinsics"], ("fx", "fy", "cx", "cy", "width", "height"), f"{where} intrinsics")
+    try:
+        pose = np.array(view["pose"], dtype=float)
+        if pose.shape != (4, 4) or not np.isfinite(pose).all():
+            raise ValueError("pose must be a finite 4x4 matrix")
+        return SE3Pose.from_matrix(pose), CameraIntrinsics.from_dict(view["intrinsics"])
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{where}: {e}") from None
 
 
 def save_model(model_dir, model, coarse_points: np.ndarray, recon_views: list[int]) -> None:

@@ -20,6 +20,15 @@ MIN_DEPTH = 1e-8
 # Triangulation systems with a larger singular-value ratio are rejected.
 MAX_CONDITION = 1e12
 
+# Why triangulate_batch rejects a track; TRI_OK keeps it.
+TRI_OK, TRI_COINCIDENT, TRI_ILL_CONDITIONED, TRI_AT_INFINITY, TRI_BEHIND = range(5)
+_TRI_ERRORS = {
+    TRI_COINCIDENT: (DegenerateGeometryError, "all camera centers coincide; depth unobservable"),
+    TRI_ILL_CONDITIONED: (DegenerateGeometryError, "triangulation condition number too large"),
+    TRI_AT_INFINITY: (DegenerateGeometryError, "triangulated point at infinity (parallel rays)"),
+    TRI_BEHIND: (CheiralityError, "triangulated point is behind a camera"),
+}
+
 Observation = tuple["SE3Pose", "CameraIntrinsics", np.ndarray]
 
 
@@ -48,6 +57,11 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
+        if not all(np.isfinite([self.fx, self.fy, self.cx, self.cy])):
+            raise ValueError(
+                f"intrinsics must be finite, got fx={self.fx}, fy={self.fy}, "
+                f"cx={self.cx}, cy={self.cy}"
+            )
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError(f"focal lengths must be positive, got ({self.fx}, {self.fy})")
         if not (0 <= self.cx < self.width):
@@ -92,6 +106,39 @@ class CameraIntrinsics:
             width=int(d["width"]),
             height=int(d["height"]),
         )
+
+
+@dataclass(frozen=True, eq=False)
+class ViewTable:
+    """The cameras of a view list as arrays indexed by view id.
+
+    Interior kernels gather from these arrays; SE3Pose and CameraIntrinsics
+    stay the types at the edges.
+    """
+
+    R: np.ndarray   # (V, 3, 3) world-to-camera rotations
+    t: np.ndarray   # (V, 3) translations
+    fx: np.ndarray  # (V,)
+    fy: np.ndarray
+    cx: np.ndarray
+    cy: np.ndarray
+
+    @classmethod
+    def stack(
+        cls, poses: Sequence["SE3Pose"], intrinsics: Sequence[CameraIntrinsics]
+    ) -> "ViewTable":
+        return cls(
+            R=np.array([p.rotation for p in poses]).reshape(-1, 3, 3),
+            t=np.array([p.translation for p in poses]).reshape(-1, 3),
+            fx=np.array([k.fx for k in intrinsics], dtype=float),
+            fy=np.array([k.fy for k in intrinsics], dtype=float),
+            cx=np.array([k.cx for k in intrinsics], dtype=float),
+            cy=np.array([k.cy for k in intrinsics], dtype=float),
+        )
+
+    def k(self, views: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(fx, fy, cx, cy) of an array of view ids, each shaped like it."""
+        return self.fx[views], self.fy[views], self.cx[views], self.cy[views]
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,7 +270,13 @@ def project_with_depth(
     Pixels are NaN behind the camera. A point is visible when its depth
     exceeds MIN_DEPTH and its pixel lies inside the image.
     """
-    p_cam = np.atleast_2d(pose.transform(points))
+    return project_camera_points(np.atleast_2d(pose.transform(points)), intrinsics)
+
+
+def project_camera_points(
+    p_cam: np.ndarray, intrinsics: CameraIntrinsics
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """project_with_depth on camera-frame points (N, 3)."""
     z = p_cam[:, 2]
     front = z > MIN_DEPTH
     k = intrinsics
@@ -241,10 +294,20 @@ def backproject(pixel: np.ndarray, depth, intrinsics: CameraIntrinsics) -> np.nd
     d = np.atleast_1d(np.asarray(depth, dtype=float))
     if np.any(d <= 0):
         raise ValueError(f"depth must be positive, got {d.min():.3g}")
-    x = (p[:, 0] - intrinsics.cx) * d / intrinsics.fx
-    y = (p[:, 1] - intrinsics.cy) * d / intrinsics.fy
-    out = np.stack([x, y, d], axis=1)
+    k = intrinsics
+    out = pinhole_inverse(p, d, k.fx, k.fy, k.cx, k.cy)
     return out[0] if single else out
+
+
+def pinhole_inverse(pixels: np.ndarray, depths, fx, fy, cx, cy) -> np.ndarray:
+    """Camera-frame points (..., 3) of pixels (..., 2) at depths (...,); inverts pinhole.
+
+    The depths and intrinsics broadcast over the leading axes; depths are not checked.
+    """
+    d = np.broadcast_to(np.asarray(depths, dtype=float), pixels.shape[:-1])
+    x = (pixels[..., 0] - cx) * d / fx
+    y = (pixels[..., 1] - cy) * d / fy
+    return np.stack([x, y, d], axis=-1)
 
 
 def relative_pose(xi_r: SE3Pose, xi_s: SE3Pose) -> SE3Pose:
@@ -253,97 +316,162 @@ def relative_pose(xi_r: SE3Pose, xi_s: SE3Pose) -> SE3Pose:
 
 
 def _stack_observations(observations: Sequence[Observation]):
-    """An observation list as arrays: R (n, 3, 3), t (n, 3), k (4, n), pixels (n, 2).
+    """An observation list as one track's arrays: R (1, n, 3, 3), t (1, n, 3), k, pixels (1, n, 2).
 
-    The rows of k are fx, fy, cx and cy.
+    k is (fx, fy, cx, cy), each (1, n).
     """
     R = np.array([pose.rotation for pose, _, _ in observations])
     t = np.array([pose.translation for pose, _, _ in observations])
     k = np.array([(i.fx, i.fy, i.cx, i.cy) for _, i, _ in observations], dtype=float).T
     pixels = np.array([np.asarray(pixel, dtype=float) for _, _, pixel in observations])
-    return R, t, k, pixels
+    return R[None], t[None], tuple(k[:, None]), pixels[None]
 
 
 def triangulate(observations: Sequence[Observation]) -> np.ndarray:
-    """Multi-view DLT least-squares point followed by one Gauss-Newton polish.
+    """Multi-view DLT least-squares point followed by a Gauss-Newton polish.
 
     Each observation is (pose, intrinsics, pixel). Requires >= 2 views.
     Raises DegenerateGeometryError for ill-conditioned geometry and
-    CheiralityError if the solution lies behind any camera.
+    CheiralityError if the solution lies behind any camera. This is the
+    one-track case of triangulate_batch.
     """
     if len(observations) < 2:
         raise ValueError("triangulation needs at least 2 observations")
-    R, t, k, pixels = _stack_observations(observations)
+    points, reject = triangulate_batch(*_stack_observations(observations))
+    if reject[0] != TRI_OK:
+        error, message = _TRI_ERRORS[int(reject[0])]
+        raise error(message)
+    return points[0]
 
-    centers = -(t[:, None, :] @ R)[:, 0]  # -R^T t per view
-    bbox_diag = np.linalg.norm(centers.max(axis=0) - centers.min(axis=0))
-    if bbox_diag < 1e-9 * (1.0 + np.abs(centers).max()):
-        raise DegenerateGeometryError("all camera centers coincide; depth unobservable")
 
-    K = np.zeros((len(R), 3, 3))
-    K[:, 0, 0], K[:, 1, 1], K[:, 0, 2], K[:, 1, 2] = k
-    K[:, 2, 2] = 1.0
-    P = K @ np.concatenate([R, t[:, :, None]], axis=2)
+def _to_camera(points: np.ndarray, R: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Camera-frame copies (T, n, 3) of one point per track (T, 3) in each of its n views.
+
+    Each point is transformed on its own, as a (1, 3) row against R^T, so a
+    row equals the single-track product bit for bit.
+    """
+    return (points[:, None, None, :] @ np.swapaxes(R, -1, -2))[:, :, 0] + t
+
+
+def _solve_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stacked np.linalg.solve whose singular rows come back NaN instead of raising."""
+    try:
+        return np.linalg.solve(A, b)
+    except np.linalg.LinAlgError:
+        out = np.full(b.shape, np.nan)
+        for i in range(len(A)):  # only when some system is singular
+            try:
+                out[i] = np.linalg.solve(A[i], b[i])
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def triangulate_batch(R, t, k, pixels, max_steps: int = 10) -> tuple[np.ndarray, np.ndarray]:
+    """Triangulate T tracks of n views each: (points (T, 3), reject (T,)).
+
+    R (T, n, 3, 3) and t (T, n, 3) are the views' poses, k = (fx, fy, cx, cy)
+    each (T, n), and pixels (T, n, 2). reject is TRI_OK for a kept point and
+    otherwise the first gate the track failed, in this order: coincident
+    camera centers, condition number, point at infinity, cheirality. Rows
+    never mix and are never padded, so every row equals its one-track solve.
+    """
+    T, n = pixels.shape[:2]
+    reject = np.full(T, TRI_OK)
+
+    centers = -(t[:, :, None, :] @ R)[:, :, 0]  # -R^T t per view
+    span = centers.max(axis=1) - centers.min(axis=1)
+    coincident = np.sqrt(np.vecdot(span, span)) < 1e-9 * (1.0 + np.abs(centers).max(axis=(1, 2)))
+    reject[coincident] = TRI_COINCIDENT
+
+    fx, fy, cx, cy = k
+    K = np.zeros((T, n, 3, 3))
+    K[..., 0, 0], K[..., 1, 1], K[..., 0, 2], K[..., 1, 2] = fx, fy, cx, cy
+    K[..., 2, 2] = 1.0
+    P = K @ np.concatenate([R, t[..., None]], axis=-1)
     A = np.stack(
-        [pixels[:, :1] * P[:, 2] - P[:, 0], pixels[:, 1:] * P[:, 2] - P[:, 1]], axis=1
-    ).reshape(-1, 4)
-    norms = np.linalg.norm(A, axis=1)
+        [
+            pixels[..., :1] * P[..., 2, :] - P[..., 0, :],
+            pixels[..., 1:] * P[..., 2, :] - P[..., 1, :],
+        ],
+        axis=-2,
+    ).reshape(T, 2 * n, 4)
+    norms = np.linalg.norm(A, axis=-1)
     norms[norms == 0] = 1.0
-    A = A / norms[:, None]
+    A = A / norms[..., None]
 
     _, s, vt = np.linalg.svd(A)
-    if s[2] * MAX_CONDITION < s[0]:
-        raise DegenerateGeometryError(
-            f"triangulation condition number {s[0] / max(s[2], 1e-300):.3g} too large"
-        )
-    X_h = vt[-1]
-    if abs(X_h[3]) < 1e-12 * np.linalg.norm(X_h[:3]):
-        raise DegenerateGeometryError("triangulated point at infinity (parallel rays)")
-    point = X_h[:3] / X_h[3]
+    reject[(reject == TRI_OK) & (s[:, 2] * MAX_CONDITION < s[:, 0])] = TRI_ILL_CONDITIONED
+    X_h = vt[:, -1]
+    at_infinity = np.abs(X_h[:, 3]) < 1e-12 * np.sqrt(np.vecdot(X_h[:, :3], X_h[:, :3]))
+    reject[(reject == TRI_OK) & at_infinity] = TRI_AT_INFINITY
+    with np.errstate(divide="ignore", invalid="ignore"):
+        points = X_h[:, :3] / X_h[:, 3:]
 
-    z = (point @ np.swapaxes(R, 1, 2) + t)[:, 2]
-    if np.any(z <= MIN_DEPTH):
-        raise CheiralityError(
-            f"triangulated point has depth {z[z <= MIN_DEPTH][0]:.3g} in one view"
-        )
-    return _gauss_newton_polish(point, R, t, k, pixels)
+    front = np.flatnonzero(reject == TRI_OK)
+    behind = np.any(_to_camera(points[front], R[front], t[front])[..., 2] <= MIN_DEPTH, axis=1)
+    reject[front[behind]] = TRI_BEHIND
+
+    kept = np.flatnonzero(reject == TRI_OK)
+    points[reject != TRI_OK] = np.nan
+    points[kept] = _gauss_newton_polish(
+        points[kept], R[kept], t[kept], tuple(a[kept] for a in k), pixels[kept], max_steps
+    )
+    return points, reject
 
 
 def _gauss_newton_polish(point, R, t, k, pixels, max_steps: int = 10) -> np.ndarray:
-    """Gauss-Newton polish on reprojection error, run to convergence.
+    """Gauss-Newton polish on reprojection error, run to convergence per row.
 
     A single step leaves ~1e-8 frame dependence under pixel noise; iterating
     to convergence makes the result the geometric least-squares optimum,
     which is invariant under a common rigid transform of all cameras.
-    Steps that increase the cost or break cheirality are rejected.
+    Only active rows step. A row freezes on a failed solve, on a step that
+    breaks cheirality or does not lower the cost, and once it converges.
     """
-    Rt = np.swapaxes(R, 1, 2)
-    scale = 1.0 + np.linalg.norm(point)
-    p_cam = point @ Rt + t
-    r = (pinhole(p_cam, *k) - pixels).ravel()
+    point = point.copy()
+    fx, fy = k[0], k[1]
+    scale = 1.0 + np.sqrt(np.vecdot(point, point))
+    p_cam = _to_camera(point, R, t)
+    n_res = 2 * pixels.shape[1]  # residuals per track
+    r = (pinhole(p_cam, *k) - pixels).reshape(len(point), n_res)
+    active = np.arange(len(point))
     for _ in range(max_steps):
-        J = (pinhole_jacobian(p_cam, k[0], k[1]) @ R).reshape(-1, 3)
-        try:
-            delta = np.linalg.solve(J.T @ J, -J.T @ r)
-        except np.linalg.LinAlgError:
-            return point
-        candidate = point + delta
-        p_new = candidate @ Rt + t
-        if np.any(p_new[:, 2] <= MIN_DEPTH):
-            return point
-        r_new = (pinhole(p_new, *k) - pixels).ravel()
-        if not r_new @ r_new < r @ r:
-            return point
-        point, p_cam, r = candidate, p_new, r_new
-        if np.linalg.norm(delta) < 1e-13 * scale:
+        if not active.size:
             break
+        a = active
+        J = (pinhole_jacobian(p_cam[a], fx[a], fy[a]) @ R[a]).reshape(len(a), n_res, 3)
+        Jt = np.swapaxes(J, 1, 2)
+        delta = _solve_rows(Jt @ J, -Jt @ r[a][:, :, None])[:, :, 0]
+        candidate = point[a] + delta
+        p_new = _to_camera(candidate, R[a], t[a])
+        front = np.flatnonzero(
+            np.isfinite(delta).all(axis=1) & ~np.any(p_new[..., 2] <= MIN_DEPTH, axis=1)
+        )
+        rows = a[front]
+        r_new = pinhole(p_new[front], *(x[rows] for x in k)) - pixels[rows]
+        r_new = r_new.reshape(len(rows), n_res)
+        lower = np.vecdot(r_new, r_new) < np.vecdot(r[rows], r[rows])
+        step, rows = front[lower], rows[lower]
+        point[rows], p_cam[rows], r[rows] = candidate[step], p_new[step], r_new[lower]
+        converged = np.sqrt(np.vecdot(delta[step], delta[step])) < 1e-13 * scale[rows]
+        active = rows[~converged]
     return point
+
+
+def mean_reprojection_errors(points, R, t, k, pixels) -> np.ndarray:
+    """Mean pixel distance per track (T,) between projections and observed pixels.
+
+    Arrays as in triangulate_batch; raises CheiralityError if a point is
+    behind one of its cameras.
+    """
+    p_cam = _to_camera(points, R, t)
+    if np.any(p_cam[..., 2] <= MIN_DEPTH):
+        raise CheiralityError("point is behind a camera")
+    return np.mean(np.linalg.norm(pinhole(p_cam, *k) - pixels, axis=-1), axis=-1)
 
 
 def mean_reprojection_error(point: np.ndarray, observations: Sequence[Observation]) -> float:
     """Mean pixel distance between projections and observed pixels."""
-    R, t, k, pixels = _stack_observations(observations)
-    p_cam = point @ np.swapaxes(R, 1, 2) + t
-    if np.any(p_cam[:, 2] <= MIN_DEPTH):
-        raise CheiralityError("point is behind a camera")
-    return float(np.mean(np.linalg.norm(pinhole(p_cam, *k) - pixels, axis=1)))
+    point = np.asarray(point, dtype=float)
+    return float(mean_reprojection_errors(point[None], *_stack_observations(observations))[0])

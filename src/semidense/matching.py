@@ -74,8 +74,16 @@ class MatchingFrontend(ABC):
         """Grid-resolution matches between two distinct views."""
 
     @abstractmethod
-    def fine_refine(self, query: FineMatchQuery) -> FineMatchResult:
-        """Sub-pixel location within the window around the query's coarse cell."""
+    def fine_refine_batch(
+        self, view_ref, u_ref, view_src, cell_src
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Sub-pixel locations for Q fine queries at once: (pixels (Q, 2), confidence (Q,)).
+
+        Row i asks, as a FineMatchQuery does, for the location in view_src[i]
+        matching the reference pixel u_ref[i] of view_ref[i], searched within
+        the window around the coarse cell cell_src[i]. View ids are (Q,) and
+        pixels (Q, 2).
+        """
 
 
 class OracleMatcher(MatchingFrontend):
@@ -166,29 +174,54 @@ class OracleMatcher(MatchingFrontend):
         ]
 
     def fine_refine(self, query: FineMatchQuery) -> FineMatchResult:
-        cell_src = np.asarray(query.cell_src, dtype=float)
-        _, intr = self.scene.views[query.view_src]
-        if not intr.contains(cell_src):
-            raise ValueError(f"query cell {cell_src} outside the image")
-
-        ref_obs = self.observations(query.view_ref)
-        ref_cell = grid_cell_center(np.asarray(query.u_ref, dtype=float))
-        point_id = ref_obs.winner_point_for_cell(ref_cell)
-        if point_id is None:
-            return FineMatchResult(pixel=cell_src.copy(), confidence=0.0)
-
-        src_obs = self.observations(query.view_src)
-        if not src_obs.visible_mask[point_id]:
-            return FineMatchResult(pixel=cell_src.copy(), confidence=OUTLIER_CONFIDENCE)
-        row = np.searchsorted(src_obs.point_ids, point_id)
-        true_cell = src_obs.cells[row]
-        if not np.array_equal(true_cell, grid_cell_center(cell_src)):
-            return FineMatchResult(pixel=cell_src.copy(), confidence=OUTLIER_CONFIDENCE)
-
-        loc = oracle_fine_location(
-            self.scene, query.view_src, point_id, window_half=self.window_half
+        """One fine query: the one-row case of fine_refine_batch."""
+        pixels, confidence = self.fine_refine_batch(
+            [query.view_ref], [query.u_ref], [query.view_src], [query.cell_src]
         )
-        return FineMatchResult(pixel=loc, confidence=1.0)
+        return FineMatchResult(pixel=pixels[0], confidence=float(confidence[0]))
+
+    def fine_refine_batch(
+        self, view_ref, u_ref, view_src, cell_src
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The clamped noisy true projection where a query is consistent with ground truth.
+
+        A query whose cell lies outside its source image raises ValueError.
+        Otherwise a query returns its cell at confidence 0 when the reference
+        cell has no cell winner, at OUTLIER_CONFIDENCE when the point is not
+        visible in the source view or sits in another cell, and the oracle
+        fine location at confidence 1 otherwise.
+        """
+        view_ref = np.asarray(view_ref, dtype=int).reshape(-1)
+        view_src = np.asarray(view_src, dtype=int).reshape(-1)
+        u_ref = np.asarray(u_ref, dtype=float).reshape(-1, 2)
+        cell_src = np.asarray(cell_src, dtype=float).reshape(-1, 2)
+        src_views = sorted(set(view_src.tolist()))
+        for v in src_views:
+            cells = cell_src[view_src == v]
+            inside = self.scene.views[v][1].contains(cells)
+            if not inside.all():
+                raise ValueError(f"query cell {cells[~inside][0]} outside the image")
+
+        lookups = (
+            self.observations(v).winner_point_for_cell(c)
+            for v, c in zip(view_ref.tolist(), grid_cell_center(u_ref).tolist())
+        )
+        point_ids = np.array([-1 if pid is None else pid for pid in lookups], dtype=int)
+        pixels = cell_src.copy()
+        confidence = np.where(point_ids >= 0, OUTLIER_CONFIDENCE, 0.0)
+        for v in src_views:
+            rows = np.flatnonzero((view_src == v) & (point_ids >= 0))
+            if not rows.size:
+                continue
+            src_obs = self.observations(v)
+            rows = rows[src_obs.visible_mask[point_ids[rows]]]
+            true_cells = src_obs.cells[np.searchsorted(src_obs.point_ids, point_ids[rows])]
+            rows = rows[np.all(true_cells == grid_cell_center(cell_src[rows]), axis=1)]
+            confidence[rows] = 1.0
+            pixels[rows] = oracle_fine_location(
+                self.scene, v, point_ids[rows], window_half=self.window_half
+            )
+        return pixels, confidence
 
 
 def select_view_pairs(

@@ -11,7 +11,7 @@ bit-exactly and independent of evaluation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .errors import VisibilityError
 from .geometry import (
     CameraIntrinsics,
     SE3Pose,
+    project_camera_points,
     project_with_depth,
     rotation_from_axis_angle,
 )
@@ -75,7 +76,17 @@ class NoiseModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NoiseModel":
-        return cls(**{k: float(v) for k, v in d.items()})
+        """The inverse of to_dict; missing or unknown keys raise ValueError."""
+        if not isinstance(d, dict):
+            raise ValueError("noise is not a mapping")
+        names = [f.name for f in fields(cls)]
+        missing = [k for k in names if k not in d]
+        unknown = sorted(set(d) - set(names))
+        if missing:
+            raise ValueError(f"noise: missing {', '.join(missing)}")
+        if unknown:
+            raise ValueError(f"noise: unknown key {', '.join(unknown)}")
+        return cls(**{k: float(d[k]) for k in names})
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,23 +310,34 @@ def render_observations(scene: SyntheticScene, view_id: int) -> ViewObservations
 def oracle_fine_location(
     scene: SyntheticScene,
     view_id: int,
-    point_id: int,
+    point_id,
     *,
     window_half: int = FINE_WINDOW_HALF,
 ) -> np.ndarray:
     """True projection plus clamped Gaussian sub-pixel noise (ground truth u-hat).
 
-    The draw is keyed on (seed, view, point): repeated calls return the same
-    location. The result is clamped to +-window_half px of the grid-cell
-    center so it stays inside the refinement window.
+    point_id is one id, giving a (2,) location, or an array of ids, giving
+    (M, 2). Each draw is keyed on (seed, view, point): repeated calls return
+    the same location. The result is clamped to +-window_half px of the
+    grid-cell center so it stays inside the refinement window.
     """
     pose, intr = scene.views[view_id]
-    pix, _, visible = project_with_depth(pose, intr, scene.points[point_id][None])
-    pix = pix[0]
-    if not visible[0]:
-        raise VisibilityError(f"point {point_id} not visible in view {view_id}")
+    ids = np.atleast_1d(np.asarray(point_id, dtype=int))
+    # one (1, 3) row per point, as pose.transform does for a single point
+    p_cam = (scene.points[ids][:, None, :] @ pose.rotation.T)[:, 0] + pose.translation
+    pix, _, visible = project_camera_points(p_cam, intr)
+    if not visible.all():
+        raise VisibilityError(f"point {ids[~visible][0]} not visible in view {view_id}")
 
-    rng = np.random.default_rng([scene.seed, _STREAM_FINE_NOISE, view_id, point_id])
-    noisy = pix + scene.noise.fine_noise_sigma * rng.standard_normal(2)
+    noise = np.array(
+        [
+            np.random.default_rng(
+                [scene.seed, _STREAM_FINE_NOISE, view_id, pid]
+            ).standard_normal(2)
+            for pid in ids.tolist()
+        ]
+    ).reshape(-1, 2)
+    noisy = pix + scene.noise.fine_noise_sigma * noise
     center = grid_cell_center(pix)
-    return np.clip(noisy, center - window_half, center + window_half)
+    out = np.clip(noisy, center - window_half, center + window_half)
+    return out[0] if np.ndim(point_id) == 0 else out

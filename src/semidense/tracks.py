@@ -15,8 +15,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CheiralityError, DegenerateGeometryError
-from .geometry import CameraIntrinsics, SE3Pose, mean_reprojection_error, triangulate
+from .geometry import (
+    TRI_BEHIND,
+    TRI_OK,
+    CameraIntrinsics,
+    SE3Pose,
+    ViewTable,
+    mean_reprojection_errors,
+    triangulate_batch,
+)
 from .matching import Cell, CoarseMatch
 
 Node = tuple[int, Cell]
@@ -145,42 +152,64 @@ def triangulate_tracks(
 ) -> CoarseReconstruction:
     """Triangulate every track, rejecting failures per-track with reason counts.
 
-    The default reprojection gate (12 px) sits above the worst-case
-    grid-quantization offset so clean quantized tracks always survive.
+    Tracks of equal length are solved as one batch. The default
+    reprojection gate (12 px) sits above the worst-case grid-quantization
+    offset so clean quantized tracks always survive.
     """
     stats = stats if stats is not None else TrackStats()
+    if any(len(track) < 2 for track in tracks):
+        raise ValueError("triangulation needs at least 2 observations")
+    table = ViewTable.stack(poses, intrinsics)
+    views, cells, offsets = node_arrays(tracks)
 
-    kept_tracks: list[FeatureTrack] = []
-    points: list[np.ndarray] = []
-    for track in tracks:
-        obs = [
-            (poses[v], intrinsics[v], np.asarray(cell, dtype=float))
-            for v, cell in track.nodes
-        ]
-        try:
-            point = triangulate(obs)
-        except DegenerateGeometryError:
-            stats.rejected_degenerate += 1
-            continue
-        except CheiralityError:
-            stats.rejected_cheirality += 1
-            continue
-        err = mean_reprojection_error(point, obs)
-        if err > max_reproj_px:
-            stats.rejected_reprojection += 1
-            continue
-        kept_tracks.append(
-            FeatureTrack(
-                track_id=track.track_id,
-                nodes=list(track.nodes),
-                point_coarse=point,
-                reproj_error=err,
-            )
+    points = np.full((len(tracks), 3), np.nan)
+    reject = np.full(len(tracks), TRI_OK)
+    errors = np.full(len(tracks), np.nan)
+    for rows, nodes in length_groups(offsets):
+        v = views[nodes]
+        R, t, k, pix = table.R[v], table.t[v], table.k(v), cells[nodes]
+        points[rows], reject[rows] = triangulate_batch(R, t, k, pix)
+        kept = reject[rows] == TRI_OK
+        errors[rows[kept]] = mean_reprojection_errors(
+            points[rows[kept]], R[kept], t[kept], tuple(x[kept] for x in k), pix[kept]
         )
-        points.append(point)
 
-    pts = np.array(points) if points else np.zeros((0, 3))
-    return CoarseReconstruction(tracks=kept_tracks, points=pts, stats=stats)
+    behind = reject == TRI_BEHIND
+    stats.rejected_degenerate += int(np.count_nonzero((reject != TRI_OK) & ~behind))
+    stats.rejected_cheirality += int(np.count_nonzero(behind))
+    too_far = (reject == TRI_OK) & (errors > max_reproj_px)
+    stats.rejected_reprojection += int(np.count_nonzero(too_far))
+    keep = np.flatnonzero((reject == TRI_OK) & ~too_far)
+    kept_tracks = [
+        FeatureTrack(
+            track_id=tracks[i].track_id,
+            nodes=list(tracks[i].nodes),
+            point_coarse=points[i],
+            reproj_error=err,
+        )
+        for i, err in zip(keep.tolist(), errors[keep].tolist())
+    ]
+    return CoarseReconstruction(tracks=kept_tracks, points=points[keep], stats=stats)
+
+
+def node_arrays(tracks: Sequence[FeatureTrack]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every track's nodes flattened: views (N,), cells (N, 2) and offsets (T + 1,).
+
+    The nodes of track i are rows offsets[i]:offsets[i + 1].
+    """
+    nodes = [node for track in tracks for node in track.nodes]
+    views = np.array([v for v, _ in nodes], dtype=int)
+    cells = np.array([c for _, c in nodes], dtype=float).reshape(-1, 2)
+    offsets = np.concatenate([[0], np.cumsum([len(track) for track in tracks], dtype=int)])
+    return views, cells, offsets
+
+
+def length_groups(offsets: np.ndarray):
+    """Per track length n, the tracks that long and their node rows: (rows (T,), nodes (T, n))."""
+    lengths = np.diff(offsets)
+    for n in sorted(set(lengths.tolist())):
+        rows = np.flatnonzero(lengths == n)
+        yield rows, offsets[rows, None] + np.arange(n)
 
 
 def tracks_to_json(tracks: Sequence[FeatureTrack], path) -> None:

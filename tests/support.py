@@ -172,3 +172,25 @@ def random_refined_track(rng: np.random.Generator, n_sources: int = 8,
         point_init=point * rng.uniform(0.95, 1.05),
     )
     return track, poses, [intr] * (n_sources + 1), true_depth
+
+
+def onboard_scene(seed: int):
+    """A noisy 2048-px object: 0.5 px fine noise, 10% outliers and 10% dropout."""
+    from semidense.scene import NoiseModel, generate_scene
+
+    noise = NoiseModel(fine_noise_sigma=0.5, outlier_rate=0.1, dropout_rate=0.1)
+    return generate_scene(
+        seed, 400, 12, noise, image_size=2048, focal=5000.0,
+        distance_range=(3.5, 5.0), jitter_deg=3.0,
+    )
+
+
+def scene_tracks(scene, matcher, min_track_length: int = 3):
+    """Union-find tracks over every view pair of a scene, with their statistics."""
+    from semidense.matching import select_view_pairs
+    from semidense.tracks import build_tracks
+
+    matches = []
+    for a, b in select_view_pairs(scene.views):
+        matches.extend(matcher.coarse_match_pair(matcher.observations(a), matcher.observations(b)))
+    return build_tracks(matches, min_track_length=min_track_length)

@@ -265,6 +265,47 @@ class TestBadInputs:
         rc = self._estimate(tmp_path, scene, workspace / "model")
         self._assert_usage_error(rc, capsys, "truncated")
 
+    def _reconstruct_edited_scene(self, tmp_path, workspace, edit):
+        payload = json.loads((workspace / "scene.json").read_text())
+        edit(payload)
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(payload))
+        shutil.copy(workspace / "scene.fmat", tmp_path / "scene.fmat")
+        return run("reconstruct", "--scene", scene, "--out", tmp_path / "m", *FAST)
+
+    def test_reconstruct_view_without_intrinsics(self, tmp_path, workspace, capsys):
+        rc = self._reconstruct_edited_scene(
+            tmp_path, workspace, lambda p: p["views"][0].pop("intrinsics")
+        )
+        self._assert_usage_error(rc, capsys, "view 0: missing intrinsics")
+
+    def test_reconstruct_2x2_pose(self, tmp_path, workspace, capsys):
+        def edit(payload):
+            payload["views"][1]["pose"] = [[1.0, 0.0], [0.0, 1.0]]
+
+        rc = self._reconstruct_edited_scene(tmp_path, workspace, edit)
+        self._assert_usage_error(rc, capsys, "view 1: pose must be a finite 4x4 matrix")
+
+    def test_reconstruct_views_not_a_list(self, tmp_path, workspace, capsys):
+        rc = self._reconstruct_edited_scene(
+            tmp_path, workspace, lambda p: p.update(views="abc")
+        )
+        self._assert_usage_error(rc, capsys, "views is not a list")
+
+    def test_reconstruct_unknown_noise_key(self, tmp_path, workspace, capsys):
+        def edit(payload):
+            payload["noise"]["blur_sigma"] = 1.0
+
+        rc = self._reconstruct_edited_scene(tmp_path, workspace, edit)
+        self._assert_usage_error(rc, capsys, "unknown key blur_sigma")
+
+    def test_reconstruct_nan_focal_length(self, tmp_path, workspace, capsys):
+        def edit(payload):
+            payload["views"][2]["intrinsics"]["fx"] = float("nan")
+
+        rc = self._reconstruct_edited_scene(tmp_path, workspace, edit)
+        self._assert_usage_error(rc, capsys, "view 2: intrinsics must be finite")
+
 
 class TestPipelineDeterminism:
     def test_metrics_byte_identical(self, tmp_path):

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+import support
 
+from semidense.errors import VisibilityError
+from semidense.geometry import project_with_depth
 from semidense.matching import (
     OUTLIER_CONFIDENCE,
     CoarseMatch,
@@ -11,9 +14,12 @@ from semidense.matching import (
     select_view_pairs,
 )
 from semidense.scene import (
+    _STREAM_FINE_NOISE,
+    FINE_WINDOW_HALF,
     NoiseModel,
     ViewObservations,
     generate_scene,
+    grid_cell_center,
 )
 
 ZERO = NoiseModel()
@@ -210,6 +216,88 @@ class TestFineRefine:
         )
         with pytest.raises(ValueError):
             matcher.fine_refine(query)
+
+
+# Reference: the one-query oracle the batched call replaced, kept here
+# verbatim so the batch can be checked against it bit for bit.
+
+
+def _ref_oracle_fine_location(scene, view_id, point_id, window_half=FINE_WINDOW_HALF):
+    pose, intr = scene.views[view_id]
+    pix, _, visible = project_with_depth(pose, intr, scene.points[point_id][None])
+    pix = pix[0]
+    if not visible[0]:
+        raise VisibilityError(f"point {point_id} not visible in view {view_id}")
+    rng = np.random.default_rng([scene.seed, _STREAM_FINE_NOISE, view_id, point_id])
+    noisy = pix + scene.noise.fine_noise_sigma * rng.standard_normal(2)
+    center = grid_cell_center(pix)
+    return np.clip(noisy, center - window_half, center + window_half)
+
+
+def _ref_fine_refine(matcher, view_ref, u_ref, view_src, cell_src):
+    cell_src = np.asarray(cell_src, dtype=float)
+    _, intr = matcher.scene.views[view_src]
+    if not intr.contains(cell_src):
+        raise ValueError(f"query cell {cell_src} outside the image")
+    ref_obs = matcher.observations(view_ref)
+    ref_cell = grid_cell_center(np.asarray(u_ref, dtype=float))
+    point_id = ref_obs.winner_point_for_cell(ref_cell)
+    if point_id is None:
+        return cell_src.copy(), 0.0
+    src_obs = matcher.observations(view_src)
+    if not src_obs.visible_mask[point_id]:
+        return cell_src.copy(), OUTLIER_CONFIDENCE
+    row = np.searchsorted(src_obs.point_ids, point_id)
+    if not np.array_equal(src_obs.cells[row], grid_cell_center(cell_src)):
+        return cell_src.copy(), OUTLIER_CONFIDENCE
+    loc = _ref_oracle_fine_location(matcher.scene, view_src, point_id, matcher.window_half)
+    return loc, 1.0
+
+
+class TestFineRefineBatchMatchesOneQueryReference:
+    def _queries(self, scene, matcher):
+        """Every (reference node, node) query of every track, plus ungrounded and wrong cells."""
+        tracks, _ = support.scene_tracks(scene, matcher)
+        queries = []
+        for track in tracks:
+            ref_view, ref_cell = track.nodes[len(track) // 2]
+            for view, cell in track.nodes:
+                queries.append((ref_view, ref_cell, view, cell))
+                queries.append((ref_view, ref_cell, view, (cell[0], (cell[1] + 80.0) % 2048)))
+            queries.append((ref_view, (4.0, 4.0), track.nodes[0][0], track.nodes[0][1]))
+        return queries
+
+    def test_noisy_onboard_scene(self):
+        scene = support.onboard_scene(5)
+        matcher = OracleMatcher(scene)
+        queries = self._queries(scene, matcher)
+        view_ref, u_ref, view_src, cell_src = zip(*queries)
+        pixels, confidence = matcher.fine_refine_batch(view_ref, u_ref, view_src, cell_src)
+        assert pixels.shape == (len(queries), 2) and confidence.shape == (len(queries),)
+        for q, pixel, conf in zip(queries, pixels, confidence.tolist()):
+            ref_pixel, ref_conf = _ref_fine_refine(matcher, *q)
+            assert np.array_equal(pixel, ref_pixel), q
+            assert conf == ref_conf, q
+        # every outcome occurs
+        assert {0.0, OUTLIER_CONFIDENCE, 1.0} <= set(confidence.tolist())
+
+    def test_one_row_call_matches_reference(self):
+        scene = support.onboard_scene(6)
+        matcher = OracleMatcher(scene)
+        for q in self._queries(scene, matcher)[:300]:
+            res = matcher.fine_refine(FineMatchQuery(*(np.asarray(x) for x in q)))
+            ref_pixel, ref_conf = _ref_fine_refine(matcher, *q)
+            assert np.array_equal(res.pixel, ref_pixel)
+            assert res.confidence == ref_conf
+
+    def test_cell_outside_image_raises_from_batch(self):
+        scene = generate_scene(36, 64, 3, ZERO)
+        matcher = OracleMatcher(scene)
+        cells = matcher.observations(1).cells[:4].copy()
+        cells[2] = (-20.0, 4.0)
+        u_ref = matcher.observations(0).cells[:4]
+        with pytest.raises(ValueError, match="outside the image"):
+            matcher.fine_refine_batch([0] * 4, u_ref, [1] * 4, cells)
 
 
 class TestViewPairSelection:

@@ -4,15 +4,29 @@ import numpy as np
 import pytest
 import support
 
-from semidense.geometry import SE3Pose, backproject, project
-from semidense.matching import OracleMatcher, select_view_pairs
+from semidense.geometry import (
+    SE3Pose,
+    ViewTable,
+    backproject,
+    pinhole,
+    pinhole_jacobian,
+    project,
+    rotation_from_axis_angle,
+)
+from semidense.matching import FineMatchQuery, OracleMatcher, select_view_pairs
 from semidense.refine import (
+    LM_INITIAL_LAMBDA,
+    LM_MAX_ITERS,
+    LM_RELATIVE_TOL,
+    MIN_DEPTH_CLAMP,
     DepthProblem,
     RefinedTrack,
     RefineStats,
     SourceNode,
     aggregate_features,
     optimize_depth,
+    optimize_depths,
+    refine_nodes,
     refine_reconstruction,
     refine_track_nodes,
     select_reference_node,
@@ -355,3 +369,234 @@ class TestRefineReconstruction:
         np.testing.assert_allclose(
             np.linalg.norm(model.fine_features, axis=1), 1.0, atol=1e-6
         )
+
+
+# Reference: the one-track refinement the batched kernels replaced, kept
+# here verbatim so the batches can be checked against it bit for bit.
+
+
+def _ref_select_reference_node(track, poses):
+    R = np.array([poses[view_id].rotation for view_id, _ in track.nodes])
+    t = np.array([poses[view_id].translation for view_id, _ in track.nodes])
+    centers = -(t[:, None, :] @ R)[:, 0]
+    d = track.point_coarse - centers
+    rays = d / np.linalg.norm(d, axis=1, keepdims=True)
+    cos = np.clip((R[:, None, 2, :] * rays[None]).sum(axis=2), -1.0, 1.0)
+    n = len(rays)
+    others = np.arccos(cos)[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+    best_idx, best_angle = 0, np.inf
+    for idx, mean_angle in enumerate(others.mean(axis=1).tolist()):
+        if mean_angle < best_angle - 1e-12:
+            best_angle, best_idx = mean_angle, idx
+    return best_idx
+
+
+def _ref_refine_track_nodes(track, reference_idx, matcher, min_confidence, stats):
+    ref_view, ref_cell = track.nodes[reference_idx]
+    ref_cell_arr = np.asarray(ref_cell, dtype=float)
+    ref_result = matcher.fine_refine(FineMatchQuery(ref_view, ref_cell_arr, ref_view, ref_cell_arr))
+    if ref_result.confidence < min_confidence:
+        stats.dropped_tracks += 1
+        return None
+    sources = []
+    for idx, (view_id, cell) in enumerate(track.nodes):
+        if idx == reference_idx:
+            continue
+        res = matcher.fine_refine(
+            FineMatchQuery(ref_view, ref_cell_arr, view_id, np.asarray(cell, dtype=float))
+        )
+        if res.confidence < min_confidence:
+            stats.dropped_low_confidence_nodes += 1
+            continue
+        sources.append(SourceNode(view_id, cell, res.pixel, res.confidence))
+    if not sources:
+        stats.dropped_tracks += 1
+        return None
+    return RefinedTrack(
+        track_id=track.track_id, ref_view=ref_view, ref_cell=ref_cell, u_ref=ref_result.pixel,
+        sources=sources, point_init=track.point_coarse.copy(),
+    )
+
+
+class _RefDepthProblem:
+    def __init__(self, rt, poses, intrinsics):
+        R_r, t_r = poses[rt.ref_view].rotation, poses[rt.ref_view].translation
+        R_s = np.array([poses[s.view_id].rotation for s in rt.sources])
+        t_s = np.array([poses[s.view_id].translation for s in rt.sources])
+        ray = backproject(np.asarray(rt.u_ref, dtype=float), 1.0, intrinsics[rt.ref_view])
+        K = [intrinsics[s.view_id] for s in rt.sources]
+        self.Rray = (R_s @ R_r.T) @ ray
+        self.t = R_s @ (-R_r.T @ t_r) + t_s
+        self.k = [np.array([getattr(k, name) for k in K]) for name in ("fx", "fy", "cx", "cy")]
+        self.targets = np.stack([s.pixel for s in rt.sources])
+
+    def residuals(self, d):
+        p = d * self.Rray + self.t
+        if np.any(p[:, 2] <= 1e-12):
+            return None
+        return pinhole(p, *self.k) - self.targets
+
+    def jacobian(self, d):
+        p = d * self.Rray + self.t
+        return (pinhole_jacobian(p, self.k[0], self.k[1]) @ self.Rray[:, :, None])[:, :, 0]
+
+
+def _ref_optimize_depth(rt, poses, intrinsics, max_iters=LM_MAX_ITERS, rel_tol=LM_RELATIVE_TOL):
+    pose_r = poses[rt.ref_view]
+    problem = _RefDepthProblem(rt, poses, intrinsics)
+    d0 = float(pose_r.transform(rt.point_init)[2])
+    d = d0 if d0 > 0 else MIN_DEPTH_CLAMP
+    hit_clamp = d0 <= 0
+    r = problem.residuals(d)
+    cost = np.inf if r is None else float(np.sum(r * r))
+    lam = LM_INITIAL_LAMBDA
+    converged = False
+    if np.isfinite(cost):
+        for _ in range(max_iters):
+            J = problem.jacobian(d).ravel()
+            g = float(J @ r.ravel())
+            H = float(J @ J)
+            if H < 1e-18:
+                break
+            d_new = d + -g / (H * (1.0 + lam))
+            if d_new <= 0:
+                d_new = MIN_DEPTH_CLAMP
+            r_new = problem.residuals(d_new)
+            cost_new = np.inf if r_new is None else float(np.sum(r_new * r_new))
+            if cost_new <= cost:
+                hit_clamp = d_new == MIN_DEPTH_CLAMP
+                decrease = cost - cost_new
+                d, cost, r = d_new, cost_new, r_new
+                lam = max(lam / 10.0, 1e-12)
+                if decrease <= rel_tol * cost + 1e-24:
+                    converged = True
+                    break
+            else:
+                lam *= 10.0
+                if lam > 1e12:
+                    break
+    if hit_clamp:
+        converged = False
+    n_src = len(rt.sources)
+    final_cost = float(np.sqrt(cost / n_src)) if np.isfinite(cost) else np.inf
+    init_r = problem.residuals(d0) if d0 > 0 else None
+    initial = float(np.sqrt(np.sum(init_r * init_r) / n_src)) if init_r is not None else np.inf
+    point = pose_r.inverse().transform(backproject(rt.u_ref, d, intrinsics[rt.ref_view]))
+    return RefinedTrack(
+        track_id=rt.track_id, ref_view=rt.ref_view, ref_cell=rt.ref_cell, u_ref=rt.u_ref,
+        sources=rt.sources, point_init=rt.point_init, depth=d, point=point,
+        initial_cost=initial, final_cost=final_cost, converged=converged,
+    )
+
+
+def _assert_same_refined(got, ref):
+    assert (got is None) == (ref is None)
+    if ref is None:
+        return
+    for name in ("track_id", "ref_view", "ref_cell", "converged"):
+        assert getattr(got, name) == getattr(ref, name), name
+    for name in ("depth", "initial_cost", "final_cost"):  # NaN before the depth LM
+        assert np.array_equal(getattr(got, name), getattr(ref, name), equal_nan=True), name
+    assert (got.point is None) == (ref.point is None)
+    for name in ("u_ref", "point_init") + (("point",) if ref.point is not None else ()):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+    assert len(got.sources) == len(ref.sources)
+    for a, b in zip(got.sources, ref.sources):
+        assert (a.view_id, a.cell, a.confidence) == (b.view_id, b.cell, b.confidence)
+        assert np.array_equal(a.pixel, b.pixel)
+
+
+class TestBatchedRefinementMatchesOneTrackReference:
+    def _onboard(self, seed):
+        scene = support.onboard_scene(seed)
+        matcher = OracleMatcher(scene)
+        tracks, stats = support.scene_tracks(scene, matcher)
+        poses = [p for p, _ in scene.views]
+        intrs = [k for _, k in scene.views]
+        return scene, matcher, triangulate_tracks(tracks, poses, intrs, stats=stats), poses, intrs
+
+    def test_noisy_onboard_scene(self):
+        scene, matcher, recon, poses, intrs = self._onboard(4)
+        obs = {v: matcher.observations(v) for v in range(scene.n_views)}
+        model, refined, stats = refine_reconstruction(recon, poses, intrs, matcher, obs)
+
+        ref_stats, ref_refined = RefineStats(), []
+        for track in recon.tracks:
+            ref_idx = _ref_select_reference_node(track, poses)
+            assert select_reference_node(track, poses) == ref_idx
+            rt = _ref_refine_track_nodes(track, ref_idx, matcher, 0.2, ref_stats)
+            if rt is None:
+                continue
+            rt = _ref_optimize_depth(rt, poses, intrs)
+            ref_stats.non_converged += not rt.converged
+            ref_refined.append(rt)
+        ref_model = aggregate_features(ref_refined, obs, ref_stats)
+
+        assert len(refined) == len(ref_refined)
+        for got, ref in zip(refined, ref_refined):
+            _assert_same_refined(got, ref)
+        assert stats == ref_stats
+        assert len({len(rt.sources) for rt in refined}) > 3  # several source-count groups
+        for name in ("points", "coarse_features", "fine_features", "track_ids"):
+            assert np.array_equal(getattr(model, name), getattr(ref_model, name))
+
+    def test_ungrounded_reference_and_all_sources_below_confidence(self):
+        scene, matcher, recon, poses, _ = self._onboard(8)
+        tracks = [t for t in recon.tracks if len(t) >= 4][:6]
+        ref_idx = [_ref_select_reference_node(t, poses) for t in tracks]
+
+        def edited(track, idx, cell_of):
+            nodes = [(v, cell_of(j, v, c)) for j, (v, c) in enumerate(track.nodes)]
+            return FeatureTrack(track.track_id, nodes, point_coarse=track.point_coarse)
+
+        # the reference node moves to a cell no point wins; every source moves off its point
+        occupied = {tuple(c) for c in matcher.observations(tracks[1].nodes[ref_idx[1]][0]).cells}
+        empty = next((u, 4.0) for u in np.arange(4.0, 2048.0, 8.0) if (u, 4.0) not in occupied)
+        tracks[1] = edited(tracks[1], ref_idx[1], lambda j, v, c: empty if j == ref_idx[1] else c)
+        tracks[3] = edited(
+            tracks[3], ref_idx[3],
+            lambda j, v, c: c if j == ref_idx[3] else (c[0], (c[1] + 80.0) % 2048),
+        )
+
+        stats, ref_stats = RefineStats(), RefineStats()
+        got = refine_nodes(tracks, ref_idx, matcher, 0.2, stats)
+        ref = [
+            _ref_refine_track_nodes(t, i, matcher, 0.2, ref_stats) for t, i in zip(tracks, ref_idx)
+        ]
+        assert got[1] is None and got[3] is None
+        for a, b in zip(got, ref):
+            _assert_same_refined(a, b)
+        assert stats == ref_stats
+        assert stats.dropped_tracks == 2
+
+    def test_one_source_count_group_with_flat_and_clamped_rows(self):
+        rng = np.random.default_rng(71)
+        normal, poses, intrs, _ = support.random_refined_track(rng, 2, pixel_noise=0.5)
+        ref = poses[0]
+        for angle in (0.05, -0.08):  # pure rotations about the reference center
+            R = rotation_from_axis_angle(np.array([0.0, 1.0, 0.0]), angle) @ ref.rotation
+            poses.append(SE3Pose(R, -R @ ref.camera_center))
+        intrs = intrs + intrs[:2]
+        flat = RefinedTrack(
+            track_id=1, ref_view=0, ref_cell=normal.ref_cell, u_ref=normal.u_ref,
+            sources=[
+                SourceNode(view_id=v, cell=s.cell, pixel=s.pixel, confidence=1.0)
+                for v, s in zip((3, 4), normal.sources)
+            ],
+            point_init=normal.point_init,
+        )
+        behind = ref.camera_center - 2.0 * ref.optical_axis
+        clamped = RefinedTrack(
+            track_id=2, ref_view=0, ref_cell=normal.ref_cell, u_ref=normal.u_ref,
+            sources=normal.sources, point_init=behind,
+        )
+        group = [normal, flat, clamped, normal]
+        got = optimize_depths(group, ViewTable.stack(poses, intrs))
+        want = [_ref_optimize_depth(rt, poses, intrs) for rt in group]
+        for a, b in zip(got, want):
+            _assert_same_refined(a, b)
+        assert got[0].converged and not got[1].converged
+        assert ref.transform(clamped.point_init)[2] <= 0
+        for rt in group:  # the one-track call is the B = 1 case
+            want = _ref_optimize_depth(rt, poses, intrs)
+            _assert_same_refined(optimize_depth(rt, poses, intrs), want)

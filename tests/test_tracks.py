@@ -3,10 +3,19 @@
 import numpy as np
 import support
 
-from semidense.geometry import SE3Pose, project, rotation_from_axis_angle
+from semidense.errors import CheiralityError, DegenerateGeometryError
+from semidense.geometry import (
+    MAX_CONDITION,
+    MIN_DEPTH,
+    SE3Pose,
+    pinhole,
+    pinhole_jacobian,
+    project,
+    rotation_from_axis_angle,
+)
 from semidense.matching import CoarseMatch, OracleMatcher, select_view_pairs
 from semidense.scene import NoiseModel, generate_scene, grid_cell_center
-from semidense.tracks import build_tracks, triangulate_tracks
+from semidense.tracks import FeatureTrack, TrackStats, build_tracks, triangulate_tracks
 
 ZERO = NoiseModel()
 
@@ -153,3 +162,152 @@ class TestTriangulateTracks:
         recon = triangulate_tracks([], [], [])
         assert recon.tracks == []
         assert recon.points.shape == (0, 3)
+
+
+# Reference: the one-track triangulation the batched kernel replaced, kept
+# here verbatim so the batch can be checked against it bit for bit.
+
+
+def _ref_stack(observations):
+    R = np.array([pose.rotation for pose, _, _ in observations])
+    t = np.array([pose.translation for pose, _, _ in observations])
+    k = np.array([(i.fx, i.fy, i.cx, i.cy) for _, i, _ in observations], dtype=float).T
+    pixels = np.array([np.asarray(pixel, dtype=float) for _, _, pixel in observations])
+    return R, t, k, pixels
+
+
+def _ref_triangulate(observations):
+    R, t, k, pixels = _ref_stack(observations)
+    centers = -(t[:, None, :] @ R)[:, 0]
+    bbox_diag = np.linalg.norm(centers.max(axis=0) - centers.min(axis=0))
+    if bbox_diag < 1e-9 * (1.0 + np.abs(centers).max()):
+        raise DegenerateGeometryError("coincident centers")
+    K = np.zeros((len(R), 3, 3))
+    K[:, 0, 0], K[:, 1, 1], K[:, 0, 2], K[:, 1, 2] = k
+    K[:, 2, 2] = 1.0
+    P = K @ np.concatenate([R, t[:, :, None]], axis=2)
+    A = np.stack(
+        [pixels[:, :1] * P[:, 2] - P[:, 0], pixels[:, 1:] * P[:, 2] - P[:, 1]], axis=1
+    ).reshape(-1, 4)
+    norms = np.linalg.norm(A, axis=1)
+    norms[norms == 0] = 1.0
+    A = A / norms[:, None]
+    _, s, vt = np.linalg.svd(A)
+    if s[2] * MAX_CONDITION < s[0]:
+        raise DegenerateGeometryError("condition")
+    X_h = vt[-1]
+    if abs(X_h[3]) < 1e-12 * np.linalg.norm(X_h[:3]):
+        raise DegenerateGeometryError("infinity")
+    point = X_h[:3] / X_h[3]
+    z = (point @ np.swapaxes(R, 1, 2) + t)[:, 2]
+    if np.any(z <= MIN_DEPTH):
+        raise CheiralityError("behind")
+    return _ref_gauss_newton_polish(point, R, t, k, pixels)
+
+
+def _ref_gauss_newton_polish(point, R, t, k, pixels, max_steps=10):
+    Rt = np.swapaxes(R, 1, 2)
+    scale = 1.0 + np.linalg.norm(point)
+    p_cam = point @ Rt + t
+    r = (pinhole(p_cam, *k) - pixels).ravel()
+    for _ in range(max_steps):
+        J = (pinhole_jacobian(p_cam, k[0], k[1]) @ R).reshape(-1, 3)
+        try:
+            delta = np.linalg.solve(J.T @ J, -J.T @ r)
+        except np.linalg.LinAlgError:
+            return point
+        candidate = point + delta
+        p_new = candidate @ Rt + t
+        if np.any(p_new[:, 2] <= MIN_DEPTH):
+            return point
+        r_new = (pinhole(p_new, *k) - pixels).ravel()
+        if not r_new @ r_new < r @ r:
+            return point
+        point, p_cam, r = candidate, p_new, r_new
+        if np.linalg.norm(delta) < 1e-13 * scale:
+            break
+    return point
+
+
+def _ref_mean_reprojection_error(point, observations):
+    R, t, k, pixels = _ref_stack(observations)
+    p_cam = point @ np.swapaxes(R, 1, 2) + t
+    return float(np.mean(np.linalg.norm(pinhole(p_cam, *k) - pixels, axis=1)))
+
+
+def _ref_triangulate_tracks(tracks, poses, intrinsics, max_reproj_px=12.0):
+    stats = TrackStats()
+    kept = []
+    for track in tracks:
+        obs = [(poses[v], intrinsics[v], np.asarray(c, dtype=float)) for v, c in track.nodes]
+        try:
+            point = _ref_triangulate(obs)
+        except DegenerateGeometryError:
+            stats.rejected_degenerate += 1
+            continue
+        except CheiralityError:
+            stats.rejected_cheirality += 1
+            continue
+        err = _ref_mean_reprojection_error(point, obs)
+        if err > max_reproj_px:
+            stats.rejected_reprojection += 1
+            continue
+        kept.append((track.track_id, point, err))
+    return kept, stats
+
+
+def _assert_same_as_reference(tracks, poses, intrs, max_reproj_px=12.0):
+    recon = triangulate_tracks(tracks, poses, intrs, max_reproj_px=max_reproj_px)
+    kept, stats = _ref_triangulate_tracks(tracks, poses, intrs, max_reproj_px)
+    assert [t.track_id for t in recon.tracks] == [tid for tid, _, _ in kept]
+    for track, point, (_, ref_point, ref_err) in zip(recon.tracks, recon.points, kept):
+        assert np.array_equal(track.point_coarse, ref_point)
+        assert np.array_equal(point, ref_point)
+        assert track.reproj_error == ref_err
+    assert recon.stats == stats
+    return recon
+
+
+class TestTriangulateTracksMatchesOneTrackReference:
+    def test_noisy_onboard_scene(self):
+        scene = support.onboard_scene(3)
+        tracks, _ = support.scene_tracks(scene, OracleMatcher(scene))
+        poses = [p for p, _ in scene.views]
+        intrs = [k for _, k in scene.views]
+        recon = _assert_same_as_reference(tracks, poses, intrs)
+        assert len({len(t) for t in recon.tracks}) > 3  # several length groups
+        # a tight gate makes the reprojection rejection do work too
+        recon = _assert_same_as_reference(tracks, poses, intrs, max_reproj_px=0.6)
+        assert recon.stats.rejected_reprojection > 0
+
+    def test_one_length_group_with_every_outcome(self):
+        intr = support.default_intrinsics()
+        ring = [pose for pose, _ in support.camera_ring(4, radius=4.0, intr=intr)]
+        tilt = rotation_from_axis_angle(np.array([0.0, 1.0, 0.0]), np.radians(3.0))
+        tilt_R = tilt @ ring[0].rotation
+        tilted = SE3Pose(tilt_R, -tilt_R @ ring[0].camera_center)  # shares ring[0]'s center
+        left = SE3Pose(np.eye(3), np.array([1.0, 0.0, 0.0]))
+        right = SE3Pose(np.eye(3), np.array([-1.0, 0.0, 0.0]))
+        poses = ring + [tilted, left, right]
+        intrs = [intr] * len(poses)
+
+        rng = np.random.default_rng(7)
+        tracks = []
+        for i in range(6):  # good rows, with pixel noise
+            point = rng.uniform(-0.2, 0.2, size=3)
+            views = [i % 4, (i + 1) % 4]
+            nodes = [
+                (v, tuple(project(poses[v], intr, point) + rng.normal(0, 0.5, 2))) for v in views
+            ]
+            tracks.append(FeatureTrack(track_id=len(tracks), nodes=nodes))
+        point = np.array([0.02, 0.01, 0.0])
+        tracks.insert(2, FeatureTrack(track_id=99, nodes=[
+            (0, tuple(project(poses[0], intr, point))), (4, tuple(project(poses[4], intr, point))),
+        ]))
+        tracks.insert(4, FeatureTrack(track_id=98, nodes=[
+            (5, (intr.cx - 0.2 * intr.fx, intr.cy)), (6, (intr.cx + 0.2 * intr.fx, intr.cy)),
+        ]))
+        recon = _assert_same_as_reference(tracks, poses, intrs)
+        assert recon.stats.rejected_degenerate == 1
+        assert recon.stats.rejected_cheirality == 1
+        assert len(recon.tracks) == 6
