@@ -59,25 +59,27 @@ def _scene_from_config(config: RunConfig):
 
 
 def _pair_matches(matcher: OracleMatcher, recon_views: list[int]):
-    """Coarse matches of every selected pair of reconstruction views, lazily."""
+    """Coarse matches of every selected pair of reconstruction views, one PairMatches each."""
     pairs = select_view_pairs([matcher.scene.views[v] for v in recon_views])
-    for a, b in pairs:
-        yield from matcher.coarse_match_pair(
+    return [
+        matcher.coarse_match_pair(
             matcher.observations(recon_views[a]), matcher.observations(recon_views[b])
         )
+        for a, b in pairs
+    ]
 
 
 def reconstruct_scene(scene, config: RunConfig, recon_views: list[int]):
     """Matching -> tracks -> triangulation -> refinement -> aggregation.
 
-    Returns (model, coarse reconstruction, refined tracks, stats dict).
+    Returns (model, coarse reconstruction, refined tracks, stats dict, pair
+    matches), the last a list with one PairMatches per matched view pair.
     """
     matcher = OracleMatcher(scene, window=config.refine_window)
     poses = [p for p, _ in scene.views]
     intrs = [k for _, k in scene.views]
-    tracks, track_stats = build_tracks(
-        _pair_matches(matcher, recon_views), config.min_track_length
-    )
+    matches = _pair_matches(matcher, recon_views)
+    tracks, track_stats = build_tracks(matches, config.min_track_length)
     recon = triangulate_tracks(
         tracks, poses, intrs, max_reproj_px=config.max_reproj_px, stats=track_stats
     )
@@ -90,7 +92,7 @@ def reconstruct_scene(scene, config: RunConfig, recon_views: list[int]):
         "refine": refine_stats.to_dict(),
         "n_model_points": model.n_points,
     }
-    return model, recon, refined, stats
+    return model, recon, refined, stats, matches
 
 
 def estimate_views(scene, model, config: RunConfig, query_views, stacks=None):
@@ -180,7 +182,7 @@ def cmd_reconstruct(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     recon_views = list(range(min(config.n_views, scene.n_views)))
-    model, recon, refined, stats = reconstruct_scene(scene, config, recon_views)
+    model, recon, _, stats, matches = reconstruct_scene(scene, config, recon_views)
     if model.n_points == 0:
         print("error: no surviving tracks", file=sys.stderr)
         return EXIT_EMPTY
@@ -190,8 +192,7 @@ def cmd_reconstruct(args) -> int:
     save_model(out, model, recon.points, recon_views)
     tracks_to_json(recon.tracks, out / "tracks.json")
     if args.dump_matches:
-        matcher = OracleMatcher(scene, window=config.refine_window)
-        dump_matches_csv(_pair_matches(matcher, recon_views), out / "matches.csv")
+        dump_matches_csv(matches, out / "matches.csv")
 
     stats["accuracy"] = {
         "coarse": point_cloud_accuracy(recon.points, scene.points),

@@ -67,6 +67,8 @@ class RunConfig:
             raise ValueError("n_views must be at least 2")
         if self.n_query_views < 0:
             raise ValueError("n_query_views must be non-negative")
+        if self.min_track_length < 2:
+            raise ValueError("min_track_length must be at least 2")
         if self.refine_window % 2 != 1 or self.fine_window % 2 != 1:
             raise ValueError("windows must be odd")
         if self.image_size % 8 != 0:

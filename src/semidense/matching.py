@@ -33,15 +33,22 @@ Cell = tuple[float, float]
 OUTLIER_CONFIDENCE = 0.1
 
 
-@dataclass(frozen=True, slots=True)
-class CoarseMatch:
-    """Grid-cell correspondence between two views with a matching score in [0, 1]."""
+@dataclass(frozen=True, eq=False)
+class PairMatches:
+    """Grid-cell correspondences between two views, one row per match.
+
+    Row i matches cells_a[i] in view_a with cells_b[i] in view_b at a
+    matching score scores[i] in [0, 1].
+    """
 
     view_a: int
     view_b: int
-    cell_a: Cell
-    cell_b: Cell
-    score: float
+    cells_a: np.ndarray  # (K, 2)
+    cells_b: np.ndarray  # (K, 2)
+    scores: np.ndarray   # (K,)
+
+    def __len__(self) -> int:
+        return len(self.scores)
 
 
 @dataclass(frozen=True)
@@ -70,7 +77,7 @@ class MatchingFrontend(ABC):
     @abstractmethod
     def coarse_match_pair(
         self, obs_a: ViewObservations, obs_b: ViewObservations
-    ) -> list[CoarseMatch]:
+    ) -> PairMatches:
         """Grid-resolution matches between two distinct views."""
 
     @abstractmethod
@@ -110,23 +117,18 @@ class OracleMatcher(MatchingFrontend):
 
     def coarse_match_pair(
         self, obs_a: ViewObservations, obs_b: ViewObservations
-    ) -> list[CoarseMatch]:
+    ) -> PairMatches:
         if obs_a.view_id == obs_b.view_id:
             raise ValueError("coarse matching needs two distinct views")
         rate = self.scene.noise.outlier_rate
 
-        winners_a = {
-            int(obs_a.point_ids[r]): r for r in np.flatnonzero(obs_a.cell_winner)
-        }
-        winners_b = {
-            int(obs_b.point_ids[r]): r for r in np.flatnonzero(obs_b.cell_winner)
-        }
-        common = sorted(winners_a.keys() & winners_b.keys())
-        if not common:
-            return []
-
-        rows_a = np.array([winners_a[p] for p in common])
-        rows_b = np.array([winners_b[p] for p in common])
+        # winner point ids are ascending, so the common ones come out sorted
+        win_a = np.flatnonzero(obs_a.cell_winner)
+        win_b = np.flatnonzero(obs_b.cell_winner)
+        _, ia, ib = np.intersect1d(
+            obs_a.point_ids[win_a], obs_b.point_ids[win_b], assume_unique=True, return_indices=True
+        )
+        rows_a, rows_b = win_a[ia], win_b[ib]
         scores = np.clip(
             np.sum(obs_a.desc_coarse[rows_a] * obs_b.desc_coarse[rows_b], axis=1),
             0.0,
@@ -139,12 +141,10 @@ class OracleMatcher(MatchingFrontend):
             rng = np.random.default_rng(
                 [self.scene.seed, _STREAM_OUTLIERS, obs_a.view_id, obs_b.view_id]
             )
-            corrupt = rng.uniform(size=len(common)) < rate
+            corrupt = rng.uniform(size=len(scores)) < rate
             _, intr_b = self.scene.views[obs_b.view_id]
             n_cols = intr_b.width // GRID_STRIDE
             n_rows = intr_b.height // GRID_STRIDE
-            cells_b = cells_b.copy()
-            scores = scores.copy()
             for i in np.flatnonzero(corrupt):
                 while True:
                     cu = rng.integers(0, n_cols) * GRID_STRIDE + GRID_STRIDE / 2.0
@@ -154,24 +154,20 @@ class OracleMatcher(MatchingFrontend):
                 cells_b[i] = (cu, cv)
                 scores[i] = rng.uniform(0.0, 1.0)
 
-        # one match per cell_a: keep the highest score
-        best: dict[Cell, int] = {}
-        for i in range(len(common)):
-            key = (cells_a[i, 0], cells_a[i, 1])
-            j = best.get(key)
-            if j is None or scores[i] > scores[j]:
-                best[key] = i
-        kept = sorted(best.values())
-        return [
-            CoarseMatch(
-                view_a=obs_a.view_id,
-                view_b=obs_b.view_id,
-                cell_a=(float(cells_a[i, 0]), float(cells_a[i, 1])),
-                cell_b=(float(cells_b[i, 0]), float(cells_b[i, 1])),
-                score=float(scores[i]),
-            )
-            for i in kept
-        ]
+        # one match per cell_a: the highest score wins, and the stable sort
+        # lets the first row win ties
+        order = np.lexsort((-scores, cells_a[:, 1], cells_a[:, 0]))
+        sorted_cells = cells_a[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = np.any(sorted_cells[1:] != sorted_cells[:-1], axis=1)
+        kept = np.sort(order[first])
+        return PairMatches(
+            view_a=obs_a.view_id,
+            view_b=obs_b.view_id,
+            cells_a=cells_a[kept],
+            cells_b=cells_b[kept],
+            scores=scores[kept],
+        )
 
     def fine_refine(self, query: FineMatchQuery) -> FineMatchResult:
         """One fine query: the one-row case of fine_refine_batch."""
@@ -202,11 +198,13 @@ class OracleMatcher(MatchingFrontend):
             if not inside.all():
                 raise ValueError(f"query cell {cells[~inside][0]} outside the image")
 
-        lookups = (
-            self.observations(v).winner_point_for_cell(c)
-            for v, c in zip(view_ref.tolist(), grid_cell_center(u_ref).tolist())
-        )
-        point_ids = np.array([-1 if pid is None else pid for pid in lookups], dtype=int)
+        ref_cells = grid_cell_center(u_ref)
+        point_ids = np.full(len(view_ref), -1, dtype=int)
+        for v in sorted(set(view_ref.tolist())):
+            rows = np.flatnonzero(view_ref == v)
+            ref_obs = self.observations(v)
+            win = ref_obs.winner_rows(ref_cells[rows])
+            point_ids[rows[win >= 0]] = ref_obs.point_ids[win[win >= 0]]
         pixels = cell_src.copy()
         confidence = np.where(point_ids >= 0, OUTLIER_CONFIDENCE, 0.0)
         for v in src_views:
@@ -244,12 +242,11 @@ def select_view_pairs(
     return sorted(pairs)
 
 
-def dump_matches_csv(matches: Iterable[CoarseMatch], path) -> None:
-    """Debug dump: view_a,view_b,ua,va,ub,vb,score."""
+def dump_matches_csv(matches: Iterable[PairMatches], path) -> None:
+    """Debug dump: view_a,view_b,ua,va,ub,vb,score, one line per match."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["view_a", "view_b", "ua", "va", "ub", "vb", "score"])
         for m in matches:
-            writer.writerow(
-                [m.view_a, m.view_b, m.cell_a[0], m.cell_a[1], m.cell_b[0], m.cell_b[1], m.score]
-            )
+            rows = np.column_stack([m.cells_a, m.cells_b, m.scores]).tolist()
+            writer.writerows([m.view_a, m.view_b, *row] for row in rows)

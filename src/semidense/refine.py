@@ -404,48 +404,57 @@ def aggregate_features(
     descriptor degenerates to (near) zero norm are dropped.
     """
     stats = stats if stats is not None else RefineStats()
-    points, coarse, fine, ids = [], [], [], []
-    for rt in tracks:
-        if rt.point is None:
-            continue
-        rows_c, rows_f = [], []
-        nodes = [(rt.ref_view, rt.ref_cell)] + [(s.view_id, s.cell) for s in rt.sources]
-        for view_id, cell in nodes:
-            obs = observations[view_id]
-            row = obs.winner_row_for_cell(cell)
-            if row is None:
-                continue
-            rows_c.append(obs.desc_coarse[row])
-            rows_f.append(obs.desc_fine[row])
-        if not rows_c:
-            stats.dropped_degenerate_features += 1
-            continue
-        mean_c = np.mean(rows_c, axis=0)
-        mean_f = np.mean(rows_f, axis=0)
-        nc, nf = np.linalg.norm(mean_c), np.linalg.norm(mean_f)
-        if nc < 1e-8 or nf < 1e-8:
-            stats.dropped_degenerate_features += 1
-            continue
-        points.append(rt.point)
-        coarse.append(mean_c / nc)
-        fine.append(mean_f / nf)
-        ids.append(rt.track_id)
+    tracks = [rt for rt in tracks if rt.point is not None]
 
-    if not points:
-        dim_c = next(iter(observations.values())).desc_coarse.shape[1] if observations else 0
-        dim_f = next(iter(observations.values())).desc_fine.shape[1] if observations else 0
-        return PointCloudModel(
-            points=np.zeros((0, 3)),
-            coarse_features=np.zeros((0, dim_c)),
-            fine_features=np.zeros((0, dim_f)),
-            track_ids=np.zeros(0, dtype=int),
-        )
-    return PointCloudModel(
-        points=np.array(points),
-        coarse_features=np.array(coarse),
-        fine_features=np.array(fine),
-        track_ids=np.array(ids, dtype=int),
+    # the cell-winner row of every node of every track, the reference first
+    counts = [1 + len(rt.sources) for rt in tracks]
+    views = np.array(
+        [v for rt in tracks for v in [rt.ref_view] + [s.view_id for s in rt.sources]], dtype=int
     )
+    cells = np.array(
+        [c for rt in tracks for c in [rt.ref_cell] + [s.cell for s in rt.sources]], dtype=float
+    ).reshape(-1, 2)
+    rows = np.full(len(views), -1)
+    for v in sorted(set(views.tolist())):
+        at = np.flatnonzero(views == v)
+        rows[at] = observations[v].winner_rows(cells[at])
+    found = rows >= 0
+    n_found = np.bincount(np.repeat(np.arange(len(tracks)), counts)[found], minlength=len(tracks))
+
+    views, rows = views[found], rows[found]
+    mean_c, norm_c = _mean_descriptors(observations, "desc_coarse", views, rows, n_found)
+    mean_f, norm_f = _mean_descriptors(observations, "desc_fine", views, rows, n_found)
+    keep = (n_found > 0) & ~((norm_c < 1e-8) | (norm_f < 1e-8))
+    stats.dropped_degenerate_features += int(np.count_nonzero(~keep))
+
+    keep = np.flatnonzero(keep)
+    return PointCloudModel(
+        points=np.array([tracks[i].point for i in keep.tolist()], dtype=float).reshape(-1, 3),
+        coarse_features=mean_c[keep] / norm_c[keep, None],
+        fine_features=mean_f[keep] / norm_f[keep, None],
+        track_ids=np.array([tracks[i].track_id for i in keep.tolist()], dtype=int),
+    )
+
+
+def _mean_descriptors(observations, name, views, rows, counts):
+    """Per track, the mean of its nodes' descriptors `name` and that mean's norm.
+
+    views and rows locate every node in track order, counts[i] nodes for
+    track i; a track without nodes keeps a zero mean. Tracks are averaged
+    in groups of equal count, and the norm uses matmul's dot as
+    np.linalg.norm does, so every bit is that of the one-track arithmetic.
+    """
+    dim = getattr(next(iter(observations.values())), name).shape[1] if observations else 0
+    desc = np.empty((len(rows), dim))
+    for v in sorted(set(views.tolist())):
+        at = views == v
+        desc[at] = getattr(observations[v], name)[rows[at]]
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    mean = np.zeros((len(counts), dim))
+    for n in sorted(set(counts.tolist()) - {0}):
+        tracks = np.flatnonzero(counts == n)
+        mean[tracks] = np.mean(desc[offsets[tracks, None] + np.arange(n)], axis=1)
+    return mean, np.sqrt((mean[:, None, :] @ mean[:, :, None])[:, 0, 0])
 
 
 def refine_reconstruction(

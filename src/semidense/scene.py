@@ -127,22 +127,48 @@ class ViewObservations:
     desc_fine: np.ndarray         # (M, C_f)
     cell_winner: np.ndarray       # (M,) bool
     visible_mask: np.ndarray      # (N,) bool over all scene points
-    _cell_to_row: dict = field(default_factory=dict, repr=False)
+    _winner_keys: np.ndarray = field(init=False, repr=False)   # sorted cell keys of winners
+    _winner_rows: np.ndarray = field(init=False, repr=False)   # their rows
 
     def __post_init__(self):
-        lookup = {}
-        for row in np.flatnonzero(self.cell_winner):
-            key = (int(self.cells[row, 0]), int(self.cells[row, 1]))
-            lookup[key] = int(row)
-        object.__setattr__(self, "_cell_to_row", lookup)
+        rows = np.flatnonzero(self.cell_winner)
+        keys, _ = _cell_keys(self.cells[rows])
+        order = np.argsort(keys, kind="stable")
+        object.__setattr__(self, "_winner_keys", keys[order])
+        object.__setattr__(self, "_winner_rows", rows[order])
+
+    def winner_rows(self, cells) -> np.ndarray:
+        """Row index of each cell's cell-winning observation, -1 for empty cells.
+
+        A cell is keyed by its integer-truncated coordinates.
+        """
+        keys, valid = _cell_keys(cells)
+        rows = np.full(len(keys), -1, dtype=np.intp)
+        if len(self._winner_keys):
+            pos = np.minimum(np.searchsorted(self._winner_keys, keys), len(self._winner_keys) - 1)
+            hit = valid & (self._winner_keys[pos] == keys)
+            rows[hit] = self._winner_rows[pos[hit]]
+        return rows
 
     def winner_row_for_cell(self, cell) -> int | None:
         """Row index of the cell-winning observation, or None for empty cells."""
-        return self._cell_to_row.get((int(cell[0]), int(cell[1])))
+        row = int(self.winner_rows([cell])[0])
+        return None if row < 0 else row
 
     def winner_point_for_cell(self, cell) -> int | None:
         row = self.winner_row_for_cell(cell)
         return None if row is None else int(self.point_ids[row])
+
+
+def _cell_keys(cells) -> tuple[np.ndarray, np.ndarray]:
+    """One int64 key per (u, v) cell from its truncated coordinates, plus a validity mask.
+
+    Cells outside +-2**31 or not finite are invalid and key to 0.
+    """
+    cells = np.asarray(cells, dtype=float).reshape(-1, 2)
+    valid = np.all(np.abs(cells) < 2.0**31, axis=1)
+    c = np.where(valid[:, None], cells, 0.0).astype(np.int64)
+    return c[:, 0] * 2**32 + c[:, 1], valid
 
 
 def _sample_blob_points(rng: np.random.Generator, n_points: int) -> np.ndarray:

@@ -1,10 +1,10 @@
 """Coarse reconstruction: fuse pairwise matches into feature tracks and triangulate.
 
-A track node is a (view_id, cell) pair. Union-find merges the two endpoints
-of every coarse match; connected components become tracks. Components that
-contain two distinct cells of the same view are internally inconsistent
-(outlier bridges): all nodes of the offending views are dropped, keeping
-the rest of the component.
+A track node is a (view_id, cell) pair, numbered by an integer id that
+sorts like the pair. Every coarse match is an edge between two node ids;
+connected components become tracks. Components that contain two distinct
+cells of the same view are internally inconsistent (outlier bridges): all
+nodes of the offending views are dropped, keeping the rest of the component.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .geometry import (
     mean_reprojection_errors,
     triangulate_batch,
 )
-from .matching import Cell, CoarseMatch
+from .matching import Cell, PairMatches
 
 Node = tuple[int, Cell]
 
@@ -70,73 +70,96 @@ class CoarseReconstruction:
     stats: TrackStats
 
 
-class _UnionFind:
-    __slots__ = ("parent", "size")
+def _dense_rank(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rank of every value among the distinct values of x, plus one row holding each rank."""
+    order = np.argsort(x)
+    new = np.ones(len(x), dtype=bool)
+    new[1:] = x[order[1:]] != x[order[:-1]]
+    rank = np.empty(len(x), dtype=np.intp)
+    rank[order] = np.cumsum(new) - 1
+    return rank, order[new]
 
-    def __init__(self):
-        self.parent: dict[Node, Node] = {}
-        self.size: dict[Node, int] = {}
 
-    def find(self, x: Node) -> Node:
-        parent = self.parent
-        root = parent.setdefault(x, x)
-        if root == x:
-            self.size.setdefault(x, 1)
-            return x
-        # path halving
-        while parent[root] != root:
-            parent[root] = parent[parent[root]]
-            root = parent[root]
-        parent[x] = root
-        return root
+def _node_ids(views: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integer ids of (view, cell) endpoints, in the order of (view, u, v).
 
-    def union(self, a: Node, b: Node) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
+    Returns the id of every endpoint and one endpoint row of every id.
+    """
+    view_u, _ = _dense_rank(cells[:, 0])
+    view_u, _ = _dense_rank(views * (view_u.max() + 1) + view_u)
+    v, _ = _dense_rank(cells[:, 1])
+    return _dense_rank(view_u * (v.max() + 1) + v)
+
+
+def _components(n_nodes: int, ends_a: np.ndarray, ends_b: np.ndarray) -> np.ndarray:
+    """Smallest node id of each node's connected component.
+
+    Min-label propagation: every edge hooks the larger of its two roots
+    under the smaller, then pointer jumping flattens the forest, until both
+    ends of every edge share a root.
+    """
+    label = np.arange(n_nodes)
+    while True:
+        ra, rb = label[ends_a], label[ends_b]
+        split = ra != rb
+        if not split.any():
+            return label
+        ra, rb = ra[split], rb[split]
+        np.minimum.at(label, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
 
 
 def build_tracks(
-    matches: Iterable[CoarseMatch], min_track_length: int = 3
+    matches: Iterable[PairMatches], min_track_length: int = 3
 ) -> tuple[list[FeatureTrack], TrackStats]:
-    """Union-find over match endpoints; returns 2D-only tracks plus statistics.
+    """Connected components of the match graph; returns 2D-only tracks plus statistics.
 
     Deterministic and permutation-invariant: the output depends only on the
     set of matches. Tracks are ordered by their smallest (view, cell) node.
     """
     stats = TrackStats()
-    uf = _UnionFind()
-    for m in matches:
-        stats.n_matches += 1
-        uf.union((m.view_a, m.cell_a), (m.view_b, m.cell_b))
+    matches = list(matches)
+    lengths = [len(m) for m in matches]
+    stats.n_matches = sum(lengths)
+    if not stats.n_matches:
+        return [], stats
+    views = np.concatenate([
+        np.repeat([m.view_a for m in matches], lengths),
+        np.repeat([m.view_b for m in matches], lengths),
+    ])
+    cells = np.concatenate([m.cells_a for m in matches] + [m.cells_b for m in matches])
+    ids, node_row = _node_ids(views, cells)
+    node_view, node_cell = views[node_row], cells[node_row]
+    label = _components(len(node_row), ids[: stats.n_matches], ids[stats.n_matches:])
+    roots = np.flatnonzero(label == np.arange(len(label)))
+    stats.n_components = len(roots)
 
-    components: dict[Node, list[Node]] = {}
-    for node in uf.parent:
-        components.setdefault(uf.find(node), []).append(node)
-    stats.n_components = len(components)
+    # node ids sort by view, so sorting by component groups each view's nodes
+    order = np.argsort(label, kind="stable")
+    comp, view = label[order], node_view[order]
+    start = np.ones(len(order), dtype=bool)
+    start[1:] = (comp[1:] != comp[:-1]) | (view[1:] != view[:-1])
+    run = np.cumsum(start) - 1
+    conflict = np.bincount(run)[run] > 1
+    stats.conflicts = int(np.count_nonzero(conflict))
 
-    tracks: list[FeatureTrack] = []
-    for nodes in components.values():
-        per_view: dict[int, list[Node]] = {}
-        for node in nodes:
-            per_view.setdefault(node[0], []).append(node)
-        kept = []
-        for view_id in per_view:
-            if len(per_view[view_id]) == 1:
-                kept.append(per_view[view_id][0])
-            else:
-                stats.conflicts += len(per_view[view_id])
-        if len(kept) < min_track_length:
-            stats.too_short += 1
-            continue
-        kept.sort()
-        tracks.append(FeatureTrack(track_id=-1, nodes=kept))
+    kept, comp = order[~conflict], np.searchsorted(roots, comp[~conflict])
+    n_kept = np.bincount(comp, minlength=len(roots))
+    long_enough = n_kept >= min_track_length
+    stats.too_short = int(np.count_nonzero(~long_enough))
+    kept = kept[long_enough[comp]]
+    offsets = np.concatenate([[0], np.cumsum(n_kept[long_enough])])
+    nodes = list(zip(node_view[kept].tolist(), map(tuple, node_cell[kept].tolist())))
+    tracks = [
+        FeatureTrack(track_id=-1, nodes=nodes[lo:hi])
+        for lo, hi in zip(offsets[:-1].tolist(), offsets[1:].tolist())
+    ]
 
-    tracks.sort(key=lambda t: t.nodes[0])
+    tracks = [tracks[i] for i in np.argsort(kept[offsets[:-1]])]
     for i, t in enumerate(tracks):
         t.track_id = i
         stats.length_histogram[len(t)] = stats.length_histogram.get(len(t), 0) + 1

@@ -5,6 +5,8 @@ Reference implementations here are deliberately written from scratch
 of the library code they are used to check.
 """
 
+import functools
+
 import numpy as np
 
 from semidense.geometry import CameraIntrinsics, SE3Pose
@@ -186,11 +188,24 @@ def onboard_scene(seed: int):
 
 
 def scene_tracks(scene, matcher, min_track_length: int = 3):
-    """Union-find tracks over every view pair of a scene, with their statistics."""
+    """Tracks over every view pair of a scene, with their statistics."""
     from semidense.matching import select_view_pairs
     from semidense.tracks import build_tracks
 
     matches = []
     for a, b in select_view_pairs(scene.views):
-        matches.extend(matcher.coarse_match_pair(matcher.observations(a), matcher.observations(b)))
+        matches.append(matcher.coarse_match_pair(matcher.observations(a), matcher.observations(b)))
     return build_tracks(matches, min_track_length=min_track_length)
+
+
+@functools.lru_cache(maxsize=64)
+def winner_row_lookup(obs) -> dict[tuple[int, int], int]:
+    """Dict from integer-truncated cell to the row of its cell winner."""
+    return {
+        (int(obs.cells[r, 0]), int(obs.cells[r, 1])): int(r) for r in np.flatnonzero(obs.cell_winner)
+    }
+
+
+def winner_row(obs, cell) -> int | None:
+    """Row of the cell winner of one cell, or None, by a dict lookup."""
+    return winner_row_lookup(obs).get((int(cell[0]), int(cell[1])))

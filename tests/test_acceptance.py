@@ -49,7 +49,7 @@ class TestAcceptance:
             n_coarse_layers=0, n_fine_layers=0,
         )
         scene = _scene_from_config(config)
-        model, recon, _, _ = reconstruct_scene(scene, config, list(range(30)))
+        model, recon, *_ = reconstruct_scene(scene, config, list(range(30)))
         acc = point_cloud_accuracy(model.points, scene.points, thresholds=(0.001,))
         assert acc[0.001] == 1.0
 
@@ -79,7 +79,7 @@ class TestAcceptance:
                 distance_min=3.5, distance_max=5.0, jitter_deg=3.0,
             )
             scene = _scene_from_config(config)
-            model, recon, _, _ = reconstruct_scene(scene, config, list(range(12)))
+            model, recon, *_ = reconstruct_scene(scene, config, list(range(12)))
             coarse = point_cloud_accuracy(recon.points, scene.points, thresholds=(0.001,))
             refined = point_cloud_accuracy(model.points, scene.points, thresholds=(0.001,))
             gains.append(refined[0.001] - coarse[0.001])

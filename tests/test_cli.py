@@ -15,6 +15,7 @@ import pytest
 import semidense
 from semidense.cli import main
 from semidense.formats import load_scene, save_model
+from semidense.matching import OracleMatcher
 from semidense.refine import PointCloudModel
 from semidense.scene import NoiseModel, generate_scene
 
@@ -94,6 +95,26 @@ class TestReconstruct:
             first = fh.readline().strip()
         assert header == "view_a,view_b,ua,va,ub,vb,score"
         assert first
+
+    def test_dump_matches_reuses_the_reconstruction_matches(self, tmp_path, monkeypatch):
+        scene_path = tmp_path / "scene.json"
+        assert run("synth", "--out", scene_path, *FAST) == 0
+        calls = []
+        original = OracleMatcher.coarse_match_pair
+
+        def counted(self, obs_a, obs_b):
+            calls.append((obs_a.view_id, obs_b.view_id))
+            return original(self, obs_a, obs_b)
+
+        monkeypatch.setattr(OracleMatcher, "coarse_match_pair", counted)
+        model_dir = tmp_path / "model"
+        assert run("reconstruct", "--scene", scene_path, "--out", model_dir,
+                   "--dump-matches", *FAST) == 0
+        n_views = int(FAST[FAST.index("--n-views") + 1])
+        assert sorted(calls) == [(a, b) for a in range(n_views) for b in range(a + 1, n_views)]
+        with (model_dir / "matches.csv").open() as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert sorted({(int(r[0]), int(r[1])) for r in rows}) == sorted(calls)
 
 
 @pytest.fixture(scope="module")
@@ -224,6 +245,12 @@ class TestBadInputs:
         rc = run("eval", "--scene", workspace / "scene.json", "--poses", poses_path,
                  "--out", tmp_path / "m.csv", *FAST)
         self._assert_usage_error(rc, capsys, "queries")
+
+    def test_pipeline_one_node_tracks(self, tmp_path, capsys):
+        rc = run("pipeline", "--out", tmp_path / "run", "--min-track-length", "1",
+                 "--outlier-rate", "0.3", "--n-points", "100", "--n-views", "6",
+                 "--n-query-views", "2")
+        self._assert_usage_error(rc, capsys, "min_track_length")
 
     def test_pipeline_nan_focal(self, tmp_path, capsys):
         rc = run("pipeline", "--out", tmp_path / "run", "--focal", "nan", *FAST)

@@ -29,6 +29,7 @@ class TestValidation:
         for bad in (
             {"n_points": 4},
             {"n_views": 1},
+            {"min_track_length": 1},
             {"refine_window": 8},
             {"fine_window": 4},
             {"tau": 0.0},

@@ -1,5 +1,7 @@
 """Oracle matching frontend: coarse pair matching and windowed fine refinement."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import support
@@ -7,8 +9,8 @@ import support
 from semidense.errors import VisibilityError
 from semidense.geometry import project_with_depth
 from semidense.matching import (
+    _STREAM_OUTLIERS,
     OUTLIER_CONFIDENCE,
-    CoarseMatch,
     FineMatchQuery,
     OracleMatcher,
     select_view_pairs,
@@ -16,6 +18,7 @@ from semidense.matching import (
 from semidense.scene import (
     _STREAM_FINE_NOISE,
     FINE_WINDOW_HALF,
+    GRID_STRIDE,
     NoiseModel,
     ViewObservations,
     generate_scene,
@@ -27,6 +30,16 @@ ZERO = NoiseModel()
 
 def _winner_points(obs: ViewObservations) -> dict[int, int]:
     return {int(obs.point_ids[r]): r for r in np.flatnonzero(obs.cell_winner)}
+
+
+def _rows(matches):
+    """Every match of a PairMatches as (view_a, view_b, cell_a, cell_b, score)."""
+    return [
+        (matches.view_a, matches.view_b, tuple(ca), tuple(cb), s)
+        for ca, cb, s in zip(
+            matches.cells_a.tolist(), matches.cells_b.tolist(), matches.scores.tolist()
+        )
+    ]
 
 
 class TestCoarseMatchPair:
@@ -48,9 +61,9 @@ class TestCoarseMatchPair:
             for p, ra in win_a.items()
             if p in win_b
         }
-        for m in matcher.coarse_match_pair(a, b):
-            assert (m.cell_a, m.cell_b) in cells_of_point.values()
-            assert 0.0 <= m.score <= 1.0
+        for _, _, cell_a, cell_b, score in _rows(matcher.coarse_match_pair(a, b)):
+            assert (cell_a, cell_b) in cells_of_point.values()
+            assert 0.0 <= score <= 1.0
 
     def test_one_match_per_cell_a(self):
         # dense scene: grid-cell collisions are guaranteed
@@ -59,7 +72,7 @@ class TestCoarseMatchPair:
         a, b = matcher.observations(0), matcher.observations(3)
         assert not np.all(a.cell_winner)  # collisions actually occur
         matches = matcher.coarse_match_pair(a, b)
-        cells_a = [m.cell_a for m in matches]
+        cells_a = [cell_a for _, _, cell_a, _, _ in _rows(matches)]
         assert len(cells_a) == len(set(cells_a))
 
     def test_same_view_rejected(self):
@@ -73,8 +86,8 @@ class TestCoarseMatchPair:
         scene = generate_scene(25, 120, 4, ZERO)
         matcher = OracleMatcher(scene)
         a, b = matcher.observations(0), matcher.observations(2)
-        fwd = {(m.cell_a, m.cell_b) for m in matcher.coarse_match_pair(a, b)}
-        rev = {(m.cell_b, m.cell_a) for m in matcher.coarse_match_pair(b, a)}
+        fwd = {(ca, cb) for _, _, ca, cb, _ in _rows(matcher.coarse_match_pair(a, b))}
+        rev = {(cb, ca) for _, _, ca, cb, _ in _rows(matcher.coarse_match_pair(b, a))}
         assert fwd == rev
 
     def test_repeatability_across_pairs(self):
@@ -83,10 +96,10 @@ class TestCoarseMatchPair:
         a = matcher.observations(0)
         cell_by_point = {}
         for other in range(1, 5):
-            for m in matcher.coarse_match_pair(a, matcher.observations(other)):
-                pid = a.winner_point_for_cell(m.cell_a)
-                prev = cell_by_point.setdefault(pid, m.cell_a)
-                assert prev == m.cell_a
+            for _, _, cell_a, _, _ in _rows(matcher.coarse_match_pair(a, matcher.observations(other))):
+                pid = a.winner_point_for_cell(cell_a)
+                prev = cell_by_point.setdefault(pid, cell_a)
+                assert prev == cell_a
 
     def test_outlier_fraction_monte_carlo(self):
         fractions = []
@@ -96,12 +109,12 @@ class TestCoarseMatchPair:
             a, b = matcher.observations(0), matcher.observations(1)
             win_a, win_b = _winner_points(a), _winner_points(b)
             wrong = total = 0
-            for m in matcher.coarse_match_pair(a, b):
-                pid = a.winner_point_for_cell(m.cell_a)
+            for _, _, cell_a, cell_b, _ in _rows(matcher.coarse_match_pair(a, b)):
+                pid = a.winner_point_for_cell(cell_a)
                 if pid is None or pid not in win_b:
                     continue
                 total += 1
-                if tuple(b.cells[win_b[pid]]) != m.cell_b:
+                if tuple(b.cells[win_b[pid]]) != cell_b:
                     wrong += 1
             if total:
                 fractions.append(wrong / total)
@@ -113,7 +126,150 @@ class TestCoarseMatchPair:
         a, b = matcher.observations(0), matcher.observations(1)
         m1 = matcher.coarse_match_pair(a, b)
         m2 = matcher.coarse_match_pair(a, b)
-        assert m1 == m2
+        assert _rows(m1) == _rows(m2)
+
+
+# Reference: the dict-based oracle pair matching that the array code
+# replaced, kept here verbatim so the two can be checked match for match.
+
+
+def _ref_coarse_match_pair(matcher, obs_a, obs_b):
+    rate = matcher.scene.noise.outlier_rate
+    winners_a = {int(obs_a.point_ids[r]): r for r in np.flatnonzero(obs_a.cell_winner)}
+    winners_b = {int(obs_b.point_ids[r]): r for r in np.flatnonzero(obs_b.cell_winner)}
+    common = sorted(winners_a.keys() & winners_b.keys())
+    if not common:
+        return []
+
+    rows_a = np.array([winners_a[p] for p in common])
+    rows_b = np.array([winners_b[p] for p in common])
+    scores = np.clip(
+        np.sum(obs_a.desc_coarse[rows_a] * obs_b.desc_coarse[rows_b], axis=1), 0.0, 1.0
+    )
+    cells_a = obs_a.cells[rows_a]
+    cells_b = obs_b.cells[rows_b]
+
+    if rate > 0:
+        rng = np.random.default_rng(
+            [matcher.scene.seed, _STREAM_OUTLIERS, obs_a.view_id, obs_b.view_id]
+        )
+        corrupt = rng.uniform(size=len(common)) < rate
+        _, intr_b = matcher.scene.views[obs_b.view_id]
+        n_cols = intr_b.width // GRID_STRIDE
+        n_rows = intr_b.height // GRID_STRIDE
+        cells_b = cells_b.copy()
+        scores = scores.copy()
+        for i in np.flatnonzero(corrupt):
+            while True:
+                cu = rng.integers(0, n_cols) * GRID_STRIDE + GRID_STRIDE / 2.0
+                cv = rng.integers(0, n_rows) * GRID_STRIDE + GRID_STRIDE / 2.0
+                if (cu, cv) != (cells_b[i, 0], cells_b[i, 1]):
+                    break
+            cells_b[i] = (cu, cv)
+            scores[i] = rng.uniform(0.0, 1.0)
+
+    # one match per cell_a: keep the highest score
+    best = {}
+    for i in range(len(common)):
+        key = (cells_a[i, 0], cells_a[i, 1])
+        j = best.get(key)
+        if j is None or scores[i] > scores[j]:
+            best[key] = i
+    return [
+        (
+            obs_a.view_id,
+            obs_b.view_id,
+            (float(cells_a[i, 0]), float(cells_a[i, 1])),
+            (float(cells_b[i, 0]), float(cells_b[i, 1])),
+            float(scores[i]),
+        )
+        for i in sorted(best.values())
+    ]
+
+
+def _assert_same_as_dict_reference(matcher, obs_a, obs_b):
+    got = matcher.coarse_match_pair(obs_a, obs_b)
+    assert got.cells_a.shape == got.cells_b.shape == (len(got), 2)
+    assert got.scores.shape == (len(got),)
+    assert _rows(got) == _ref_coarse_match_pair(matcher, obs_a, obs_b)
+    return got
+
+
+def _synthetic_obs(view_id, point_ids, cells, desc):
+    """Observations in which every row wins its cell, cell collisions allowed."""
+    n = len(point_ids)
+    visible = np.zeros(max(point_ids) + 1, dtype=bool)
+    visible[point_ids] = True
+    return ViewObservations(
+        view_id=view_id,
+        point_ids=np.asarray(point_ids),
+        pixels=np.asarray(cells, dtype=float),
+        cells=np.asarray(cells, dtype=float),
+        desc_coarse=np.asarray(desc, dtype=float),
+        desc_fine=np.asarray(desc, dtype=float),
+        cell_winner=np.ones(n, dtype=bool),
+        visible_mask=visible,
+    )
+
+
+class TestCoarseMatchPairMatchesDictReference:
+    def test_noisy_onboard_scene(self):
+        scene = support.onboard_scene(2)
+        matcher = OracleMatcher(scene)
+        n_rows = 0
+        for a, b in select_view_pairs(scene.views):
+            obs_a, obs_b = matcher.observations(a), matcher.observations(b)
+            n_rows += len(_assert_same_as_dict_reference(matcher, obs_a, obs_b))
+            _assert_same_as_dict_reference(matcher, obs_b, obs_a)
+        assert n_rows > 10_000
+
+    def test_score_ties_on_one_cell(self):
+        # rows 0-2 share cell_a; rows 0 and 2 tie at the highest score, row 1 scores lower
+        cells_a = [(4.0, 4.0), (4.0, 4.0), (4.0, 4.0), (12.0, 4.0), (12.0, 4.0)]
+        desc_a = [(0.6, 0.8), (1.0, 0.0), (0.6, 0.8), (1.0, 0.0), (0.0, 1.0)]
+        desc_b = [(0.6, 0.8), (0.6, 0.8), (0.6, 0.8), (0.0, 1.0), (0.0, 1.0)]
+        cells_b = [(20.0, 12.0), (28.0, 12.0), (36.0, 12.0), (44.0, 12.0), (52.0, 12.0)]
+        for outlier_rate in (0.0, 0.5):
+            scene = generate_scene(28, 20, 2, NoiseModel(outlier_rate=outlier_rate))
+            matcher = OracleMatcher(scene)
+            obs_a = _synthetic_obs(0, [1, 3, 5, 7, 9], cells_a, desc_a)
+            obs_b = _synthetic_obs(1, [1, 3, 5, 7, 9], cells_b, desc_b)
+            got = _assert_same_as_dict_reference(matcher, obs_a, obs_b)
+            if outlier_rate == 0.0:
+                assert _rows(got) == [
+                    (0, 1, (4.0, 4.0), (20.0, 12.0), 1.0),
+                    (0, 1, (12.0, 4.0), (52.0, 12.0), 1.0),
+                ]
+
+    def test_no_common_winners(self):
+        scene = generate_scene(29, 20, 2, NoiseModel(outlier_rate=0.5))
+        matcher = OracleMatcher(scene)
+        obs_a = _synthetic_obs(0, [0, 2], [(4.0, 4.0), (12.0, 4.0)], np.eye(2))
+        obs_b = _synthetic_obs(1, [1, 3], [(4.0, 4.0), (12.0, 4.0)], np.eye(2))
+        got = _assert_same_as_dict_reference(matcher, obs_a, obs_b)
+        assert len(got) == 0
+
+
+class TestWinnerRows:
+    def test_matches_dict_lookup(self):
+        scene = support.onboard_scene(2)
+        obs = OracleMatcher(scene).observations(3)
+        assert not obs.cell_winner.all()  # losers must not be found
+        lookup = support.winner_row_lookup(obs)
+        # winners and losers; truncation keys a cell by its integer part; empty cells
+        cells = np.concatenate([obs.cells, obs.cells + 0.5, [[4.0, 4.0], [-4.0, 4.0], [4.0, -2.5]]])
+        want = [lookup.get((int(u), int(v)), -1) for u, v in cells.tolist()]
+        assert obs.winner_rows(cells).tolist() == want
+        assert obs.winner_rows(np.zeros((0, 2))).shape == (0,)
+        for cell, row in zip(cells[:50].tolist(), want[:50]):
+            assert obs.winner_row_for_cell(cell) == (None if row < 0 else row)
+
+    def test_unusable_cells_are_empty(self):
+        obs = _synthetic_obs(0, [0], [(4.0, 4.0)], [(1.0, 0.0)])
+        cells = [(1e30, 4.0), (np.nan, 4.0), (4.0, np.inf), (4.5, 4.9)]
+        assert obs.winner_rows(cells).tolist() == [-1, -1, -1, 0]
+        no_winner = dataclasses.replace(obs, cell_winner=np.zeros(1, dtype=bool))
+        assert no_winner.winner_rows(cells).tolist() == [-1, -1, -1, -1]
 
 
 class TestFineRefine:
@@ -241,9 +397,10 @@ def _ref_fine_refine(matcher, view_ref, u_ref, view_src, cell_src):
         raise ValueError(f"query cell {cell_src} outside the image")
     ref_obs = matcher.observations(view_ref)
     ref_cell = grid_cell_center(np.asarray(u_ref, dtype=float))
-    point_id = ref_obs.winner_point_for_cell(ref_cell)
-    if point_id is None:
+    row = support.winner_row(ref_obs, ref_cell)
+    if row is None:
         return cell_src.copy(), 0.0
+    point_id = int(ref_obs.point_ids[row])
     src_obs = matcher.observations(view_src)
     if not src_obs.visible_mask[point_id]:
         return cell_src.copy(), OUTLIER_CONFIDENCE

@@ -158,7 +158,7 @@ def brute_force_mnn(prob, threshold):
 def build_model(scene, matcher):
     matches = []
     for a, b in select_view_pairs(scene.views):
-        matches.extend(
+        matches.append(
             matcher.coarse_match_pair(matcher.observations(a), matcher.observations(b))
         )
     tracks, stats = build_tracks(matches)

@@ -1,5 +1,7 @@
 """Reference-node selection, sub-pixel refinement, and depth-only optimization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import support
@@ -20,6 +22,7 @@ from semidense.refine import (
     LM_RELATIVE_TOL,
     MIN_DEPTH_CLAMP,
     DepthProblem,
+    PointCloudModel,
     RefinedTrack,
     RefineStats,
     SourceNode,
@@ -40,7 +43,7 @@ ZERO = NoiseModel()
 def _build_coarse(scene, matcher, min_track_length=3):
     matches = []
     for a, b in select_view_pairs(scene.views):
-        matches.extend(
+        matches.append(
             matcher.coarse_match_pair(matcher.observations(a), matcher.observations(b))
         )
     tracks, stats = build_tracks(matches, min_track_length=min_track_length)
@@ -335,6 +338,43 @@ class TestAggregateFeatures:
         assert wins >= 95
 
 
+    def test_matches_per_track_reference(self):
+        scene = support.onboard_scene(9)
+        matcher = OracleMatcher(scene)
+        recon, poses, intrs = _build_coarse(scene, matcher)
+        obs = {v: matcher.observations(v) for v in range(scene.n_views)}
+        _, refined, _ = refine_reconstruction(recon, poses, intrs, matcher, obs)
+        assert len({len(rt.sources) for rt in refined}) > 3  # several node-count groups
+
+        # an ungrounded reference, ungrounded sources, no grounded node, no point
+        empty = (4.0, 4.0)
+        assert all(support.winner_row(o, empty) is None for o in obs.values())
+        edited = list(refined)
+        ungrounded = [dataclasses.replace(s, cell=empty) for s in refined[1].sources]
+        edited[0] = dataclasses.replace(refined[0], ref_cell=empty)
+        edited[1] = dataclasses.replace(refined[1], sources=ungrounded)
+        edited[2] = dataclasses.replace(refined[2], ref_cell=empty, sources=ungrounded)
+        edited[3] = dataclasses.replace(refined[3], point=None)
+        # a two-node track whose source descriptors are the negated reference's: zero mean
+        rt = edited[4] = dataclasses.replace(refined[4], sources=refined[4].sources[:1])
+        src = obs[rt.sources[0].view_id]
+        desc_c, desc_f = src.desc_coarse.copy(), src.desc_fine.copy()
+        ref_row = support.winner_row(obs[rt.ref_view], rt.ref_cell)
+        src_row = support.winner_row(src, rt.sources[0].cell)
+        desc_c[src_row] = -obs[rt.ref_view].desc_coarse[ref_row]
+        desc_f[src_row] = -obs[rt.ref_view].desc_fine[ref_row]
+        negated = dict(obs)
+        negated[src.view_id] = dataclasses.replace(src, desc_coarse=desc_c, desc_fine=desc_f)
+
+        for tracks, observations, dropped in ((refined, obs, 0), (edited, negated, 2), ([], obs, 0)):
+            stats, ref_stats = RefineStats(), RefineStats()
+            got = aggregate_features(tracks, observations, stats)
+            want = _ref_aggregate_features(tracks, observations, ref_stats)
+            _assert_same_model(got, want)
+            assert stats == ref_stats
+            assert stats.dropped_degenerate_features == dropped
+
+
 class TestRefineReconstruction:
     def test_refined_beats_coarse_at_half_pixel_noise(self):
         scene = generate_scene(55, 150, 8, NoiseModel(fine_noise_sigma=0.5))
@@ -489,6 +529,50 @@ def _ref_optimize_depth(rt, poses, intrinsics, max_iters=LM_MAX_ITERS, rel_tol=L
     )
 
 
+def _ref_aggregate_features(tracks, observations, stats):
+    lookups = {v: support.winner_row_lookup(obs) for v, obs in observations.items()}
+    points, coarse, fine, ids = [], [], [], []
+    for rt in tracks:
+        if rt.point is None:
+            continue
+        rows_c, rows_f = [], []
+        nodes = [(rt.ref_view, rt.ref_cell)] + [(s.view_id, s.cell) for s in rt.sources]
+        for view_id, cell in nodes:
+            obs = observations[view_id]
+            row = lookups[view_id].get((int(cell[0]), int(cell[1])))
+            if row is None:
+                continue
+            rows_c.append(obs.desc_coarse[row])
+            rows_f.append(obs.desc_fine[row])
+        if not rows_c:
+            stats.dropped_degenerate_features += 1
+            continue
+        mean_c = np.mean(rows_c, axis=0)
+        mean_f = np.mean(rows_f, axis=0)
+        nc, nf = np.linalg.norm(mean_c), np.linalg.norm(mean_f)
+        if nc < 1e-8 or nf < 1e-8:
+            stats.dropped_degenerate_features += 1
+            continue
+        points.append(rt.point)
+        coarse.append(mean_c / nc)
+        fine.append(mean_f / nf)
+        ids.append(rt.track_id)
+    dim_c = next(iter(observations.values())).desc_coarse.shape[1]
+    dim_f = next(iter(observations.values())).desc_fine.shape[1]
+    return PointCloudModel(
+        points=np.array(points).reshape(-1, 3),
+        coarse_features=np.array(coarse).reshape(-1, dim_c),
+        fine_features=np.array(fine).reshape(-1, dim_f),
+        track_ids=np.array(ids, dtype=int),
+    )
+
+
+def _assert_same_model(got, ref):
+    for name in ("points", "coarse_features", "fine_features", "track_ids"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+        assert getattr(got, name).dtype == getattr(ref, name).dtype, name
+
+
 def _assert_same_refined(got, ref):
     assert (got is None) == (ref is None)
     if ref is None:
@@ -530,15 +614,14 @@ class TestBatchedRefinementMatchesOneTrackReference:
             rt = _ref_optimize_depth(rt, poses, intrs)
             ref_stats.non_converged += not rt.converged
             ref_refined.append(rt)
-        ref_model = aggregate_features(ref_refined, obs, ref_stats)
+        ref_model = _ref_aggregate_features(ref_refined, obs, ref_stats)
 
         assert len(refined) == len(ref_refined)
         for got, ref in zip(refined, ref_refined):
             _assert_same_refined(got, ref)
         assert stats == ref_stats
         assert len({len(rt.sources) for rt in refined}) > 3  # several source-count groups
-        for name in ("points", "coarse_features", "fine_features", "track_ids"):
-            assert np.array_equal(getattr(model, name), getattr(ref_model, name))
+        _assert_same_model(model, ref_model)
 
     def test_ungrounded_reference_and_all_sources_below_confidence(self):
         scene, matcher, recon, poses, _ = self._onboard(8)

@@ -1,4 +1,4 @@
-"""Track building (union-find + conflict handling) and coarse triangulation."""
+"""Track building (connected components + conflict handling) and coarse triangulation."""
 
 import numpy as np
 import support
@@ -13,7 +13,7 @@ from semidense.geometry import (
     project,
     rotation_from_axis_angle,
 )
-from semidense.matching import CoarseMatch, OracleMatcher, select_view_pairs
+from semidense.matching import OracleMatcher, PairMatches, select_view_pairs
 from semidense.scene import NoiseModel, generate_scene, grid_cell_center
 from semidense.tracks import FeatureTrack, TrackStats, build_tracks, triangulate_tracks
 
@@ -21,7 +21,28 @@ ZERO = NoiseModel()
 
 
 def _match(a, b, ca, cb, score=1.0):
-    return CoarseMatch(view_a=a, view_b=b, cell_a=ca, cell_b=cb, score=score)
+    """One match between two views as a one-row PairMatches."""
+    return PairMatches(
+        view_a=a, view_b=b, cells_a=np.array([ca], dtype=float),
+        cells_b=np.array([cb], dtype=float), scores=np.array([score]),
+    )
+
+
+def _shuffled(matches, rng):
+    """The same matches with the pair order and the rows within every pair shuffled."""
+    out = []
+    for m in rng.permutation(len(matches)).tolist():
+        m = matches[m]
+        rows = rng.permutation(len(m))
+        out.append(PairMatches(m.view_a, m.view_b, m.cells_a[rows], m.cells_b[rows], m.scores[rows]))
+    return out
+
+
+def _scene_matches(scene, matcher):
+    return [
+        matcher.coarse_match_pair(matcher.observations(a), matcher.observations(b))
+        for a, b in select_view_pairs(scene.views)
+    ]
 
 
 class TestBuildTracks:
@@ -60,27 +81,17 @@ class TestBuildTracks:
     def test_permutation_invariance(self):
         scene = generate_scene(41, 80, 6, ZERO)
         matcher = OracleMatcher(scene)
-        matches = []
-        for a, b in select_view_pairs(scene.views):
-            matches.extend(
-                matcher.coarse_match_pair(matcher.observations(a), matcher.observations(b))
-            )
+        matches = _scene_matches(scene, matcher)
         base, _ = build_tracks(matches, min_track_length=3)
         rng = np.random.default_rng(0)
         for _ in range(3):
-            shuffled = list(matches)
-            rng.shuffle(shuffled)
-            got, _ = build_tracks(shuffled, min_track_length=3)
+            got, _ = build_tracks(_shuffled(matches, rng), min_track_length=3)
             assert [t.nodes for t in got] == [t.nodes for t in base]
 
     def test_no_shared_nodes(self):
         scene = generate_scene(42, 400, 6, ZERO)
         matcher = OracleMatcher(scene)
-        matches = []
-        for a, b in select_view_pairs(scene.views):
-            matches.extend(
-                matcher.coarse_match_pair(matcher.observations(a), matcher.observations(b))
-            )
+        matches = _scene_matches(scene, matcher)
         tracks, _ = build_tracks(matches, min_track_length=3)
         seen = set()
         for t in tracks:
@@ -97,7 +108,7 @@ class TestBuildTracks:
 
         matches = []
         for a, b in select_view_pairs(scene.views):
-            matches.extend(matcher.coarse_match_pair(obs[a], obs[b]))
+            matches.append(matcher.coarse_match_pair(obs[a], obs[b]))
         tracks, _ = build_tracks(matches, min_track_length=2)
 
         expected = {}
@@ -113,15 +124,141 @@ class TestBuildTracks:
         assert got == set(expected.keys())
 
 
+# Reference: the dict-based union-find that the array track building
+# replaced, kept here verbatim so the components can be checked against it.
+
+
+class _RefUnionFind:
+    __slots__ = ("parent", "size")
+
+    def __init__(self):
+        self.parent = {}
+        self.size = {}
+
+    def find(self, x):
+        parent = self.parent
+        root = parent.setdefault(x, x)
+        if root == x:
+            self.size.setdefault(x, 1)
+            return x
+        # path halving
+        while parent[root] != root:
+            parent[root] = parent[parent[root]]
+            root = parent[root]
+        parent[x] = root
+        return root
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+
+
+def _ref_build_tracks(matches, min_track_length=3):
+    stats = TrackStats()
+    uf = _RefUnionFind()
+    for m in matches:
+        for ca, cb in zip(m.cells_a.tolist(), m.cells_b.tolist()):
+            stats.n_matches += 1
+            uf.union((m.view_a, tuple(ca)), (m.view_b, tuple(cb)))
+
+    components = {}
+    for node in uf.parent:
+        components.setdefault(uf.find(node), []).append(node)
+    stats.n_components = len(components)
+
+    tracks = []
+    for nodes in components.values():
+        per_view = {}
+        for node in nodes:
+            per_view.setdefault(node[0], []).append(node)
+        kept = []
+        for view_id in per_view:
+            if len(per_view[view_id]) == 1:
+                kept.append(per_view[view_id][0])
+            else:
+                stats.conflicts += len(per_view[view_id])
+        if len(kept) < min_track_length:
+            stats.too_short += 1
+            continue
+        kept.sort()
+        tracks.append(FeatureTrack(track_id=-1, nodes=kept))
+
+    tracks.sort(key=lambda t: t.nodes[0])
+    for i, t in enumerate(tracks):
+        t.track_id = i
+        stats.length_histogram[len(t)] = stats.length_histogram.get(len(t), 0) + 1
+    return tracks, stats
+
+
+def _assert_same_as_union_find(matches, min_track_length=3):
+    tracks, stats = build_tracks(matches, min_track_length=min_track_length)
+    ref_tracks, ref_stats = _ref_build_tracks(matches, min_track_length)
+    assert [(t.track_id, t.nodes) for t in tracks] == [(t.track_id, t.nodes) for t in ref_tracks]
+    for t in tracks:
+        assert all(type(v) is int and type(u) is float and type(w) is float for v, (u, w) in t.nodes)
+    assert stats == ref_stats
+    assert stats.to_dict() == ref_stats.to_dict()
+    return tracks, stats
+
+
+class TestBuildTracksMatchesUnionFindReference:
+    def test_noisy_onboard_scene(self):
+        scene = support.onboard_scene(3)
+        matches = _scene_matches(scene, OracleMatcher(scene))
+        for min_track_length in (1, 2, 3, 5):
+            tracks, stats = _assert_same_as_union_find(matches, min_track_length)
+        assert stats.conflicts > 0 and stats.too_short > 0
+        assert len({len(t) for t in tracks}) > 3
+
+    def test_shuffled_pairs_and_rows(self):
+        scene = support.onboard_scene(3)
+        matches = _scene_matches(scene, OracleMatcher(scene))
+        base, base_stats = build_tracks(matches)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            tracks, stats = _assert_same_as_union_find(_shuffled(matches, rng))
+            assert [t.nodes for t in tracks] == [t.nodes for t in base]
+            assert stats == base_stats
+
+    def test_empty_input(self):
+        empty = PairMatches(0, 1, np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0))
+        for matches in ([], [empty], [empty, empty]):
+            tracks, stats = _assert_same_as_union_find(matches)
+            assert tracks == [] and stats == TrackStats()
+
+    def test_pairs_with_no_rows_between_others(self):
+        c = (4.0, 4.0)
+        empty = PairMatches(3, 4, np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0))
+        matches = [empty, _match(0, 1, c, c), empty, _match(1, 2, c, c)]
+        tracks, _ = _assert_same_as_union_find(matches)
+        assert tracks[0].nodes == [(0, c), (1, c), (2, c)]
+
+    def test_long_path_is_one_component(self):
+        # 500 nodes chained in a shuffled view order, so labels do not follow the path
+        views = np.random.default_rng(9).permutation(500).tolist()
+        c = (12.0, 20.0)
+        matches = [_match(a, b, c, c) for a, b in zip(views[:-1], views[1:])]
+        tracks, stats = _assert_same_as_union_find(matches)
+        assert stats.n_components == 1
+        assert len(tracks) == 1 and len(tracks[0]) == 500
+
+    def test_self_pair_and_repeated_matches(self):
+        a, b, c = (4.0, 4.0), (12.0, 4.0), (20.0, 4.0)
+        matches = [_match(0, 0, a, b), _match(0, 1, a, c), _match(0, 1, a, c), _match(2, 1, a, c)]
+        for min_track_length in (1, 2):
+            _assert_same_as_union_find(matches, min_track_length)
+
+
 class TestTriangulateTracks:
     def _scene_tracks(self, seed=44, n_points=100, n_views=8):
         scene = generate_scene(seed, n_points, n_views, ZERO)
         matcher = OracleMatcher(scene)
-        matches = []
-        for a, b in select_view_pairs(scene.views):
-            matches.extend(
-                matcher.coarse_match_pair(matcher.observations(a), matcher.observations(b))
-            )
+        matches = _scene_matches(scene, matcher)
         tracks, stats = build_tracks(matches, min_track_length=3)
         return scene, matcher, tracks, stats
 
