@@ -72,8 +72,8 @@ def _pair_matches(matcher: OracleMatcher, recon_views: list[int]):
 def reconstruct_scene(scene, config: RunConfig, recon_views: list[int]):
     """Matching -> tracks -> triangulation -> refinement -> aggregation.
 
-    Returns (model, coarse reconstruction, refined tracks, stats dict, pair
-    matches), the last a list with one PairMatches per matched view pair.
+    Returns (model, coarse reconstruction, refined tracks table, stats dict,
+    pair matches), the last a list with one PairMatches per matched view pair.
     """
     matcher = OracleMatcher(scene, window=config.refine_window)
     poses = [p for p, _ in scene.views]
@@ -195,12 +195,8 @@ def cmd_reconstruct(args) -> int:
         dump_matches_csv(matches, out / "matches.csv")
 
     stats["accuracy"] = {
-        "coarse": point_cloud_accuracy(recon.points, scene.points),
-        "refined": point_cloud_accuracy(model.points, scene.points),
-    }
-    stats["accuracy"] = {
-        kind: {repr(t): v for t, v in acc.items()}
-        for kind, acc in stats["accuracy"].items()
+        kind: {repr(t): v for t, v in point_cloud_accuracy(points, scene.points).items()}
+        for kind, points in (("coarse", recon.points), ("refined", model.points))
     }
     with open(out / "stats.json", "w") as fh:
         json.dump(stats, fh, sort_keys=True, indent=1)

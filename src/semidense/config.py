@@ -77,12 +77,7 @@ class RunConfig:
             raise ValueError("tau must be positive")
         if not 0 <= self.theta <= 1:
             raise ValueError("theta must be in [0, 1]")
-        NoiseModel(
-            fine_noise_sigma=self.fine_noise_sigma,
-            descriptor_noise_sigma=self.descriptor_noise_sigma,
-            dropout_rate=self.dropout_rate,
-            outlier_rate=self.outlier_rate,
-        )
+        self.noise  # building the NoiseModel checks the noise fields
         if self.distance_min <= 0 or self.distance_max < self.distance_min:
             raise ValueError("invalid camera distance range")
 

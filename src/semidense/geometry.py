@@ -8,7 +8,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -87,14 +87,7 @@ class CameraIntrinsics:
         return mask if np.ndim(pixels) > 1 else bool(mask[0])
 
     def to_dict(self) -> dict:
-        return {
-            "fx": self.fx,
-            "fy": self.fy,
-            "cx": self.cx,
-            "cy": self.cy,
-            "width": self.width,
-            "height": self.height,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "CameraIntrinsics":
@@ -315,18 +308,6 @@ def relative_pose(xi_r: SE3Pose, xi_s: SE3Pose) -> SE3Pose:
     return xi_s.compose(xi_r.inverse())
 
 
-def _stack_observations(observations: Sequence[Observation]):
-    """An observation list as one track's arrays: R (1, n, 3, 3), t (1, n, 3), k, pixels (1, n, 2).
-
-    k is (fx, fy, cx, cy), each (1, n).
-    """
-    R = np.array([pose.rotation for pose, _, _ in observations])
-    t = np.array([pose.translation for pose, _, _ in observations])
-    k = np.array([(i.fx, i.fy, i.cx, i.cy) for _, i, _ in observations], dtype=float).T
-    pixels = np.array([np.asarray(pixel, dtype=float) for _, _, pixel in observations])
-    return R[None], t[None], tuple(k[:, None]), pixels[None]
-
-
 def triangulate(observations: Sequence[Observation]) -> np.ndarray:
     """Multi-view DLT least-squares point followed by a Gauss-Newton polish.
 
@@ -337,7 +318,11 @@ def triangulate(observations: Sequence[Observation]) -> np.ndarray:
     """
     if len(observations) < 2:
         raise ValueError("triangulation needs at least 2 observations")
-    points, reject = triangulate_batch(*_stack_observations(observations))
+    R = np.array([pose.rotation for pose, _, _ in observations])
+    t = np.array([pose.translation for pose, _, _ in observations])
+    k = np.array([(i.fx, i.fy, i.cx, i.cy) for _, i, _ in observations], dtype=float).T
+    pixels = np.array([np.asarray(pixel, dtype=float) for _, _, pixel in observations])
+    points, reject = triangulate_batch(R[None], t[None], tuple(k[:, None]), pixels[None])
     if reject[0] != TRI_OK:
         error, message = _TRI_ERRORS[int(reject[0])]
         raise error(message)
@@ -469,9 +454,3 @@ def mean_reprojection_errors(points, R, t, k, pixels) -> np.ndarray:
     if np.any(p_cam[..., 2] <= MIN_DEPTH):
         raise CheiralityError("point is behind a camera")
     return np.mean(np.linalg.norm(pinhole(p_cam, *k) - pixels, axis=-1), axis=-1)
-
-
-def mean_reprojection_error(point: np.ndarray, observations: Sequence[Observation]) -> float:
-    """Mean pixel distance between projections and observed pixels."""
-    point = np.asarray(point, dtype=float)
-    return float(mean_reprojection_errors(point[None], *_stack_observations(observations))[0])

@@ -15,14 +15,14 @@ averaging the observations along the track (coarse and fine separately).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .geometry import ViewTable, pinhole, pinhole_inverse, pinhole_jacobian
 from .matching import Cell, MatchingFrontend
 from .scene import ViewObservations
-from .tracks import CoarseReconstruction, FeatureTrack, length_groups, node_arrays
+from .tracks import CoarseReconstruction, Tracks, TrackTable, length_groups
 
 LM_INITIAL_LAMBDA = 1e-3
 LM_MAX_ITERS = 50
@@ -53,6 +53,79 @@ class RefinedTrack:
     initial_cost: float = np.nan   # RMS source reprojection error (px) at d0
     final_cost: float = np.nan     # RMS error at the optimized depth
     converged: bool = False
+
+
+@dataclass(frozen=True, eq=False)
+class RefinedTracks(TrackTable):
+    """Refined tracks as row ranges of one node table, the reference node first.
+
+    A node's pixel is its refined sub-pixel location (u_ref for the
+    reference) and its confidence that of its fine query. The columns after
+    offsets are the depth LM's: NaN, and converged False, before it runs.
+    """
+
+    track_ids: np.ndarray       # (T,)
+    point_init: np.ndarray      # (T, 3) coarse points
+    views: np.ndarray           # (N,)
+    cells: np.ndarray           # (N, 2)
+    pixels: np.ndarray          # (N, 2)
+    confidences: np.ndarray     # (N,)
+    offsets: np.ndarray         # (T + 1,)
+    depths: np.ndarray          # (T,)
+    points: np.ndarray          # (T, 3)
+    initial_costs: np.ndarray   # (T,)
+    final_costs: np.ndarray     # (T,)
+    converged: np.ndarray       # (T,) bool
+
+    NODE_FIELDS = ("views", "cells", "pixels", "confidences")
+
+    @classmethod
+    def from_records(cls, rts: list[RefinedTrack]) -> RefinedTracks:
+        """The table of one-track records; a record without a point gets a NaN row.
+
+        Records do not keep the reference's confidence: its rows read NaN.
+        """
+        nodes = []
+        for rt in rts:
+            nodes.append((rt.ref_view, rt.ref_cell, rt.u_ref, np.nan))
+            nodes.extend((s.view_id, s.cell, s.pixel, s.confidence) for s in rt.sources)
+        return cls(
+            track_ids=np.array([rt.track_id for rt in rts], dtype=int),
+            point_init=np.array([rt.point_init for rt in rts], dtype=float).reshape(-1, 3),
+            views=np.array([v for v, _, _, _ in nodes], dtype=int),
+            cells=np.array([c for _, c, _, _ in nodes], dtype=float).reshape(-1, 2),
+            pixels=np.array([p for _, _, p, _ in nodes], dtype=float).reshape(-1, 2),
+            confidences=np.array([c for _, _, _, c in nodes], dtype=float),
+            offsets=np.cumsum([0] + [1 + len(rt.sources) for rt in rts]),
+            depths=np.array([rt.depth for rt in rts], dtype=float),
+            points=np.array(
+                [np.full(3, np.nan) if rt.point is None else rt.point for rt in rts], dtype=float
+            ).reshape(-1, 3),
+            initial_costs=np.array([rt.initial_cost for rt in rts], dtype=float),
+            final_costs=np.array([rt.final_cost for rt in rts], dtype=float),
+            converged=np.array([rt.converged for rt in rts], dtype=bool),
+        )
+
+    def record(self, i: int) -> RefinedTrack:
+        """Track i as a one-track record; a NaN point row becomes None."""
+        ref, hi = self.offsets[i], self.offsets[i + 1]
+        sources = zip(
+            self.views[ref + 1:hi].tolist(), self.cells[ref + 1:hi].tolist(),
+            self.pixels[ref + 1:hi], self.confidences[ref + 1:hi].tolist(),
+        )
+        return RefinedTrack(
+            track_id=int(self.track_ids[i]),
+            ref_view=int(self.views[ref]),
+            ref_cell=tuple(self.cells[ref].tolist()),
+            u_ref=self.pixels[ref],
+            sources=[SourceNode(v, tuple(c), pixel, conf) for v, c, pixel, conf in sources],
+            point_init=self.point_init[i],
+            depth=float(self.depths[i]),
+            point=None if np.isnan(self.points[i]).any() else self.points[i],
+            initial_cost=float(self.initial_costs[i]),
+            final_cost=float(self.final_costs[i]),
+            converged=bool(self.converged[i]),
+        )
 
 
 @dataclass
@@ -86,79 +159,79 @@ class PointCloudModel:
         return self.points.min(axis=0), self.points.max(axis=0)
 
 
-def select_reference_node(track: FeatureTrack, poses) -> int:
-    """Node whose view's optical axis is most aligned with the track's viewing rays.
+def select_reference_node(track: Tracks, poses) -> int:
+    """The reference node index of a one-track table; the one-track case of reference_nodes."""
+    R = np.array([pose.rotation for pose in poses])
+    t = np.array([pose.translation for pose in poses])
+    return int(reference_nodes(track, R, t)[0])
+
+
+def reference_nodes(tracks: Tracks, R: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Per track, the node whose view's optical axis is most aligned with its viewing rays.
 
     For each candidate node, the mean angle between its view's optical axis
     and the rays from the other nodes' camera centers toward the coarse
     point is computed; the minimizer wins (best expected window overlap).
-    Ties fall to the lowest view id, i.e. the earliest node. This is the
-    one-track case of reference_nodes.
+    A later node wins only by more than 1e-12 rad, so ties fall to the
+    lowest view id. R (V, 3, 3) and t (V, 3) are the views' poses. Returns
+    node indices within each track (T,), computed per track length.
     """
-    if len(track.nodes) < 2:
+    if np.any(np.diff(tracks.offsets) < 2):
         raise ValueError("reference selection needs a track with at least 2 nodes")
-    if track.point_coarse is None:
+    if np.isnan(tracks.points).any():
         raise ValueError("track must be triangulated before reference selection")
-    R = np.array([poses[view_id].rotation for view_id, _ in track.nodes])
-    t = np.array([poses[view_id].translation for view_id, _ in track.nodes])
-    return int(reference_nodes(R[None], t[None], np.asarray(track.point_coarse)[None])[0])
-
-
-def reference_nodes(R: np.ndarray, t: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """select_reference_node for T tracks of n nodes each: node indices (T,).
-
-    R (T, n, 3, 3) and t (T, n, 3) are the nodes' view poses and points
-    (T, 3) the coarse points. A later node wins only by more than 1e-12 rad.
-    """
-    T, n = t.shape[:2]
-    centers = -(t[:, :, None, :] @ R)[:, :, 0]  # -R^T t per view
-    d = points[:, None, :] - centers
-    rays = d / np.linalg.norm(d, axis=2, keepdims=True)
-    cos = np.clip((R[:, :, None, 2, :] * rays[:, None]).sum(axis=3), -1.0, 1.0)  # (axis, ray)
-    others = np.arccos(cos)[:, ~np.eye(n, dtype=bool)].reshape(T, n, n - 1)
-    mean_angle = others.mean(axis=2)
-    best_idx = np.zeros(T, dtype=int)
-    best_angle = np.full(T, np.inf)
-    for idx in range(n):
-        wins = mean_angle[:, idx] < best_angle - 1e-12
-        best_idx[wins] = idx
-        best_angle[wins] = mean_angle[wins, idx]
+    best_idx = np.zeros(len(tracks), dtype=int)
+    for rows, nodes in length_groups(tracks.offsets):
+        T, n = nodes.shape
+        R_n, t_n = R[tracks.views[nodes]], t[tracks.views[nodes]]  # (T, n, 3, 3), (T, n, 3)
+        centers = -(t_n[:, :, None, :] @ R_n)[:, :, 0]  # -R^T t per view
+        d = tracks.points[rows, None, :] - centers
+        rays = d / np.linalg.norm(d, axis=2, keepdims=True)
+        cos = np.clip((R_n[:, :, None, 2, :] * rays[:, None]).sum(axis=3), -1.0, 1.0)  # (axis, ray)
+        others = np.arccos(cos)[:, ~np.eye(n, dtype=bool)].reshape(T, n, n - 1)
+        mean_angle = others.mean(axis=2)
+        best_angle = np.full(T, np.inf)
+        for idx in range(n):
+            wins = mean_angle[:, idx] < best_angle - 1e-12
+            best_idx[rows[wins]] = idx
+            best_angle[wins] = mean_angle[wins, idx]
     return best_idx
 
 
 def refine_track_nodes(
-    track: FeatureTrack,
+    track: Tracks,
     reference_idx: int,
     matcher: MatchingFrontend,
     min_confidence: float = 0.2,
     stats: RefineStats | None = None,
 ) -> RefinedTrack | None:
-    """Resolve every track node to sub-pixel accuracy through the fine matcher.
+    """Resolve every node of a one-track table to sub-pixel accuracy through the fine matcher.
 
-    The one-track case of refine_nodes.
+    The one-track case of refine_nodes; None when the track is dropped.
     """
-    return refine_nodes([track], [reference_idx], matcher, min_confidence, stats)[0]
+    refined = refine_nodes(track, [reference_idx], matcher, min_confidence, stats)
+    return refined.record(0) if len(refined) else None
 
 
 def refine_nodes(
-    tracks: list[FeatureTrack],
+    tracks: Tracks,
     reference_idx,
     matcher: MatchingFrontend,
     min_confidence: float = 0.2,
     stats: RefineStats | None = None,
-) -> list[RefinedTrack | None]:
+) -> RefinedTracks:
     """Sub-pixel refinement of every node of every track, in two batched matcher calls.
 
     The reference node is refined with a self-view query so the reference
     ray passes through the true sub-pixel feature location rather than the
     grid-cell center; without this the depth-only optimization would keep a
     lateral quantization offset that no amount of source accuracy removes.
-    Source nodes below min_confidence are dropped; a track is dropped (None)
-    when no source survives or the reference cannot be grounded, in which
-    case its sources are not queried.
+    Source nodes below min_confidence are dropped; a track is dropped when
+    no source survives or the reference cannot be grounded, in which case
+    its sources are not queried. Returns the surviving tracks, in order.
     """
     stats = stats if stats is not None else RefineStats()
-    views, cells, offsets = node_arrays(tracks)
+    views, cells, offsets = tracks.views, tracks.cells, tracks.offsets
     ref_node = offsets[:-1] + np.asarray(reference_idx, dtype=int)
     ref_view, ref_cell = views[ref_node], cells[ref_node]
     u_ref, ref_conf = matcher.fine_refine_batch(ref_view, ref_cell, ref_view, ref_cell)
@@ -173,30 +246,28 @@ def refine_nodes(
     )
     keep = ~(conf < min_confidence)
     stats.dropped_low_confidence_nodes += int(np.count_nonzero(~keep))
-    src, pixels, conf = src[keep], pixels[keep], conf[keep].tolist()
+    src = src[keep]
+    n_src = np.bincount(owner[src], minlength=len(tracks))
+    stats.dropped_tracks += int(np.count_nonzero(grounded & (n_src == 0)))
 
-    out: list[RefinedTrack | None] = [None] * len(tracks)
-    bounds = np.searchsorted(owner[src], np.arange(len(tracks) + 1)).tolist()
-    node_idx = (src - offsets[owner[src]]).tolist()  # index of each source within its track
-    for i in np.flatnonzero(grounded).tolist():
-        lo, hi = bounds[i], bounds[i + 1]
-        if lo == hi:
-            stats.dropped_tracks += 1
-            continue
-        track = tracks[i]
-        ref_view_i, ref_cell_i = track.nodes[ref_node[i] - offsets[i]]
-        out[i] = RefinedTrack(
-            track_id=track.track_id,
-            ref_view=ref_view_i,
-            ref_cell=ref_cell_i,
-            u_ref=u_ref[i],
-            sources=[
-                SourceNode(*track.nodes[node_idx[q]], pixel=pixels[q], confidence=conf[q])
-                for q in range(lo, hi)
-            ],
-            point_init=track.point_coarse.copy(),
-        )
-    return out
+    kept = np.flatnonzero(n_src > 0)
+    # the nodes of the kept tracks, by track, each track's reference first
+    nodes = np.concatenate([ref_node[kept], src])
+    order = np.lexsort((nodes, np.arange(len(nodes)) >= len(kept), owner[nodes]))
+    return RefinedTracks(
+        track_ids=tracks.track_ids[kept],
+        point_init=tracks.points[kept],
+        views=views[nodes[order]],
+        cells=cells[nodes[order]],
+        pixels=np.concatenate([u_ref[kept], pixels[keep]])[order],
+        confidences=np.concatenate([ref_conf[kept], conf[keep]])[order],
+        offsets=np.concatenate([[0], np.cumsum(1 + n_src[kept])]),
+        depths=np.full(len(kept), np.nan),
+        points=np.full((len(kept), 3), np.nan),
+        initial_costs=np.full(len(kept), np.nan),
+        final_costs=np.full(len(kept), np.nan),
+        converged=np.zeros(len(kept), dtype=bool),
+    )
 
 
 @dataclass(frozen=True)
@@ -220,16 +291,17 @@ class DepthProblem:
     @classmethod
     def from_track(cls, rt: RefinedTrack, poses, intrinsics) -> DepthProblem:
         """The one-track (B = 1) problem."""
-        return cls.from_tracks([rt], ViewTable.stack(poses, intrinsics))
+        table = ViewTable.stack(poses, intrinsics)
+        return cls.from_tracks(RefinedTracks.from_records([rt]), table)
 
     @classmethod
-    def from_tracks(cls, rts: list[RefinedTrack], table: ViewTable) -> DepthProblem:
+    def from_tracks(cls, rts: RefinedTracks, table: ViewTable) -> DepthProblem:
         """The problem of tracks that all have the same number of sources."""
-        ref = np.array([rt.ref_view for rt in rts], dtype=int)
-        src = np.array([[s.view_id for s in rt.sources] for rt in rts], dtype=int)
-        u_ref = np.array([rt.u_ref for rt in rts], dtype=float)
+        views = rts.views.reshape(len(rts), -1)  # the reference, then the sources
+        pixels = rts.pixels.reshape(len(rts), -1, 2)
+        ref, src = views[:, 0], views[:, 1:]
         R_r, t_r, R_s = table.R[ref], table.t[ref], table.R[src]
-        ray = pinhole_inverse(u_ref, 1.0, *table.k(ref))
+        ray = pinhole_inverse(pixels[:, 0], 1.0, *table.k(ref))
         R_rt = np.swapaxes(R_r, 1, 2)
         return cls(
             Rray=((R_s @ R_rt[:, None]) @ ray[:, None, :, None])[..., 0],
@@ -238,7 +310,7 @@ class DepthProblem:
             fy=table.fy[src],
             cx=table.cx[src],
             cy=table.cy[src],
-            targets=np.array([[s.pixel for s in rt.sources] for rt in rts], dtype=float),
+            targets=pixels[:, 1:],
         )
 
     def rows(self, idx: np.ndarray) -> DepthProblem:
@@ -289,26 +361,28 @@ def optimize_depth(
     The one-track case of optimize_depths.
     """
     table = ViewTable.stack(poses, intrinsics)
-    return optimize_depths([rt], table, max_iters=max_iters, rel_tol=rel_tol)[0]
+    rts = RefinedTracks.from_records([rt])
+    return optimize_depths(rts, table, max_iters=max_iters, rel_tol=rel_tol).record(0)
 
 
 def optimize_depths(
-    rts: list[RefinedTrack],
+    rts: RefinedTracks,
     table: ViewTable,
     *,
     max_iters: int = LM_MAX_ITERS,
     rel_tol: float = LM_RELATIVE_TOL,
-) -> list[RefinedTrack]:
+) -> RefinedTracks:
     """optimize_depth for every track, batched over tracks with equal source counts."""
-    counts = np.array([len(rt.sources) for rt in rts], dtype=int)
-    solved: dict[int, RefinedTrack] = {}
-    for n_src in sorted(set(counts.tolist())):
-        idx = np.flatnonzero(counts == n_src).tolist()
-        solved.update(zip(idx, _depth_lm([rts[i] for i in idx], table, max_iters, rel_tol)))
-    return [solved[i] for i in range(len(rts))]
+    columns = ("depths", "points", "initial_costs", "final_costs", "converged")
+    solved = {name: getattr(rts, name).copy() for name in columns}
+    for rows, _ in length_groups(rts.offsets):
+        group = _depth_lm(rts.take(rows), table, max_iters, rel_tol)
+        for column, value in zip(solved.values(), group):
+            column[rows] = value
+    return replace(rts, **solved)
 
 
-def _depth_lm(rts, table: ViewTable, max_iters: int, rel_tol: float) -> list[RefinedTrack]:
+def _depth_lm(rts: RefinedTracks, table: ViewTable, max_iters: int, rel_tol: float):
     """Levenberg-Marquardt on the reference depth of B tracks with S sources each.
 
     Initialized from the coarse point's z coordinate in the reference frame.
@@ -316,16 +390,17 @@ def _depth_lm(rts, table: ViewTable, max_iters: int, rel_tol: float) -> list[Ref
     (lambda /10, floored at 1e-12), rejected steps raise lambda x10 and stop
     the row above 1e12. A row stops on flat geometry (near-zero curvature,
     e.g. pure rotation) or once the cost falls by at most rel_tol. Flat and
-    clamped rows are flagged non-converged.
+    clamped rows are flagged non-converged. Returns the columns depth,
+    point, initial cost, final cost and converged, in the order of
+    optimize_depths.
     """
     problem = DepthProblem.from_tracks(rts, table)
     B, S = problem.fx.shape
-    ref = np.array([rt.ref_view for rt in rts], dtype=int)
+    ref = rts.views[rts.offsets[:-1]]
     R_r, t_r = table.R[ref], table.t[ref]
     R_rt = np.swapaxes(R_r, 1, 2)
-    point_init = np.array([rt.point_init for rt in rts], dtype=float)
 
-    d0 = (point_init[:, None, :] @ R_rt)[:, 0, 2] + t_r[:, 2]
+    d0 = (rts.point_init[:, None, :] @ R_rt)[:, 0, 2] + t_r[:, 2]
     d = np.where(d0 > 0, d0, MIN_DEPTH_CLAMP)
     hit_clamp = d0 <= 0
     r, front = problem.residuals(d)
@@ -364,64 +439,38 @@ def _depth_lm(rts, table: ViewTable, max_iters: int, rel_tol: float) -> list[Ref
         active = np.sort(np.concatenate([up[~done], down[~(lam[down] > 1e12)]]))
     converged &= ~hit_clamp
 
-    final_cost = np.sqrt(cost / S)
-
-    u_ref = np.array([rt.u_ref for rt in rts], dtype=float)
-    p_ref = pinhole_inverse(u_ref, d, *table.k(ref))
+    p_ref = pinhole_inverse(rts.pixels[rts.offsets[:-1]], d, *table.k(ref))
     # pose_r.inverse().transform(p_ref): p_ref @ (R_r^T)^T - R_r^T t_r, one row at a time
     t_inv = ((-R_rt) @ t_r[:, :, None])[..., 0]
     points = (p_ref[:, None, :] @ R_r)[:, 0] + t_inv
-    return [
-        RefinedTrack(
-            track_id=rt.track_id,
-            ref_view=rt.ref_view,
-            ref_cell=rt.ref_cell,
-            u_ref=rt.u_ref,
-            sources=rt.sources,
-            point_init=rt.point_init,
-            depth=depth,
-            point=point,
-            initial_cost=initial,
-            final_cost=final,
-            converged=ok,
-        )
-        for rt, depth, point, initial, final, ok in zip(
-            rts, d.tolist(), points, initial_cost.tolist(), final_cost.tolist(),
-            converged.tolist(),
-        )
-    ]
+    return d, points, initial_cost, np.sqrt(cost / S), converged
 
 
 def aggregate_features(
-    tracks: list[RefinedTrack],
+    refined: RefinedTracks,
     observations: dict[int, ViewObservations],
     stats: RefineStats | None = None,
 ) -> PointCloudModel:
     """Per-point descriptors: renormalized means over the track's observations.
 
-    Coarse and fine descriptors are averaged and stored separately. Nodes
-    whose cell has no grounded observation are skipped; points whose mean
-    descriptor degenerates to (near) zero norm are dropped.
+    Coarse and fine descriptors are averaged and stored separately, the
+    reference node first. Tracks without a point (a NaN row) are skipped;
+    nodes whose cell has no grounded observation are skipped; points whose
+    mean descriptor degenerates to (near) zero norm are dropped.
     """
     stats = stats if stats is not None else RefineStats()
-    tracks = [rt for rt in tracks if rt.point is not None]
+    tracks = refined.take(np.flatnonzero(~np.isnan(refined.points).any(axis=1)))
 
-    # the cell-winner row of every node of every track, the reference first
-    counts = [1 + len(rt.sources) for rt in tracks]
-    views = np.array(
-        [v for rt in tracks for v in [rt.ref_view] + [s.view_id for s in rt.sources]], dtype=int
-    )
-    cells = np.array(
-        [c for rt in tracks for c in [rt.ref_cell] + [s.cell for s in rt.sources]], dtype=float
-    ).reshape(-1, 2)
-    rows = np.full(len(views), -1)
-    for v in sorted(set(views.tolist())):
-        at = np.flatnonzero(views == v)
-        rows[at] = observations[v].winner_rows(cells[at])
+    # the cell-winner row of every node of every track
+    rows = np.full(len(tracks.views), -1)
+    for v in sorted(set(tracks.views.tolist())):
+        at = np.flatnonzero(tracks.views == v)
+        rows[at] = observations[v].winner_rows(tracks.cells[at])
     found = rows >= 0
-    n_found = np.bincount(np.repeat(np.arange(len(tracks)), counts)[found], minlength=len(tracks))
+    owner = np.repeat(np.arange(len(tracks)), np.diff(tracks.offsets))
+    n_found = np.bincount(owner[found], minlength=len(tracks))
 
-    views, rows = views[found], rows[found]
+    views, rows = tracks.views[found], rows[found]
     mean_c, norm_c = _mean_descriptors(observations, "desc_coarse", views, rows, n_found)
     mean_f, norm_f = _mean_descriptors(observations, "desc_fine", views, rows, n_found)
     keep = (n_found > 0) & ~((norm_c < 1e-8) | (norm_f < 1e-8))
@@ -429,10 +478,10 @@ def aggregate_features(
 
     keep = np.flatnonzero(keep)
     return PointCloudModel(
-        points=np.array([tracks[i].point for i in keep.tolist()], dtype=float).reshape(-1, 3),
+        points=tracks.points[keep],
         coarse_features=mean_c[keep] / norm_c[keep, None],
         fine_features=mean_f[keep] / norm_f[keep, None],
-        track_ids=np.array([tracks[i].track_id for i in keep.tolist()], dtype=int),
+        track_ids=tracks.track_ids[keep],
     )
 
 
@@ -449,11 +498,10 @@ def _mean_descriptors(observations, name, views, rows, counts):
     for v in sorted(set(views.tolist())):
         at = views == v
         desc[at] = getattr(observations[v], name)[rows[at]]
-    offsets = np.concatenate([[0], np.cumsum(counts)])
     mean = np.zeros((len(counts), dim))
-    for n in sorted(set(counts.tolist()) - {0}):
-        tracks = np.flatnonzero(counts == n)
-        mean[tracks] = np.mean(desc[offsets[tracks, None] + np.arange(n)], axis=1)
+    for tracks, nodes in length_groups(np.concatenate([[0], np.cumsum(counts)])):
+        if nodes.shape[1]:
+            mean[tracks] = np.mean(desc[nodes], axis=1)
     return mean, np.sqrt((mean[:, None, :] @ mean[:, :, None])[:, 0, 0])
 
 
@@ -464,7 +512,7 @@ def refine_reconstruction(
     matcher: MatchingFrontend,
     observations: dict[int, ViewObservations],
     min_confidence: float = 0.2,
-) -> tuple[PointCloudModel, list[RefinedTrack], RefineStats]:
+) -> tuple[PointCloudModel, RefinedTracks, RefineStats]:
     """Full refinement pass over a coarse reconstruction (deterministic order).
 
     Reference selection runs batched by track length, node refinement as two
@@ -472,19 +520,9 @@ def refine_reconstruction(
     """
     stats = RefineStats()
     table = ViewTable.stack(poses, intrinsics)
-    tracks = recon.tracks
-    if any(len(track) < 2 for track in tracks):
-        raise ValueError("reference selection needs a track with at least 2 nodes")
-    if any(track.point_coarse is None for track in tracks):
-        raise ValueError("track must be triangulated before reference selection")
-    points = np.array([track.point_coarse for track in tracks], dtype=float).reshape(-1, 3)
-    views, _, offsets = node_arrays(tracks)
-    ref_idx = np.zeros(len(tracks), dtype=int)
-    for rows, nodes in length_groups(offsets):
-        v = views[nodes]
-        ref_idx[rows] = reference_nodes(table.R[v], table.t[v], points[rows])
-    nodes = refine_nodes(tracks, ref_idx.tolist(), matcher, min_confidence, stats)
-    refined = optimize_depths([rt for rt in nodes if rt is not None], table)
-    stats.non_converged += sum(not rt.converged for rt in refined)
+    ref_idx = reference_nodes(recon.tracks, table.R, table.t)
+    nodes = refine_nodes(recon.tracks, ref_idx, matcher, min_confidence, stats)
+    refined = optimize_depths(nodes, table)
+    stats.non_converged += int(np.count_nonzero(~refined.converged))
     model = aggregate_features(refined, observations, stats)
     return model, refined, stats

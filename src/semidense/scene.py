@@ -11,7 +11,7 @@ bit-exactly and independent of evaluation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -67,12 +67,7 @@ class NoiseModel:
             raise ValueError(f"outlier_rate must be in [0, 1), got {self.outlier_rate}")
 
     def to_dict(self) -> dict:
-        return {
-            "fine_noise_sigma": self.fine_noise_sigma,
-            "descriptor_noise_sigma": self.descriptor_noise_sigma,
-            "dropout_rate": self.dropout_rate,
-            "outlier_rate": self.outlier_rate,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "NoiseModel":
@@ -149,15 +144,6 @@ class ViewObservations:
             hit = valid & (self._winner_keys[pos] == keys)
             rows[hit] = self._winner_rows[pos[hit]]
         return rows
-
-    def winner_row_for_cell(self, cell) -> int | None:
-        """Row index of the cell-winning observation, or None for empty cells."""
-        row = int(self.winner_rows([cell])[0])
-        return None if row < 0 else row
-
-    def winner_point_for_cell(self, cell) -> int | None:
-        row = self.winner_row_for_cell(cell)
-        return None if row is None else int(self.point_ids[row])
 
 
 def _cell_keys(cells) -> tuple[np.ndarray, np.ndarray]:
@@ -310,16 +296,13 @@ def render_observations(scene: SyntheticScene, view_id: int) -> ViewObservations
     cells = grid_cell_center(pixels)
     depths = z[ids]
 
-    # front-most point wins each occupied cell; losers are not coarse-observable
+    # front-most point wins each occupied cell, the earliest row at equal
+    # depth; losers are not coarse-observable
+    keys, _ = _cell_keys(cells)
+    order = np.lexsort((np.arange(len(ids)), depths, keys))
+    _, first = np.unique(keys[order], return_index=True)
     winner = np.zeros(len(ids), dtype=bool)
-    best: dict[tuple[int, int], int] = {}
-    for row in range(len(ids)):
-        key = (int(cells[row, 0]), int(cells[row, 1]))
-        prev = best.get(key)
-        if prev is None or depths[row] < depths[prev]:
-            best[key] = row
-    for row in best.values():
-        winner[row] = True
+    winner[order[first]] = True
 
     return ViewObservations(
         view_id=view_id,

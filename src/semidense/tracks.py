@@ -10,7 +10,7 @@ nodes of the offending views are dropped, keeping the rest of the component.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -24,26 +24,46 @@ from .geometry import (
     mean_reprojection_errors,
     triangulate_batch,
 )
-from .matching import Cell, PairMatches
-
-Node = tuple[int, Cell]
+from .matching import PairMatches
 
 
-@dataclass
-class FeatureTrack:
-    """One multi-view track: at most one node per view, observing one 3D point."""
+class TrackTable:
+    """Tracks as row ranges of one node table.
 
-    track_id: int
-    nodes: list[Node]
-    point_coarse: np.ndarray | None = None
-    reproj_error: float | None = None
+    A subclass is a dataclass with an `offsets` field (T + 1,): the nodes
+    of track i are rows offsets[i]:offsets[i + 1] of the fields named in
+    NODE_FIELDS; every other field holds one row per track.
+    """
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.offsets) - 1
 
-    @property
-    def view_ids(self) -> list[int]:
-        return [v for v, _ in self.nodes]
+    def take(self, idx):
+        """The tracks idx (integer indices), in that order, as a table of their own."""
+        lengths = np.diff(self.offsets)[idx]
+        offsets = np.concatenate([[0], np.cumsum(lengths)])
+        nodes = np.repeat(self.offsets[:-1][idx] - offsets[:-1], lengths) + np.arange(offsets[-1])
+        return type(self)(**{
+            f.name: getattr(self, f.name)[nodes if f.name in self.NODE_FIELDS else idx]
+            for f in fields(self) if f.name != "offsets"
+        }, offsets=offsets)
+
+
+@dataclass(frozen=True, eq=False)
+class Tracks(TrackTable):
+    """Multi-view tracks: at most one node per view, each track observing one 3D point.
+
+    A node is a (view, cell) pair; a track's nodes are ordered by (view, u, v).
+    """
+
+    views: np.ndarray           # (N,) int
+    cells: np.ndarray           # (N, 2) cell centers
+    offsets: np.ndarray         # (T + 1,)
+    track_ids: np.ndarray       # (T,)
+    points: np.ndarray          # (T, 3) coarse points, NaN before triangulation
+    reproj_errors: np.ndarray   # (T,) mean reprojection error (px), NaN before triangulation
+
+    NODE_FIELDS = ("views", "cells")
 
 
 @dataclass
@@ -65,19 +85,13 @@ class TrackStats:
 
 @dataclass
 class CoarseReconstruction:
-    tracks: list[FeatureTrack]
-    points: np.ndarray  # (n_tracks, 3)
+    tracks: Tracks
     stats: TrackStats
 
-
-def _dense_rank(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rank of every value among the distinct values of x, plus one row holding each rank."""
-    order = np.argsort(x)
-    new = np.ones(len(x), dtype=bool)
-    new[1:] = x[order[1:]] != x[order[:-1]]
-    rank = np.empty(len(x), dtype=np.intp)
-    rank[order] = np.cumsum(new) - 1
-    return rank, order[new]
+    @property
+    def points(self) -> np.ndarray:
+        """(T, 3) coarse points of the surviving tracks."""
+        return self.tracks.points
 
 
 def _node_ids(views: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -85,10 +99,14 @@ def _node_ids(views: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndar
 
     Returns the id of every endpoint and one endpoint row of every id.
     """
-    view_u, _ = _dense_rank(cells[:, 0])
-    view_u, _ = _dense_rank(views * (view_u.max() + 1) + view_u)
-    v, _ = _dense_rank(cells[:, 1])
-    return _dense_rank(view_u * (v.max() + 1) + v)
+    n = len(views)  # every rank is below n
+    _, u = np.unique(cells[:, 0], return_inverse=True)
+    _, view_u = np.unique(views * n + u, return_inverse=True)
+    _, v = np.unique(cells[:, 1], return_inverse=True)
+    keys, ids = np.unique(view_u * n + v, return_inverse=True)
+    node_row = np.empty(len(keys), dtype=np.intp)
+    node_row[ids] = np.arange(n)
+    return ids, node_row
 
 
 def _components(n_nodes: int, ends_a: np.ndarray, ends_b: np.ndarray) -> np.ndarray:
@@ -115,23 +133,23 @@ def _components(n_nodes: int, ends_a: np.ndarray, ends_b: np.ndarray) -> np.ndar
 
 def build_tracks(
     matches: Iterable[PairMatches], min_track_length: int = 3
-) -> tuple[list[FeatureTrack], TrackStats]:
+) -> tuple[Tracks, TrackStats]:
     """Connected components of the match graph; returns 2D-only tracks plus statistics.
 
     Deterministic and permutation-invariant: the output depends only on the
-    set of matches. Tracks are ordered by their smallest (view, cell) node.
+    set of matches. Tracks are ordered by their smallest (view, cell) node
+    and numbered in that order.
     """
     stats = TrackStats()
     matches = list(matches)
     lengths = [len(m) for m in matches]
     stats.n_matches = sum(lengths)
-    if not stats.n_matches:
-        return [], stats
-    views = np.concatenate([
-        np.repeat([m.view_a for m in matches], lengths),
-        np.repeat([m.view_b for m in matches], lengths),
-    ])
-    cells = np.concatenate([m.cells_a for m in matches] + [m.cells_b for m in matches])
+    views = np.repeat(
+        np.array([m.view_a for m in matches] + [m.view_b for m in matches], dtype=int),
+        lengths + lengths,
+    )
+    ends = [m.cells_a for m in matches] + [m.cells_b for m in matches]
+    cells = np.concatenate(ends) if ends else np.zeros((0, 2))
     ids, node_row = _node_ids(views, cells)
     node_view, node_cell = views[node_row], cells[node_row]
     label = _components(len(node_row), ids[: stats.n_matches], ids[stats.n_matches:])
@@ -153,21 +171,22 @@ def build_tracks(
     stats.too_short = int(np.count_nonzero(~long_enough))
     kept = kept[long_enough[comp]]
     offsets = np.concatenate([[0], np.cumsum(n_kept[long_enough])])
-    nodes = list(zip(node_view[kept].tolist(), map(tuple, node_cell[kept].tolist())))
-    tracks = [
-        FeatureTrack(track_id=-1, nodes=nodes[lo:hi])
-        for lo, hi in zip(offsets[:-1].tolist(), offsets[1:].tolist())
-    ]
-
-    tracks = [tracks[i] for i in np.argsort(kept[offsets[:-1]])]
-    for i, t in enumerate(tracks):
-        t.track_id = i
-        stats.length_histogram[len(t)] = stats.length_histogram.get(len(t), 0) + 1
+    order = np.argsort(kept[offsets[:-1]])
+    tracks = Tracks(
+        views=node_view[kept],
+        cells=node_cell[kept],
+        offsets=offsets,
+        track_ids=np.argsort(order),  # each track's position once sorted
+        points=np.full((len(order), 3), np.nan),
+        reproj_errors=np.full(len(order), np.nan),
+    ).take(order)
+    length, count = np.unique(np.diff(tracks.offsets), return_counts=True)
+    stats.length_histogram = dict(zip(length.tolist(), count.tolist()))
     return tracks, stats
 
 
 def triangulate_tracks(
-    tracks: Sequence[FeatureTrack],
+    tracks: Tracks,
     poses: Sequence[SE3Pose],
     intrinsics: Sequence[CameraIntrinsics],
     max_reproj_px: float = 12.0,
@@ -175,22 +194,22 @@ def triangulate_tracks(
 ) -> CoarseReconstruction:
     """Triangulate every track, rejecting failures per-track with reason counts.
 
-    Tracks of equal length are solved as one batch. The default
-    reprojection gate (12 px) sits above the worst-case grid-quantization
-    offset so clean quantized tracks always survive.
+    Tracks of equal length are solved as one batch; the surviving tracks
+    keep their ids and carry their points and reprojection errors. The
+    default reprojection gate (12 px) sits above the worst-case
+    grid-quantization offset so clean quantized tracks always survive.
     """
     stats = stats if stats is not None else TrackStats()
-    if any(len(track) < 2 for track in tracks):
+    if np.any(np.diff(tracks.offsets) < 2):
         raise ValueError("triangulation needs at least 2 observations")
     table = ViewTable.stack(poses, intrinsics)
-    views, cells, offsets = node_arrays(tracks)
 
     points = np.full((len(tracks), 3), np.nan)
     reject = np.full(len(tracks), TRI_OK)
     errors = np.full(len(tracks), np.nan)
-    for rows, nodes in length_groups(offsets):
-        v = views[nodes]
-        R, t, k, pix = table.R[v], table.t[v], table.k(v), cells[nodes]
+    for rows, nodes in length_groups(tracks.offsets):
+        v = tracks.views[nodes]
+        R, t, k, pix = table.R[v], table.t[v], table.k(v), tracks.cells[nodes]
         points[rows], reject[rows] = triangulate_batch(R, t, k, pix)
         kept = reject[rows] == TRI_OK
         errors[rows[kept]] = mean_reprojection_errors(
@@ -203,28 +222,8 @@ def triangulate_tracks(
     too_far = (reject == TRI_OK) & (errors > max_reproj_px)
     stats.rejected_reprojection += int(np.count_nonzero(too_far))
     keep = np.flatnonzero((reject == TRI_OK) & ~too_far)
-    kept_tracks = [
-        FeatureTrack(
-            track_id=tracks[i].track_id,
-            nodes=list(tracks[i].nodes),
-            point_coarse=points[i],
-            reproj_error=err,
-        )
-        for i, err in zip(keep.tolist(), errors[keep].tolist())
-    ]
-    return CoarseReconstruction(tracks=kept_tracks, points=points[keep], stats=stats)
-
-
-def node_arrays(tracks: Sequence[FeatureTrack]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every track's nodes flattened: views (N,), cells (N, 2) and offsets (T + 1,).
-
-    The nodes of track i are rows offsets[i]:offsets[i + 1].
-    """
-    nodes = [node for track in tracks for node in track.nodes]
-    views = np.array([v for v, _ in nodes], dtype=int)
-    cells = np.array([c for _, c in nodes], dtype=float).reshape(-1, 2)
-    offsets = np.concatenate([[0], np.cumsum([len(track) for track in tracks], dtype=int)])
-    return views, cells, offsets
+    triangulated = replace(tracks, points=points, reproj_errors=errors)
+    return CoarseReconstruction(tracks=triangulated.take(keep), stats=stats)
 
 
 def length_groups(offsets: np.ndarray):
@@ -235,16 +234,21 @@ def length_groups(offsets: np.ndarray):
         yield rows, offsets[rows, None] + np.arange(n)
 
 
-def tracks_to_json(tracks: Sequence[FeatureTrack], path) -> None:
-    """Export: {track_id, nodes:[{view,u,v}], point:[x,y,z]}."""
+def tracks_to_json(tracks: Tracks, path) -> None:
+    """Export: {track_id, nodes:[{view,u,v}], point:[x,y,z] or null before triangulation}."""
+    cells = tracks.cells.tolist()
+    nodes = [{"view": v, "u": u, "v": w} for v, (u, w) in zip(tracks.views.tolist(), cells)]
+    bounds = zip(tracks.offsets[:-1].tolist(), tracks.offsets[1:].tolist())
     payload = {
         "tracks": [
             {
-                "track_id": t.track_id,
-                "nodes": [{"view": v, "u": c[0], "v": c[1]} for v, c in t.nodes],
-                "point": None if t.point_coarse is None else [float(x) for x in t.point_coarse],
+                "track_id": track_id,
+                "nodes": nodes[lo:hi],
+                "point": None if np.isnan(point).any() else point,
             }
-            for t in tracks
+            for track_id, (lo, hi), point in zip(
+                tracks.track_ids.tolist(), bounds, tracks.points.tolist()
+            )
         ]
     }
     with open(path, "w") as fh:

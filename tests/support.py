@@ -209,3 +209,34 @@ def winner_row_lookup(obs) -> dict[tuple[int, int], int]:
 def winner_row(obs, cell) -> int | None:
     """Row of the cell winner of one cell, or None, by a dict lookup."""
     return winner_row_lookup(obs).get((int(cell[0]), int(cell[1])))
+
+
+def winner_point(obs, cell) -> int | None:
+    """Point id of the cell winner of one cell, or None, through ViewObservations.winner_rows."""
+    row = int(obs.winner_rows([cell])[0])
+    return None if row < 0 else int(obs.point_ids[row])
+
+
+def make_tracks(node_lists, points=None, track_ids=None):
+    """A Tracks table from per-track lists of (view, (u, v)) nodes, for hand-written test tracks.
+
+    points (T, 3) default to NaN rows (not triangulated), track ids to 0..T-1.
+    """
+    from semidense.tracks import Tracks
+
+    nodes = [node for track in node_lists for node in track]
+    n = len(node_lists)
+    return Tracks(
+        views=np.array([v for v, _ in nodes], dtype=int),
+        cells=np.array([c for _, c in nodes], dtype=float).reshape(-1, 2),
+        offsets=np.cumsum([0] + [len(track) for track in node_lists]),
+        track_ids=np.arange(n) if track_ids is None else np.array(track_ids, dtype=int),
+        points=np.full((n, 3), np.nan) if points is None else np.array(points, dtype=float),
+        reproj_errors=np.full(n, np.nan),
+    )
+
+
+def node_lists(tracks) -> list[list[tuple[int, tuple[float, float]]]]:
+    """Every track's nodes as (view, (u, v)) tuples of Python numbers."""
+    nodes = [(v, tuple(c)) for v, c in zip(tracks.views.tolist(), tracks.cells.tolist())]
+    return [nodes[lo:hi] for lo, hi in zip(tracks.offsets[:-1].tolist(), tracks.offsets[1:].tolist())]

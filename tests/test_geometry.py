@@ -10,7 +10,7 @@ from semidense.geometry import (
     CameraIntrinsics,
     SE3Pose,
     backproject,
-    mean_reprojection_error,
+    mean_reprojection_errors,
     pinhole,
     pinhole_jacobian,
     project,
@@ -258,5 +258,8 @@ class TestTriangulate:
         intr = support.default_intrinsics()
         views = support.camera_ring(3, radius=4.0, intr=intr)
         point = np.array([0.0, 0.1, 0.0])
-        obs = [(p, k, project(p, k, point)) for p, k in views]
-        assert mean_reprojection_error(point, obs) < 1e-12
+        R = np.array([p.rotation for p, _ in views])[None]
+        t = np.array([p.translation for p, _ in views])[None]
+        k = tuple(np.array([[getattr(i, a) for _, i in views]]) for a in ("fx", "fy", "cx", "cy"))
+        pixels = np.array([project(p, i, point) for p, i in views])[None]
+        assert mean_reprojection_errors(point[None], R, t, k, pixels) < 1e-12

@@ -97,7 +97,7 @@ class TestCoarseMatchPair:
         cell_by_point = {}
         for other in range(1, 5):
             for _, _, cell_a, _, _ in _rows(matcher.coarse_match_pair(a, matcher.observations(other))):
-                pid = a.winner_point_for_cell(cell_a)
+                pid = support.winner_point(a, cell_a)
                 prev = cell_by_point.setdefault(pid, cell_a)
                 assert prev == cell_a
 
@@ -110,7 +110,7 @@ class TestCoarseMatchPair:
             win_a, win_b = _winner_points(a), _winner_points(b)
             wrong = total = 0
             for _, _, cell_a, cell_b, _ in _rows(matcher.coarse_match_pair(a, b)):
-                pid = a.winner_point_for_cell(cell_a)
+                pid = support.winner_point(a, cell_a)
                 if pid is None or pid not in win_b:
                     continue
                 total += 1
@@ -262,7 +262,7 @@ class TestWinnerRows:
         assert obs.winner_rows(cells).tolist() == want
         assert obs.winner_rows(np.zeros((0, 2))).shape == (0,)
         for cell, row in zip(cells[:50].tolist(), want[:50]):
-            assert obs.winner_row_for_cell(cell) == (None if row < 0 else row)
+            assert obs.winner_rows([cell]).tolist() == [row]
 
     def test_unusable_cells_are_empty(self):
         obs = _synthetic_obs(0, [0], [(4.0, 4.0)], [(1.0, 0.0)])
@@ -416,12 +416,12 @@ class TestFineRefineBatchMatchesOneQueryReference:
         """Every (reference node, node) query of every track, plus ungrounded and wrong cells."""
         tracks, _ = support.scene_tracks(scene, matcher)
         queries = []
-        for track in tracks:
-            ref_view, ref_cell = track.nodes[len(track) // 2]
-            for view, cell in track.nodes:
+        for nodes in support.node_lists(tracks):
+            ref_view, ref_cell = nodes[len(nodes) // 2]
+            for view, cell in nodes:
                 queries.append((ref_view, ref_cell, view, cell))
                 queries.append((ref_view, ref_cell, view, (cell[0], (cell[1] + 80.0) % 2048)))
-            queries.append((ref_view, (4.0, 4.0), track.nodes[0][0], track.nodes[0][1]))
+            queries.append((ref_view, (4.0, 4.0), nodes[0][0], nodes[0][1]))
         return queries
 
     def test_noisy_onboard_scene(self):

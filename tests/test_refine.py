@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 import support
 
+from semidense.cli import reconstruct_scene
+from semidense.config import RunConfig
 from semidense.geometry import (
     SE3Pose,
     ViewTable,
@@ -24,6 +26,7 @@ from semidense.refine import (
     DepthProblem,
     PointCloudModel,
     RefinedTrack,
+    RefinedTracks,
     RefineStats,
     SourceNode,
     aggregate_features,
@@ -35,7 +38,7 @@ from semidense.refine import (
     select_reference_node,
 )
 from semidense.scene import NoiseModel, ViewObservations, generate_scene, grid_cell_center
-from semidense.tracks import FeatureTrack, build_tracks, triangulate_tracks
+from semidense.tracks import build_tracks, triangulate_tracks
 
 ZERO = NoiseModel()
 
@@ -52,15 +55,18 @@ def _build_coarse(scene, matcher, min_track_length=3):
     return triangulate_tracks(tracks, poses, intrs, stats=stats), poses, intrs
 
 
+def _records(refined):
+    """A RefinedTracks table as a list of one-track records."""
+    return [refined.record(i) for i in range(len(refined))]
+
+
 class TestSelectReferenceNode:
     def test_symmetric_views_tie_break_to_lowest(self):
         intr = support.default_intrinsics()
         a = support.look_at_pose(np.array([4.0, 0.0, 1.0]), np.zeros(3))
         b = support.look_at_pose(np.array([-4.0, 0.0, 1.0]), np.zeros(3))
-        track = FeatureTrack(
-            track_id=0,
-            nodes=[(0, (260.0, 260.0)), (1, (260.0, 260.0))],
-            point_coarse=np.zeros(3),
+        track = support.make_tracks(
+            [[(0, (260.0, 260.0)), (1, (260.0, 260.0))]], points=[np.zeros(3)]
         )
         assert select_reference_node(track, [a, b]) == 0
         del intr
@@ -78,7 +84,7 @@ class TestSelectReferenceNode:
         ]
         poses = [support.look_at_pose(p, point) for p in positions]
         nodes = [(v, tuple(support.pixel_of(poses[v], intr, point))) for v in range(5)]
-        track = FeatureTrack(track_id=0, nodes=nodes, point_coarse=point)
+        track = support.make_tracks([nodes], points=[point])
         got = select_reference_node(track, poses)
 
         # brute-force re-computation of the criterion
@@ -97,7 +103,7 @@ class TestSelectReferenceNode:
         assert got == best == 2
 
     def test_single_node_rejected(self):
-        track = FeatureTrack(track_id=0, nodes=[(0, (4.0, 4.0))], point_coarse=np.zeros(3))
+        track = support.make_tracks([[(0, (4.0, 4.0))]], points=[np.zeros(3)])
         with pytest.raises(ValueError):
             select_reference_node(track, [SE3Pose.identity()])
 
@@ -107,13 +113,13 @@ class TestRefineTrackNodes:
         scene = generate_scene(51, 100, 6, ZERO)
         matcher = OracleMatcher(scene)
         recon, poses, intrs = _build_coarse(scene, matcher)
-        assert recon.tracks
-        for track in recon.tracks[:20]:
+        assert len(recon.tracks)
+        for i in range(min(20, len(recon.tracks))):
+            track = recon.tracks.take([i])
             ref_idx = select_reference_node(track, poses)
             rt = refine_track_nodes(track, ref_idx, matcher)
             assert rt is not None
-            ref_obs = matcher.observations(rt.ref_view)
-            pid = ref_obs.winner_point_for_cell(rt.ref_cell)
+            pid = support.winner_point(matcher.observations(rt.ref_view), rt.ref_cell)
             for s in rt.sources:
                 true_pix = project(poses[s.view_id], intrs[s.view_id], scene.points[pid])
                 np.testing.assert_allclose(s.pixel, true_pix, atol=1e-10)
@@ -124,7 +130,8 @@ class TestRefineTrackNodes:
         scene = generate_scene(52, 150, 6, NoiseModel(fine_noise_sigma=2.5))
         matcher = OracleMatcher(scene)
         recon, poses, _ = _build_coarse(scene, matcher)
-        for track in recon.tracks[:30]:
+        for i in range(min(30, len(recon.tracks))):
+            track = recon.tracks.take([i])
             ref_idx = select_reference_node(track, poses)
             rt = refine_track_nodes(track, ref_idx, matcher)
             if rt is None:
@@ -136,7 +143,7 @@ class TestRefineTrackNodes:
         scene = generate_scene(53, 100, 6, ZERO)
         matcher = OracleMatcher(scene)
         recon, poses, _ = _build_coarse(scene, matcher)
-        track = recon.tracks[0]
+        track = recon.tracks.take([0])
         ref_idx = select_reference_node(track, poses)
         stats = RefineStats()
         rt = refine_track_nodes(track, ref_idx, matcher, min_confidence=1.5, stats=stats)
@@ -300,7 +307,7 @@ class TestAggregateFeatures:
             0: _obs_with_descriptors(0, [[4.0, 4.0]], d, d),
             1: _obs_with_descriptors(1, [[4.0, 4.0]], d, d),
         }
-        model = aggregate_features([_two_node_track()], obs)
+        model = aggregate_features(RefinedTracks.from_records([_two_node_track()]), obs)
         assert model.n_points == 1
         np.testing.assert_allclose(model.coarse_features[0], [0.6, 0.8], atol=1e-12)
 
@@ -310,7 +317,7 @@ class TestAggregateFeatures:
             1: _obs_with_descriptors(1, [[4.0, 4.0]], [[-1.0, 0.0]], [[-1.0, 0.0]]),
         }
         stats = RefineStats()
-        model = aggregate_features([_two_node_track()], obs, stats)
+        model = aggregate_features(RefinedTracks.from_records([_two_node_track()]), obs, stats)
         assert model.n_points == 0
         assert stats.dropped_degenerate_features == 1
 
@@ -331,7 +338,7 @@ class TestAggregateFeatures:
                 SourceNode(view_id=v, cell=(4.0, 4.0), pixel=np.array([4.0, 4.0]), confidence=1.0)
                 for v in range(1, 10)
             ]
-            model = aggregate_features([rt], obs)
+            model = aggregate_features(RefinedTracks.from_records([rt]), obs)
             agg_sim = model.coarse_features[0] @ true
             single_sim = np.mean(noisy @ true)
             wins += agg_sim > single_sim
@@ -344,6 +351,7 @@ class TestAggregateFeatures:
         recon, poses, intrs = _build_coarse(scene, matcher)
         obs = {v: matcher.observations(v) for v in range(scene.n_views)}
         _, refined, _ = refine_reconstruction(recon, poses, intrs, matcher, obs)
+        refined = _records(refined)
         assert len({len(rt.sources) for rt in refined}) > 3  # several node-count groups
 
         # an ungrounded reference, ungrounded sources, no grounded node, no point
@@ -368,7 +376,7 @@ class TestAggregateFeatures:
 
         for tracks, observations, dropped in ((refined, obs, 0), (edited, negated, 2), ([], obs, 0)):
             stats, ref_stats = RefineStats(), RefineStats()
-            got = aggregate_features(tracks, observations, stats)
+            got = aggregate_features(RefinedTracks.from_records(tracks), observations, stats)
             want = _ref_aggregate_features(tracks, observations, ref_stats)
             _assert_same_model(got, want)
             assert stats == ref_stats
@@ -386,14 +394,14 @@ class TestRefineReconstruction:
 
         def median_err(points, track_ids):
             errs = []
-            for p, tid in zip(points, track_ids):
-                track = next(t for t in recon.tracks if t.track_id == tid)
-                v0, cell0 = track.nodes[0]
-                pid = matcher.observations(v0).winner_point_for_cell(cell0)
+            nodes = dict(zip(recon.tracks.track_ids.tolist(), support.node_lists(recon.tracks)))
+            for p, tid in zip(points, track_ids.tolist()):
+                v0, cell0 = nodes[tid][0]
+                pid = support.winner_point(matcher.observations(v0), cell0)
                 errs.append(np.linalg.norm(p - scene.points[pid]))
             return float(np.median(errs))
 
-        coarse_med = median_err(recon.points, [t.track_id for t in recon.tracks])
+        coarse_med = median_err(recon.points, recon.tracks.track_ids)
         refined_med = median_err(model.points, model.track_ids)
         assert refined_med < coarse_med
 
@@ -410,16 +418,36 @@ class TestRefineReconstruction:
             np.linalg.norm(model.fine_features, axis=1), 1.0, atol=1e-6
         )
 
+    def test_reconstruct_scene_builds_no_per_track_records(self, monkeypatch):
+        built = []
+        for cls in (RefinedTrack, SourceNode):
+            def counting(self, *args, _init=cls.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        config = RunConfig(
+            seed=1, n_points=400, n_views=12, n_query_views=0,
+            fine_noise_sigma=0.5, outlier_rate=0.1, dropout_rate=0.1,
+            image_size=2048, focal=5000.0, distance_min=3.5, distance_max=5.0, jitter_deg=3.0,
+        )
+        model, _, refined, _, _ = reconstruct_scene(support.onboard_scene(1), config, list(range(12)))
+        assert model.n_points > 100
+        assert built == []
+        rt = refined.record(0)  # the counter does see records being built
+        assert built == ["SourceNode"] * len(rt.sources) + ["RefinedTrack"]
+
 
 # Reference: the one-track refinement the batched kernels replaced, kept
 # here verbatim so the batches can be checked against it bit for bit.
 
 
 def _ref_select_reference_node(track, poses):
-    R = np.array([poses[view_id].rotation for view_id, _ in track.nodes])
-    t = np.array([poses[view_id].translation for view_id, _ in track.nodes])
+    nodes, point_coarse = support.node_lists(track)[0], track.points[0]
+    R = np.array([poses[view_id].rotation for view_id, _ in nodes])
+    t = np.array([poses[view_id].translation for view_id, _ in nodes])
     centers = -(t[:, None, :] @ R)[:, 0]
-    d = track.point_coarse - centers
+    d = point_coarse - centers
     rays = d / np.linalg.norm(d, axis=1, keepdims=True)
     cos = np.clip((R[:, None, 2, :] * rays[None]).sum(axis=2), -1.0, 1.0)
     n = len(rays)
@@ -432,14 +460,15 @@ def _ref_select_reference_node(track, poses):
 
 
 def _ref_refine_track_nodes(track, reference_idx, matcher, min_confidence, stats):
-    ref_view, ref_cell = track.nodes[reference_idx]
+    nodes = support.node_lists(track)[0]
+    ref_view, ref_cell = nodes[reference_idx]
     ref_cell_arr = np.asarray(ref_cell, dtype=float)
     ref_result = matcher.fine_refine(FineMatchQuery(ref_view, ref_cell_arr, ref_view, ref_cell_arr))
     if ref_result.confidence < min_confidence:
         stats.dropped_tracks += 1
         return None
     sources = []
-    for idx, (view_id, cell) in enumerate(track.nodes):
+    for idx, (view_id, cell) in enumerate(nodes):
         if idx == reference_idx:
             continue
         res = matcher.fine_refine(
@@ -453,8 +482,8 @@ def _ref_refine_track_nodes(track, reference_idx, matcher, min_confidence, stats
         stats.dropped_tracks += 1
         return None
     return RefinedTrack(
-        track_id=track.track_id, ref_view=ref_view, ref_cell=ref_cell, u_ref=ref_result.pixel,
-        sources=sources, point_init=track.point_coarse.copy(),
+        track_id=int(track.track_ids[0]), ref_view=ref_view, ref_cell=ref_cell,
+        u_ref=ref_result.pixel, sources=sources, point_init=track.points[0].copy(),
     )
 
 
@@ -603,9 +632,11 @@ class TestBatchedRefinementMatchesOneTrackReference:
         scene, matcher, recon, poses, intrs = self._onboard(4)
         obs = {v: matcher.observations(v) for v in range(scene.n_views)}
         model, refined, stats = refine_reconstruction(recon, poses, intrs, matcher, obs)
+        refined = _records(refined)
 
         ref_stats, ref_refined = RefineStats(), []
-        for track in recon.tracks:
+        for i in range(len(recon.tracks)):
+            track = recon.tracks.take([i])
             ref_idx = _ref_select_reference_node(track, poses)
             assert select_reference_node(track, poses) == ref_idx
             rt = _ref_refine_track_nodes(track, ref_idx, matcher, 0.2, ref_stats)
@@ -625,29 +656,30 @@ class TestBatchedRefinementMatchesOneTrackReference:
 
     def test_ungrounded_reference_and_all_sources_below_confidence(self):
         scene, matcher, recon, poses, _ = self._onboard(8)
-        tracks = [t for t in recon.tracks if len(t) >= 4][:6]
-        ref_idx = [_ref_select_reference_node(t, poses) for t in tracks]
+        rows = np.flatnonzero(np.diff(recon.tracks.offsets) >= 4)[:6]
+        tracks = recon.tracks.take(rows)
+        ref_idx = [_ref_select_reference_node(tracks.take([i]), poses) for i in range(6)]
+        nodes = support.node_lists(tracks)
 
-        def edited(track, idx, cell_of):
-            nodes = [(v, cell_of(j, v, c)) for j, (v, c) in enumerate(track.nodes)]
-            return FeatureTrack(track.track_id, nodes, point_coarse=track.point_coarse)
+        def edited(track, cell_of):
+            return [(v, cell_of(j, v, c)) for j, (v, c) in enumerate(nodes[track])]
 
         # the reference node moves to a cell no point wins; every source moves off its point
-        occupied = {tuple(c) for c in matcher.observations(tracks[1].nodes[ref_idx[1]][0]).cells}
+        occupied = {tuple(c) for c in matcher.observations(nodes[1][ref_idx[1]][0]).cells}
         empty = next((u, 4.0) for u in np.arange(4.0, 2048.0, 8.0) if (u, 4.0) not in occupied)
-        tracks[1] = edited(tracks[1], ref_idx[1], lambda j, v, c: empty if j == ref_idx[1] else c)
-        tracks[3] = edited(
-            tracks[3], ref_idx[3],
-            lambda j, v, c: c if j == ref_idx[3] else (c[0], (c[1] + 80.0) % 2048),
-        )
+        nodes[1] = edited(1, lambda j, v, c: empty if j == ref_idx[1] else c)
+        nodes[3] = edited(3, lambda j, v, c: c if j == ref_idx[3] else (c[0], (c[1] + 80.0) % 2048))
+        tracks = support.make_tracks(nodes, points=tracks.points, track_ids=tracks.track_ids)
 
         stats, ref_stats = RefineStats(), RefineStats()
         got = refine_nodes(tracks, ref_idx, matcher, 0.2, stats)
         ref = [
-            _ref_refine_track_nodes(t, i, matcher, 0.2, ref_stats) for t, i in zip(tracks, ref_idx)
+            _ref_refine_track_nodes(tracks.take([i]), ref_idx[i], matcher, 0.2, ref_stats)
+            for i in range(6)
         ]
-        assert got[1] is None and got[3] is None
-        for a, b in zip(got, ref):
+        assert ref[1] is None and ref[3] is None
+        assert got.track_ids.tolist() == [rt.track_id for rt in ref if rt is not None]
+        for a, b in zip(_records(got), [rt for rt in ref if rt is not None]):
             _assert_same_refined(a, b)
         assert stats == ref_stats
         assert stats.dropped_tracks == 2
@@ -674,7 +706,7 @@ class TestBatchedRefinementMatchesOneTrackReference:
             sources=normal.sources, point_init=behind,
         )
         group = [normal, flat, clamped, normal]
-        got = optimize_depths(group, ViewTable.stack(poses, intrs))
+        got = _records(optimize_depths(RefinedTracks.from_records(group), ViewTable.stack(poses, intrs)))
         want = [_ref_optimize_depth(rt, poses, intrs) for rt in group]
         for a, b in zip(got, want):
             _assert_same_refined(a, b)

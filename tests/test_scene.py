@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+import support
 
 from semidense.errors import VisibilityError
-from semidense.geometry import triangulate
+from semidense.geometry import SE3Pose, project_with_depth, triangulate
 from semidense.scene import (
     FINE_WINDOW_HALF,
     GRID_STRIDE,
@@ -128,6 +129,53 @@ class TestRenderObservations:
             key = (obs.cells[row, 0], obs.cells[row, 1])
             w = seen[key]
             assert depths[w] <= depths[row]
+
+
+def _ref_cell_winner(cells, depths):
+    """The dict loop the array cell-winner code replaced: front-most row per cell, earliest on ties."""
+    winner = np.zeros(len(cells), dtype=bool)
+    best: dict[tuple[int, int], int] = {}
+    for row in range(len(cells)):
+        key = (int(cells[row, 0]), int(cells[row, 1]))
+        prev = best.get(key)
+        if prev is None or depths[row] < depths[prev]:
+            best[key] = row
+    for row in best.values():
+        winner[row] = True
+    return winner
+
+
+def _assert_cell_winner_matches_loop(scene, view):
+    obs = render_observations(scene, view)
+    pose, intr = scene.views[view]
+    depths = project_with_depth(pose, intr, scene.points)[1][obs.point_ids]
+    assert np.array_equal(obs.cell_winner, _ref_cell_winner(obs.cells, depths))
+    return obs
+
+
+class TestCellWinnerMatchesDictLoop:
+    def test_localize_size_scene(self):
+        scene = generate_scene(1, 2000, 6, NoiseModel(dropout_rate=0.1))
+        for view in range(scene.n_views):
+            obs = _assert_cell_winner_matches_loop(scene, view)
+            assert not obs.cell_winner.all()  # cells with several points occur
+
+    def test_equal_depth_tie_goes_to_earliest_row(self):
+        # rows 0-2 share one cell at depth 4 exactly; row 5 is nearer than rows 3-4 in another
+        points = np.array([
+            [0.001, 0.0, 0.0], [0.002, 0.0, 0.0], [0.0015, 0.0, 0.0],
+            [0.105, 0.0, 0.0], [0.1051, 0.0, 0.0], [0.1, 0.0, -0.5],
+        ])
+        desc = np.eye(6)
+        scene = SyntheticScene(
+            points=points, desc_coarse=desc, desc_fine=desc,
+            views=[(SE3Pose(np.eye(3), np.array([0.0, 0.0, 4.0])), support.default_intrinsics())],
+            noise=NoiseModel(), seed=0,
+        )
+        obs = _assert_cell_winner_matches_loop(scene, 0)
+        assert len(obs.point_ids) == 6
+        assert len({tuple(c) for c in obs.cells.tolist()}) == 2
+        assert obs.cell_winner.tolist() == [True, False, False, False, False, True]
 
 
 class TestOracleFineLocation:

@@ -15,7 +15,7 @@ from semidense.geometry import (
 )
 from semidense.matching import OracleMatcher, PairMatches, select_view_pairs
 from semidense.scene import NoiseModel, generate_scene, grid_cell_center
-from semidense.tracks import FeatureTrack, TrackStats, build_tracks, triangulate_tracks
+from semidense.tracks import TrackStats, build_tracks, triangulate_tracks
 
 ZERO = NoiseModel()
 
@@ -51,7 +51,7 @@ class TestBuildTracks:
         matches = [_match(0, 1, c, c), _match(1, 2, c, c)]
         tracks, stats = build_tracks(matches, min_track_length=3)
         assert len(tracks) == 1
-        assert tracks[0].nodes == [(0, c), (1, c), (2, c)]
+        assert support.node_lists(tracks)[0] == [(0, c), (1, c), (2, c)]
         assert stats.conflicts == 0
 
     def test_conflicting_view_nodes_dropped(self):
@@ -65,17 +65,17 @@ class TestBuildTracks:
         tracks, stats = build_tracks(matches, min_track_length=2)
         assert stats.conflicts == 2
         assert len(tracks) == 1
-        assert tracks[0].nodes == [(1, c1), (2, c2)]
+        assert support.node_lists(tracks)[0] == [(1, c1), (2, c2)]
 
     def test_short_tracks_discarded(self):
         matches = [_match(0, 1, (4.0, 4.0), (4.0, 4.0))]
         tracks, stats = build_tracks(matches, min_track_length=3)
-        assert tracks == []
+        assert len(tracks) == 0
         assert stats.too_short == 1
 
     def test_empty_input(self):
         tracks, stats = build_tracks([], min_track_length=3)
-        assert tracks == []
+        assert len(tracks) == 0
         assert stats.n_matches == 0
 
     def test_permutation_invariance(self):
@@ -86,7 +86,7 @@ class TestBuildTracks:
         rng = np.random.default_rng(0)
         for _ in range(3):
             got, _ = build_tracks(_shuffled(matches, rng), min_track_length=3)
-            assert [t.nodes for t in got] == [t.nodes for t in base]
+            assert support.node_lists(got) == support.node_lists(base)
 
     def test_no_shared_nodes(self):
         scene = generate_scene(42, 400, 6, ZERO)
@@ -94,8 +94,8 @@ class TestBuildTracks:
         matches = _scene_matches(scene, matcher)
         tracks, _ = build_tracks(matches, min_track_length=3)
         seen = set()
-        for t in tracks:
-            for node in t.nodes:
+        for nodes in support.node_lists(tracks):
+            for node in nodes:
                 assert node not in seen
                 seen.add(node)
 
@@ -120,7 +120,7 @@ class TestBuildTracks:
                     nodes.append((o.view_id, (o.cells[row, 0], o.cells[row, 1])))
             if len(nodes) >= 2:
                 expected[frozenset(nodes)] = pid
-        got = {frozenset(t.nodes) for t in tracks}
+        got = {frozenset(nodes) for nodes in support.node_lists(tracks)}
         assert got == set(expected.keys())
 
 
@@ -186,21 +186,19 @@ def _ref_build_tracks(matches, min_track_length=3):
             stats.too_short += 1
             continue
         kept.sort()
-        tracks.append(FeatureTrack(track_id=-1, nodes=kept))
+        tracks.append(kept)
 
-    tracks.sort(key=lambda t: t.nodes[0])
-    for i, t in enumerate(tracks):
-        t.track_id = i
-        stats.length_histogram[len(t)] = stats.length_histogram.get(len(t), 0) + 1
-    return tracks, stats
+    tracks.sort(key=lambda nodes: nodes[0])
+    for nodes in tracks:
+        stats.length_histogram[len(nodes)] = stats.length_histogram.get(len(nodes), 0) + 1
+    return list(enumerate(tracks)), stats
 
 
 def _assert_same_as_union_find(matches, min_track_length=3):
     tracks, stats = build_tracks(matches, min_track_length=min_track_length)
     ref_tracks, ref_stats = _ref_build_tracks(matches, min_track_length)
-    assert [(t.track_id, t.nodes) for t in tracks] == [(t.track_id, t.nodes) for t in ref_tracks]
-    for t in tracks:
-        assert all(type(v) is int and type(u) is float and type(w) is float for v, (u, w) in t.nodes)
+    assert list(zip(tracks.track_ids.tolist(), support.node_lists(tracks))) == ref_tracks
+    assert tracks.views.dtype.kind == "i" and tracks.cells.dtype == float
     assert stats == ref_stats
     assert stats.to_dict() == ref_stats.to_dict()
     return tracks, stats
@@ -213,7 +211,7 @@ class TestBuildTracksMatchesUnionFindReference:
         for min_track_length in (1, 2, 3, 5):
             tracks, stats = _assert_same_as_union_find(matches, min_track_length)
         assert stats.conflicts > 0 and stats.too_short > 0
-        assert len({len(t) for t in tracks}) > 3
+        assert len(set(np.diff(tracks.offsets).tolist())) > 3
 
     def test_shuffled_pairs_and_rows(self):
         scene = support.onboard_scene(3)
@@ -222,21 +220,21 @@ class TestBuildTracksMatchesUnionFindReference:
         rng = np.random.default_rng(5)
         for _ in range(3):
             tracks, stats = _assert_same_as_union_find(_shuffled(matches, rng))
-            assert [t.nodes for t in tracks] == [t.nodes for t in base]
+            assert support.node_lists(tracks) == support.node_lists(base)
             assert stats == base_stats
 
     def test_empty_input(self):
         empty = PairMatches(0, 1, np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0))
         for matches in ([], [empty], [empty, empty]):
             tracks, stats = _assert_same_as_union_find(matches)
-            assert tracks == [] and stats == TrackStats()
+            assert len(tracks) == 0 and stats == TrackStats()
 
     def test_pairs_with_no_rows_between_others(self):
         c = (4.0, 4.0)
         empty = PairMatches(3, 4, np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0))
         matches = [empty, _match(0, 1, c, c), empty, _match(1, 2, c, c)]
         tracks, _ = _assert_same_as_union_find(matches)
-        assert tracks[0].nodes == [(0, c), (1, c), (2, c)]
+        assert support.node_lists(tracks)[0] == [(0, c), (1, c), (2, c)]
 
     def test_long_path_is_one_component(self):
         # 500 nodes chained in a shuffled view order, so labels do not follow the path
@@ -245,7 +243,7 @@ class TestBuildTracksMatchesUnionFindReference:
         matches = [_match(a, b, c, c) for a, b in zip(views[:-1], views[1:])]
         tracks, stats = _assert_same_as_union_find(matches)
         assert stats.n_components == 1
-        assert len(tracks) == 1 and len(tracks[0]) == 500
+        assert len(tracks) == 1 and tracks.offsets.tolist() == [0, 500]
 
     def test_self_pair_and_repeated_matches(self):
         a, b, c = (4.0, 4.0), (12.0, 4.0), (20.0, 4.0)
@@ -268,15 +266,13 @@ class TestTriangulateTracks:
         intrs = [k for _, k in scene.views]
         recon = triangulate_tracks(tracks, poses, intrs, max_reproj_px=12.0, stats=stats)
         assert len(recon.tracks) > 0
-        obs0 = matcher.observations(0)
-        for track, point in zip(recon.tracks, recon.points):
-            v0, cell0 = track.nodes[0]
-            pid = matcher.observations(v0).winner_point_for_cell(cell0)
+        for nodes, point in zip(support.node_lists(recon.tracks), recon.points):
+            v0, cell0 = nodes[0]
+            pid = support.winner_point(matcher.observations(v0), cell0)
             assert pid is not None
-            depth = max(poses[v].transform(scene.points[pid])[2] for v in track.view_ids)
+            depth = max(poses[v].transform(scene.points[pid])[2] for v, _ in nodes)
             bound = 8.0 / scene.views[0][1].fx * depth * np.sqrt(2.0)
             assert np.linalg.norm(point - scene.points[pid]) <= bound
-        del obs0
 
     def test_coincident_centers_rejected_as_degenerate(self):
         intr = support.default_intrinsics()
@@ -288,16 +284,14 @@ class TestTriangulateTracks:
             grid_cell_center(project(pose_a, intr, point)),
             grid_cell_center(project(pose_b, intr, point)),
         ]
-        from semidense.tracks import FeatureTrack
-
-        track = FeatureTrack(track_id=0, nodes=[(0, tuple(cells[0])), (1, tuple(cells[1]))])
-        recon = triangulate_tracks([track], [pose_a, pose_b], [intr, intr])
-        assert recon.tracks == []
+        track = support.make_tracks([[(0, tuple(cells[0])), (1, tuple(cells[1]))]])
+        recon = triangulate_tracks(track, [pose_a, pose_b], [intr, intr])
+        assert len(recon.tracks) == 0
         assert recon.stats.rejected_degenerate == 1
 
     def test_empty_track_list(self):
-        recon = triangulate_tracks([], [], [])
-        assert recon.tracks == []
+        recon = triangulate_tracks(support.make_tracks([]), [], [])
+        assert len(recon.tracks) == 0
         assert recon.points.shape == (0, 3)
 
 
@@ -375,8 +369,8 @@ def _ref_mean_reprojection_error(point, observations):
 def _ref_triangulate_tracks(tracks, poses, intrinsics, max_reproj_px=12.0):
     stats = TrackStats()
     kept = []
-    for track in tracks:
-        obs = [(poses[v], intrinsics[v], np.asarray(c, dtype=float)) for v, c in track.nodes]
+    for track_id, nodes in zip(tracks.track_ids.tolist(), support.node_lists(tracks)):
+        obs = [(poses[v], intrinsics[v], np.asarray(c, dtype=float)) for v, c in nodes]
         try:
             point = _ref_triangulate(obs)
         except DegenerateGeometryError:
@@ -389,18 +383,18 @@ def _ref_triangulate_tracks(tracks, poses, intrinsics, max_reproj_px=12.0):
         if err > max_reproj_px:
             stats.rejected_reprojection += 1
             continue
-        kept.append((track.track_id, point, err))
+        kept.append((track_id, point, err))
     return kept, stats
 
 
 def _assert_same_as_reference(tracks, poses, intrs, max_reproj_px=12.0):
     recon = triangulate_tracks(tracks, poses, intrs, max_reproj_px=max_reproj_px)
     kept, stats = _ref_triangulate_tracks(tracks, poses, intrs, max_reproj_px)
-    assert [t.track_id for t in recon.tracks] == [tid for tid, _, _ in kept]
-    for track, point, (_, ref_point, ref_err) in zip(recon.tracks, recon.points, kept):
-        assert np.array_equal(track.point_coarse, ref_point)
+    assert recon.tracks.track_ids.tolist() == [tid for tid, _, _ in kept]
+    errors = recon.tracks.reproj_errors.tolist()
+    for point, err, (_, ref_point, ref_err) in zip(recon.points, errors, kept):
         assert np.array_equal(point, ref_point)
-        assert track.reproj_error == ref_err
+        assert err == ref_err
     assert recon.stats == stats
     return recon
 
@@ -412,7 +406,7 @@ class TestTriangulateTracksMatchesOneTrackReference:
         poses = [p for p, _ in scene.views]
         intrs = [k for _, k in scene.views]
         recon = _assert_same_as_reference(tracks, poses, intrs)
-        assert len({len(t) for t in recon.tracks}) > 3  # several length groups
+        assert len(set(np.diff(recon.tracks.offsets).tolist())) > 3  # several length groups
         # a tight gate makes the reprojection rejection do work too
         recon = _assert_same_as_reference(tracks, poses, intrs, max_reproj_px=0.6)
         assert recon.stats.rejected_reprojection > 0
@@ -429,21 +423,24 @@ class TestTriangulateTracksMatchesOneTrackReference:
         intrs = [intr] * len(poses)
 
         rng = np.random.default_rng(7)
-        tracks = []
+        nodes, ids = [], []
         for i in range(6):  # good rows, with pixel noise
             point = rng.uniform(-0.2, 0.2, size=3)
             views = [i % 4, (i + 1) % 4]
-            nodes = [
+            nodes.append([
                 (v, tuple(project(poses[v], intr, point) + rng.normal(0, 0.5, 2))) for v in views
-            ]
-            tracks.append(FeatureTrack(track_id=len(tracks), nodes=nodes))
+            ])
+            ids.append(len(ids))
         point = np.array([0.02, 0.01, 0.0])
-        tracks.insert(2, FeatureTrack(track_id=99, nodes=[
+        nodes.insert(2, [
             (0, tuple(project(poses[0], intr, point))), (4, tuple(project(poses[4], intr, point))),
-        ]))
-        tracks.insert(4, FeatureTrack(track_id=98, nodes=[
+        ])
+        ids.insert(2, 99)
+        nodes.insert(4, [
             (5, (intr.cx - 0.2 * intr.fx, intr.cy)), (6, (intr.cx + 0.2 * intr.fx, intr.cy)),
-        ]))
+        ])
+        ids.insert(4, 98)
+        tracks = support.make_tracks(nodes, track_ids=ids)
         recon = _assert_same_as_reference(tracks, poses, intrs)
         assert recon.stats.rejected_degenerate == 1
         assert recon.stats.rejected_cheirality == 1
