@@ -77,6 +77,8 @@ class RunConfig:
             raise ValueError("tau must be positive")
         if not 0 <= self.theta <= 1:
             raise ValueError("theta must be in [0, 1]")
+        if not self.units_to_cm > 0:
+            raise ValueError("units_to_cm must be positive")
         self.noise  # building the NoiseModel checks the noise fields
         if self.distance_min <= 0 or self.distance_max < self.distance_min:
             raise ValueError("invalid camera distance range")

@@ -71,6 +71,30 @@ class FineMatchResult:
     confidence: float
 
 
+def outlier_draws(
+    scene: SyntheticScene, view_a: int, view_b: int, cells_b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The oracle's outliers among one pair's matches: (rows, wrong cells_b, scores).
+
+    cells_b holds the true view-b cell of each match. Each row is corrupted
+    with probability outlier_rate; a corrupted row gets a cell drawn
+    uniformly from the other cells of view b's grid, and a uniform score.
+    All draws come from one generator keyed on (seed, view_a, view_b).
+    """
+    rng = np.random.default_rng([scene.seed, _STREAM_OUTLIERS, view_a, view_b])
+    rows = np.flatnonzero(rng.uniform(size=len(cells_b)) < scene.noise.outlier_rate)
+    _, intr_b = scene.views[view_b]
+    n_cols = intr_b.width // GRID_STRIDE
+    n_cells = n_cols * (intr_b.height // GRID_STRIDE)
+    true = (cells_b[rows] // GRID_STRIDE).astype(np.int64)
+    true_idx = true[:, 1] * n_cols + true[:, 0]
+    # uniform over the n_cells - 1 other cells: skip the true one
+    k = rng.integers(0, n_cells - 1, size=len(rows))
+    k += k >= true_idx
+    cells = np.column_stack([k % n_cols, k // n_cols]) * GRID_STRIDE + GRID_STRIDE / 2.0
+    return rows, cells, rng.uniform(0.0, 1.0, size=len(rows))
+
+
 class MatchingFrontend(ABC):
     """Interface of the pluggable semi-dense matcher."""
 
@@ -120,8 +144,6 @@ class OracleMatcher(MatchingFrontend):
     ) -> PairMatches:
         if obs_a.view_id == obs_b.view_id:
             raise ValueError("coarse matching needs two distinct views")
-        rate = self.scene.noise.outlier_rate
-
         # winner point ids are ascending, so the common ones come out sorted
         win_a = np.flatnonzero(obs_a.cell_winner)
         win_b = np.flatnonzero(obs_b.cell_winner)
@@ -137,22 +159,12 @@ class OracleMatcher(MatchingFrontend):
         cells_a = obs_a.cells[rows_a]
         cells_b = obs_b.cells[rows_b]
 
-        if rate > 0:
-            rng = np.random.default_rng(
-                [self.scene.seed, _STREAM_OUTLIERS, obs_a.view_id, obs_b.view_id]
+        if self.scene.noise.outlier_rate > 0:
+            rows, wrong_cells, wrong_scores = outlier_draws(
+                self.scene, obs_a.view_id, obs_b.view_id, cells_b
             )
-            corrupt = rng.uniform(size=len(scores)) < rate
-            _, intr_b = self.scene.views[obs_b.view_id]
-            n_cols = intr_b.width // GRID_STRIDE
-            n_rows = intr_b.height // GRID_STRIDE
-            for i in np.flatnonzero(corrupt):
-                while True:
-                    cu = rng.integers(0, n_cols) * GRID_STRIDE + GRID_STRIDE / 2.0
-                    cv = rng.integers(0, n_rows) * GRID_STRIDE + GRID_STRIDE / 2.0
-                    if (cu, cv) != (cells_b[i, 0], cells_b[i, 1]):
-                        break
-                cells_b[i] = (cu, cv)
-                scores[i] = rng.uniform(0.0, 1.0)
+            cells_b[rows] = wrong_cells
+            scores[rows] = wrong_scores
 
         # one match per cell_a: the highest score wins, and the stable sort
         # lets the first row win ties

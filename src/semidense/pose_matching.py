@@ -75,14 +75,15 @@ FINE_SPLAT_SIGMA_PX = 1.0
 _FINE_SPLAT_RADIUS_CELLS = 3
 
 
-def _splat_fine(fine: np.ndarray, pixels: np.ndarray, desc: np.ndarray) -> None:
+def _splat_fine(fine: np.ndarray, pixels: np.ndarray, desc: np.ndarray) -> np.ndarray:
     """Blend each row's Gaussian descriptor peak into `fine` in place, in row order.
 
     A peak updates every cell x of its clipped 7x7 stencil to
     g*desc + (1-g)*x. The updates are applied in rounds: round k holds the
     k-th update of every cell, so no cell repeats within a round and each
     cell receives its updates in row order, with the same arithmetic as
-    blending one row at a time.
+    blending one row at a time. Returns the flat (row-major) indices of the
+    cells that were touched, each once.
     """
     hf, wf, cf = fine.shape
     offsets = np.arange(-_FINE_SPLAT_RADIUS_CELLS, _FINE_SPLAT_RADIUS_CELLS + 1)
@@ -110,6 +111,30 @@ def _splat_fine(fine: np.ndarray, pixels: np.ndarray, desc: np.ndarray) -> None:
         gk = g[lo:hi]
         flat[idx] = gk * desc[src[lo:hi]] + (1.0 - gk) * flat[idx]
         lo = hi
+    return cell[: np.count_nonzero(k == 0)]  # round 0 holds every touched cell once
+
+
+# Rows of the unit-vector table that the fine noise floor is gathered from.
+_FINE_FLOOR_TABLE_ROWS = 4096
+
+
+def query_noise_floors(scene: SyntheticScene, view_id: int) -> tuple[np.ndarray, np.ndarray]:
+    """The random unit-vector floors of one query view's coarse and fine maps.
+
+    Every coarse cell gets its own normalized Gaussian vector. Every fine
+    cell gets a row of a table of _FINE_FLOOR_TABLE_ROWS such vectors, picked
+    by a random index per cell. Both come from one generator keyed on
+    (seed, view), coarse first.
+    """
+    _, intr = scene.views[view_id]
+    hc, wc = intr.height // GRID_STRIDE, intr.width // GRID_STRIDE
+    hf, wf = intr.height // FINE_STRIDE, intr.width // FINE_STRIDE
+    rng = np.random.default_rng([scene.seed, _STREAM_QUERY_MAPS, view_id])
+    coarse = rng.standard_normal((hc, wc, scene.desc_coarse.shape[1]))
+    coarse /= np.linalg.norm(coarse, axis=2, keepdims=True)
+    table = rng.standard_normal((_FINE_FLOOR_TABLE_ROWS, scene.desc_fine.shape[1]))
+    table /= np.linalg.norm(table, axis=1, keepdims=True)
+    return coarse, table[rng.integers(0, _FINE_FLOOR_TABLE_ROWS, size=(hf, wf))]
 
 
 def synthesize_query_maps(scene: SyntheticScene, view_id: int) -> QueryFeatureMaps:
@@ -119,20 +144,12 @@ def synthesize_query_maps(scene: SyntheticScene, view_id: int) -> QueryFeatureMa
     map each point spreads a Gaussian-shaped descriptor peak (a real feature
     map is smooth, so correlation decays with distance from the feature);
     nearer points are blended over farther ones. Unoccupied cells keep
-    random unit vectors, and every cell is renormalized.
+    their noise-floor unit vectors, and every fine cell a peak touched is
+    renormalized.
     """
     pose, intr = scene.views[view_id]
     obs = render_observations(scene, view_id)
-    hc, wc = intr.height // GRID_STRIDE, intr.width // GRID_STRIDE
-    hf, wf = intr.height // FINE_STRIDE, intr.width // FINE_STRIDE
-    cc = scene.desc_coarse.shape[1]
-    cf = scene.desc_fine.shape[1]
-
-    rng = np.random.default_rng([scene.seed, _STREAM_QUERY_MAPS, view_id])
-    coarse = rng.standard_normal((hc, wc, cc))
-    coarse /= np.linalg.norm(coarse, axis=2, keepdims=True)
-    fine = rng.standard_normal((hf, wf, cf))
-    fine /= np.linalg.norm(fine, axis=2, keepdims=True)
+    coarse, fine = query_noise_floors(scene, view_id)
 
     win = np.flatnonzero(obs.cell_winner)
     cells = (obs.cells[win] // GRID_STRIDE).astype(int)
@@ -140,8 +157,9 @@ def synthesize_query_maps(scene: SyntheticScene, view_id: int) -> QueryFeatureMa
 
     depths = pose.transform(scene.points[obs.point_ids])[:, 2]
     order = np.argsort(-depths)  # far first; nearer points blend over them
-    _splat_fine(fine, obs.pixels[order], obs.desc_fine[order])
-    fine /= np.linalg.norm(fine, axis=2, keepdims=True)
+    touched = _splat_fine(fine, obs.pixels[order], obs.desc_fine[order])
+    flat = fine.reshape(-1, fine.shape[2])
+    flat[touched] /= np.linalg.norm(flat[touched], axis=1, keepdims=True)
 
     return QueryFeatureMaps(coarse=coarse, fine=fine, intrinsics=intr)
 

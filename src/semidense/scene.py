@@ -4,9 +4,10 @@ Generates ground-truth 3D points on a blobby surface, cameras on a viewing
 hemisphere, per-point unit descriptors shared across views, and noisy
 per-view observations quantized to the stride-8 coarse grid.
 
-All randomness is keyed through numpy SeedSequence lists
-(seed, stream, view_id[, point_id]) so every quantity is reproducible
-bit-exactly and independent of evaluation order.
+All randomness is keyed through numpy SeedSequence lists (seed, stream) or
+(seed, stream, view_id); per-point quantities are drawn as one table over
+all points and indexed by point id. Every quantity is therefore
+reproducible bit-exactly and independent of evaluation order.
 """
 
 from __future__ import annotations
@@ -316,6 +317,16 @@ def render_observations(scene: SyntheticScene, view_id: int) -> ViewObservations
     )
 
 
+def fine_noise_table(scene: SyntheticScene, view_id: int) -> np.ndarray:
+    """Unit-variance sub-pixel noise of every point in one view: (N, 2), row = point id.
+
+    Drawn over all points, so a point's noise does not depend on which
+    points are asked for, or in what order.
+    """
+    rng = np.random.default_rng([scene.seed, _STREAM_FINE_NOISE, view_id])
+    return rng.standard_normal((scene.n_points, 2))
+
+
 def oracle_fine_location(
     scene: SyntheticScene,
     view_id: int,
@@ -326,9 +337,10 @@ def oracle_fine_location(
     """True projection plus clamped Gaussian sub-pixel noise (ground truth u-hat).
 
     point_id is one id, giving a (2,) location, or an array of ids, giving
-    (M, 2). Each draw is keyed on (seed, view, point): repeated calls return
-    the same location. The result is clamped to +-window_half px of the
-    grid-cell center so it stays inside the refinement window.
+    (M, 2). The noise is the point's row of the view's fine_noise_table:
+    repeated calls return the same location. The result is clamped to
+    +-window_half px of the grid-cell center so it stays inside the
+    refinement window.
     """
     pose, intr = scene.views[view_id]
     ids = np.atleast_1d(np.asarray(point_id, dtype=int))
@@ -338,15 +350,7 @@ def oracle_fine_location(
     if not visible.all():
         raise VisibilityError(f"point {ids[~visible][0]} not visible in view {view_id}")
 
-    noise = np.array(
-        [
-            np.random.default_rng(
-                [scene.seed, _STREAM_FINE_NOISE, view_id, pid]
-            ).standard_normal(2)
-            for pid in ids.tolist()
-        ]
-    ).reshape(-1, 2)
-    noisy = pix + scene.noise.fine_noise_sigma * noise
+    noisy = pix + scene.noise.fine_noise_sigma * fine_noise_table(scene, view_id)[ids]
     center = grid_cell_center(pix)
     out = np.clip(noisy, center - window_half, center + window_half)
     return out[0] if np.ndim(point_id) == 0 else out

@@ -234,6 +234,11 @@ class TestBadInputs:
                  "--out", tmp_path / "m", "--tau", "inf", *FAST)
         self._assert_usage_error(rc, capsys, "tau")
 
+    def test_pipeline_zero_units_to_cm(self, tmp_path, capsys):
+        # every t_err_cm would read 0.0, judging cm-degree success on rotation alone
+        rc = run("pipeline", "--out", tmp_path / "run", "--units-to-cm", "0", *FAST)
+        self._assert_usage_error(rc, capsys, "units_to_cm")
+
     def test_estimate_unparsable_views(self, tmp_path, workspace, capsys):
         rc = run("estimate", "--scene", workspace / "scene.json", "--model", workspace / "model",
                  "--out", tmp_path / "est", "--views", "abc", *FAST)

@@ -41,6 +41,8 @@ class TestValidation:
             {"tau": float("inf")},
             {"focal": float("nan")},
             {"inlier_px": float("-inf")},
+            {"units_to_cm": 0.0},
+            {"units_to_cm": -10.0},
         ):
             with pytest.raises(ValueError):
                 RunConfig(**bad).validate()

@@ -9,20 +9,21 @@ import support
 from semidense.errors import VisibilityError
 from semidense.geometry import project_with_depth
 from semidense.matching import (
-    _STREAM_OUTLIERS,
     OUTLIER_CONFIDENCE,
     FineMatchQuery,
     OracleMatcher,
+    outlier_draws,
     select_view_pairs,
 )
 from semidense.scene import (
-    _STREAM_FINE_NOISE,
     FINE_WINDOW_HALF,
-    GRID_STRIDE,
     NoiseModel,
     ViewObservations,
+    fine_noise_table,
     generate_scene,
     grid_cell_center,
+    oracle_fine_location,
+    render_observations,
 )
 
 ZERO = NoiseModel()
@@ -102,6 +103,8 @@ class TestCoarseMatchPair:
                 assert prev == cell_a
 
     def test_outlier_fraction_monte_carlo(self):
+        # n ~ 5300 matches over 100 pairs (~53 each): the mean of the per-pair
+        # fractions has standard deviation ~0.0064, so the 0.03 bound is ~4.7 sigma
         fractions = []
         for seed in range(100):
             scene = generate_scene(seed, 100, 2, NoiseModel(outlier_rate=0.3))
@@ -129,8 +132,74 @@ class TestCoarseMatchPair:
         assert _rows(m1) == _rows(m2)
 
 
+class TestOutlierDraws:
+    def _tiny_scene(self, outlier_rate):
+        """A scene whose view 1 is a 16x16 px image: a 2x2 grid of 4 cells."""
+        scene = generate_scene(30, 20, 2, NoiseModel(outlier_rate=outlier_rate))
+        pose, _ = scene.views[1]
+        tiny = support.default_intrinsics(16, 16)
+        return dataclasses.replace(scene, views=[scene.views[0], (pose, tiny)])
+
+    def test_replacement_is_never_the_true_cell(self):
+        # the largest allowed rate: nearly every row is corrupted, and with 4
+        # cells a draw that ignored the true cell would hit it 1 time in 4
+        scene = self._tiny_scene(0.99)
+        centers = np.array([(4.0, 4.0), (12.0, 4.0), (4.0, 12.0), (12.0, 12.0)])
+        true_cells = centers[np.arange(4000) % 4]
+        rows, cells, scores = outlier_draws(scene, 0, 1, true_cells)
+        assert len(rows) > 3900
+        assert not np.any(np.all(cells == true_cells[rows], axis=1))
+        assert np.all((scores >= 0.0) & (scores < 1.0))
+        # each of the other three cells is equally likely: n ~ 1000 per true
+        # cell, so a share has standard deviation ~0.015 and 0.07 is ~4.7 sigma
+        for t, center in enumerate(centers):
+            drawn = cells[rows % 4 == t]
+            for other in np.delete(centers, t, axis=0):
+                share = np.mean(np.all(drawn == other, axis=1))
+                assert abs(share - 1.0 / 3.0) < 0.07
+
+    def test_no_rows(self):
+        rows, cells, scores = outlier_draws(self._tiny_scene(0.5), 0, 1, np.zeros((0, 2)))
+        assert rows.shape == (0,) and cells.shape == (0, 2) and scores.shape == (0,)
+
+
+class TestOracleDrawsIndependentOfOrder:
+    def test_fine_locations_independent_of_query_order(self):
+        scene = support.onboard_scene(3)
+        obs = render_observations(scene, 4)
+        ids = obs.point_ids
+        perm = np.random.default_rng(0).permutation(len(ids))
+        batch = oracle_fine_location(scene, 4, ids)
+        assert np.array_equal(oracle_fine_location(scene, 4, ids[perm]), batch[perm])
+        assert np.array_equal(oracle_fine_location(scene, 4, ids[perm[:7]]), batch[perm[:7]])
+        for i in perm[:20]:
+            assert np.array_equal(oracle_fine_location(scene, 4, int(ids[i])), batch[i])
+
+    def test_fine_refine_batch_independent_of_query_order(self):
+        scene = support.onboard_scene(3)
+        matcher = OracleMatcher(scene)
+        queries = _track_queries(scene, matcher)
+        columns = [np.asarray(c) for c in zip(*queries)]
+        pixels, confidence = matcher.fine_refine_batch(*columns)
+        perm = np.random.default_rng(1).permutation(len(queries))
+        fresh = OracleMatcher(scene)
+        got_pixels, got_confidence = fresh.fine_refine_batch(*(c[perm] for c in columns))
+        assert np.array_equal(got_pixels, pixels[perm])
+        assert np.array_equal(got_confidence, confidence[perm])
+
+    def test_outliers_independent_of_pair_order(self):
+        scene = support.onboard_scene(3)
+        pairs = select_view_pairs(scene.views)
+        fwd, rev = OracleMatcher(scene), OracleMatcher(scene)
+        first = [fwd.coarse_match_pair(fwd.observations(a), fwd.observations(b)) for a, b in pairs]
+        for (a, b), want in reversed(list(zip(pairs, first))):
+            got = rev.coarse_match_pair(rev.observations(a), rev.observations(b))
+            assert _rows(got) == _rows(want)
+
+
 # Reference: the dict-based oracle pair matching that the array code
-# replaced, kept here verbatim so the two can be checked match for match.
+# replaced, kept here so the two can be checked match for match. Both draw
+# their outliers from the one `outlier_draws`.
 
 
 def _ref_coarse_match_pair(matcher, obs_a, obs_b):
@@ -150,23 +219,13 @@ def _ref_coarse_match_pair(matcher, obs_a, obs_b):
     cells_b = obs_b.cells[rows_b]
 
     if rate > 0:
-        rng = np.random.default_rng(
-            [matcher.scene.seed, _STREAM_OUTLIERS, obs_a.view_id, obs_b.view_id]
+        rows, wrong_cells, wrong_scores = outlier_draws(
+            matcher.scene, obs_a.view_id, obs_b.view_id, cells_b
         )
-        corrupt = rng.uniform(size=len(common)) < rate
-        _, intr_b = matcher.scene.views[obs_b.view_id]
-        n_cols = intr_b.width // GRID_STRIDE
-        n_rows = intr_b.height // GRID_STRIDE
         cells_b = cells_b.copy()
         scores = scores.copy()
-        for i in np.flatnonzero(corrupt):
-            while True:
-                cu = rng.integers(0, n_cols) * GRID_STRIDE + GRID_STRIDE / 2.0
-                cv = rng.integers(0, n_rows) * GRID_STRIDE + GRID_STRIDE / 2.0
-                if (cu, cv) != (cells_b[i, 0], cells_b[i, 1]):
-                    break
-            cells_b[i] = (cu, cv)
-            scores[i] = rng.uniform(0.0, 1.0)
+        cells_b[rows] = wrong_cells
+        scores[rows] = wrong_scores
 
     # one match per cell_a: keep the highest score
     best = {}
@@ -307,20 +366,55 @@ class TestFineRefine:
             res = matcher.fine_refine(query)
             assert np.max(np.abs(res.pixel - query.cell_src)) <= 4.0 + 1e-12
 
-    def test_noise_magnitude_matches_rayleigh_mean(self):
-        # mean |error| of 2D isotropic Gaussian noise is sigma * sqrt(pi/2)
-        sigma = 0.5
-        scene = generate_scene(33, 600, 4, NoiseModel(fine_noise_sigma=sigma))
+    @staticmethod
+    def _fine_errors(sigma):
+        """|refined - true| of one grounded query per (view, point) whose clamp cannot bind.
+
+        Criterion-2 camera, 2000 points, 6 views. Each view is the source of
+        the queries of the points it shares with the next view. Only points
+        whose true pixel lies 2 px (4 sigma at sigma 0.5) inside the +-4 px
+        clamp box are asked for: chosen by position, not by outcome.
+        """
+        scene = generate_scene(
+            33, 2000, 6, NoiseModel(fine_noise_sigma=sigma), image_size=2048, focal=5000.0,
+            distance_range=(3.5, 5.0), jitter_deg=3.0,
+        )
         matcher = OracleMatcher(scene)
-        errs = []
-        win0 = _winner_points(matcher.observations(0))
-        common = win0.keys() & _winner_points(matcher.observations(1)).keys()
-        for pid in sorted(common):
-            query, true_pix = self._query_for(matcher, 0, 1, pid)
-            res = matcher.fine_refine(query)
-            errs.append(np.linalg.norm(res.pixel - true_pix))
+        view_ref, u_ref, view_src, cell_src, truth = [], [], [], [], []
+        for v in range(scene.n_views):
+            ref = matcher.observations((v + 1) % scene.n_views)
+            src = matcher.observations(v)
+            win = np.flatnonzero(ref.cell_winner)
+            _, i_ref, i_src = np.intersect1d(
+                ref.point_ids[win], src.point_ids, assume_unique=True, return_indices=True
+            )
+            offset = np.abs(src.pixels[i_src] - src.cells[i_src])
+            inner = np.all(offset <= FINE_WINDOW_HALF - 2.0, axis=1)
+            rows_ref, rows_src = win[i_ref[inner]], i_src[inner]
+            view_ref += [ref.view_id] * len(rows_ref)
+            view_src += [v] * len(rows_src)
+            u_ref.append(ref.cells[rows_ref])
+            cell_src.append(src.cells[rows_src])
+            truth.append(src.pixels[rows_src])
+        pixels, confidence = matcher.fine_refine_batch(
+            view_ref, np.concatenate(u_ref), view_src, np.concatenate(cell_src)
+        )
+        assert np.all(confidence == 1.0)
+        return np.linalg.norm(pixels - np.concatenate(truth), axis=1)
+
+    def test_noise_magnitude_matches_rayleigh_mean(self):
+        # mean |error| of 2D isotropic Gaussian noise is sigma * sqrt(pi/2), with
+        # relative standard deviation sqrt(4/pi - 1) / sqrt(n) = 0.52 / sqrt(n).
+        # n ~ 2500 queries gives ~1.0%, so the 10% bound is ~9.5 sigma; the
+        # clamp binds only past 4 sigma and biases the mean by < 0.1%.
+        sigma = 0.5
         expected = sigma * np.sqrt(np.pi / 2.0)
+        errs = self._fine_errors(sigma)
+        assert len(errs) > 2000
         assert abs(np.mean(errs) - expected) / expected < 0.10
+        # power: 20% more noise than claimed fails the same bound
+        planted = self._fine_errors(1.2 * sigma)
+        assert not abs(np.mean(planted) - expected) / expected < 0.10
 
     def test_outlier_query_returns_center_low_confidence(self):
         scene = generate_scene(34, 100, 4, ZERO)
@@ -374,8 +468,9 @@ class TestFineRefine:
             matcher.fine_refine(query)
 
 
-# Reference: the one-query oracle the batched call replaced, kept here
-# verbatim so the batch can be checked against it bit for bit.
+# Reference: the one-query oracle the batched call replaced, kept here so
+# the batch can be checked against it bit for bit. Both take their noise
+# from the one `fine_noise_table`.
 
 
 def _ref_oracle_fine_location(scene, view_id, point_id, window_half=FINE_WINDOW_HALF):
@@ -384,8 +479,7 @@ def _ref_oracle_fine_location(scene, view_id, point_id, window_half=FINE_WINDOW_
     pix = pix[0]
     if not visible[0]:
         raise VisibilityError(f"point {point_id} not visible in view {view_id}")
-    rng = np.random.default_rng([scene.seed, _STREAM_FINE_NOISE, view_id, point_id])
-    noisy = pix + scene.noise.fine_noise_sigma * rng.standard_normal(2)
+    noisy = pix + scene.noise.fine_noise_sigma * fine_noise_table(scene, view_id)[point_id]
     center = grid_cell_center(pix)
     return np.clip(noisy, center - window_half, center + window_half)
 
@@ -411,23 +505,24 @@ def _ref_fine_refine(matcher, view_ref, u_ref, view_src, cell_src):
     return loc, 1.0
 
 
-class TestFineRefineBatchMatchesOneQueryReference:
-    def _queries(self, scene, matcher):
-        """Every (reference node, node) query of every track, plus ungrounded and wrong cells."""
-        tracks, _ = support.scene_tracks(scene, matcher)
-        queries = []
-        for nodes in support.node_lists(tracks):
-            ref_view, ref_cell = nodes[len(nodes) // 2]
-            for view, cell in nodes:
-                queries.append((ref_view, ref_cell, view, cell))
-                queries.append((ref_view, ref_cell, view, (cell[0], (cell[1] + 80.0) % 2048)))
-            queries.append((ref_view, (4.0, 4.0), nodes[0][0], nodes[0][1]))
-        return queries
+def _track_queries(scene, matcher):
+    """Every (reference node, node) query of every track, plus ungrounded and wrong cells."""
+    tracks, _ = support.scene_tracks(scene, matcher)
+    queries = []
+    for nodes in support.node_lists(tracks):
+        ref_view, ref_cell = nodes[len(nodes) // 2]
+        for view, cell in nodes:
+            queries.append((ref_view, ref_cell, view, cell))
+            queries.append((ref_view, ref_cell, view, (cell[0], (cell[1] + 80.0) % 2048)))
+        queries.append((ref_view, (4.0, 4.0), nodes[0][0], nodes[0][1]))
+    return queries
 
+
+class TestFineRefineBatchMatchesOneQueryReference:
     def test_noisy_onboard_scene(self):
         scene = support.onboard_scene(5)
         matcher = OracleMatcher(scene)
-        queries = self._queries(scene, matcher)
+        queries = _track_queries(scene, matcher)
         view_ref, u_ref, view_src, cell_src = zip(*queries)
         pixels, confidence = matcher.fine_refine_batch(view_ref, u_ref, view_src, cell_src)
         assert pixels.shape == (len(queries), 2) and confidence.shape == (len(queries),)
@@ -441,7 +536,7 @@ class TestFineRefineBatchMatchesOneQueryReference:
     def test_one_row_call_matches_reference(self):
         scene = support.onboard_scene(6)
         matcher = OracleMatcher(scene)
-        for q in self._queries(scene, matcher)[:300]:
+        for q in _track_queries(scene, matcher)[:300]:
             res = matcher.fine_refine(FineMatchQuery(*(np.asarray(x) for x in q)))
             ref_pixel, ref_conf = _ref_fine_refine(matcher, *q)
             assert np.array_equal(res.pixel, ref_pixel)

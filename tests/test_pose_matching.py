@@ -10,7 +10,6 @@ from semidense.matching import OracleMatcher, select_view_pairs
 from semidense.geometry import CameraIntrinsics, SE3Pose
 from semidense.pose_matching import (
     _FINE_SPLAT_RADIUS_CELLS,
-    _STREAM_QUERY_MAPS,
     FINE_SPLAT_SIGMA_PX,
     FINE_STRIDE,
     CorrespondenceSet,
@@ -20,6 +19,7 @@ from semidense.pose_matching import (
     fine_match_2d3d,
     ground_truth_matches,
     mutual_nearest_neighbors,
+    query_noise_floors,
     synthesize_query_maps,
     window_expectation,
 )
@@ -62,16 +62,12 @@ def random_query(rng, hw=16, cc=16, cf=16) -> QueryFeatureMaps:
 
 
 def reference_query_maps(scene, view_id):
-    """Per-point splat loop: the oracle for `synthesize_query_maps`."""
+    """Per-point splat loop: the oracle for `synthesize_query_maps`, over the same noise floors."""
     pose, intr = scene.views[view_id]
     obs = render_observations(scene, view_id)
-    hc, wc = intr.height // GRID_STRIDE, intr.width // GRID_STRIDE
-    hf, wf = intr.height // FINE_STRIDE, intr.width // FINE_STRIDE
-    rng = np.random.default_rng([scene.seed, _STREAM_QUERY_MAPS, view_id])
-    coarse = rng.standard_normal((hc, wc, scene.desc_coarse.shape[1]))
-    coarse /= np.linalg.norm(coarse, axis=2, keepdims=True)
-    fine = rng.standard_normal((hf, wf, scene.desc_fine.shape[1]))
-    fine /= np.linalg.norm(fine, axis=2, keepdims=True)
+    coarse, fine = query_noise_floors(scene, view_id)
+    hf, wf, _ = fine.shape
+    touched = np.zeros((hf, wf), dtype=bool)
 
     for row in np.flatnonzero(obs.cell_winner):
         c = int(obs.cells[row, 0] // GRID_STRIDE)
@@ -94,7 +90,8 @@ def reference_query_maps(scene, view_id):
         g = np.exp(-d2 / (2.0 * FINE_SPLAT_SIGMA_PX**2))[:, :, None]
         block = fine[np.ix_(rs, cs)]
         fine[np.ix_(rs, cs)] = g * obs.desc_fine[row] + (1.0 - g) * block
-    fine /= np.linalg.norm(fine, axis=2, keepdims=True)
+        touched[np.ix_(rs, cs)] = True
+    fine[touched] /= np.linalg.norm(fine[touched], axis=1, keepdims=True)
     return coarse, fine
 
 
@@ -343,6 +340,22 @@ class TestSynthesizeQueryMaps:
         scene = dataclasses.replace(scene, views=[(behind, scene.views[0][1]), scene.views[1]])
         assert render_observations(scene, 0).point_ids.size == 0
         self._assert_equals_loop(scene, 0)
+
+
+    def test_noise_floors(self):
+        scene = generate_scene(86, 300, 3, NoiseModel(descriptor_noise_sigma=0.1))
+        coarse, fine = query_noise_floors(scene, 1)
+        again = query_noise_floors(scene, 1)
+        assert np.array_equal(coarse, again[0]) and np.array_equal(fine, again[1])
+        assert not np.array_equal(fine, query_noise_floors(scene, 2)[1])
+        np.testing.assert_allclose(np.linalg.norm(coarse, axis=2), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(fine, axis=2), 1.0, atol=1e-12)
+        # the 256 x 256 fine cells gather rows of one 4096-row table
+        distinct = np.unique(fine.reshape(-1, fine.shape[2]), axis=0)
+        assert 4000 < len(distinct) <= 4096
+        # untouched cells keep their unit floor and touched ones are renormalized
+        qmaps = synthesize_query_maps(scene, 1)
+        np.testing.assert_allclose(np.linalg.norm(qmaps.fine, axis=2), 1.0, atol=1e-12)
 
 
 class TestWindowExpectation:

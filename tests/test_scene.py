@@ -207,6 +207,10 @@ class TestOracleFineLocation:
         raise AssertionError("expected at least one culled point with f=1200")
 
     def test_noise_std_monte_carlo(self):
+        # n = 10000 per axis. The +-4 px clamp around the cell center lowers the
+        # std from 0.5 to ~0.483 (pixels uniform in the cell), and the sample
+        # std's standard deviation is ~0.483 / sqrt(2n) = 0.0034: the bounds
+        # are ~9.6 sigma below and ~20 sigma above.
         scene = generate_scene(15, 1000, 10, NoiseModel(fine_noise_sigma=0.5))
         errs = []
         for v in range(scene.n_views):
