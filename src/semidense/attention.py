@@ -76,8 +76,15 @@ def positional_encode(
 
 
 def elu_plus_one(x: np.ndarray) -> np.ndarray:
-    """Positive feature map elu(x) + 1 used by linear attention."""
-    return np.where(x > 0, x + 1.0, np.exp(np.minimum(x, 0.0)))
+    """Positive feature map elu(x) + 1 used by linear attention.
+
+    exp(min(x, 0)) + max(x, 0): exp(0) is exactly 1 and exp(x) + 0 is exp(x),
+    so every entry equals np.where(x > 0, x + 1, exp(x)) bit for bit.
+    """
+    out = np.minimum(x, 0.0)
+    np.exp(out, out=out)
+    out += np.maximum(x, 0.0)
+    return out
 
 
 def linear_attention(

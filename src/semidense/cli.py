@@ -20,7 +20,7 @@ import numpy as np
 
 from .attention import AttentionStack
 from .config import RunConfig
-from .formats import load_model, load_scene, read_fmat, save_model, save_scene
+from .formats import atomic_write, load_model, load_scene, read_fmat, save_model, save_scene
 from .matching import OracleMatcher, dump_matches_csv, select_view_pairs
 from .metrics import (
     CM_DEGREE_LEVELS,
@@ -198,7 +198,7 @@ def cmd_reconstruct(args) -> int:
         kind: {repr(t): v for t, v in point_cloud_accuracy(points, scene.points).items()}
         for kind, points in (("coarse", recon.points), ("refined", model.points))
     }
-    with open(out / "stats.json", "w") as fh:
+    with atomic_write(out / "stats.json") as fh:
         json.dump(stats, fh, sort_keys=True, indent=1)
         fh.write("\n")
     print(
@@ -258,13 +258,13 @@ def cmd_estimate(args) -> int:
                 "time_ms": r["time_ms"],
             }
         )
-        with open(out / f"corr_q{r['view']:03d}.csv", "w", newline="") as fh:
+        with atomic_write(out / f"corr_q{r['view']:03d}.csv", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["j", "u", "v", "conf"])
             c = r["corr"]
             for j, pix, conf in zip(c.fine_points, c.fine_pixels, c.fine_conf):
                 writer.writerow([int(j), repr(float(pix[0])), repr(float(pix[1])), repr(float(conf))])
-    with open(out / "poses.json", "w") as fh:
+    with atomic_write(out / "poses.json") as fh:
         json.dump({"queries": payload}, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
@@ -376,7 +376,7 @@ def evaluate_queries(scene, queries, config: RunConfig):
 
 
 def write_metrics_csv(path, rows, agg) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_METRIC_COLUMNS)
         for row in rows + [agg]:

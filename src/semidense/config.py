@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 
+from .formats import atomic_write
 from .scene import NoiseModel
 
 
@@ -117,6 +118,6 @@ class RunConfig:
             return cls.from_dict(json.load(fh))
 
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
+        with atomic_write(path) as fh:
             json.dump(self.to_dict(), fh, sort_keys=True, indent=1)
             fh.write("\n")

@@ -8,6 +8,7 @@ u64 rows, u64 cols, and the row-major little-endian payload.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
@@ -24,9 +25,30 @@ _DTYPE_CODES = {0: "<f4", 1: "<f8"}
 _CODE_OF_DTYPE = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 
 
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "w", newline: str | None = None):
+    """Open a new file beside `path` for writing; it replaces `path` when the block ends.
+
+    The file is opened as open(path, mode, newline=newline) would open it
+    (mode "w" or "wb") and moved over `path` with os.replace, so `path`
+    holds either its earlier bytes or all the new ones. If the block
+    raises, `path` is left as it was and the new file is removed.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, mode.replace("w", "x"), newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def write_fmat(path, sections: dict[str, np.ndarray]) -> None:
     """Write named 2D float arrays; insertion order is preserved on disk."""
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(FMAT_MAGIC)
         fh.write(struct.pack("<II", FMAT_VERSION, len(sections)))
         for name, array in sections.items():
@@ -82,6 +104,36 @@ def _require(mapping, keys, where) -> None:
         raise ValueError(f"{where}: missing {', '.join(missing)}")
 
 
+def _require_point_rows(sections, names, where) -> None:
+    """Raise ValueError naming `where` unless the sections are one finite table of N points.
+
+    `points` must be (N, 3) and each section in `names` must have N rows.
+    """
+    n = len(sections["points"])
+    if sections["points"].shape[1] != 3:
+        raise ValueError(f"{where}: points must have 3 columns, got {sections['points'].shape[1]}")
+    for name in ("points", *names):
+        if len(sections[name]) != n:
+            raise ValueError(f"{where}: {name} has {len(sections[name])} rows, points {n}")
+        if not np.isfinite(sections[name]).all():
+            raise ValueError(f"{where}: {name} is not finite")
+
+
+def _read_named_fmat(directory: Path, name, where) -> tuple[Path, dict[str, np.ndarray]]:
+    """The FMAT file that the manifest `where` names, in `directory`: (path, sections).
+
+    A name that is not a non-empty string, or a file that cannot be read,
+    raises ValueError naming `where`.
+    """
+    if not isinstance(name, str) or not name:
+        raise ValueError(f"{where}: file name must be a non-empty string, got {name!r}")
+    path = directory / name
+    try:
+        return path, read_fmat(path)
+    except OSError as e:
+        raise ValueError(f"{where}: cannot read {path}: {e.strerror or e}") from None
+
+
 def write_ply(path, points: np.ndarray, binary: bool = False) -> None:
     """Point-cloud PLY; ASCII by default for diff-ability."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
@@ -93,7 +145,7 @@ def write_ply(path, points: np.ndarray, binary: bool = False) -> None:
         "property double x\nproperty double y\nproperty double z\n"
         "end_header\n"
     )
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         if binary:
             fh.write(np.ascontiguousarray(pts, dtype="<f8").tobytes())
@@ -125,8 +177,17 @@ def read_ply(path) -> np.ndarray:
         return np.frombuffer(fh.read(n * 24), dtype="<f8").reshape(n, 3).copy()
 
 
+def _load_json(path):
+    """The JSON value in the file `path`; nesting too deep to decode raises ValueError."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
 def _dump_json(payload, path) -> None:
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
@@ -164,21 +225,20 @@ def save_scene(scene: SyntheticScene, json_path) -> None:
 
 def load_scene(json_path) -> SyntheticScene:
     json_path = Path(json_path)
-    with open(json_path) as fh:
-        payload = json.load(fh)
+    payload = _load_json(json_path)
     if not isinstance(payload, dict) or payload.get("format") != "semidense-scene":
         raise ValueError(f"{json_path} is not a scene file")
     _require(payload, ("sidecar", "views", "noise", "seed", "diameter"), json_path)
-    sidecar = json_path.parent / payload["sidecar"]
-    sections = read_fmat(sidecar)
+    sidecar, sections = _read_named_fmat(json_path.parent, payload["sidecar"], json_path)
     _require(sections, ("points", "desc_coarse", "desc_fine"), sidecar)
+    _require_point_rows(sections, ("desc_coarse", "desc_fine"), sidecar)
     if not isinstance(payload["views"], list):
         raise ValueError(f"{json_path}: views is not a list")
     views = [_load_view(v, f"{json_path}: view {i}") for i, v in enumerate(payload["views"])]
     try:
         noise = NoiseModel.from_dict(payload["noise"])
         seed, diameter = int(payload["seed"]), float(payload["diameter"])
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ValueError(f"{json_path}: {e}") from None
     return SyntheticScene(
         points=sections["points"],
@@ -204,7 +264,7 @@ def _load_view(view, where: str) -> tuple[SE3Pose, CameraIntrinsics]:
         if pose.shape != (4, 4) or not np.isfinite(pose).all():
             raise ValueError("pose must be a finite 4x4 matrix")
         return SE3Pose.from_matrix(pose), CameraIntrinsics.from_dict(view["intrinsics"])
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ValueError(f"{where}: {e}") from None
 
 
@@ -244,21 +304,31 @@ def load_model(model_dir):
 
     model_dir = Path(model_dir)
     manifest_path = model_dir / "model.json"
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    manifest = _load_json(manifest_path)
     if not isinstance(manifest, dict) or manifest.get("format") != "semidense-model":
         raise ValueError(f"{model_dir} is not a model directory")
     _require(manifest, ("files", "track_ids", "recon_views"), manifest_path)
     if not isinstance(manifest["files"], dict):
         raise ValueError(f"{manifest_path}: files is not a mapping")
     _require(manifest["files"], ("features",), f"{manifest_path} files")
-    features = model_dir / manifest["files"]["features"]
-    sections = read_fmat(features)
+    features, sections = _read_named_fmat(model_dir, manifest["files"]["features"], manifest_path)
     _require(sections, ("points", "coarse_features", "fine_features"), features)
+    _require_point_rows(sections, ("coarse_features", "fine_features"), features)
+    for name in ("track_ids", "recon_views"):
+        if not (isinstance(manifest[name], list) and all(type(i) is int for i in manifest[name])):
+            raise ValueError(f"{manifest_path}: {name} is not a list of integers")
+    try:
+        track_ids = np.array(manifest["track_ids"], dtype=int)
+    except OverflowError as e:
+        raise ValueError(f"{manifest_path}: track_ids: {e}") from None
+    if len(track_ids) != len(sections["points"]):
+        raise ValueError(
+            f"{manifest_path}: {len(track_ids)} track_ids for {len(sections['points'])} points"
+        )
     model = PointCloudModel(
         points=sections["points"],
         coarse_features=sections["coarse_features"],
         fine_features=sections["fine_features"],
-        track_ids=np.array(manifest["track_ids"], dtype=int),
+        track_ids=track_ids,
     )
     return model, manifest

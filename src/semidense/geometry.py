@@ -355,11 +355,27 @@ def _solve_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 def triangulate_batch(R, t, k, pixels, max_steps: int = 10) -> tuple[np.ndarray, np.ndarray]:
     """Triangulate T tracks of n views each: (points (T, 3), reject (T,)).
 
+    The DLT and its gates (triangulate_dlt), then the Gauss-Newton polish of
+    the kept points (gauss_newton_polish); arrays as in triangulate_dlt.
+    """
+    points, reject = triangulate_dlt(R, t, k, pixels)
+    kept = np.flatnonzero(reject == TRI_OK)
+    lengths = np.full(len(kept), pixels.shape[1])
+    points[kept] = gauss_newton_polish(
+        points[kept], R[kept], t[kept], tuple(a[kept] for a in k), pixels[kept], lengths, max_steps
+    )
+    return points, reject
+
+
+def triangulate_dlt(R, t, k, pixels) -> tuple[np.ndarray, np.ndarray]:
+    """Multi-view DLT points of T tracks of n views each: (points (T, 3), reject (T,)).
+
     R (T, n, 3, 3) and t (T, n, 3) are the views' poses, k = (fx, fy, cx, cy)
     each (T, n), and pixels (T, n, 2). reject is TRI_OK for a kept point and
     otherwise the first gate the track failed, in this order: coincident
-    camera centers, condition number, point at infinity, cheirality. Rows
-    never mix and are never padded, so every row equals its one-track solve.
+    camera centers, condition number, point at infinity, cheirality; a
+    rejected track's point is NaN. Rows never mix and are never padded, so
+    every row equals its one-track solve.
     """
     T, n = pixels.shape[:2]
     reject = np.full(T, TRI_OK)
@@ -396,52 +412,72 @@ def triangulate_batch(R, t, k, pixels, max_steps: int = 10) -> tuple[np.ndarray,
     front = np.flatnonzero(reject == TRI_OK)
     behind = np.any(_to_camera(points[front], R[front], t[front])[..., 2] <= MIN_DEPTH, axis=1)
     reject[front[behind]] = TRI_BEHIND
-
-    kept = np.flatnonzero(reject == TRI_OK)
     points[reject != TRI_OK] = np.nan
-    points[kept] = _gauss_newton_polish(
-        points[kept], R[kept], t[kept], tuple(a[kept] for a in k), pixels[kept], max_steps
-    )
     return points, reject
 
 
-def _gauss_newton_polish(point, R, t, k, pixels, max_steps: int = 10) -> np.ndarray:
+def gauss_newton_polish(point, R, t, k, pixels, lengths, max_steps: int = 10) -> np.ndarray:
     """Gauss-Newton polish on reprojection error, run to convergence per row.
 
     A single step leaves ~1e-8 frame dependence under pixel noise; iterating
     to convergence makes the result the geometric least-squares optimum,
     which is invariant under a common rigid transform of all cameras.
+
+    Arrays as in triangulate_dlt, with rows sorted by their view counts
+    `lengths` (T,); row i's views past lengths[i] are padding: R = 0,
+    t = (0, 0, 1) and zero intrinsics and pixels, whose residuals and
+    Jacobians are exactly 0 and which pass every cheirality test. All rows
+    step in one loop, a row's k-th step at iteration k; the sums over its
+    residuals (J^T J, J^T r and the cost) run per length on exactly its
+    2 n entries, so every row equals its one-track polish bit for bit.
     Only active rows step. A row freezes on a failed solve, on a step that
     breaks cheirality or does not lower the cost, and once it converges.
     """
     point = point.copy()
-    fx, fy = k[0], k[1]
+    T, n_max = pixels.shape[:2]
     scale = 1.0 + np.sqrt(np.vecdot(point, point))
     p_cam = _to_camera(point, R, t)
-    n_res = 2 * pixels.shape[1]  # residuals per track
-    r = (pinhole(p_cam, *k) - pixels).reshape(len(point), n_res)
-    active = np.arange(len(point))
-    for _ in range(max_steps):
-        if not active.size:
-            break
-        a = active
-        J = (pinhole_jacobian(p_cam[a], fx[a], fy[a]) @ R[a]).reshape(len(a), n_res, 3)
-        Jt = np.swapaxes(J, 1, 2)
-        delta = _solve_rows(Jt @ J, -Jt @ r[a][:, :, None])[:, :, 0]
-        candidate = point[a] + delta
-        p_new = _to_camera(candidate, R[a], t[a])
-        front = np.flatnonzero(
-            np.isfinite(delta).all(axis=1) & ~np.any(p_new[..., 2] <= MIN_DEPTH, axis=1)
-        )
-        rows = a[front]
-        r_new = pinhole(p_new[front], *(x[rows] for x in k)) - pixels[rows]
-        r_new = r_new.reshape(len(rows), n_res)
-        lower = np.vecdot(r_new, r_new) < np.vecdot(r[rows], r[rows])
-        step, rows = front[lower], rows[lower]
-        point[rows], p_cam[rows], r[rows] = candidate[step], p_new[step], r_new[lower]
-        converged = np.sqrt(np.vecdot(delta[step], delta[step])) < 1e-13 * scale[rows]
-        active = rows[~converged]
+    r = (pinhole(p_cam, *k) - pixels).reshape(T, 2 * n_max)
+    sizes, starts = np.unique(lengths, return_index=True)
+    active = np.arange(T)
+    with np.errstate(all="ignore"):  # rows that fail are masked out
+        for _ in range(max_steps):
+            if not active.size:
+                break
+            a = active
+            R_a, t_a, k_a, pixels_a, r_a = R[a], t[a], tuple(x[a] for x in k), pixels[a], r[a]
+            J = (pinhole_jacobian(p_cam[a], k_a[0], k_a[1]) @ R_a).reshape(len(a), 2 * n_max, 3)
+            segments = active_segments(a, starts, 2 * sizes)
+            JtJ, Jtr = np.empty((len(a), 3, 3)), np.empty((len(a), 3, 1))
+            for m, rows in segments:
+                Jt = np.swapaxes(J[rows, :m], 1, 2)
+                JtJ[rows], Jtr[rows] = Jt @ J[rows, :m], -Jt @ r_a[rows, :m, None]
+            delta = _solve_rows(JtJ, Jtr)[:, :, 0]
+            candidate = point[a] + delta
+            p_new = _to_camera(candidate, R_a, t_a)
+            r_new = (pinhole(p_new, *k_a) - pixels_a).reshape(len(a), 2 * n_max)
+            lower = np.zeros(len(a), dtype=bool)
+            for m, rows in segments:
+                new, old = r_new[rows, :m], r_a[rows, :m]
+                lower[rows] = np.vecdot(new, new) < np.vecdot(old, old)
+            step = (
+                np.isfinite(delta).all(axis=1) & ~np.any(p_new[..., 2] <= MIN_DEPTH, axis=1) & lower
+            )
+            rows = a[step]
+            point[rows], p_cam[rows], r[rows] = candidate[step], p_new[step], r_new[step]
+            converged = np.sqrt(np.vecdot(delta[step], delta[step])) < 1e-13 * scale[rows]
+            active = rows[~converged]
     return point
+
+
+def active_segments(active: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> list:
+    """The ascending rows `active` split by size: [(sizes[j], s)] with active[s] in block j.
+
+    Block j is the rows starts[j]:starts[j + 1] of a table sorted by size;
+    blocks without an active row are left out.
+    """
+    cuts = np.append(np.searchsorted(active, starts), len(active)).tolist()
+    return [(m, slice(lo, hi)) for m, lo, hi in zip(sizes.tolist(), cuts, cuts[1:]) if hi > lo]
 
 
 def mean_reprojection_errors(points, R, t, k, pixels) -> np.ndarray:

@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .formats import atomic_write
 from .geometry import CameraIntrinsics, SE3Pose
 from .scene import (
     FINE_WINDOW_HALF,
@@ -256,7 +257,7 @@ def select_view_pairs(
 
 def dump_matches_csv(matches: Iterable[PairMatches], path) -> None:
     """Debug dump: view_a,view_b,ua,va,ub,vb,score, one line per match."""
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["view_a", "view_b", "ua", "va", "ub", "vb", "score"])
         for m in matches:

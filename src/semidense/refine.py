@@ -19,10 +19,10 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .geometry import ViewTable, pinhole, pinhole_inverse, pinhole_jacobian
+from .geometry import ViewTable, active_segments, pinhole, pinhole_inverse, pinhole_jacobian
 from .matching import Cell, MatchingFrontend
 from .scene import ViewObservations
-from .tracks import CoarseReconstruction, Tracks, TrackTable, length_groups
+from .tracks import CoarseReconstruction, Tracks, TrackTable, length_groups, length_order
 
 LM_INITIAL_LAMBDA = 1e-3
 LM_MAX_ITERS = 50
@@ -292,13 +292,15 @@ class DepthProblem:
     def from_track(cls, rt: RefinedTrack, poses, intrinsics) -> DepthProblem:
         """The one-track (B = 1) problem."""
         table = ViewTable.stack(poses, intrinsics)
-        return cls.from_tracks(RefinedTracks.from_records([rt]), table)
+        rts = RefinedTracks.from_records([rt])
+        return cls.from_nodes(rts.views[None], rts.pixels[None], table)
 
     @classmethod
-    def from_tracks(cls, rts: RefinedTracks, table: ViewTable) -> DepthProblem:
-        """The problem of tracks that all have the same number of sources."""
-        views = rts.views.reshape(len(rts), -1)  # the reference, then the sources
-        pixels = rts.pixels.reshape(len(rts), -1, 2)
+    def from_nodes(cls, views: np.ndarray, pixels: np.ndarray, table: ViewTable) -> DepthProblem:
+        """The problem of B tracks of n nodes each: views (B, n), pixels (B, n, 2).
+
+        A track's nodes are its reference, then its sources.
+        """
         ref, src = views[:, 0], views[:, 1:]
         R_r, t_r, R_s = table.R[ref], table.t[ref], table.R[src]
         ray = pinhole_inverse(pixels[:, 0], 1.0, *table.k(ref))
@@ -313,19 +315,50 @@ class DepthProblem:
             targets=pixels[:, 1:],
         )
 
+    @classmethod
+    def padded(cls, rts: RefinedTracks, table: ViewTable, groups) -> DepthProblem:
+        """The problem of tracks sorted by length, with S the largest source count.
+
+        groups are length_order's (n, rows) of the sorted table. A row's
+        sources past its own count are padding: camera point (0, 0, 1) at
+        every depth (Rray = 0, t = (0, 0, 1)) with zero intrinsics and
+        targets, so their residuals and Jacobians are exactly 0 and they
+        pass every cheirality test.
+        """
+        T, S = len(rts), groups[-1][0] - 1 if groups else 0
+        out = cls(
+            Rray=np.zeros((T, S, 3)), t=np.zeros((T, S, 3)),
+            fx=np.zeros((T, S)), fy=np.zeros((T, S)), cx=np.zeros((T, S)), cy=np.zeros((T, S)),
+            targets=np.zeros((T, S, 2)),
+        )
+        out.t[..., 2] = 1.0
+        for n, rows in groups:
+            nodes = slice(rts.offsets[rows.start], rts.offsets[rows.stop])
+            group = cls.from_nodes(
+                rts.views[nodes].reshape(-1, n), rts.pixels[nodes].reshape(-1, n, 2), table
+            )
+            for f in fields(cls):
+                getattr(out, f.name)[rows, : n - 1] = getattr(group, f.name)
+        return out
+
     def rows(self, idx: np.ndarray) -> DepthProblem:
         """The sub-problem of the rows idx."""
-        return DepthProblem(*(getattr(self, f.name)[idx] for f in fields(self)))
+        return DepthProblem(
+            self.Rray[idx], self.t[idx], self.fx[idx], self.fy[idx], self.cx[idx], self.cy[idx],
+            self.targets[idx],
+        )
 
     def _points(self, d) -> np.ndarray:
         return np.asarray(d, dtype=float)[..., None, None] * self.Rray + self.t
 
     def residuals(self, d) -> tuple[np.ndarray, np.ndarray]:
-        """Residuals (B, S, 2) at depths d, and a mask (B,) of the rows all sources see in front."""
+        """Residuals (B, S, 2) at depths d, and a mask (B,) of the rows all sources see in front.
+
+        A source at depth 0 divides by zero: callers that reach one enter np.errstate.
+        """
         p = self._points(d)
         front = ~np.any(p[..., 2] <= 1e-12, axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return pinhole(p, self.fx, self.fy, self.cx, self.cy) - self.targets, front
+        return pinhole(p, self.fx, self.fy, self.cx, self.cy) - self.targets, front
 
     def jacobian(self, d) -> np.ndarray:
         """Analytic d(residual)/d(depth), shape (B, S, 2).
@@ -338,7 +371,8 @@ class DepthProblem:
 
     def cost(self, d) -> np.ndarray:
         """Sum of squared source reprojection errors at depths d (inf past cheirality), (B,)."""
-        r, front = self.residuals(d)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r, front = self.residuals(d)
         return np.where(front, _sum_squares(r), np.inf)
 
 
@@ -372,30 +406,39 @@ def optimize_depths(
     max_iters: int = LM_MAX_ITERS,
     rel_tol: float = LM_RELATIVE_TOL,
 ) -> RefinedTracks:
-    """optimize_depth for every track, batched over tracks with equal source counts."""
-    columns = ("depths", "points", "initial_costs", "final_costs", "converged")
-    solved = {name: getattr(rts, name).copy() for name in columns}
-    for rows, _ in length_groups(rts.offsets):
-        group = _depth_lm(rts.take(rows), table, max_iters, rel_tol)
-        for column, value in zip(solved.values(), group):
-            column[rows] = value
-    return replace(rts, **solved)
+    """optimize_depth for every track, as one lock-step LM over all of them."""
+    order, groups = length_order(rts.offsets)
+    solved = _depth_lm(rts.take(order), table, groups, max_iters, rel_tol)
+    columns = {}
+    names = ("depths", "points", "initial_costs", "final_costs", "converged")
+    for name, value in zip(names, solved):
+        columns[name] = np.empty_like(value)
+        columns[name][order] = value
+    return replace(rts, **columns)
 
 
-def _depth_lm(rts: RefinedTracks, table: ViewTable, max_iters: int, rel_tol: float):
-    """Levenberg-Marquardt on the reference depth of B tracks with S sources each.
+def _depth_lm(rts: RefinedTracks, table: ViewTable, groups, max_iters: int, rel_tol: float):
+    """Levenberg-Marquardt on the reference depth of tracks sorted by source count.
 
-    Initialized from the coarse point's z coordinate in the reference frame.
-    Each row keeps its own lambda: accepted steps must not raise the cost
-    (lambda /10, floored at 1e-12), rejected steps raise lambda x10 and stop
-    the row above 1e12. A row stops on flat geometry (near-zero curvature,
-    e.g. pure rotation) or once the cost falls by at most rel_tol. Flat and
-    clamped rows are flagged non-converged. Returns the columns depth,
+    groups are length_order's (n, rows) of the table. Initialized from the
+    coarse point's z coordinate in the reference frame. Each row keeps its
+    own lambda: accepted steps must not raise the cost (lambda /10, floored
+    at 1e-12), rejected steps raise lambda x10 and stop the row above 1e12.
+    A row stops on flat geometry (near-zero curvature, e.g. pure rotation)
+    or once the cost falls by at most rel_tol. Flat and clamped rows are
+    flagged non-converged.
+
+    Every active row steps in one loop over the padded problem, a row's
+    k-th step at iteration k; the sums over a row's 2 S residuals (g, H and
+    the cost) run per source count on exactly those entries, so every row
+    equals its one-track solve bit for bit. Returns the columns depth,
     point, initial cost, final cost and converged, in the order of
     optimize_depths.
     """
-    problem = DepthProblem.from_tracks(rts, table)
-    B, S = problem.fx.shape
+    problem = DepthProblem.padded(rts, table, groups)
+    S = np.diff(rts.offsets) - 1
+    starts = np.array([rows.start for _, rows in groups], dtype=int)
+    sizes = np.array([n - 1 for n, _ in groups], dtype=int)
     ref = rts.views[rts.offsets[:-1]]
     R_r, t_r = table.R[ref], table.t[ref]
     R_rt = np.swapaxes(R_r, 1, 2)
@@ -403,40 +446,48 @@ def _depth_lm(rts: RefinedTracks, table: ViewTable, max_iters: int, rel_tol: flo
     d0 = (rts.point_init[:, None, :] @ R_rt)[:, 0, 2] + t_r[:, 2]
     d = np.where(d0 > 0, d0, MIN_DEPTH_CLAMP)
     hit_clamp = d0 <= 0
-    r, front = problem.residuals(d)
-    cost = np.where(front, _sum_squares(r), np.inf)
-    # RMS per-source pixel error: monotone whenever the summed cost is
-    initial_cost = np.where(d0 > 0, np.sqrt(cost / S), np.inf)
-    lam = np.full(B, LM_INITIAL_LAMBDA)
-    converged = np.zeros(B, dtype=bool)
+    with np.errstate(all="ignore"):  # rows that fail are masked out
+        r, front = problem.residuals(d)
+        every_row = [(n - 1, rows) for n, rows in groups]
+        cost = np.where(front, _segment_sums(r, every_row), np.inf)
+        # RMS per-source pixel error: monotone whenever the summed cost is
+        initial_cost = np.where(d0 > 0, np.sqrt(cost / S), np.inf)
+        lam = np.full(len(d), LM_INITIAL_LAMBDA)
+        converged = np.zeros(len(d), dtype=bool)
 
-    active = np.flatnonzero(np.isfinite(cost))
-    for _ in range(max_iters):
-        if not active.size:
-            break
-        sub = problem.rows(active)
-        J = sub.jacobian(d[active]).reshape(len(active), 2 * S)
-        g = np.vecdot(J, r[active].reshape(len(active), 2 * S))
-        H = np.vecdot(J, J)
-        curved = ~(H < 1e-18)  # a flat cost leaves the depth unobservable
-        a, sub = active[curved], sub.rows(np.flatnonzero(curved))
-        d_new = d[a] - g[curved] / (H[curved] * (1.0 + lam[a]))
-        d_new[d_new <= 0] = MIN_DEPTH_CLAMP
-        r_new, front = sub.residuals(d_new)
-        cost_new = np.where(front, _sum_squares(r_new), np.inf)
+        active = np.flatnonzero(np.isfinite(cost))
+        for _ in range(max_iters):
+            if not active.size:
+                break
+            segments = active_segments(active, starts, sizes)
+            sub, d_a, r_a = problem.rows(active), d[active], r[active]
+            J = sub.jacobian(d_a)
+            g, H = np.empty(len(active)), np.empty(len(active))
+            for m, rows in segments:
+                J_m = J[rows, :m].reshape(-1, 2 * m)
+                g[rows] = np.vecdot(J_m, r_a[rows, :m].reshape(-1, 2 * m))
+                H[rows] = np.vecdot(J_m, J_m)
+            curved = ~(H < 1e-18)  # a flat cost leaves the depth unobservable
+            d_new = np.where(curved, d_a - g / (H * (1.0 + lam[active])), d_a)
+            d_new[d_new <= 0] = MIN_DEPTH_CLAMP
+            r_new, front = sub.residuals(d_new)
+            cost_new = np.where(front, _segment_sums(r_new, segments), np.inf)
 
-        accept = cost_new <= cost[a]
-        up = a[accept]
-        hit_clamp[up] = d_new[accept] == MIN_DEPTH_CLAMP
-        decrease = cost[up] - cost_new[accept]
-        d[up], cost[up], r[up] = d_new[accept], cost_new[accept], r_new[accept]
-        lam[up] = np.maximum(lam[up] / 10.0, 1e-12)
-        done = decrease <= rel_tol * cost[up] + 1e-24
-        converged[up[done]] = True
+            accept = curved & (cost_new <= cost[active])
+            up = active[accept]
+            hit_clamp[up] = d_new[accept] == MIN_DEPTH_CLAMP
+            decrease = cost[up] - cost_new[accept]
+            d[up], cost[up], r[up] = d_new[accept], cost_new[accept], r_new[accept]
+            lam[up] = np.maximum(lam[up] / 10.0, 1e-12)
+            done = decrease <= rel_tol * cost[up] + 1e-24
+            converged[up[done]] = True
 
-        down = a[~accept]
-        lam[down] *= 10.0
-        active = np.sort(np.concatenate([up[~done], down[~(lam[down] > 1e12)]]))
+            reject = curved & ~accept
+            down = active[reject]
+            lam[down] *= 10.0
+            keep = np.zeros(len(active), dtype=bool)
+            keep[accept], keep[reject] = ~done, ~(lam[down] > 1e12)
+            active = active[keep]
     converged &= ~hit_clamp
 
     p_ref = pinhole_inverse(rts.pixels[rts.offsets[:-1]], d, *table.k(ref))
@@ -444,6 +495,17 @@ def _depth_lm(rts: RefinedTracks, table: ViewTable, max_iters: int, rel_tol: flo
     t_inv = ((-R_rt) @ t_r[:, :, None])[..., 0]
     points = (p_ref[:, None, :] @ R_r)[:, 0] + t_inv
     return d, points, initial_cost, np.sqrt(cost / S), converged
+
+
+def _segment_sums(r: np.ndarray, segments) -> np.ndarray:
+    """_sum_squares of every row of padded (B, S_max, 2) residuals over its own m sources.
+
+    segments are active_segments' (m, rows) covering every row.
+    """
+    out = np.empty(len(r))
+    for m, rows in segments:
+        out[rows] = _sum_squares(r[rows, :m])
+    return out
 
 
 def aggregate_features(
@@ -516,7 +578,7 @@ def refine_reconstruction(
     """Full refinement pass over a coarse reconstruction (deterministic order).
 
     Reference selection runs batched by track length, node refinement as two
-    matcher batch calls, and the depth LM batched by source count.
+    matcher batch calls, and the depth LM as one lock-step loop over all tracks.
     """
     stats = RefineStats()
     table = ViewTable.stack(poses, intrinsics)

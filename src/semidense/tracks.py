@@ -21,9 +21,11 @@ from .geometry import (
     CameraIntrinsics,
     SE3Pose,
     ViewTable,
+    gauss_newton_polish,
     mean_reprojection_errors,
-    triangulate_batch,
+    triangulate_dlt,
 )
+from .formats import atomic_write
 from .matching import PairMatches
 
 
@@ -194,26 +196,43 @@ def triangulate_tracks(
 ) -> CoarseReconstruction:
     """Triangulate every track, rejecting failures per-track with reason counts.
 
-    Tracks of equal length are solved as one batch; the surviving tracks
-    keep their ids and carry their points and reprojection errors. The
-    default reprojection gate (12 px) sits above the worst-case
-    grid-quantization offset so clean quantized tracks always survive.
+    The DLT and its gates run per track length; one Gauss-Newton polish
+    then steps every kept track in lock-step, its views padded to the
+    longest track. The surviving tracks keep their ids and carry their
+    points and reprojection errors. The default reprojection gate (12 px)
+    sits above the worst-case grid-quantization offset so clean quantized
+    tracks always survive.
     """
     stats = stats if stats is not None else TrackStats()
     if np.any(np.diff(tracks.offsets) < 2):
         raise ValueError("triangulation needs at least 2 observations")
     table = ViewTable.stack(poses, intrinsics)
 
-    points = np.full((len(tracks), 3), np.nan)
-    reject = np.full(len(tracks), TRI_OK)
-    errors = np.full(len(tracks), np.nan)
-    for rows, nodes in length_groups(tracks.offsets):
+    # the tracks sorted by length, their views padded as gauss_newton_polish describes
+    order, groups = length_order(tracks.offsets)
+    T, n_max = len(tracks), groups[-1][0] if groups else 0
+    R, t = np.zeros((T, n_max, 3, 3)), np.zeros((T, n_max, 3))
+    t[..., 2] = 1.0
+    k, pix = np.zeros((4, T, n_max)), np.zeros((T, n_max, 2))
+    points = np.full((T, 3), np.nan)
+    reject = np.full(T, TRI_OK)
+    for n, rows in groups:
+        nodes = tracks.offsets[order[rows], None] + np.arange(n)
         v = tracks.views[nodes]
-        R, t, k, pix = table.R[v], table.t[v], table.k(v), tracks.cells[nodes]
-        points[rows], reject[rows] = triangulate_batch(R, t, k, pix)
-        kept = reject[rows] == TRI_OK
-        errors[rows[kept]] = mean_reprojection_errors(
-            points[rows[kept]], R[kept], t[kept], tuple(x[kept] for x in k), pix[kept]
+        group = table.R[v], table.t[v], table.k(v), tracks.cells[nodes]
+        R[rows, :n], t[rows, :n], k[:, rows, :n], pix[rows, :n] = group
+        points[rows], reject[rows] = triangulate_dlt(*group)
+
+    kept = np.flatnonzero(reject == TRI_OK)
+    lengths = np.diff(tracks.offsets)[order]
+    points[kept] = gauss_newton_polish(
+        points[kept], R[kept], t[kept], tuple(k[:, kept]), pix[kept], lengths[kept]
+    )
+    errors = np.full(T, np.nan)
+    for n, rows in groups:
+        e = np.arange(rows.start, rows.stop)[reject[rows] == TRI_OK]
+        errors[e] = mean_reprojection_errors(
+            points[e], R[e, :n], t[e, :n], tuple(k[:, e, :n]), pix[e, :n]
         )
 
     behind = reject == TRI_BEHIND
@@ -221,17 +240,31 @@ def triangulate_tracks(
     stats.rejected_cheirality += int(np.count_nonzero(behind))
     too_far = (reject == TRI_OK) & (errors > max_reproj_px)
     stats.rejected_reprojection += int(np.count_nonzero(too_far))
-    keep = np.flatnonzero((reject == TRI_OK) & ~too_far)
-    triangulated = replace(tracks, points=points, reproj_errors=errors)
+    keep = np.sort(order[(reject == TRI_OK) & ~too_far])
+    unsorted_points, unsorted_errors = np.empty_like(points), np.empty_like(errors)
+    unsorted_points[order], unsorted_errors[order] = points, errors
+    triangulated = replace(tracks, points=unsorted_points, reproj_errors=unsorted_errors)
     return CoarseReconstruction(tracks=triangulated.take(keep), stats=stats)
+
+
+def length_order(offsets: np.ndarray) -> tuple[np.ndarray, list[tuple[int, slice]]]:
+    """The tracks sorted by length, stably, and per length n the slice of that order so long.
+
+    Returns (order (T,), [(n, slice)]) with the lengths ascending, so the
+    tracks order[rows] of one (n, rows) are contiguous in the sorted table.
+    """
+    lengths = np.diff(offsets)
+    order = np.argsort(lengths, kind="stable")
+    sizes, starts = np.unique(lengths[order], return_index=True)
+    bounds = np.append(starts, len(order)).tolist()
+    return order, [(n, slice(lo, hi)) for n, lo, hi in zip(sizes.tolist(), bounds, bounds[1:])]
 
 
 def length_groups(offsets: np.ndarray):
     """Per track length n, the tracks that long and their node rows: (rows (T,), nodes (T, n))."""
-    lengths = np.diff(offsets)
-    for n in sorted(set(lengths.tolist())):
-        rows = np.flatnonzero(lengths == n)
-        yield rows, offsets[rows, None] + np.arange(n)
+    order, groups = length_order(offsets)
+    for n, rows in groups:
+        yield order[rows], offsets[order[rows], None] + np.arange(n)
 
 
 def tracks_to_json(tracks: Tracks, path) -> None:
@@ -251,6 +284,6 @@ def tracks_to_json(tracks: Tracks, path) -> None:
             )
         ]
     }
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")

@@ -66,6 +66,27 @@ class TestSinusoidalEncoding:
             positional_encode(np.ones((1, 32)), np.array([[np.nan, 0.0]]))
 
 
+class TestEluPlusOne:
+    def test_equals_where_formula_bit_for_bit(self):
+        rng = np.random.default_rng(81)
+        x = np.concatenate([
+            [0.0, -0.0, 1e-300, -1e-300, -800.0, -745.2, 1e300, 1e15, 3.5, np.inf, -np.inf],
+            rng.standard_normal(4096) * 3.0,
+        ])
+        before = x.copy()
+        want = np.where(x > 0, x + 1.0, np.exp(np.minimum(x, 0.0)))
+        got = elu_plus_one(x.reshape(-1, 1))[:, 0]
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))  # signed zeros too
+        assert np.array_equal(x.view(np.uint64), before.view(np.uint64))  # the input is untouched
+
+    def test_keeps_shape_and_float32(self):
+        x = np.random.default_rng(82).standard_normal((2, 5, 3)).astype(np.float32)
+        want = np.where(x > 0, x + np.float32(1.0), np.exp(np.minimum(x, np.float32(0.0))))
+        got = elu_plus_one(x)
+        assert got.dtype == np.float32 and got.shape == x.shape
+        assert np.array_equal(got, want)
+
+
 class TestLinearAttention:
     def test_single_key_returns_value(self):
         rng = np.random.default_rng(3)

@@ -5,6 +5,7 @@ import pytest
 
 from semidense.attention import AttentionStack
 from semidense.formats import (
+    atomic_write,
     load_model,
     load_scene,
     read_fmat,
@@ -78,6 +79,37 @@ class TestFmat:
         for (s1, c1), (s2, c2) in zip(stack.layers, back.layers):
             assert np.array_equal(s1.wq, s2.wq)
             assert np.array_equal(c1.ff1, c2.ff1)
+
+
+class TestAtomicWrite:
+    def test_write_that_raises_leaves_earlier_file(self, tmp_path):
+        path = tmp_path / "x.fmat"
+        write_fmat(path, {"a": np.ones((2, 3))})
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="2D"):  # raised after section "a" is written
+            write_fmat(path, {"a": np.zeros((4, 4)), "b": np.zeros(3)})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["x.fmat"]
+
+    def test_text_block_that_raises(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("old\n")
+        with pytest.raises(RuntimeError):
+            with atomic_write(path, newline="") as fh:
+                fh.write("new,partial")
+                raise RuntimeError("interrupted")
+        assert path.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+
+    def test_same_bytes_as_open(self, tmp_path):
+        cases = (("w", "", "a\r\nb\n"), ("w", None, "a\nb\n"), ("wb", None, b"\x00\n"))
+        for mode, newline, data in cases:
+            with open(tmp_path / "direct", mode, newline=newline) as fh:
+                fh.write(data)
+            with atomic_write(tmp_path / "atomic", mode, newline=newline) as fh:
+                fh.write(data)
+            assert (tmp_path / "atomic").read_bytes() == (tmp_path / "direct").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["atomic", "direct"]
 
 
 class TestPly:

@@ -715,3 +715,91 @@ class TestBatchedRefinementMatchesOneTrackReference:
         for rt in group:  # the one-track call is the B = 1 case
             want = _ref_optimize_depth(rt, poses, intrs)
             _assert_same_refined(optimize_depth(rt, poses, intrs), want)
+
+    def _mixed_counts(self):
+        """Tracks of seven source counts over one view list, the last three rows edge cases.
+
+        They are a flat row (2 sources), a row that starts at the depth clamp
+        (3) and a row whose every step is rejected until lambda passes 1e12 (4).
+        """
+        rng = np.random.default_rng(72)
+        poses, intrs, rts = [], [], []
+
+        def add(rt, track_poses, track_intrs):
+            shift = len(poses)
+            poses.extend(track_poses)
+            intrs.extend(track_intrs)
+            rts.append(dataclasses.replace(
+                rt, track_id=len(rts), ref_view=rt.ref_view + shift,
+                sources=[dataclasses.replace(s, view_id=s.view_id + shift) for s in rt.sources],
+            ))
+
+        for n_src in (5, 2, 7, 3, 9, 2, 5, 3, 4, 8):
+            add(*support.random_refined_track(rng, n_src, pixel_noise=0.5)[:3])
+
+        rt, track_poses, track_intrs, _ = support.random_refined_track(rng, 2, pixel_noise=0.5)
+        ref = track_poses[0]
+        turns = [
+            rotation_from_axis_angle(np.array([0.0, 1.0, 0.0]), a) @ ref.rotation for a in (0.05, -0.08)
+        ]
+        add(rt, [ref] + [SE3Pose(R, -R @ ref.camera_center) for R in turns], track_intrs[:3])
+
+        rt, track_poses, track_intrs, _ = support.random_refined_track(rng, 3, pixel_noise=0.5)
+        behind = track_poses[0].camera_center - 2.0 * track_poses[0].optical_axis
+        add(dataclasses.replace(rt, point_init=behind), track_poses, track_intrs)
+
+        # three sources on the reference ray (zero Jacobian, zero residual) ahead of the
+        # reference camera, and one with a 1.8e-12 baseline whose target lies 1e4 px off:
+        # H ~ 1e-17 is curved, but every step overshoots behind the sources on the ray
+        intr = support.default_intrinsics()
+        centre = np.array([intr.cx, intr.cy])
+        on_ray = [SE3Pose(np.eye(3), np.array([0.0, 0.0, -z])) for z in (0.1, 0.3, 0.5)]
+        baseline = SE3Pose(np.eye(3), np.array([-1.8e-12, 0.0, 0.0]))
+        far = support.pixel_of(baseline, intr, np.array([0.0, 0.0, 0.6])) - [1e4, 0.0]
+        sources = [SourceNode(v, (intr.cx, intr.cy), centre.copy(), 1.0) for v in (1, 2, 3)]
+        sources.append(SourceNode(4, tuple(grid_cell_center(far)), far, 1.0))
+        stalled = RefinedTrack(
+            track_id=0, ref_view=0, ref_cell=tuple(grid_cell_center(centre)), u_ref=centre,
+            sources=sources, point_init=np.array([0.0, 0.0, 0.6]),
+        )
+        add(stalled, [SE3Pose.identity()] + on_ray + [baseline], [intr] * 5)
+        return rts, poses, intrs
+
+    def test_lock_step_over_mixed_source_counts(self):
+        rts, poses, intrs = self._mixed_counts()
+        table = ViewTable.stack(poses, intrs)
+        got = _records(optimize_depths(RefinedTracks.from_records(rts), table))
+        want = [_ref_optimize_depth(rt, poses, intrs) for rt in rts]
+        for a, b in zip(got, want):
+            _assert_same_refined(a, b)
+        assert len({len(rt.sources) for rt in rts}) == 7
+
+        flat, clamped, stalled = rts[-3:]
+        d0 = poses[flat.ref_view].transform(flat.point_init)[2]
+        curvature = [
+            np.sum(DepthProblem.from_track(rt, poses, intrs).jacobian(d) ** 2)
+            for rt, d in ((flat, d0), (stalled, 0.6))
+        ]
+        assert curvature[0] < 1e-18 < curvature[1]
+        assert poses[clamped.ref_view].transform(clamped.point_init)[2] <= 0
+        assert not got[-3].converged and not got[-1].converged
+        assert all(rt.converged for rt in got[:-3])
+        assert got[-1].depth == 0.6 and got[-1].final_cost == got[-1].initial_cost
+
+    def test_permuted_table_gives_permuted_rows(self):
+        rts, poses, intrs = self._mixed_counts()
+        table, views = RefinedTracks.from_records(rts), ViewTable.stack(poses, intrs)
+        solved = optimize_depths(table, views)
+        perm = np.random.default_rng(3).permutation(len(table))
+        got = optimize_depths(table.take(perm), views)
+        for name in ("depths", "points", "initial_costs", "final_costs", "converged"):
+            assert np.array_equal(getattr(got, name), getattr(solved, name)[perm]), name
+
+    def test_empty_and_one_track_tables(self):
+        rts, poses, intrs = self._mixed_counts()
+        views = ViewTable.stack(poses, intrs)
+        empty = optimize_depths(RefinedTracks.from_records([]), views)
+        assert len(empty) == 0 and empty.points.shape == (0, 3)
+        for rt in rts[:2] + rts[-3:]:
+            got = optimize_depths(RefinedTracks.from_records([rt]), views).record(0)
+            _assert_same_refined(got, _ref_optimize_depth(rt, poses, intrs))

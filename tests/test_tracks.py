@@ -1,6 +1,7 @@
 """Track building (connected components + conflict handling) and coarse triangulation."""
 
 import numpy as np
+import pytest
 import support
 
 from semidense.errors import CheiralityError, DegenerateGeometryError
@@ -445,3 +446,52 @@ class TestTriangulateTracksMatchesOneTrackReference:
         assert recon.stats.rejected_degenerate == 1
         assert recon.stats.rejected_cheirality == 1
         assert len(recon.tracks) == 6
+
+    def test_mixed_lengths_with_every_outcome(self):
+        # one lock-step polish over tracks of 2 to 12 views, given out of length order
+        intr = support.default_intrinsics()
+        ring = [pose for pose, _ in support.camera_ring(12, radius=4.0, intr=intr)]
+        tilt = rotation_from_axis_angle(np.array([0.0, 1.0, 0.0]), np.radians(3.0))
+        tilt_R = tilt @ ring[0].rotation
+        tilted = SE3Pose(tilt_R, -tilt_R @ ring[0].camera_center)  # shares ring[0]'s center
+        # cameras looking along +z: three abreast at x = -1, 1, 3 and three along the z axis
+        abreast = [SE3Pose(np.eye(3), np.array([-x, 0.0, 0.0])) for x in (-1.0, 1.0, 3.0)]
+        along = [SE3Pose(np.eye(3), np.array([0.0, 0.0, z])) for z in (4.0, 6.0, 8.0)]
+        poses = ring + [tilted] + abreast + along
+        intrs = [intr] * len(poses)
+        centre = (intr.cx, intr.cy)
+        behind = np.array([0.0, 0.0, -5.0])  # in front of no abreast camera
+
+        rng = np.random.default_rng(11)
+        nodes = []
+        for length in rng.integers(2, 13, size=40):  # good rows, with pixel noise
+            point = rng.uniform(-0.2, 0.2, size=3)
+            views = rng.choice(12, size=length, replace=False).tolist()
+            nodes.append([
+                (v, tuple(project(poses[v], intr, point) + rng.normal(0, 0.5, 2))) for v in views
+            ])
+        point = np.array([0.02, 0.01, 0.0])
+        special = {
+            "coincident": [(v, tuple(project(poses[v], intr, point))) for v in (0, 12)],
+            "infinity": [(13, centre), (14, centre)],  # parallel rays
+            "condition": [(16, centre), (17, centre), (18, centre)],  # one ray: rank 2
+            "behind": [(v, tuple(support.pixel_of(poses[v], intr, behind))) for v in (13, 14, 15)],
+            "reprojection": [(v, tuple(project(poses[v], intr, point))) for v in (1, 2, 3, 4)],
+        }
+        u, v = special["reprojection"][0][1]
+        special["reprojection"][0] = (1, (u + 80.0, v))
+        for at, (reason, track) in zip((3, 11, 19, 27, 35), special.items()):
+            nodes.insert(at, track)
+            obs = [(poses[v], intr, np.asarray(c, dtype=float)) for v, c in track]
+            if reason == "reprojection":
+                assert _ref_mean_reprojection_error(_ref_triangulate(obs), obs) > 12.0
+            else:
+                with pytest.raises((DegenerateGeometryError, CheiralityError), match=reason):
+                    _ref_triangulate(obs)
+        tracks = support.make_tracks(nodes, track_ids=list(range(100, 100 + len(nodes))))
+        recon = _assert_same_as_reference(tracks, poses, intrs)
+        assert recon.stats.rejected_degenerate == 3
+        assert recon.stats.rejected_cheirality == 1
+        assert recon.stats.rejected_reprojection == 1
+        assert len(recon.tracks) == 40
+        assert len(set(np.diff(recon.tracks.offsets).tolist())) == 11
