@@ -108,7 +108,9 @@ def linear_attention(
     K = elu_plus_one(keys)
     kv = np.swapaxes(K, -1, -2) @ values              # (..., C, Cv)
     z = (Q @ K.sum(axis=-2)[..., None])[..., 0]       # (..., N)
-    return (Q @ kv) / np.maximum(z, eps)[..., None]
+    out = Q @ kv
+    out /= np.maximum(z, eps)[..., None]
+    return out
 
 
 @dataclass
@@ -122,10 +124,18 @@ class AttentionLayer:
     ff2: np.ndarray
 
     def apply(self, x: np.ndarray, source: np.ndarray) -> np.ndarray:
-        """x attends to source; (..., N, C) stacks with matching leading axes."""
-        message = linear_attention(x @ self.wq, source @ self.wk, source @ self.wv)
-        h = x + message
-        return h + np.maximum(h @ self.ff1, 0.0) @ self.ff2
+        """x attends to source; (..., N, C) stacks with matching leading axes.
+
+        Computes h = x + message and h + relu(h ff1) ff2 in reused buffers;
+        IEEE addition commutes, so the in-place sums are the same bits.
+        """
+        h = linear_attention(x @ self.wq, source @ self.wk, source @ self.wv)
+        h += x
+        hidden = h @ self.ff1
+        np.maximum(hidden, 0.0, out=hidden)
+        out = hidden @ self.ff2
+        out += h
+        return out
 
 
 @dataclass

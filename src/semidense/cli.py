@@ -20,7 +20,15 @@ import numpy as np
 
 from .attention import AttentionStack
 from .config import RunConfig
-from .formats import atomic_write, load_model, load_scene, read_fmat, save_model, save_scene
+from .formats import (
+    _load_json,
+    atomic_write,
+    load_model,
+    load_scene,
+    read_fmat,
+    save_model,
+    save_scene,
+)
 from .matching import OracleMatcher, dump_matches_csv, select_view_pairs
 from .metrics import (
     CM_DEGREE_LEVELS,
@@ -228,6 +236,7 @@ def cmd_estimate(args) -> int:
         scene = load_scene(args.scene)
         model, manifest = load_model(args.model)
         stacks = _stacks_from_args(args, config)
+        _check_widths(scene, model, stacks)
         query_views = _parse_views(args.views, scene.n_views, manifest)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -239,7 +248,11 @@ def cmd_estimate(args) -> int:
         print(f"error: invalid query views {query_views}", file=sys.stderr)
         return EXIT_USAGE
 
-    results = estimate_views(scene, model, config, query_views, stacks)
+    try:
+        results = estimate_views(scene, model, config, query_views, stacks)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     payload = []
@@ -282,12 +295,33 @@ def _stacks_from_args(args, config: RunConfig):
     return coarse, fine
 
 
+def _check_widths(scene, model, stacks) -> None:
+    """Model features and attention inputs must be as wide as the scene's descriptors."""
+    for kind, scene_desc, features, stack in zip(
+        ("coarse", "fine"),
+        (scene.desc_coarse, scene.desc_fine),
+        (model.coarse_features, model.fine_features),
+        stacks,
+    ):
+        width = scene_desc.shape[1]
+        if features.shape[1] != width:
+            raise ValueError(
+                f"model {kind} features are {features.shape[1]} wide, scene descriptors {width}"
+            )
+        for depth, pair in enumerate(stack.layers):
+            for layer in pair:
+                if layer.wq.shape[0] != width:
+                    raise ValueError(
+                        f"{kind} attention layer {depth} takes {layer.wq.shape[0]}-wide input, "
+                        f"scene descriptors are {width} wide"
+                    )
+
+
 def cmd_eval(args) -> int:
     try:
         config = _load_config(args)
         scene = load_scene(args.scene)
-        with open(args.poses) as fh:
-            payload = json.load(fh)
+        payload = _load_json(args.poses)
         if not isinstance(payload, dict) or not isinstance(payload.get("queries"), list):
             raise ValueError(f"{args.poses} has no 'queries' list")
     except (ValueError, OSError) as e:

@@ -12,8 +12,13 @@ import json
 import math
 from dataclasses import dataclass
 
-from .formats import atomic_write
+from .formats import _load_json, atomic_write
+from .pose_matching import DUAL_SOFTMAX_MAX_SPAN
 from .scene import NoiseModel
+
+# Unit-norm features score within +-1/tau, a span of 2/tau, which the
+# one-pass dual-softmax accepts up to DUAL_SOFTMAX_MAX_SPAN.
+MIN_TAU = 2.0 / DUAL_SOFTMAX_MAX_SPAN
 
 
 @dataclass
@@ -74,8 +79,8 @@ class RunConfig:
             raise ValueError("windows must be odd")
         if self.image_size % 8 != 0:
             raise ValueError("image_size must be divisible by the grid stride (8)")
-        if not 0 < self.tau:
-            raise ValueError("tau must be positive")
+        if not self.tau >= MIN_TAU:
+            raise ValueError(f"tau must be at least {MIN_TAU:.6g} (2 / the dual-softmax span bound)")
         if not 0 <= self.theta <= 1:
             raise ValueError("theta must be in [0, 1]")
         if not self.units_to_cm > 0:
@@ -106,16 +111,27 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
+        """A config from a JSON object; an int field takes an int, a float field an int or float."""
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be a JSON object, got {type(d).__name__}")
+        kinds = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = set(d) - set(kinds)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**d)
+        values = {}
+        for name, value in d.items():
+            accepted = (int,) if kinds[name] == "int" else (int, float)
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise ValueError(f"{name} must be {kinds[name]}, got {type(value).__name__}")
+            try:
+                values[name] = value if kinds[name] == "int" else float(value)
+            except OverflowError:
+                raise ValueError(f"{name} is out of range") from None
+        return cls(**values)
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(_load_json(path))
 
     def to_json(self, path) -> None:
         with atomic_write(path) as fh:

@@ -98,10 +98,14 @@ def _splat_fine(fine: np.ndarray, pixels: np.ndarray, desc: np.ndarray) -> np.nd
     src = np.broadcast_to(np.arange(len(pixels))[:, None, None], inside.shape)[inside]
     g = g[inside]
 
-    by_cell = np.argsort(cell, kind="stable")
+    # Stable sorts on the narrowest unsigned keys: numpy radix-sorts keys of
+    # 16 bits or fewer, and a 512-px image has 65,536 fine cells.
+    by_cell = np.argsort(cell.astype(np.min_scalar_type(hf * wf - 1)), kind="stable")
     sorted_cells = cell[by_cell]
-    k = np.arange(len(cell)) - np.searchsorted(sorted_cells, sorted_cells)  # k-th update of its cell
-    perm = by_cell[np.argsort(k, kind="stable")]
+    pos = np.arange(len(cell))
+    run_start = np.where(np.diff(sorted_cells, prepend=-1) != 0, pos, 0)
+    k = pos - np.maximum.accumulate(run_start)  # k-th update of its cell
+    perm = by_cell[np.argsort(k.astype(np.min_scalar_type(k.max(initial=0))), kind="stable")]
     cell, src, g = cell[perm], src[perm], g[perm][:, None]
 
     flat = fine.reshape(-1, cf)  # a view: `fine` is C-contiguous
@@ -109,7 +113,12 @@ def _splat_fine(fine: np.ndarray, pixels: np.ndarray, desc: np.ndarray) -> np.nd
     for hi in np.cumsum(np.bincount(k)):
         idx = cell[lo:hi]
         gk = g[lo:hi]
-        flat[idx] = gk * desc[src[lo:hi]] + (1.0 - gk) * flat[idx]
+        blend = np.take(desc, src[lo:hi], axis=0)
+        blend *= gk
+        kept = np.take(flat, idx, axis=0)
+        kept *= 1.0 - gk
+        blend += kept  # g*desc + (1-g)*x, the same bits in two reused buffers
+        flat[idx] = blend
         lo = hi
     return cell[: np.count_nonzero(k == 0)]  # round 0 holds every touched cell once
 
@@ -134,7 +143,7 @@ def query_noise_floors(scene: SyntheticScene, view_id: int) -> tuple[np.ndarray,
     coarse /= np.linalg.norm(coarse, axis=2, keepdims=True)
     table = rng.standard_normal((_FINE_FLOOR_TABLE_ROWS, scene.desc_fine.shape[1]))
     table /= np.linalg.norm(table, axis=1, keepdims=True)
-    return coarse, table[rng.integers(0, _FINE_FLOOR_TABLE_ROWS, size=(hf, wf))]
+    return coarse, np.take(table, rng.integers(0, _FINE_FLOOR_TABLE_ROWS, size=(hf, wf)), axis=0)
 
 
 def synthesize_query_maps(scene: SyntheticScene, view_id: int) -> QueryFeatureMaps:
@@ -164,22 +173,39 @@ def synthesize_query_maps(scene: SyntheticScene, view_id: int) -> QueryFeatureMa
     return QueryFeatureMaps(coarse=coarse, fine=fine, intrinsics=intr)
 
 
-def _row_col_softmax(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two factors of the dual-softmax: row-wise and column-wise softmax."""
-    rows = scores - scores.max(axis=1, keepdims=True)
-    np.exp(rows, out=rows)
-    rows /= rows.sum(axis=1, keepdims=True)
-    cols = scores - scores.max(axis=0, keepdims=True)
-    np.exp(cols, out=cols)
-    cols /= cols.sum(axis=0, keepdims=True)
-    return rows, cols
+# Largest span max(S) - min(S) of a score matrix that `dual_softmax` accepts.
+# The one-pass form squares exp(S - max S), which stays a normal double only
+# while the span is below ~354. Unit-norm features give |S| <= 1/tau, so this
+# admits every tau >= 2 / DUAL_SOFTMAX_MAX_SPAN.
+DUAL_SOFTMAX_MAX_SPAN = 300.0
+
+
+def softmax_factors(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """E = exp(S - max S) with its row sums R and column sums C.
+
+    E/R is the row-wise and E/C the column-wise softmax of S. Raises
+    ValueError when the span of S exceeds DUAL_SOFTMAX_MAX_SPAN (or S is
+    not finite), where E**2 would leave the range of normal doubles.
+    """
+    top = scores.max()
+    span = top - scores.min()
+    if not span <= DUAL_SOFTMAX_MAX_SPAN:
+        raise ValueError(
+            f"score span {span:.6g} exceeds {DUAL_SOFTMAX_MAX_SPAN:g}: "
+            "features must be unit-norm and tau >= 2 / that bound"
+        )
+    e = scores - top
+    np.exp(e, out=e)
+    return e, e.sum(axis=1, keepdims=True), e.sum(axis=0, keepdims=True)
 
 
 def dual_softmax(scores: np.ndarray) -> np.ndarray:
-    """Entrywise product of row-wise and column-wise softmax."""
-    rows, cols = _row_col_softmax(scores)
-    rows *= cols
-    return rows
+    """Entrywise product of row-wise and column-wise softmax: E**2 / (R C) in one buffer."""
+    prob, rows, cols = softmax_factors(scores)
+    prob *= prob
+    prob /= rows
+    prob /= cols
+    return prob
 
 
 def mutual_nearest_neighbors(prob: np.ndarray, threshold: float) -> np.ndarray:
@@ -193,7 +219,7 @@ def mutual_nearest_neighbors(prob: np.ndarray, threshold: float) -> np.ndarray:
         return np.zeros((0, 2), dtype=int)
     row_best = prob.argmax(axis=1)
     cand, slot = np.unique(row_best, return_inverse=True)
-    col_best = prob[:, cand].argmax(axis=0)
+    col_best = np.take(prob, cand, axis=1).argmax(axis=0)
     j = np.arange(prob.shape[0])
     keep = (col_best[slot] == j) & (prob[j, row_best] >= threshold)
     return np.stack([j[keep], row_best[keep]], axis=1)
@@ -236,7 +262,8 @@ def coarse_match_2d3d(
         f3 = f3 / np.maximum(np.linalg.norm(f3, axis=1, keepdims=True), 1e-12)
         f2 = f2 / np.maximum(np.linalg.norm(f2, axis=1, keepdims=True), 1e-12)
 
-    scores = (f3 @ f2.T) / tau
+    scores = f3 @ f2.T
+    scores /= tau
     prob = dual_softmax(scores)
     pairs = mutual_nearest_neighbors(prob, theta)
     corr = CorrespondenceSet(

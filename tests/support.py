@@ -240,3 +240,18 @@ def node_lists(tracks) -> list[list[tuple[int, tuple[float, float]]]]:
     """Every track's nodes as (view, (u, v)) tuples of Python numbers."""
     nodes = [(v, tuple(c)) for v, c in zip(tracks.views.tolist(), tracks.cells.tolist())]
     return [nodes[lo:hi] for lo, hi in zip(tracks.offsets[:-1].tolist(), tracks.offsets[1:].tolist())]
+
+
+def two_pass_row_col_softmax(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise and column-wise softmax, each shifted by its own row or column max."""
+    rows = np.exp(scores - scores.max(axis=1, keepdims=True))
+    rows /= rows.sum(axis=1, keepdims=True)
+    cols = np.exp(scores - scores.max(axis=0, keepdims=True))
+    cols /= cols.sum(axis=0, keepdims=True)
+    return rows, cols
+
+
+def two_pass_dual_softmax(scores: np.ndarray) -> np.ndarray:
+    """The dual-softmax as the product of two separately computed softmaxes."""
+    rows, cols = two_pass_row_col_softmax(scores)
+    return rows * cols

@@ -25,6 +25,25 @@ def quadratic_attention(queries, keys, values, eps=1e-6):
     return out
 
 
+def allocating_transform(stack, a, b, eps=1e-6):
+    """`AttentionStack.transform` with every sum in a new array, as `x + message`
+    and `h + relu(h ff1) ff2`: the reference for the in-place layers."""
+
+    def apply(layer, x, source):
+        Q = elu_plus_one(x @ layer.wq)
+        K = elu_plus_one(source @ layer.wk)
+        kv = np.swapaxes(K, -1, -2) @ (source @ layer.wv)
+        z = (Q @ K.sum(axis=-2)[..., None])[..., 0]
+        message = (Q @ kv) / np.maximum(z, eps)[..., None]
+        h = x + message
+        return h + np.maximum(h @ layer.ff1, 0.0) @ layer.ff2
+
+    for self_layer, cross_layer in stack.layers:
+        a, b = apply(self_layer, a, a), apply(self_layer, b, b)
+        a, b = apply(cross_layer, a, b), apply(cross_layer, b, a)
+    return a, b
+
+
 class TestSinusoidalEncoding:
     def test_norm_bounded_by_sqrt_channels(self):
         grid = np.stack(
@@ -190,6 +209,15 @@ class TestAttentionStack:
             slice_a, slice_b = stack.transform(a[i], b[i])
             np.testing.assert_array_equal(out_a[i], slice_a)
             np.testing.assert_array_equal(out_b[i], slice_b)
+
+    def test_in_place_layers_equal_allocating_reference(self):
+        stack = AttentionStack.random(3, 16, seed=19)
+        rng = np.random.default_rng(20)
+        for shape_a, shape_b in (((40, 16), (25, 16)), ((11, 1, 16), (11, 25, 16))):
+            a, b = rng.standard_normal(shape_a), rng.standard_normal(shape_b)
+            out_a, out_b = stack.transform(a, b)
+            ref_a, ref_b = allocating_transform(stack, a, b)
+            assert np.array_equal(out_a, ref_a) and np.array_equal(out_b, ref_b)
 
     def test_permutation_equivariance(self):
         stack = AttentionStack.random(2, 16, seed=14)

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 import semidense
+from semidense.attention import AttentionStack
 from semidense.cli import main
-from semidense.formats import load_scene, save_model
+from semidense.formats import load_scene, read_fmat, save_model, write_fmat
 from semidense.matching import OracleMatcher
 from semidense.refine import PointCloudModel
 from semidense.scene import NoiseModel, generate_scene
@@ -273,6 +274,60 @@ class TestBadInputs:
         (model / "model.json").write_text(json.dumps(manifest))
         rc = self._estimate(tmp_path, workspace / "scene.json", model)
         self._assert_usage_error(rc, capsys, "files")
+
+    def _estimate_edited_features(self, tmp_path, workspace, edit):
+        model = tmp_path / "model"
+        shutil.copytree(workspace / "model", model)
+        sections = read_fmat(model / "features.fmat")
+        edit(sections)
+        write_fmat(model / "features.fmat", sections)
+        return self._estimate(tmp_path, workspace / "scene.json", model)
+
+    def test_estimate_narrow_model_features(self, tmp_path, workspace, capsys):
+        def cut(sections):
+            sections["coarse_features"] = sections["coarse_features"][:, :8].copy()
+
+        rc = self._estimate_edited_features(tmp_path, workspace, cut)
+        self._assert_usage_error(rc, capsys, "coarse features are 8 wide, scene descriptors 32")
+
+    def test_estimate_non_unit_features(self, tmp_path, workspace, capsys):
+        # |score| reaches 100 / tau: past the span the dual-softmax accepts
+        def scale(sections):
+            sections["coarse_features"] = sections["coarse_features"] * 100.0
+
+        rc = self._estimate_edited_features(tmp_path, workspace, scale)
+        self._assert_usage_error(rc, capsys, "span")
+
+    def test_estimate_narrow_coarse_weights(self, tmp_path, workspace, capsys):
+        weights = tmp_path / "coarse16.fmat"
+        write_fmat(weights, AttentionStack.random(1, 16, seed=1).to_sections())
+        rc = run("estimate", "--scene", workspace / "scene.json", "--model", workspace / "model",
+                 "--out", tmp_path / "est", "--coarse-weights", weights, *FAST)
+        self._assert_usage_error(rc, capsys, "coarse attention layer 0 takes 16-wide input")
+
+    def test_pipeline_tau_below_span_bound(self, tmp_path, capsys):
+        rc = run("pipeline", "--out", tmp_path / "run", "--tau", "1e-6", *FAST)
+        self._assert_usage_error(rc, capsys, "tau must be at least")
+
+    def test_synth_config_not_an_object(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text("5")
+        rc = run("synth", "--config", config, "--out", tmp_path / "s.json")
+        self._assert_usage_error(rc, capsys, "JSON object")
+
+    def test_synth_config_list_seed(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"seed": [1]}))
+        rc = run("synth", "--config", config, "--out", tmp_path / "s.json")
+        self._assert_usage_error(rc, capsys, "seed must be int, got list")
+        assert not (tmp_path / "s.json").exists()
+
+    def test_eval_deeply_nested_poses(self, tmp_path, workspace, capsys):
+        poses_path = tmp_path / "p.json"
+        poses_path.write_text("[" * 100_000 + "]" * 100_000)
+        rc = run("eval", "--scene", workspace / "scene.json", "--poses", poses_path,
+                 "--out", tmp_path / "m.csv", *FAST)
+        self._assert_usage_error(rc, capsys, "nested too deeply")
 
     def _scene_with_fmat(self, tmp_path, workspace, edit):
         scene = tmp_path / "scene.json"

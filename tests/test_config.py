@@ -2,7 +2,7 @@
 
 import pytest
 
-from semidense.config import RunConfig
+from semidense.config import MIN_TAU, RunConfig
 from semidense.pose_matching import DEFAULT_FINE_WINDOW, DEFAULT_TAU, DEFAULT_THETA
 
 
@@ -33,6 +33,8 @@ class TestValidation:
             {"refine_window": 8},
             {"fine_window": 4},
             {"tau": 0.0},
+            {"tau": 1e-6},
+            {"tau": MIN_TAU * (1 - 1e-12)},
             {"theta": 1.5},
             {"dropout_rate": 1.0},
             {"distance_min": 5.0, "distance_max": 3.0},
@@ -50,6 +52,9 @@ class TestValidation:
     def test_default_is_valid(self):
         RunConfig().validate()
 
+    def test_smallest_tau_is_valid(self):
+        RunConfig(tau=MIN_TAU).validate()
+
 
 class TestRoundTrip:
     def test_json(self, tmp_path):
@@ -62,3 +67,32 @@ class TestRoundTrip:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError):
             RunConfig.from_dict({"seed": 1, "bogus": 2})
+
+    def test_non_object_rejected(self):
+        for bad in (5, [1], "seed", None):
+            with pytest.raises(ValueError, match="JSON object"):
+                RunConfig.from_dict(bad)
+
+    def test_mistyped_values_rejected(self):
+        for bad in (
+            {"seed": [1]},
+            {"seed": True},
+            {"seed": 1.0},
+            {"n_points": "200"},
+            {"tau": False},
+            {"tau": "0.08"},
+            {"tau": None},
+            {"tau": 10**400},
+        ):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                RunConfig.from_dict(bad)
+
+    def test_int_taken_for_float_field(self):
+        config = RunConfig.from_dict({"tau": 1, "seed": 3})
+        assert config.tau == 1.0 and type(config.tau) is float and config.seed == 3
+
+    def test_deep_nesting_rejected(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ValueError, match="nested too deeply"):
+            RunConfig.from_json(path)

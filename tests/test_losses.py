@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import support
 from semidense.losses import (
     dual_softmax_grad,
     focal_loss,
@@ -101,6 +102,20 @@ class TestGradients:
         ana = dual_softmax_grad(s, w)
         fd = self._fd_grad(scalar, s)
         np.testing.assert_allclose(ana, fd, rtol=1e-5, atol=1e-10)
+
+    def test_dual_softmax_vjp_equals_two_pass_factors(self):
+        # the one-exp factors give the VJP of the separately computed softmaxes
+        rng = np.random.default_rng(97)
+        s = rng.uniform(-100.0, 100.0, (30, 40))
+        w = rng.standard_normal((30, 40))
+        r, c = support.two_pass_row_col_softmax(s)
+        g_r, g_c = w * c, w * r
+        ref = r * (g_r - np.sum(g_r * r, axis=1, keepdims=True)) + c * (
+            g_c - np.sum(g_c * c, axis=0, keepdims=True)
+        )
+        # entries near zero come from cancelling sums: judge them on the gradient's scale
+        np.testing.assert_allclose(dual_softmax_grad(s, w), ref, rtol=1e-12,
+                                   atol=1e-12 * np.abs(ref).max())
 
     def test_total_loss_grad_vs_fd(self):
         rng = np.random.default_rng(95)

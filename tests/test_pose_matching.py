@@ -5,11 +5,15 @@ import dataclasses
 import numpy as np
 import pytest
 
+import support
 from semidense.attention import AttentionStack
 from semidense.matching import OracleMatcher, select_view_pairs
 from semidense.geometry import CameraIntrinsics, SE3Pose
 from semidense.pose_matching import (
     _FINE_SPLAT_RADIUS_CELLS,
+    DEFAULT_TAU,
+    DEFAULT_THETA,
+    DUAL_SOFTMAX_MAX_SPAN,
     FINE_SPLAT_SIGMA_PX,
     FINE_STRIDE,
     CorrespondenceSet,
@@ -20,6 +24,7 @@ from semidense.pose_matching import (
     ground_truth_matches,
     mutual_nearest_neighbors,
     query_noise_floors,
+    _splat_fine,
     synthesize_query_maps,
     window_expectation,
 )
@@ -134,6 +139,33 @@ def reference_fine_match(model, query, corr, stack, window=5, fine_tau=0.08):
     )
 
 
+def searchsorted_splat_fine(fine, pixels, desc):
+    """The splat in rounds with each cell's update number from `searchsorted`: the
+    reference for the radix-ordered `_splat_fine`, over the same arithmetic."""
+    hf, wf, cf = fine.shape
+    offsets = np.arange(-_FINE_SPLAT_RADIUS_CELLS, _FINE_SPLAT_RADIUS_CELLS + 1)
+    cs = np.rint(pixels[:, :1] / FINE_STRIDE).astype(int) + offsets
+    rs = np.rint(pixels[:, 1:] / FINE_STRIDE).astype(int) + offsets
+    du = cs * FINE_STRIDE - pixels[:, :1]
+    dv = rs * FINE_STRIDE - pixels[:, 1:]
+    g = np.exp(-(dv[:, :, None] ** 2 + du[:, None, :] ** 2) / (2.0 * FINE_SPLAT_SIGMA_PX**2))
+    inside = ((rs >= 0) & (rs < hf))[:, :, None] & ((cs >= 0) & (cs < wf))[:, None, :]
+    cell = (rs[:, :, None] * wf + cs[:, None, :])[inside]
+    src = np.broadcast_to(np.arange(len(pixels))[:, None, None], inside.shape)[inside]
+    g = g[inside]
+    by_cell = np.argsort(cell, kind="stable")
+    sorted_cells = cell[by_cell]
+    k = np.arange(len(cell)) - np.searchsorted(sorted_cells, sorted_cells)
+    by_round = np.argsort(k, kind="stable")
+    perm = by_cell[by_round]
+    cell, src, g, k = cell[perm], src[perm], g[perm][:, None], k[by_round]
+    flat = fine.reshape(-1, cf)
+    for r in range(k.max() + 1 if len(k) else 0):
+        at = k == r
+        flat[cell[at]] = g[at] * desc[src[at]] + (1.0 - g[at]) * flat[cell[at]]
+    return cell[k == 0], int(k.max(initial=-1)) + 1
+
+
 def brute_force_mnn(prob, threshold):
     """Double loop over rows and columns, first index winning ties."""
     n, m = prob.shape
@@ -174,10 +206,7 @@ class TestDualSoftmax:
             s = rng.standard_normal((8, 12)) * rng.uniform(0.5, 5.0)
             p = dual_softmax(s)
             assert np.all(p >= 0.0) and np.all(p <= 1.0)
-            rows = np.exp(s - s.max(axis=1, keepdims=True))
-            rows /= rows.sum(axis=1, keepdims=True)
-            cols = np.exp(s - s.max(axis=0, keepdims=True))
-            cols /= cols.sum(axis=0, keepdims=True)
+            rows, cols = support.two_pass_row_col_softmax(s)
             assert np.all(p <= rows + 1e-15)
             assert np.all(p <= cols + 1e-15)
 
@@ -197,6 +226,44 @@ class TestDualSoftmax:
             pairs = mutual_nearest_neighbors(p, threshold=0.0)
             assert len(set(pairs[:, 0])) == len(pairs)
             assert len(set(pairs[:, 1])) == len(pairs)
+
+
+    def test_equals_two_pass_reference(self):
+        rng = np.random.default_rng(78)
+        for span in (1.0, 10.0, 60.0, 150.0, 250.0):
+            for shape in ((8, 12), (40, 25), (1, 30), (30, 1)):
+                s = rng.standard_normal(shape) if rng.uniform() < 0.5 else rng.uniform(size=shape)
+                s = (s - s.min()) / max(s.max() - s.min(), 1e-300) * span - span / 2
+                ref = support.two_pass_dual_softmax(s)
+                assert np.max(np.abs(dual_softmax(s) - ref) / ref) <= 1e-13
+
+    def test_localize_size_equals_reference_and_its_mnn(self):
+        # 649 model points against the 64 x 64 cells of a 512-px query, each
+        # point a noisy copy of one cell's descriptor
+        rng = np.random.default_rng(79)
+        f2 = _unit_rows(rng, 4096, 32)
+        f3 = f2[rng.choice(4096, 649, replace=False)] + 0.03 * rng.standard_normal((649, 32))
+        f3 /= np.linalg.norm(f3, axis=1, keepdims=True)
+        s = f3 @ f2.T / DEFAULT_TAU
+        prob, ref = dual_softmax(s), support.two_pass_dual_softmax(s)
+        assert np.max(np.abs(prob - ref) / ref) <= 1e-13
+        for threshold in (0.0, DEFAULT_THETA):
+            pairs = mutual_nearest_neighbors(prob, threshold)
+            np.testing.assert_array_equal(pairs, mutual_nearest_neighbors(ref, threshold))
+        assert len(pairs) > 500
+
+    def test_span_guard_at_the_bound(self):
+        rng = np.random.default_rng(80)
+        unit = rng.uniform(size=(6, 9))
+        unit = (unit - unit.min()) / (unit.max() - unit.min())  # span exactly 1
+        at_bound = unit * DUAL_SOFTMAX_MAX_SPAN - DUAL_SOFTMAX_MAX_SPAN / 2
+        assert at_bound.max() - at_bound.min() == DUAL_SOFTMAX_MAX_SPAN
+        ref = support.two_pass_dual_softmax(at_bound)
+        assert np.max(np.abs(dual_softmax(at_bound) - ref) / ref) <= 1e-13
+        past = unit * np.nextafter(DUAL_SOFTMAX_MAX_SPAN, np.inf)
+        for bad in (past, np.where(unit == 0, np.inf, unit), np.where(unit == 0, np.nan, unit)):
+            with pytest.raises(ValueError, match="span"):
+                dual_softmax(bad)
 
 
 class TestMutualNearestNeighbors:
@@ -356,6 +423,31 @@ class TestSynthesizeQueryMaps:
         # untouched cells keep their unit floor and touched ones are renormalized
         qmaps = synthesize_query_maps(scene, 1)
         np.testing.assert_allclose(np.linalg.norm(qmaps.fine, axis=2), 1.0, atol=1e-12)
+
+
+class TestSplatFine:
+    """The radix-ordered splat equals the searchsorted reference bit for bit."""
+
+    @pytest.mark.parametrize("size, key_type", [(512, np.uint16), (2048, np.uint32)])
+    def test_equals_searchsorted_reference(self, size, key_type):
+        hf = size // FINE_STRIDE
+        assert np.min_scalar_type(hf * hf - 1) == key_type  # radix keys only up to 16 bits
+        rng = np.random.default_rng(89)
+        centers = rng.uniform(0, size, (30, 2))
+        pixels = np.concatenate(
+            [
+                centers[rng.integers(0, 30, 3000)] + rng.normal(0.0, 3.0, (3000, 2)),
+                rng.uniform(-8.0, size + 8.0, (2000, 2)),  # some stencils clipped at the border
+            ]
+        )
+        desc = _unit_rows(rng, len(pixels), 4)
+        fine = _unit_rows(rng, hf * hf, 4).reshape(hf, hf, 4)
+        ref = fine.copy()
+        touched = _splat_fine(fine, pixels, desc)
+        ref_touched, rounds = searchsorted_splat_fine(ref, pixels, desc)
+        assert rounds > 20  # clustered peaks update one cell many times
+        np.testing.assert_array_equal(touched, ref_touched)
+        np.testing.assert_array_equal(fine, ref)
 
 
 class TestWindowExpectation:
