@@ -195,16 +195,48 @@ class AttentionStack:
                     sections[f"layer{i}.{kind}.{role}"] = getattr(layer, key)
         return sections
 
+    @property
+    def width(self) -> int | None:
+        """Width C of the features the stack takes and returns (None with no layers)."""
+        return self.layers[0][0].wq.shape[0] if self.layers else None
+
     @classmethod
     def from_sections(cls, sections: dict[str, np.ndarray]) -> "AttentionStack":
+        """A stack from FMAT sections; ValueError names a missing or misshapen matrix.
+
+        Every layer maps C-wide features to C-wide features: q, k and v are
+        (C, .) with q and k equally wide, v is (C, C), ff1 is (C, F) and ff2
+        (F, C), with C taken from layer0.self.q.
+        """
         n_layers = 0
         while f"layer{n_layers}.self.q" in sections:
             n_layers += 1
+        width = None
         layers = []
         for i in range(n_layers):
             pair = []
             for kind in ("self", "cross"):
-                w = [sections[f"layer{i}.{kind}.{role}"] for role in _WEIGHT_ROLES]
+                names = [f"layer{i}.{kind}.{role}" for role in _WEIGHT_ROLES]
+                for name in names:
+                    if name not in sections:
+                        raise ValueError(f"attention weights have no section {name}")
+                    if sections[name].ndim != 2:
+                        raise ValueError(f"{name} has {sections[name].ndim} axes, expected 2")
+                w = [sections[name] for name in names]
+                q, _, _, ff1, _ = w
+                width = q.shape[0] if width is None else width
+                expected = [
+                    (width, q.shape[1]),
+                    (width, q.shape[1]),
+                    (width, width),
+                    (width, ff1.shape[1]),
+                    (ff1.shape[1], width),
+                ]
+                for name, m, shape in zip(names, w, expected):
+                    if m.shape != shape:
+                        raise ValueError(
+                            f"{name} is {m.shape[0]} x {m.shape[1]}, expected {shape[0]} x {shape[1]}"
+                        )
                 pair.append(AttentionLayer(*w))
             layers.append(tuple(pair))
         return cls(layers=layers)

@@ -110,12 +110,15 @@ def estimate_views(scene, model, config: RunConfig, query_views, stacks=None):
     for view in query_views:
         t0 = time.perf_counter()
         qmaps = synthesize_query_maps(scene, view)
-        _, _, corr = coarse_match_2d3d(
+        # keep only the matches: the (M, N) score and probability matrices
+        # and this view's maps are freed before the next view builds its own
+        corr = coarse_match_2d3d(
             model, qmaps, coarse_stack, tau=config.tau, theta=config.theta
-        )
+        )[2]
         corr = fine_match_2d3d(
             model, qmaps, corr, fine_stack, window=config.fine_window, fine_tau=config.tau
         )
+        del qmaps
         if corr.n_fine >= 4:
             res = ransac_pnp(
                 model.points[corr.fine_points],
@@ -296,7 +299,7 @@ def _stacks_from_args(args, config: RunConfig):
 
 
 def _check_widths(scene, model, stacks) -> None:
-    """Model features and attention inputs must be as wide as the scene's descriptors."""
+    """Model features and attention stacks must be as wide as the scene's descriptors."""
     for kind, scene_desc, features, stack in zip(
         ("coarse", "fine"),
         (scene.desc_coarse, scene.desc_fine),
@@ -308,13 +311,11 @@ def _check_widths(scene, model, stacks) -> None:
             raise ValueError(
                 f"model {kind} features are {features.shape[1]} wide, scene descriptors {width}"
             )
-        for depth, pair in enumerate(stack.layers):
-            for layer in pair:
-                if layer.wq.shape[0] != width:
-                    raise ValueError(
-                        f"{kind} attention layer {depth} takes {layer.wq.shape[0]}-wide input, "
-                        f"scene descriptors are {width} wide"
-                    )
+        if stack.width not in (None, width):
+            raise ValueError(
+                f"{kind} attention weights take {stack.width}-wide input, "
+                f"scene descriptors are {width} wide"
+            )
 
 
 def cmd_eval(args) -> int:

@@ -117,7 +117,7 @@ def _splat_fine(fine: np.ndarray, pixels: np.ndarray, desc: np.ndarray) -> np.nd
         blend *= gk
         kept = np.take(flat, idx, axis=0)
         kept *= 1.0 - gk
-        blend += kept  # g*desc + (1-g)*x, the same bits in two reused buffers
+        blend += kept  # g*desc + (1-g)*x, products in place: same bits, one temporary fewer
         flat[idx] = blend
         lo = hi
     return cell[: np.count_nonzero(k == 0)]  # round 0 holds every touched cell once

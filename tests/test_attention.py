@@ -199,6 +199,38 @@ class TestAttentionStack:
         a, b = rng.standard_normal((6, 8)), rng.standard_normal((7, 8))
         np.testing.assert_array_equal(stack.transform(a, b)[0], back.transform(a, b)[0])
 
+    @pytest.mark.parametrize(
+        "name, shape, mention",
+        [
+            ("layer0.self.k", (8, 5), "layer0.self.k is 8 x 5, expected 8 x 8"),
+            ("layer1.cross.q", (6, 8), "layer1.cross.q is 6 x 8, expected 8 x 8"),
+            ("layer0.cross.v", (8, 4), "layer0.cross.v is 8 x 4, expected 8 x 8"),
+            ("layer0.self.ff1", (7, 8), "layer0.self.ff1 is 7 x 8, expected 8 x 8"),
+            ("layer1.self.ff2", (8, 9), "layer1.self.ff2 is 8 x 9, expected 8 x 8"),
+            ("layer0.self.ff2", None, "no section layer0.self.ff2"),
+        ],
+    )
+    def test_sections_with_a_misshapen_matrix_rejected(self, name, shape, mention):
+        sections = AttentionStack.random(2, 8, seed=12).to_sections()
+        if shape is None:
+            del sections[name]
+        else:
+            sections[name] = np.zeros(shape)
+        with pytest.raises(ValueError, match=mention):
+            AttentionStack.from_sections(sections)
+
+    def test_sections_with_a_wider_hidden_layer_accepted(self):
+        # q/k and ff1 may be narrower or wider than C when their partners agree
+        rng = np.random.default_rng(16)
+        sections = AttentionStack.random(1, 8, seed=12).to_sections()
+        for kind in ("self", "cross"):
+            for role, shape in (("q", (8, 4)), ("k", (8, 4)), ("ff1", (8, 12)), ("ff2", (12, 8))):
+                sections[f"layer0.{kind}.{role}"] = rng.standard_normal(shape)
+        stack = AttentionStack.from_sections(sections)
+        assert stack.width == 8
+        out_a, _ = stack.transform(rng.standard_normal((5, 8)), rng.standard_normal((6, 8)))
+        assert out_a.shape == (5, 8)
+
     def test_batched_transform_equals_per_slice(self):
         stack = AttentionStack.random(2, 16, seed=17)
         rng = np.random.default_rng(18)

@@ -7,6 +7,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +15,12 @@ import pytest
 
 import semidense
 from semidense.attention import AttentionStack
+from semidense import cli
 from semidense.cli import main
-from semidense.formats import load_scene, read_fmat, save_model, write_fmat
+from semidense.config import RunConfig
+from semidense.formats import load_model, load_scene, read_fmat, save_model, write_fmat
 from semidense.matching import OracleMatcher
+from semidense.pose_matching import synthesize_query_maps
 from semidense.refine import PointCloudModel
 from semidense.scene import NoiseModel, generate_scene
 
@@ -126,6 +130,25 @@ def workspace(tmp_path_factory):
 
 
 class TestEstimateAndEval:
+    def test_one_view_of_query_maps_alive_at_a_time(self, workspace, monkeypatch):
+        # a view's maps (16.8 MB of fine map at the defaults) must be freed
+        # before the next view's maps are built
+        scene = load_scene(workspace / "scene.json")
+        model, _ = load_model(workspace / "model")
+        config = RunConfig(n_points=60, n_views=6, n_query_views=2,
+                           n_coarse_layers=0, n_fine_layers=0)
+        alive = []
+
+        def tracked(scene, view):
+            assert all(ref() is None for ref in alive)
+            maps = synthesize_query_maps(scene, view)
+            alive.append(weakref.ref(maps))
+            return maps
+
+        monkeypatch.setattr(cli, "synthesize_query_maps", tracked)
+        results = cli.estimate_views(scene, model, config, [6, 7, 6])
+        assert len(alive) == 3 and all(r["result"].ok for r in results)
+
     def test_noiseless_bypass_full_success(self, workspace):
         rows = list(csv.DictReader((workspace / "metrics.csv").open()))
         agg = rows[-1]
@@ -303,11 +326,35 @@ class TestBadInputs:
         write_fmat(weights, AttentionStack.random(1, 16, seed=1).to_sections())
         rc = run("estimate", "--scene", workspace / "scene.json", "--model", workspace / "model",
                  "--out", tmp_path / "est", "--coarse-weights", weights, *FAST)
-        self._assert_usage_error(rc, capsys, "coarse attention layer 0 takes 16-wide input")
+        self._assert_usage_error(rc, capsys, "coarse attention weights take 16-wide input")
+
+    def test_estimate_inconsistent_fine_weights(self, tmp_path, workspace, capsys):
+        # as wide as the scene, but one key projection disagrees with its query
+        sections = AttentionStack.random(1, 32, seed=1).to_sections()
+        sections["layer0.cross.k"] = sections["layer0.cross.k"][:, :8].copy()
+        weights = tmp_path / "fine_bad_k.fmat"
+        write_fmat(weights, sections)
+        rc = run("estimate", "--scene", workspace / "scene.json", "--model", workspace / "model",
+                 "--out", tmp_path / "est", "--fine-weights", weights, *FAST)
+        self._assert_usage_error(rc, capsys, "layer0.cross.k is 32 x 8, expected 32 x 32")
 
     def test_pipeline_tau_below_span_bound(self, tmp_path, capsys):
         rc = run("pipeline", "--out", tmp_path / "run", "--tau", "1e-6", *FAST)
         self._assert_usage_error(rc, capsys, "tau must be at least")
+
+    def test_pipeline_tau_below_span_bound_as_a_child_process(self, tmp_path):
+        # through `python -m semidense`: exit 2 and one line, no traceback
+        src = str(Path(semidense.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "semidense", "pipeline", "--tau", "1e-6",
+             "--out", str(tmp_path / "run"), *FAST],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: tau must be at least"), proc.stderr
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
     def test_synth_config_not_an_object(self, tmp_path, capsys):
         config = tmp_path / "c.json"
