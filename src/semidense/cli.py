@@ -29,6 +29,7 @@ from .formats import (
     save_model,
     save_scene,
 )
+from .geometry import SE3Pose
 from .matching import OracleMatcher, dump_matches_csv, select_view_pairs
 from .metrics import (
     CM_DEGREE_LEVELS,
@@ -325,6 +326,7 @@ def cmd_eval(args) -> int:
         payload = _load_json(args.poses)
         if not isinstance(payload, dict) or not isinstance(payload.get("queries"), list):
             raise ValueError(f"{args.poses} has no 'queries' list")
+        _check_queries(payload["queries"], scene.n_views)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -338,6 +340,38 @@ def cmd_eval(args) -> int:
         + " ".join(f"{k}={agg[k]!r}" for k in ("ok_1cm_1deg", "ok_3cm_3deg", "ok_5cm_5deg"))
     )
     return EXIT_OK
+
+
+def _check_queries(queries: list, n_views: int) -> None:
+    """Raise ValueError naming the first poses-file entry that evaluate_queries cannot score.
+
+    An entry is an object with an int `view` in [0, n_views) and a bool
+    `ok`; when `ok` is true, `pose` is a finite 3x4 or 4x4 matrix holding a
+    rigid transform.
+    """
+    for i, q in enumerate(queries):
+        where = f"queries[{i}]"
+        if not isinstance(q, dict):
+            raise ValueError(f"{where} is not an object")
+        view = q.get("view")
+        if not isinstance(view, int) or isinstance(view, bool):
+            raise ValueError(f"{where}: view must be an int, got {view!r}")
+        if not 0 <= view < n_views:
+            raise ValueError(f"{where}: view {view} outside [0, {n_views})")
+        if not isinstance(q.get("ok"), bool):
+            raise ValueError(f"{where}: ok must be true or false, got {q.get('ok')!r}")
+        if not q["ok"]:
+            continue
+        try:
+            m = np.array(q.get("pose"), dtype=float)
+        except (TypeError, ValueError):
+            m = None
+        if m is None or m.shape not in ((3, 4), (4, 4)) or not np.all(np.isfinite(m)):
+            raise ValueError(f"{where}: pose must be a finite 3x4 or 4x4 matrix")
+        try:
+            SE3Pose.from_matrix(m)
+        except ValueError as e:
+            raise ValueError(f"{where}: pose {e}") from None
 
 
 _METRIC_COLUMNS = [
@@ -359,8 +393,6 @@ _METRIC_COLUMNS = [
 
 def evaluate_queries(scene, queries, config: RunConfig):
     """Per-query metric rows plus the aggregate success-rate row."""
-    from .geometry import SE3Pose
-
     rows = []
     for q in queries:
         view = q["view"]

@@ -145,13 +145,13 @@ class OracleMatcher(MatchingFrontend):
     ) -> PairMatches:
         if obs_a.view_id == obs_b.view_id:
             raise ValueError("coarse matching needs two distinct views")
-        # winner point ids are ascending, so the common ones come out sorted
-        win_a = np.flatnonzero(obs_a.cell_winner)
-        win_b = np.flatnonzero(obs_b.cell_winner)
-        _, ia, ib = np.intersect1d(
-            obs_a.point_ids[win_a], obs_b.point_ids[win_b], assume_unique=True, return_indices=True
-        )
-        rows_a, rows_b = win_a[ia], win_b[ib]
+        # the points that win a cell in both views, in ascending point id; a
+        # point past the end of one view's table is not visible in that view
+        n = min(len(obs_a.winner_row_of_point), len(obs_b.winner_row_of_point))
+        of_a = obs_a.winner_row_of_point[:n]
+        of_b = obs_b.winner_row_of_point[:n]
+        common = np.flatnonzero((of_a >= 0) & (of_b >= 0))
+        rows_a, rows_b = of_a[common], of_b[common]
         scores = np.clip(
             np.sum(obs_a.desc_coarse[rows_a] * obs_b.desc_coarse[rows_b], axis=1),
             0.0,
@@ -167,19 +167,21 @@ class OracleMatcher(MatchingFrontend):
             cells_b[rows] = wrong_cells
             scores[rows] = wrong_scores
 
-        # one match per cell_a: the highest score wins, and the stable sort
-        # lets the first row win ties
-        order = np.lexsort((-scores, cells_a[:, 1], cells_a[:, 0]))
-        sorted_cells = cells_a[order]
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = np.any(sorted_cells[1:] != sorted_cells[:-1], axis=1)
-        kept = np.sort(order[first])
+        if not obs_a.winner_cells_distinct:
+            # one match per cell_a: the highest score wins, and the stable sort
+            # lets the first row win ties
+            order = np.lexsort((-scores, cells_a[:, 1], cells_a[:, 0]))
+            sorted_cells = cells_a[order]
+            first = np.ones(len(order), dtype=bool)
+            first[1:] = np.any(sorted_cells[1:] != sorted_cells[:-1], axis=1)
+            kept = np.sort(order[first])
+            cells_a, cells_b, scores = cells_a[kept], cells_b[kept], scores[kept]
         return PairMatches(
             view_a=obs_a.view_id,
             view_b=obs_b.view_id,
-            cells_a=cells_a[kept],
-            cells_b=cells_b[kept],
-            scores=scores[kept],
+            cells_a=cells_a,
+            cells_b=cells_b,
+            scores=scores,
         )
 
     def fine_refine(self, query: FineMatchQuery) -> FineMatchResult:

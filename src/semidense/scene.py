@@ -125,13 +125,24 @@ class ViewObservations:
     visible_mask: np.ndarray      # (N,) bool over all scene points
     _winner_keys: np.ndarray = field(init=False, repr=False)   # sorted cell keys of winners
     _winner_rows: np.ndarray = field(init=False, repr=False)   # their rows
+    winner_row_of_point: np.ndarray = field(init=False, repr=False)
+    """(N,) row of each scene point's cell-winning observation, -1 where it wins no cell."""
+    winner_cells_distinct: bool = field(init=False, repr=False)
+    """True when no two cell winners share a cell key, as render_observations guarantees."""
 
     def __post_init__(self):
         rows = np.flatnonzero(self.cell_winner)
         keys, _ = _cell_keys(self.cells[rows])
         order = np.argsort(keys, kind="stable")
-        object.__setattr__(self, "_winner_keys", keys[order])
+        sorted_keys = keys[order]
+        object.__setattr__(self, "_winner_keys", sorted_keys)
         object.__setattr__(self, "_winner_rows", rows[order])
+        of_point = np.full(len(self.visible_mask), -1, dtype=np.intp)
+        of_point[self.point_ids[rows]] = rows
+        object.__setattr__(self, "winner_row_of_point", of_point)
+        object.__setattr__(
+            self, "winner_cells_distinct", bool(np.all(sorted_keys[1:] != sorted_keys[:-1]))
+        )
 
     def winner_rows(self, cells) -> np.ndarray:
         """Row index of each cell's cell-winning observation, -1 for empty cells.

@@ -369,6 +369,53 @@ class TestBadInputs:
         self._assert_usage_error(rc, capsys, "seed must be int, got list")
         assert not (tmp_path / "s.json").exists()
 
+    @pytest.mark.parametrize(
+        "entry, mention",
+        [
+            pytest.param({"view": 99, "ok": False}, "view 99 outside [0, 8)", id="view-past-end"),
+            pytest.param({"view": -1, "ok": False}, "view -1 outside [0, 8)", id="view-negative"),
+            pytest.param({"view": 6}, "ok must be true or false", id="ok-missing"),
+            pytest.param({"view": 6, "ok": 1}, "ok must be true or false", id="ok-int"),
+            pytest.param({"view": True, "ok": False}, "view must be an int", id="view-bool"),
+            pytest.param({"view": 6.0, "ok": False}, "view must be an int", id="view-float"),
+            pytest.param({"ok": False}, "view must be an int", id="view-missing"),
+            pytest.param(
+                {"view": 6, "ok": True, "pose": "x"}, "finite 3x4 or 4x4", id="pose-string"
+            ),
+            pytest.param({"view": 6, "ok": True}, "finite 3x4 or 4x4", id="pose-missing"),
+            pytest.param(
+                {"view": 6, "ok": True, "pose": [[1.0, 0.0], [0.0, 1.0]]}, "finite 3x4 or 4x4",
+                id="pose-2x2",
+            ),
+            pytest.param(
+                {"view": 6, "ok": True, "pose": [[1.0, 0.0, 0.0, 0.0], [0.0]]}, "finite 3x4 or 4x4",
+                id="pose-ragged",
+            ),
+            pytest.param(
+                {"view": 6, "ok": True, "pose": [[float("nan")] * 4] * 4}, "finite 3x4 or 4x4",
+                id="pose-nan",
+            ),
+            pytest.param(
+                {"view": 6, "ok": True, "pose": (2.0 * np.eye(4)).tolist()}, "not orthonormal",
+                id="pose-not-rigid",
+            ),
+            pytest.param([5], "is not an object", id="entry-list"),
+        ],
+    )
+    def test_eval_malformed_query_entry(self, tmp_path, workspace, capsys, entry, mention):
+        # a good entry first: every entry is checked before any is scored
+        good = {"view": 7, "ok": False}
+        poses_path = tmp_path / "p.json"
+        poses_path.write_text(json.dumps({"queries": [good, entry]}))
+        out = tmp_path / "m.csv"
+        rc = run("eval", "--scene", workspace / "scene.json", "--poses", poses_path,
+                 "--out", out, *FAST)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: queries[1]") and err.count("\n") == 1, err
+        assert mention in err
+        assert not out.exists()
+
     def test_eval_deeply_nested_poses(self, tmp_path, workspace, capsys):
         poses_path = tmp_path / "p.json"
         poses_path.write_text("[" * 100_000 + "]" * 100_000)

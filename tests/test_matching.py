@@ -309,6 +309,62 @@ class TestCoarseMatchPairMatchesDictReference:
         assert len(got) == 0
 
 
+def _table_as_dict(obs: ViewObservations) -> dict[int, int]:
+    table = obs.winner_row_of_point
+    return {int(p): int(table[p]) for p in np.flatnonzero(table >= 0)}
+
+
+class TestPerViewWinnerTables:
+    @pytest.mark.parametrize(
+        "make_scene",
+        [
+            # dense: many points lose their cell
+            lambda: generate_scene(23, 1500, 4, ZERO),
+            lambda: support.onboard_scene(4),
+            lambda: generate_scene(
+                39, 600, 5, NoiseModel(dropout_rate=0.3, descriptor_noise_sigma=0.3)
+            ),
+        ],
+        ids=["dense-collisions", "onboard", "dropout-and-descriptor-noise"],
+    )
+    def test_rendered_views_match_winner_dict(self, make_scene):
+        scene = make_scene()
+        losers = 0
+        for v in range(scene.n_views):
+            obs = render_observations(scene, v)
+            assert obs.winner_row_of_point.shape == (scene.n_points,)
+            assert _table_as_dict(obs) == _winner_points(obs)
+            assert obs.winner_cells_distinct
+            losers += int(np.sum(~obs.cell_winner))
+        assert losers > 0
+
+    def test_colliding_synthetic_views_not_distinct(self):
+        cells = [(4.0, 4.0), (4.0, 4.0), (12.0, 4.0)]
+        obs = _synthetic_obs(0, [1, 3, 5], cells, np.eye(3))
+        assert not obs.winner_cells_distinct
+        # a cell truncating to the key of another cell collides with it too
+        near = _synthetic_obs(0, [1, 3], [(4.0, 4.0), (4.5, 4.9)], np.eye(2))
+        assert not near.winner_cells_distinct
+        apart = _synthetic_obs(0, [1, 3], [(4.0, 4.0), (12.0, 4.0)], np.eye(2))
+        assert apart.winner_cells_distinct
+
+    def test_table_covers_the_visible_mask(self):
+        obs = _synthetic_obs(0, [1, 3, 5], [(4.0, 4.0), (12.0, 4.0), (20.0, 4.0)], np.eye(3))
+        assert obs.winner_row_of_point.tolist() == [-1, 0, -1, 1, -1, 2]
+        no_winner = dataclasses.replace(obs, cell_winner=np.array([True, False, True]))
+        assert no_winner.winner_row_of_point.tolist() == [-1, 0, -1, -1, -1, 2]
+
+    def test_views_with_different_table_lengths(self):
+        # view b's mask ends before view a's highest point: that point is not visible in b
+        scene = generate_scene(29, 20, 2, ZERO)
+        matcher = OracleMatcher(scene)
+        obs_a = _synthetic_obs(0, [0, 2, 9], [(4.0, 4.0), (12.0, 4.0), (20.0, 4.0)], np.eye(3))
+        obs_b = _synthetic_obs(1, [0, 2], [(4.0, 12.0), (12.0, 12.0)], np.eye(3)[:2])
+        for a, b in ((obs_a, obs_b), (obs_b, obs_a)):
+            got = _assert_same_as_dict_reference(matcher, a, b)
+            assert len(got) == 2
+
+
 class TestWinnerRows:
     def test_matches_dict_lookup(self):
         scene = support.onboard_scene(2)

@@ -105,14 +105,22 @@ class TestRenderObservations:
         assert np.all(np.mod(obs.cells, GRID_STRIDE) == GRID_STRIDE / 2.0)
 
     def test_dropout_rate_monte_carlo(self):
-        fractions = []
+        # n = 100 scenes x 1000 in-frustum points = 100,000 independent keep
+        # draws: the mean kept fraction has standard deviation
+        # sqrt(0.3 * 0.7 / 100,000) ~ 0.0014, so the 0.02 bound is ~14 sigma
+        fractions, planted = [], []
         for seed in range(100):
             noisy = generate_scene(seed, 1000, 2, NoiseModel(dropout_rate=0.3))
             clean = generate_scene(seed, 1000, 2, ZERO)
             n_vis = render_observations(noisy, 0).visible_mask.sum()
             n_frustum = render_observations(clean, 0).visible_mask.sum()
+            assert n_frustum == 1000
             fractions.append(n_vis / n_frustum)
+            # power: a rate 0.05 too high
+            high = generate_scene(seed, 1000, 2, NoiseModel(dropout_rate=0.35))
+            planted.append(render_observations(high, 0).visible_mask.sum() / n_frustum)
         assert abs(np.mean(fractions) - 0.7) < 0.02
+        assert not abs(np.mean(planted) - 0.7) < 0.02
 
     def test_cell_winner_unique_and_front_most(self):
         scene = generate_scene(11, 400, 4, ZERO)
