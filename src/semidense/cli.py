@@ -168,20 +168,24 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         )
 
 
+def _usage_error(message) -> int:
+    """Print one `error:` line to stderr and return the usage exit code."""
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def cmd_synth(args) -> int:
     try:
         config = _load_config(args)
         scene = _scene_from_config(config)
     except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(e)
     out = Path(args.out)
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
         save_scene(scene, out)
     except OSError as e:
-        print(f"error: cannot write {out}: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(f"cannot write {out}: {e}")
     print(f"scene: {scene.n_points} points, {scene.n_views} views -> {out}")
     return EXIT_OK
 
@@ -191,28 +195,29 @@ def cmd_reconstruct(args) -> int:
         config = _load_config(args)
         scene = load_scene(args.scene)
     except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(e)
     recon_views = list(range(min(config.n_views, scene.n_views)))
     model, recon, _, stats, matches = reconstruct_scene(scene, config, recon_views)
     if model.n_points == 0:
         print("error: no surviving tracks", file=sys.stderr)
         return EXIT_EMPTY
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_model(out, model, recon.points, recon_views)
-    tracks_to_json(recon.tracks, out / "tracks.json")
-    if args.dump_matches:
-        dump_matches_csv(matches, out / "matches.csv")
-
     stats["accuracy"] = {
         kind: {repr(t): v for t, v in point_cloud_accuracy(points, scene.points).items()}
         for kind, points in (("coarse", recon.points), ("refined", model.points))
     }
-    with atomic_write(out / "stats.json") as fh:
-        json.dump(stats, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        save_model(out, model, recon.points, recon_views)
+        tracks_to_json(recon.tracks, out / "tracks.json")
+        if args.dump_matches:
+            dump_matches_csv(matches, out / "matches.csv")
+        with atomic_write(out / "stats.json") as fh:
+            json.dump(stats, fh, sort_keys=True, indent=1)
+            fh.write("\n")
+    except OSError as e:
+        return _usage_error(f"cannot write {out}: {e}")
     print(
         f"model: {model.n_points} points from {len(recon.tracks)} tracks "
         f"({stats['tracks']['conflicts']} conflict nodes) -> {out}"
@@ -243,22 +248,17 @@ def cmd_estimate(args) -> int:
         _check_widths(scene, model, stacks)
         query_views = _parse_views(args.views, scene.n_views, manifest)
     except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(e)
     if model.n_points == 0:
         print("error: empty model", file=sys.stderr)
         return EXIT_EMPTY
     if not query_views or any(not 0 <= v < scene.n_views for v in query_views):
-        print(f"error: invalid query views {query_views}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(f"invalid query views {query_views}")
 
     try:
         results = estimate_views(scene, model, config, query_views, stacks)
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+        return _usage_error(e)
     payload = []
     for r in results:
         res = r["result"]
@@ -275,15 +275,23 @@ def cmd_estimate(args) -> int:
                 "time_ms": r["time_ms"],
             }
         )
-        with atomic_write(out / f"corr_q{r['view']:03d}.csv", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["j", "u", "v", "conf"])
-            c = r["corr"]
-            for j, pix, conf in zip(c.fine_points, c.fine_pixels, c.fine_conf):
-                writer.writerow([int(j), repr(float(pix[0])), repr(float(pix[1])), repr(float(conf))])
-    with atomic_write(out / "poses.json") as fh:
-        json.dump({"queries": payload}, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for r in results:
+            with atomic_write(out / f"corr_q{r['view']:03d}.csv", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["j", "u", "v", "conf"])
+                c = r["corr"]
+                for j, pix, conf in zip(c.fine_points, c.fine_pixels, c.fine_conf):
+                    writer.writerow(
+                        [int(j), repr(float(pix[0])), repr(float(pix[1])), repr(float(conf))]
+                    )
+        with atomic_write(out / "poses.json") as fh:
+            json.dump({"queries": payload}, fh, sort_keys=True, indent=1)
+            fh.write("\n")
+    except OSError as e:
+        return _usage_error(f"cannot write {out}: {e}")
 
     n_ok = sum(p["ok"] for p in payload)
     print(f"poses: {n_ok}/{len(payload)} solved -> {out}")
@@ -328,13 +336,15 @@ def cmd_eval(args) -> int:
             raise ValueError(f"{args.poses} has no 'queries' list")
         _check_queries(payload["queries"], scene.n_views)
     except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(e)
 
     rows, agg = evaluate_queries(scene, payload["queries"], config)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_metrics_csv(out, rows, agg)
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        write_metrics_csv(out, rows, agg)
+    except OSError as e:
+        return _usage_error(f"cannot write {out}: {e}")
     print(
         "success rates: "
         + " ".join(f"{k}={agg[k]!r}" for k in ("ok_1cm_1deg", "ok_3cm_3deg", "ok_5cm_5deg"))
@@ -460,11 +470,13 @@ def cmd_pipeline(args) -> int:
     out = Path(args.out)
     try:
         config = _load_config(args)
-        out.mkdir(parents=True, exist_ok=True)
     except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    config.to_json(out / "config.json")
+        return _usage_error(e)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        config.to_json(out / "config.json")
+    except OSError as e:
+        return _usage_error(f"cannot write {out}: {e}")
 
     ns = argparse.Namespace(**vars(args))
     ns.out = out / "scene.json"

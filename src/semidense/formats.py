@@ -1,4 +1,4 @@
-"""File formats: FMAT binary matrices, ASCII/binary PLY, scene and model JSON.
+"""File formats: FMAT binary matrices, ASCII PLY, scene and model JSON.
 
 FMAT is the one binary container used for descriptors, model features, and
 attention weights: magic "FMAT", u32 version, u32 section count, then per
@@ -134,27 +134,24 @@ def _read_named_fmat(directory: Path, name, where) -> tuple[Path, dict[str, np.n
         raise ValueError(f"{where}: cannot read {path}: {e.strerror or e}") from None
 
 
-def write_ply(path, points: np.ndarray, binary: bool = False) -> None:
-    """Point-cloud PLY; ASCII by default for diff-ability."""
+def write_ply(path, points: np.ndarray) -> None:
+    """Point-cloud PLY in ASCII, one repr() vertex per line for diff-ability."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    fmt = "binary_little_endian" if binary else "ascii"
     header = (
         "ply\n"
-        f"format {fmt} 1.0\n"
+        "format ascii 1.0\n"
         f"element vertex {len(pts)}\n"
         "property double x\nproperty double y\nproperty double z\n"
         "end_header\n"
     )
     with atomic_write(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        if binary:
-            fh.write(np.ascontiguousarray(pts, dtype="<f8").tobytes())
-        else:
-            for x, y, z in pts:
-                fh.write(f"{float(x)!r} {float(y)!r} {float(z)!r}\n".encode("ascii"))
+        for x, y, z in pts:
+            fh.write(f"{float(x)!r} {float(y)!r} {float(z)!r}\n".encode("ascii"))
 
 
 def read_ply(path) -> np.ndarray:
+    """Vertices (N, 3) of an ASCII PLY as write_ply writes it; other formats raise ValueError."""
     with open(path, "rb") as fh:
         line = fh.readline().strip()
         if line != b"ply":
@@ -171,10 +168,12 @@ def read_ply(path) -> np.ndarray:
                 break
             elif not line:
                 raise ValueError("unexpected end of PLY header")
-        if fmt == "ascii":
-            rows = [fh.readline().split() for _ in range(n)]
-            return np.array(rows, dtype=np.float64)
-        return np.frombuffer(fh.read(n * 24), dtype="<f8").reshape(n, 3).copy()
+        if fmt != "ascii":
+            raise ValueError(f"PLY format {fmt!r} is not supported, only 'ascii'")
+        if n is None:
+            raise ValueError("PLY header has no 'element vertex'")
+        rows = [fh.readline().split() for _ in range(n)]
+        return np.array(rows, dtype=np.float64)
 
 
 def _load_json(path):

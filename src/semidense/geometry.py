@@ -20,7 +20,7 @@ MIN_DEPTH = 1e-8
 # Triangulation systems with a larger singular-value ratio are rejected.
 MAX_CONDITION = 1e12
 
-# Why triangulate_batch rejects a track; TRI_OK keeps it.
+# Why triangulate_dlt rejects a track; TRI_OK keeps it.
 TRI_OK, TRI_COINCIDENT, TRI_ILL_CONDITIONED, TRI_AT_INFINITY, TRI_BEHIND = range(5)
 _TRI_ERRORS = {
     TRI_COINCIDENT: (DegenerateGeometryError, "all camera centers coincide; depth unobservable"),
@@ -103,15 +103,19 @@ class CameraIntrinsics:
 
 @dataclass(frozen=True, eq=False)
 class ViewTable:
-    """The cameras of a view list as arrays indexed by view id.
+    """The cameras of a view list as arrays indexed by view id, plus one padding camera.
 
     Interior kernels gather from these arrays; SE3Pose and CameraIntrinsics
-    stay the types at the edges.
+    stay the types at the edges. The lock-step solvers pad a track's views
+    past its own with view -1, the padding camera: R = 0, t = (0, 0, 1) and
+    fx = fy = cx = cy = 0. It sees every point at camera point (0, 0, 1), so
+    with zero target pixels its residuals and Jacobians are exactly 0 and it
+    passes every cheirality test.
     """
 
-    R: np.ndarray   # (V, 3, 3) world-to-camera rotations
-    t: np.ndarray   # (V, 3) translations
-    fx: np.ndarray  # (V,)
+    R: np.ndarray   # (V + 1, 3, 3) world-to-camera rotations, the padding camera last
+    t: np.ndarray   # (V + 1, 3) translations
+    fx: np.ndarray  # (V + 1,)
     fy: np.ndarray
     cx: np.ndarray
     cy: np.ndarray
@@ -120,14 +124,10 @@ class ViewTable:
     def stack(
         cls, poses: Sequence["SE3Pose"], intrinsics: Sequence[CameraIntrinsics]
     ) -> "ViewTable":
-        return cls(
-            R=np.array([p.rotation for p in poses]).reshape(-1, 3, 3),
-            t=np.array([p.translation for p in poses]).reshape(-1, 3),
-            fx=np.array([k.fx for k in intrinsics], dtype=float),
-            fy=np.array([k.fy for k in intrinsics], dtype=float),
-            cx=np.array([k.cx for k in intrinsics], dtype=float),
-            cy=np.array([k.cy for k in intrinsics], dtype=float),
-        )
+        R = np.array([p.rotation for p in poses] + [np.zeros((3, 3))])
+        t = np.array([p.translation for p in poses] + [np.array([0.0, 0.0, 1.0])])
+        k = np.array([(i.fx, i.fy, i.cx, i.cy) for i in intrinsics] + [(0.0,) * 4], dtype=float)
+        return cls(R, t, *k.T)
 
     def k(self, views: np.ndarray) -> tuple[np.ndarray, ...]:
         """(fx, fy, cx, cy) of an array of view ids, each shaped like it."""
@@ -314,19 +314,19 @@ def triangulate(observations: Sequence[Observation]) -> np.ndarray:
     Each observation is (pose, intrinsics, pixel). Requires >= 2 views.
     Raises DegenerateGeometryError for ill-conditioned geometry and
     CheiralityError if the solution lies behind any camera. This is the
-    one-track case of triangulate_batch.
+    one-track case of triangulate_dlt and gauss_newton_polish.
     """
     if len(observations) < 2:
         raise ValueError("triangulation needs at least 2 observations")
-    R = np.array([pose.rotation for pose, _, _ in observations])
-    t = np.array([pose.translation for pose, _, _ in observations])
-    k = np.array([(i.fx, i.fy, i.cx, i.cy) for _, i, _ in observations], dtype=float).T
-    pixels = np.array([np.asarray(pixel, dtype=float) for _, _, pixel in observations])
-    points, reject = triangulate_batch(R[None], t[None], tuple(k[:, None]), pixels[None])
+    poses, intrinsics, pixels = zip(*observations)
+    table, views = ViewTable.stack(poses, intrinsics), np.arange(len(observations))[None]
+    R, t, k = table.R[views], table.t[views], table.k(views)
+    pixels = np.array([np.asarray(pixel, dtype=float) for pixel in pixels])[None]
+    points, reject = triangulate_dlt(R, t, k, pixels)
     if reject[0] != TRI_OK:
         error, message = _TRI_ERRORS[int(reject[0])]
         raise error(message)
-    return points[0]
+    return gauss_newton_polish(points, R, t, k, pixels, np.array([len(observations)]))[0]
 
 
 def _to_camera(points: np.ndarray, R: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -350,21 +350,6 @@ def _solve_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
             except np.linalg.LinAlgError:
                 pass
         return out
-
-
-def triangulate_batch(R, t, k, pixels, max_steps: int = 10) -> tuple[np.ndarray, np.ndarray]:
-    """Triangulate T tracks of n views each: (points (T, 3), reject (T,)).
-
-    The DLT and its gates (triangulate_dlt), then the Gauss-Newton polish of
-    the kept points (gauss_newton_polish); arrays as in triangulate_dlt.
-    """
-    points, reject = triangulate_dlt(R, t, k, pixels)
-    kept = np.flatnonzero(reject == TRI_OK)
-    lengths = np.full(len(kept), pixels.shape[1])
-    points[kept] = gauss_newton_polish(
-        points[kept], R[kept], t[kept], tuple(a[kept] for a in k), pixels[kept], lengths, max_steps
-    )
-    return points, reject
 
 
 def triangulate_dlt(R, t, k, pixels) -> tuple[np.ndarray, np.ndarray]:
@@ -424,12 +409,11 @@ def gauss_newton_polish(point, R, t, k, pixels, lengths, max_steps: int = 10) ->
     which is invariant under a common rigid transform of all cameras.
 
     Arrays as in triangulate_dlt, with rows sorted by their view counts
-    `lengths` (T,); row i's views past lengths[i] are padding: R = 0,
-    t = (0, 0, 1) and zero intrinsics and pixels, whose residuals and
-    Jacobians are exactly 0 and which pass every cheirality test. All rows
-    step in one loop, a row's k-th step at iteration k; the sums over its
-    residuals (J^T J, J^T r and the cost) run per length on exactly its
-    2 n entries, so every row equals its one-track polish bit for bit.
+    `lengths` (T,); row i's views past lengths[i] are ViewTable's padding
+    camera, with zero pixels. All rows step in one loop, a row's k-th step
+    at iteration k; the sums over its residuals (J^T J, J^T r and the cost)
+    run per length on exactly its 2 n entries, so every row equals its
+    one-track polish bit for bit.
     Only active rows step. A row freezes on a failed solve, on a step that
     breaks cheirality or does not lower the cost, and once it converges.
     """
@@ -483,7 +467,7 @@ def active_segments(active: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -
 def mean_reprojection_errors(points, R, t, k, pixels) -> np.ndarray:
     """Mean pixel distance per track (T,) between projections and observed pixels.
 
-    Arrays as in triangulate_batch; raises CheiralityError if a point is
+    Arrays as in triangulate_dlt; raises CheiralityError if a point is
     behind one of its cameras.
     """
     p_cam = _to_camera(points, R, t)

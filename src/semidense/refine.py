@@ -15,7 +15,7 @@ averaging the observations along the track (coarse and fine separately).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -315,32 +315,6 @@ class DepthProblem:
             targets=pixels[:, 1:],
         )
 
-    @classmethod
-    def padded(cls, rts: RefinedTracks, table: ViewTable, groups) -> DepthProblem:
-        """The problem of tracks sorted by length, with S the largest source count.
-
-        groups are length_order's (n, rows) of the sorted table. A row's
-        sources past its own count are padding: camera point (0, 0, 1) at
-        every depth (Rray = 0, t = (0, 0, 1)) with zero intrinsics and
-        targets, so their residuals and Jacobians are exactly 0 and they
-        pass every cheirality test.
-        """
-        T, S = len(rts), groups[-1][0] - 1 if groups else 0
-        out = cls(
-            Rray=np.zeros((T, S, 3)), t=np.zeros((T, S, 3)),
-            fx=np.zeros((T, S)), fy=np.zeros((T, S)), cx=np.zeros((T, S)), cy=np.zeros((T, S)),
-            targets=np.zeros((T, S, 2)),
-        )
-        out.t[..., 2] = 1.0
-        for n, rows in groups:
-            nodes = slice(rts.offsets[rows.start], rts.offsets[rows.stop])
-            group = cls.from_nodes(
-                rts.views[nodes].reshape(-1, n), rts.pixels[nodes].reshape(-1, n, 2), table
-            )
-            for f in fields(cls):
-                getattr(out, f.name)[rows, : n - 1] = getattr(group, f.name)
-        return out
-
     def rows(self, idx: np.ndarray) -> DepthProblem:
         """The sub-problem of the rows idx."""
         return DepthProblem(
@@ -409,12 +383,7 @@ def optimize_depths(
     """optimize_depth for every track, as one lock-step LM over all of them."""
     order, groups = length_order(rts.offsets)
     solved = _depth_lm(rts.take(order), table, groups, max_iters, rel_tol)
-    columns = {}
-    names = ("depths", "points", "initial_costs", "final_costs", "converged")
-    for name, value in zip(names, solved):
-        columns[name] = np.empty_like(value)
-        columns[name][order] = value
-    return replace(rts, **columns)
+    return solved.take(np.argsort(order))
 
 
 def _depth_lm(rts: RefinedTracks, table: ViewTable, groups, max_iters: int, rel_tol: float):
@@ -428,14 +397,17 @@ def _depth_lm(rts: RefinedTracks, table: ViewTable, groups, max_iters: int, rel_
     or once the cost falls by at most rel_tol. Flat and clamped rows are
     flagged non-converged.
 
-    Every active row steps in one loop over the padded problem, a row's
-    k-th step at iteration k; the sums over a row's 2 S residuals (g, H and
-    the cost) run per source count on exactly those entries, so every row
-    equals its one-track solve bit for bit. Returns the columns depth,
-    point, initial cost, final cost and converged, in the order of
-    optimize_depths.
+    Every active row steps in one loop over one problem, its sources padded
+    to the largest count with ViewTable's padding camera, a row's k-th step
+    at iteration k; the sums over a row's 2 S residuals (g, H and the cost)
+    run per source count on exactly those entries, so every row equals its
+    one-track solve bit for bit. Returns the table with the LM's columns
+    filled in.
     """
-    problem = DepthProblem.padded(rts, table, groups)
+    width = groups[-1][0] if groups else 1  # from_nodes reads a reference column
+    problem = DepthProblem.from_nodes(
+        rts.padded("views", width, fill=-1), rts.padded("pixels", width), table
+    )
     S = np.diff(rts.offsets) - 1
     starts = np.array([rows.start for _, rows in groups], dtype=int)
     sizes = np.array([n - 1 for n, _ in groups], dtype=int)
@@ -494,7 +466,10 @@ def _depth_lm(rts: RefinedTracks, table: ViewTable, groups, max_iters: int, rel_
     # pose_r.inverse().transform(p_ref): p_ref @ (R_r^T)^T - R_r^T t_r, one row at a time
     t_inv = ((-R_rt) @ t_r[:, :, None])[..., 0]
     points = (p_ref[:, None, :] @ R_r)[:, 0] + t_inv
-    return d, points, initial_cost, np.sqrt(cost / S), converged
+    return replace(
+        rts, depths=d, points=points, initial_costs=initial_cost, final_costs=np.sqrt(cost / S),
+        converged=converged,
+    )
 
 
 def _segment_sums(r: np.ndarray, segments) -> np.ndarray:

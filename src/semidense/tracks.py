@@ -50,6 +50,17 @@ class TrackTable:
             for f in fields(self) if f.name != "offsets"
         }, offsets=offsets)
 
+    def padded(self, name: str, width: int, fill=0) -> np.ndarray:
+        """The node column `name` as (T, width, ...) rows: each track's nodes, then `fill`.
+
+        No track may have more than width nodes. Views padded with -1 gather
+        ViewTable's padding camera.
+        """
+        column = getattr(self, name)
+        out = np.full((len(self), width) + column.shape[1:], fill, dtype=column.dtype)
+        out[np.arange(width) < np.diff(self.offsets)[:, None]] = column
+        return out
+
 
 @dataclass(frozen=True, eq=False)
 class Tracks(TrackTable):
@@ -198,53 +209,46 @@ def triangulate_tracks(
 
     The DLT and its gates run per track length; one Gauss-Newton polish
     then steps every kept track in lock-step, its views padded to the
-    longest track. The surviving tracks keep their ids and carry their
-    points and reprojection errors. The default reprojection gate (12 px)
-    sits above the worst-case grid-quantization offset so clean quantized
-    tracks always survive.
+    longest track with ViewTable's padding camera. The surviving tracks
+    keep their ids and carry their points and reprojection errors. The
+    default reprojection gate (12 px) sits above the worst-case
+    grid-quantization offset so clean quantized tracks always survive.
     """
     stats = stats if stats is not None else TrackStats()
     if np.any(np.diff(tracks.offsets) < 2):
         raise ValueError("triangulation needs at least 2 observations")
     table = ViewTable.stack(poses, intrinsics)
-
-    # the tracks sorted by length, their views padded as gauss_newton_polish describes
     order, groups = length_order(tracks.offsets)
-    T, n_max = len(tracks), groups[-1][0] if groups else 0
-    R, t = np.zeros((T, n_max, 3, 3)), np.zeros((T, n_max, 3))
-    t[..., 2] = 1.0
-    k, pix = np.zeros((4, T, n_max)), np.zeros((T, n_max, 2))
-    points = np.full((T, 3), np.nan)
-    reject = np.full(T, TRI_OK)
-    for n, rows in groups:
-        nodes = tracks.offsets[order[rows], None] + np.arange(n)
-        v = tracks.views[nodes]
-        group = table.R[v], table.t[v], table.k(v), tracks.cells[nodes]
-        R[rows, :n], t[rows, :n], k[:, rows, :n], pix[rows, :n] = group
-        points[rows], reject[rows] = triangulate_dlt(*group)
+    by_length = tracks.take(order)
+    width = groups[-1][0] if groups else 0
+    views = by_length.padded("views", width, fill=-1)
+    R, t, k, pix = table.R[views], table.t[views], table.k(views), by_length.padded("cells", width)
 
+    def rows_of(rows, n=width):
+        """R, t, k and pixels of the sorted rows `rows`, cut to their first n views."""
+        return R[rows, :n], t[rows, :n], tuple(a[rows, :n] for a in k), pix[rows, :n]
+
+    points = np.full((len(tracks), 3), np.nan)
+    reject = np.full(len(tracks), TRI_OK)
+    for n, rows in groups:
+        points[rows], reject[rows] = triangulate_dlt(*rows_of(rows, n))
     kept = np.flatnonzero(reject == TRI_OK)
-    lengths = np.diff(tracks.offsets)[order]
-    points[kept] = gauss_newton_polish(
-        points[kept], R[kept], t[kept], tuple(k[:, kept]), pix[kept], lengths[kept]
-    )
-    errors = np.full(T, np.nan)
+    lengths = np.diff(by_length.offsets)
+    points[kept] = gauss_newton_polish(points[kept], *rows_of(kept), lengths[kept])
+    errors = np.full(len(tracks), np.nan)
     for n, rows in groups:
         e = np.arange(rows.start, rows.stop)[reject[rows] == TRI_OK]
-        errors[e] = mean_reprojection_errors(
-            points[e], R[e, :n], t[e, :n], tuple(k[:, e, :n]), pix[e, :n]
-        )
+        errors[e] = mean_reprojection_errors(points[e], *rows_of(e, n))
 
     behind = reject == TRI_BEHIND
     stats.rejected_degenerate += int(np.count_nonzero((reject != TRI_OK) & ~behind))
     stats.rejected_cheirality += int(np.count_nonzero(behind))
     too_far = (reject == TRI_OK) & (errors > max_reproj_px)
     stats.rejected_reprojection += int(np.count_nonzero(too_far))
-    keep = np.sort(order[(reject == TRI_OK) & ~too_far])
-    unsorted_points, unsorted_errors = np.empty_like(points), np.empty_like(errors)
-    unsorted_points[order], unsorted_errors[order] = points, errors
-    triangulated = replace(tracks, points=unsorted_points, reproj_errors=unsorted_errors)
-    return CoarseReconstruction(tracks=triangulated.take(keep), stats=stats)
+    rank = np.argsort(order)  # each track's row in by_length
+    survivors = rank[((reject == TRI_OK) & ~too_far)[rank]]
+    triangulated = replace(by_length, points=points, reproj_errors=errors).take(survivors)
+    return CoarseReconstruction(tracks=triangulated, stats=stats)
 
 
 def length_order(offsets: np.ndarray) -> tuple[np.ndarray, list[tuple[int, slice]]]:

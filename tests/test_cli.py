@@ -487,6 +487,38 @@ class TestBadInputs:
         rc = self._reconstruct_edited_scene(tmp_path, workspace, edit)
         self._assert_usage_error(rc, capsys, "view 2: intrinsics must be finite")
 
+    def test_reconstruct_out_is_a_file(self, tmp_path, workspace, capsys):
+        out = tmp_path / "model"
+        out.write_text("")
+        rc = run("reconstruct", "--scene", workspace / "scene.json", "--out", out, *FAST)
+        self._assert_usage_error(rc, capsys, f"cannot write {out}")
+
+    def test_estimate_out_is_a_file(self, tmp_path, workspace, capsys):
+        out = tmp_path / "est"
+        out.write_text("")
+        rc = run("estimate", "--scene", workspace / "scene.json", "--model", workspace / "model",
+                 "--out", out, *FAST)
+        self._assert_usage_error(rc, capsys, f"cannot write {out}")
+
+    def test_eval_out_is_a_directory(self, tmp_path, workspace, capsys):
+        out = tmp_path / "m.csv"
+        out.mkdir()
+        rc = run("eval", "--scene", workspace / "scene.json",
+                 "--poses", workspace / "estimate" / "poses.json", "--out", out, *FAST)
+        self._assert_usage_error(rc, capsys, f"cannot write {out}")
+        assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]  # no file left beside it
+
+    def test_pipeline_config_json_is_a_directory(self, tmp_path, capsys):
+        (tmp_path / "run" / "config.json").mkdir(parents=True)
+        rc = run("pipeline", "--out", tmp_path / "run", *FAST)
+        self._assert_usage_error(rc, capsys, "config.json")
+
+    def test_pipeline_out_is_a_file(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.write_text("")
+        rc = run("pipeline", "--out", out, *FAST)
+        self._assert_usage_error(rc, capsys, f"cannot write {out}")
+
 
 class TestPipelineDeterminism:
     def test_metrics_byte_identical(self, tmp_path):

@@ -119,16 +119,29 @@ class TestPly:
         write_ply(path, pts)
         assert np.array_equal(read_ply(path), pts)  # repr() floats round-trip
 
-    def test_binary_roundtrip(self, tmp_path):
-        pts = np.random.default_rng(143).standard_normal((50, 3))
-        path = tmp_path / "b.ply"
-        write_ply(path, pts, binary=True)
-        assert np.array_equal(read_ply(path), pts)
-
     def test_not_ply_rejected(self, tmp_path):
         path = tmp_path / "x.ply"
         path.write_bytes(b"hello\n")
         with pytest.raises(ValueError):
+            read_ply(path)
+
+    @pytest.mark.parametrize(
+        "header, payload, message",
+        [
+            (
+                "format binary_big_endian 1.0\nelement vertex 1\n",
+                np.array([1.0, 2.0, 3.0], dtype=">f8").tobytes(),
+                "binary_big_endian",
+            ),
+            ("format ascii 1.0\n", b"1.0 2.0 3.0\n", "element vertex"),
+        ],
+        ids=["binary", "no-vertex-element"],
+    )
+    def test_unsupported_header_rejected(self, tmp_path, header, payload, message):
+        properties = "property double x\nproperty double y\nproperty double z\n"
+        path = tmp_path / "x.ply"
+        path.write_bytes(f"ply\n{header}{properties}end_header\n".encode("ascii") + payload)
+        with pytest.raises(ValueError, match=message):
             read_ply(path)
 
 

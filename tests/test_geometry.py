@@ -9,6 +9,7 @@ from semidense.geometry import (
     MIN_DEPTH,
     CameraIntrinsics,
     SE3Pose,
+    ViewTable,
     backproject,
     mean_reprojection_errors,
     pinhole,
@@ -110,6 +111,24 @@ class TestPinholeKernel:
         assert want == [True, False, False, False, False, True]
         np.testing.assert_array_equal(visible, want)
         assert np.isnan(pix[2:5]).all()
+
+
+class TestViewTable:
+    def test_padding_camera_is_row_minus_one(self):
+        rng = np.random.default_rng(5)
+        poses = [support.random_pose(rng) for _ in range(3)]
+        intrs = [_simple_intr(f=100.0 + i, cx=10.0 + i, cy=20.0 + i) for i in range(3)]
+        table = ViewTable.stack(poses, intrs)
+        assert table.R.shape == (4, 3, 3) and table.t.shape == (4, 3)
+        for v, (pose, k) in enumerate(zip(poses, intrs)):
+            assert np.array_equal(table.R[v], pose.rotation)
+            assert np.array_equal(table.t[v], pose.translation)
+            assert list(table.k(v)) == [k.fx, k.fy, k.cx, k.cy]
+        assert np.array_equal(table.R[-1], np.zeros((3, 3)))
+        assert table.t[-1].tolist() == [0.0, 0.0, 1.0]
+        assert list(table.k(-1)) == [0.0] * 4
+        empty = ViewTable.stack([], [])
+        assert np.array_equal(empty.R, table.R[-1:]) and np.array_equal(empty.t, table.t[-1:])
 
 
 class TestBackproject:

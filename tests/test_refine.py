@@ -786,6 +786,27 @@ class TestBatchedRefinementMatchesOneTrackReference:
         assert all(rt.converged for rt in got[:-3])
         assert got[-1].depth == 0.6 and got[-1].final_cost == got[-1].initial_cost
 
+    def test_padding_camera_sources_vanish(self):
+        rts, poses, intrs = self._mixed_counts()
+        table = RefinedTracks.from_records(rts)
+        width = np.diff(table.offsets).max() + 1  # every row gets at least one padded source
+        problem = DepthProblem.from_nodes(
+            table.padded("views", width, fill=-1), table.padded("pixels", width),
+            ViewTable.stack(poses, intrs),
+        )
+        names = [f.name for f in dataclasses.fields(DepthProblem)]
+        for i, rt in enumerate(rts):  # a row's own sources are its one-track problem's
+            one, S = DepthProblem.from_track(rt, poses, intrs), len(rt.sources)
+            for name in names:
+                assert np.array_equal(getattr(problem, name)[i, :S], getattr(one, name)[0]), name
+        pad = np.arange(width - 1) >= np.diff(table.offsets)[:, None] - 1
+        assert pad.any(axis=1).all()
+        padding = DepthProblem(**{name: getattr(problem, name)[pad][None] for name in names})
+        for d in (1e-12, 1e-3, 0.6, 4.0, 1e12):
+            r, front = padding.residuals(d)
+            assert front.all() and np.all(r == 0.0)
+            assert np.all(padding.jacobian(d) == 0.0)
+
     def test_permuted_table_gives_permuted_rows(self):
         rts, poses, intrs = self._mixed_counts()
         table, views = RefinedTracks.from_records(rts), ViewTable.stack(poses, intrs)

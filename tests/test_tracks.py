@@ -13,6 +13,7 @@ from semidense.geometry import (
     pinhole_jacobian,
     project,
     rotation_from_axis_angle,
+    triangulate,
 )
 from semidense.matching import OracleMatcher, PairMatches, select_view_pairs
 from semidense.scene import NoiseModel, generate_scene, grid_cell_center
@@ -253,6 +254,22 @@ class TestBuildTracksMatchesUnionFindReference:
             _assert_same_as_union_find(matches, min_track_length)
 
 
+class TestTrackTablePadded:
+    def test_mixed_lengths(self):
+        nodes = [
+            [(0, (4.0, 4.0)), (2, (12.0, 20.0))],
+            [(1, (4.0, 12.0)), (3, (20.0, 4.0)), (5, (4.0, 28.0)), (6, (36.0, 4.0))],
+            [(0, (44.0, 4.0)), (1, (4.0, 52.0)), (4, (60.0, 60.0))],
+        ]
+        tracks = support.make_tracks(nodes)
+        views, cells = tracks.padded("views", 5, fill=-1), tracks.padded("cells", 5)
+        assert views.shape == (3, 5) and cells.shape == (3, 5, 2)
+        for track, row_views, row_cells in zip(nodes, views.tolist(), cells.tolist()):
+            n = len(track)
+            assert row_views == [v for v, _ in track] + [-1] * (5 - n)
+            assert row_cells == [list(c) for _, c in track] + [[0.0, 0.0]] * (5 - n)
+
+
 class TestTriangulateTracks:
     def _scene_tracks(self, seed=44, n_points=100, n_views=8):
         scene = generate_scene(seed, n_points, n_views, ZERO)
@@ -393,9 +410,13 @@ def _assert_same_as_reference(tracks, poses, intrs, max_reproj_px=12.0):
     kept, stats = _ref_triangulate_tracks(tracks, poses, intrs, max_reproj_px)
     assert recon.tracks.track_ids.tolist() == [tid for tid, _, _ in kept]
     errors = recon.tracks.reproj_errors.tolist()
-    for point, err, (_, ref_point, ref_err) in zip(recon.points, errors, kept):
+    nodes = support.node_lists(recon.tracks)
+    for point, err, track, (_, ref_point, ref_err) in zip(recon.points, errors, nodes, kept):
         assert np.array_equal(point, ref_point)
         assert err == ref_err
+        # the one-track entry point gives the table's row bit for bit
+        obs = [(poses[v], intrs[v], np.asarray(c, dtype=float)) for v, c in track]
+        assert np.array_equal(triangulate(obs), point)
     assert recon.stats == stats
     return recon
 
