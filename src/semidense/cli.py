@@ -1,17 +1,21 @@
 """Command-line pipeline: synth, reconstruct, estimate, eval, and pipeline.
 
-Exit codes: 0 on success, 2 on usage/validation errors, 3 when a stage
-produces an empty result (no tracks, no poses). Every command is
-deterministic given its config and seed; `pipeline` runs the four stages
-into one output directory and reproduces byte-identical metrics.csv.
+Each command reads its inputs and calls its stage (`run_synth`, ...), which
+writes the stage's files and returns what the next stage needs; `pipeline`
+chains the four stages in memory and writes the same files. Every command
+is deterministic given its config and seed.
+
+Exit codes, all set in `main`: 0 on success, 2 on usage/validation errors
+(ValueError, OSError), 3 when a stage produces an empty result (no tracks,
+no poses).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
-import json
 import sys
 import time
 from pathlib import Path
@@ -21,6 +25,7 @@ import numpy as np
 from .attention import AttentionStack
 from .config import RunConfig
 from .formats import (
+    _dump_json,
     _load_json,
     atomic_write,
     load_model,
@@ -168,64 +173,56 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         )
 
 
-def _usage_error(message) -> int:
-    """Print one `error:` line to stderr and return the usage exit code."""
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
+class EmptyResult(Exception):
+    """A stage produced nothing to go on with; `main` exits 3, printing the message if any."""
 
 
-def cmd_synth(args) -> int:
+@contextlib.contextmanager
+def _writing(out: Path):
+    """Re-raise an OSError from writing under `out` as `cannot write <out>: ...`."""
     try:
-        config = _load_config(args)
-        scene = _scene_from_config(config)
-    except (ValueError, OSError) as e:
-        return _usage_error(e)
-    out = Path(args.out)
-    try:
+        yield
+    except OSError as e:
+        raise OSError(f"cannot write {out}: {e}") from e
+
+
+def run_synth(config: RunConfig, out: Path):
+    """Generate the configured scene and write it to `out`; the scene."""
+    scene = _scene_from_config(config)
+    with _writing(out):
         out.parent.mkdir(parents=True, exist_ok=True)
         save_scene(scene, out)
-    except OSError as e:
-        return _usage_error(f"cannot write {out}: {e}")
     print(f"scene: {scene.n_points} points, {scene.n_views} views -> {out}")
-    return EXIT_OK
+    return scene
 
 
-def cmd_reconstruct(args) -> int:
-    try:
-        config = _load_config(args)
-        scene = load_scene(args.scene)
-    except (ValueError, OSError) as e:
-        return _usage_error(e)
+def run_reconstruct(scene, config: RunConfig, out: Path, dump_matches: bool):
+    """Reconstruct the first n_views views into model directory `out`; (model, their ids)."""
     recon_views = list(range(min(config.n_views, scene.n_views)))
     model, recon, _, stats, matches = reconstruct_scene(scene, config, recon_views)
     if model.n_points == 0:
-        print("error: no surviving tracks", file=sys.stderr)
-        return EXIT_EMPTY
+        raise EmptyResult("no surviving tracks")
 
     stats["accuracy"] = {
         kind: {repr(t): v for t, v in point_cloud_accuracy(points, scene.points).items()}
         for kind, points in (("coarse", recon.points), ("refined", model.points))
     }
-    out = Path(args.out)
-    try:
+    with _writing(out):
         out.mkdir(parents=True, exist_ok=True)
         save_model(out, model, recon.points, recon_views)
         tracks_to_json(recon.tracks, out / "tracks.json")
-        if args.dump_matches:
+        if dump_matches:
             dump_matches_csv(matches, out / "matches.csv")
-        with atomic_write(out / "stats.json") as fh:
-            json.dump(stats, fh, sort_keys=True, indent=1)
-            fh.write("\n")
-    except OSError as e:
-        return _usage_error(f"cannot write {out}: {e}")
+        _dump_json(stats, out / "stats.json")
     print(
         f"model: {model.n_points} points from {len(recon.tracks)} tracks "
         f"({stats['tracks']['conflicts']} conflict nodes) -> {out}"
     )
-    return EXIT_OK
+    return model, recon_views
 
 
-def _parse_views(spec: str | None, scene_views: int, manifest) -> list[int]:
+def _query_views(spec: str | None, scene_views: int, recon_views) -> list[int]:
+    """The views `spec` names (e.g. 12-17 or 12,13); by default every view not reconstructed."""
     if spec:
         views = []
         for part in spec.split(","):
@@ -235,34 +232,26 @@ def _parse_views(spec: str | None, scene_views: int, manifest) -> list[int]:
             else:
                 views.append(int(part))
         return views
-    used = set(manifest["recon_views"])
+    used = set(recon_views)
     return [v for v in range(scene_views) if v not in used]
 
 
-def cmd_estimate(args) -> int:
-    try:
-        config = _load_config(args)
-        scene = load_scene(args.scene)
-        model, manifest = load_model(args.model)
-        stacks = _stacks_from_args(args, config)
-        _check_widths(scene, model, stacks)
-        query_views = _parse_views(args.views, scene.n_views, manifest)
-    except (ValueError, OSError) as e:
-        return _usage_error(e)
-    if model.n_points == 0:
-        print("error: empty model", file=sys.stderr)
-        return EXIT_EMPTY
-    if not query_views or any(not 0 <= v < scene.n_views for v in query_views):
-        return _usage_error(f"invalid query views {query_views}")
+def run_estimate(scene, model, config: RunConfig, query_views, stacks, out: Path) -> list[dict]:
+    """Pose each query view into `out` (poses.json, corr_q###.csv); the poses-file entries.
 
-    try:
-        results = estimate_views(scene, model, config, query_views, stacks)
-    except ValueError as e:
-        return _usage_error(e)
-    payload = []
+    Raises EmptyResult, after writing, when no pose is solved.
+    """
+    _check_widths(scene, model, stacks)
+    if model.n_points == 0:
+        raise EmptyResult("empty model")
+    if not query_views or any(not 0 <= v < scene.n_views for v in query_views):
+        raise ValueError(f"invalid query views {query_views}")
+
+    results = estimate_views(scene, model, config, query_views, stacks)
+    queries = []
     for r in results:
         res = r["result"]
-        payload.append(
+        queries.append(
             {
                 "view": r["view"],
                 "ok": res.ok,
@@ -275,8 +264,7 @@ def cmd_estimate(args) -> int:
                 "time_ms": r["time_ms"],
             }
         )
-    out = Path(args.out)
-    try:
+    with _writing(out):
         out.mkdir(parents=True, exist_ok=True)
         for r in results:
             with atomic_write(out / f"corr_q{r['view']:03d}.csv", newline="") as fh:
@@ -287,22 +275,20 @@ def cmd_estimate(args) -> int:
                     writer.writerow(
                         [int(j), repr(float(pix[0])), repr(float(pix[1])), repr(float(conf))]
                     )
-        with atomic_write(out / "poses.json") as fh:
-            json.dump({"queries": payload}, fh, sort_keys=True, indent=1)
-            fh.write("\n")
-    except OSError as e:
-        return _usage_error(f"cannot write {out}: {e}")
+        _dump_json({"queries": queries}, out / "poses.json")
 
-    n_ok = sum(p["ok"] for p in payload)
-    print(f"poses: {n_ok}/{len(payload)} solved -> {out}")
-    return EXIT_OK if n_ok else EXIT_EMPTY
+    n_ok = sum(q["ok"] for q in queries)
+    print(f"poses: {n_ok}/{len(queries)} solved -> {out}")
+    if not n_ok:
+        raise EmptyResult
+    return queries
 
 
 def _stacks_from_args(args, config: RunConfig):
     coarse, fine = _default_stacks(config)
-    if getattr(args, "coarse_weights", None):
+    if args.coarse_weights:
         coarse = AttentionStack.from_sections(read_fmat(args.coarse_weights))
-    if getattr(args, "fine_weights", None):
+    if args.fine_weights:
         fine = AttentionStack.from_sections(read_fmat(args.fine_weights))
     return coarse, fine
 
@@ -327,29 +313,16 @@ def _check_widths(scene, model, stacks) -> None:
             )
 
 
-def cmd_eval(args) -> int:
-    try:
-        config = _load_config(args)
-        scene = load_scene(args.scene)
-        payload = _load_json(args.poses)
-        if not isinstance(payload, dict) or not isinstance(payload.get("queries"), list):
-            raise ValueError(f"{args.poses} has no 'queries' list")
-        _check_queries(payload["queries"], scene.n_views)
-    except (ValueError, OSError) as e:
-        return _usage_error(e)
-
-    rows, agg = evaluate_queries(scene, payload["queries"], config)
-    out = Path(args.out)
-    try:
+def run_eval(scene, queries: list, config: RunConfig, out: Path) -> None:
+    """Score the poses-file entries against the scene's ground truth and write metrics CSV `out`."""
+    rows, agg = evaluate_queries(scene, queries, config)
+    with _writing(out):
         out.parent.mkdir(parents=True, exist_ok=True)
         write_metrics_csv(out, rows, agg)
-    except OSError as e:
-        return _usage_error(f"cannot write {out}: {e}")
     print(
         "success rates: "
         + " ".join(f"{k}={agg[k]!r}" for k in ("ok_1cm_1deg", "ok_3cm_3deg", "ok_5cm_5deg"))
     )
-    return EXIT_OK
 
 
 def _check_queries(queries: list, n_views: int) -> None:
@@ -424,8 +397,11 @@ def evaluate_queries(scene, queries, config: RunConfig):
             t_err_cm=errs.translation_cm,
             rot_err_deg=errs.rotation_deg,
             add=errs.add,
+            add_ok=int(errs.add_ok),
             add_s=errs.add_s,
+            add_s_ok=int(errs.add_s_ok),
             proj2d_px=errs.proj2d_px,
+            proj2d_ok=int(errs.proj2d_ok),
         )
         for t_cm, t_deg in CM_DEGREE_LEVELS:
             row[f"ok_{int(t_cm)}cm_{int(t_deg)}deg"] = int(
@@ -435,9 +411,6 @@ def evaluate_queries(scene, queries, config: RunConfig):
             translation_error(est, gt_pose) <= 0.01 * dist
             and rotation_error_deg(est, gt_pose) <= 1.0
         )
-        row["add_ok"] = int(errs.add <= 0.1 * scene.diameter)
-        row["add_s_ok"] = int(errs.add_s <= 0.1 * scene.diameter)
-        row["proj2d_ok"] = int(errs.proj2d_px <= 5.0)
         rows.append(row)
 
     n = max(len(rows), 1)
@@ -466,46 +439,47 @@ def write_metrics_csv(path, rows, agg) -> None:
             )
 
 
-def cmd_pipeline(args) -> int:
+def cmd_synth(args) -> None:
+    run_synth(_load_config(args), Path(args.out))
+
+
+def cmd_reconstruct(args) -> None:
+    config = _load_config(args)
+    run_reconstruct(load_scene(args.scene), config, Path(args.out), args.dump_matches)
+
+
+def cmd_estimate(args) -> None:
+    config = _load_config(args)
+    scene = load_scene(args.scene)
+    model, manifest = load_model(args.model)
+    stacks = _stacks_from_args(args, config)
+    views = _query_views(args.views, scene.n_views, manifest["recon_views"])
+    run_estimate(scene, model, config, views, stacks, Path(args.out))
+
+
+def cmd_eval(args) -> None:
+    config = _load_config(args)
+    scene = load_scene(args.scene)
+    payload = _load_json(args.poses)
+    if not isinstance(payload, dict) or not isinstance(payload.get("queries"), list):
+        raise ValueError(f"{args.poses} has no 'queries' list")
+    _check_queries(payload["queries"], scene.n_views)
+    run_eval(scene, payload["queries"], config, Path(args.out))
+
+
+def cmd_pipeline(args) -> None:
+    """The four stages in one process, each on the one before's in-memory result."""
+    config = _load_config(args)
+    stacks = _stacks_from_args(args, config)
     out = Path(args.out)
-    try:
-        config = _load_config(args)
-    except (ValueError, OSError) as e:
-        return _usage_error(e)
-    try:
+    with _writing(out):
         out.mkdir(parents=True, exist_ok=True)
         config.to_json(out / "config.json")
-    except OSError as e:
-        return _usage_error(f"cannot write {out}: {e}")
-
-    ns = argparse.Namespace(**vars(args))
-    ns.out = out / "scene.json"
-    rc = cmd_synth(ns)
-    if rc != EXIT_OK:
-        return rc
-
-    ns = argparse.Namespace(**vars(args))
-    ns.scene = out / "scene.json"
-    ns.out = out / "model"
-    ns.dump_matches = getattr(args, "dump_matches", False)
-    rc = cmd_reconstruct(ns)
-    if rc != EXIT_OK:
-        return rc
-
-    ns = argparse.Namespace(**vars(args))
-    ns.scene = out / "scene.json"
-    ns.model = out / "model"
-    ns.out = out / "estimate"
-    ns.views = None
-    rc = cmd_estimate(ns)
-    if rc != EXIT_OK:
-        return rc
-
-    ns = argparse.Namespace(**vars(args))
-    ns.scene = out / "scene.json"
-    ns.poses = out / "estimate" / "poses.json"
-    ns.out = out / "metrics.csv"
-    return cmd_eval(ns)
+    scene = run_synth(config, out / "scene.json")
+    model, recon_views = run_reconstruct(scene, config, out / "model", args.dump_matches)
+    views = _query_views(None, scene.n_views, recon_views)
+    queries = run_estimate(scene, model, config, views, stacks, out / "estimate")
+    run_eval(scene, queries, config, out / "metrics.csv")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -561,8 +535,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the one place where an exception becomes an exit code."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args.func(args)
+    except EmptyResult as e:
+        if str(e):
+            print(f"error: {e}", file=sys.stderr)
+        return EXIT_EMPTY
+    except (ValueError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -8,11 +8,10 @@ attention layer, and a 9x9 sub-pixel refinement window.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 
-from .formats import _load_json, atomic_write
+from .formats import _dump_json, _load_json
 from .pose_matching import DUAL_SOFTMAX_MAX_SPAN
 from .scene import NoiseModel
 
@@ -63,31 +62,44 @@ class RunConfig:
     units_to_cm: float = 10.0
 
     def validate(self) -> None:
+        """Raise ValueError naming the first field outside its range."""
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
-        if self.n_points < 8:
-            raise ValueError("n_points must be at least 8")
-        if self.n_views < 2:
-            raise ValueError("n_views must be at least 2")
-        if self.n_query_views < 0:
-            raise ValueError("n_query_views must be non-negative")
-        if self.min_track_length < 2:
-            raise ValueError("min_track_length must be at least 2")
-        if self.refine_window % 2 != 1 or self.fine_window % 2 != 1:
-            raise ValueError("windows must be odd")
-        if self.image_size % 8 != 0:
-            raise ValueError("image_size must be divisible by the grid stride (8)")
-        if not self.tau >= MIN_TAU:
-            raise ValueError(f"tau must be at least {MIN_TAU:.6g} (2 / the dual-softmax span bound)")
-        if not 0 <= self.theta <= 1:
-            raise ValueError("theta must be in [0, 1]")
-        if not self.units_to_cm > 0:
-            raise ValueError("units_to_cm must be positive")
+        for ok, message in (
+            (self.seed >= 0, "seed must be non-negative"),
+            (self.n_points >= 8, "n_points must be at least 8"),
+            (self.n_views >= 2, "n_views must be at least 2"),
+            (self.n_query_views >= 0, "n_query_views must be non-negative"),
+            (
+                self.image_size > 0 and self.image_size % 8 == 0,
+                "image_size must be a positive multiple of the grid stride (8)",
+            ),
+            (self.jitter_deg >= 0, "jitter_deg must be non-negative"),
+            (self.coarse_dim >= 1, "coarse_dim must be at least 1"),
+            (self.fine_dim >= 1, "fine_dim must be at least 1"),
+            (self.min_track_length >= 2, "min_track_length must be at least 2"),
+            (self.max_reproj_px > 0, "max_reproj_px must be positive"),
+            (0 <= self.min_refine_confidence <= 1, "min_refine_confidence must be in [0, 1]"),
+            (_positive_odd(self.refine_window), "refine_window must be a positive odd integer"),
+            (
+                self.tau >= MIN_TAU,
+                f"tau must be at least {MIN_TAU:.6g} (2 / the dual-softmax span bound)",
+            ),
+            (0 <= self.theta <= 1, "theta must be in [0, 1]"),
+            (_positive_odd(self.fine_window), "fine_window must be a positive odd integer"),
+            (self.n_coarse_layers >= 0, "n_coarse_layers must be non-negative"),
+            (self.n_fine_layers >= 0, "n_fine_layers must be non-negative"),
+            (self.inlier_px > 0, "inlier_px must be positive"),
+            (self.ransac_max_iters >= 1, "ransac_max_iters must be at least 1"),
+            (0 < self.ransac_confidence < 1, "ransac_confidence must be in (0, 1)"),
+            (self.units_to_cm > 0, "units_to_cm must be positive"),
+            (0 < self.distance_min <= self.distance_max, "invalid camera distance range"),
+        ):
+            if not ok:
+                raise ValueError(message)
         self.noise  # building the NoiseModel checks the noise fields
-        if self.distance_min <= 0 or self.distance_max < self.distance_min:
-            raise ValueError("invalid camera distance range")
 
     @property
     def noise(self) -> NoiseModel:
@@ -134,6 +146,8 @@ class RunConfig:
         return cls.from_dict(_load_json(path))
 
     def to_json(self, path) -> None:
-        with atomic_write(path) as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        _dump_json(self.to_dict(), path)
+
+
+def _positive_odd(window: int) -> bool:
+    return window > 0 and window % 2 == 1

@@ -26,12 +26,14 @@ CM_DEGREE_LEVELS = ((1.0, 1.0), (3.0, 3.0), (5.0, 5.0))
 
 @dataclass
 class PoseErrors:
-    translation_units: float
     translation_cm: float
     rotation_deg: float
     add: float
+    add_ok: bool
     add_s: float
+    add_s_ok: bool
     proj2d_px: float
+    proj2d_ok: bool
 
 
 def rotation_error_deg(est: SE3Pose, gt: SE3Pose) -> float:
@@ -136,15 +138,16 @@ def compute_pose_errors(
     units_to_cm: float = UNITS_TO_CM,
 ) -> PoseErrors:
     """All per-query pose metrics in one pass (ADD and ADD-S both reported)."""
-    t_err = translation_error(est, gt)
-    add_val, _ = add_s(est, gt, model_points, diameter, symmetric=False)
-    add_s_val, _ = add_s(est, gt, model_points, diameter, symmetric=True)
-    proj_err, _ = proj2d(est, gt, model_points, intr)
+    add_val, add_ok = add_s(est, gt, model_points, diameter, symmetric=False)
+    add_s_val, add_s_ok = add_s(est, gt, model_points, diameter, symmetric=True)
+    proj_err, proj_ok = proj2d(est, gt, model_points, intr)
     return PoseErrors(
-        translation_units=t_err,
-        translation_cm=t_err * units_to_cm,
+        translation_cm=translation_error(est, gt) * units_to_cm,
         rotation_deg=rotation_error_deg(est, gt),
         add=add_val,
+        add_ok=add_ok,
         add_s=add_s_val,
+        add_s_ok=add_s_ok,
         proj2d_px=proj_err,
+        proj2d_ok=proj_ok,
     )

@@ -9,7 +9,6 @@ nodes of the offending views are dropped, keeping the rest of the component.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Sequence
 
@@ -25,7 +24,7 @@ from .geometry import (
     mean_reprojection_errors,
     triangulate_dlt,
 )
-from .formats import atomic_write
+from .formats import _dump_json
 from .matching import PairMatches
 
 
@@ -288,6 +287,4 @@ def tracks_to_json(tracks: Tracks, path) -> None:
             )
         ]
     }
-    with atomic_write(path) as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _dump_json(payload, path)

@@ -338,6 +338,38 @@ class TestBadInputs:
                  "--out", tmp_path / "est", "--fine-weights", weights, *FAST)
         self._assert_usage_error(rc, capsys, "layer0.cross.k is 32 x 8, expected 32 x 32")
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--refine-window", "-1"),
+            ("--fine-window", "-1"),
+            ("--ransac-confidence", "2"),
+            ("--coarse-dim", "0"),
+            ("--ransac-max-iters", "0"),
+            ("--inlier-px", "-1"),
+            ("--max-reproj-px", "-1"),
+            ("--min-refine-confidence", "2"),
+            ("--seed", "-1"),
+            ("--n-fine-layers", "-1"),
+            ("--jitter-deg", "-5"),
+            ("--image-size", "0"),
+        ],
+    )
+    def test_pipeline_config_value_out_of_range(self, tmp_path, capsys, flag, value):
+        rc = run("pipeline", "--out", tmp_path / "run", *FAST, flag, value)
+        self._assert_usage_error(rc, capsys, flag[2:].replace("-", "_"))
+        assert not (tmp_path / "run").exists()
+
+    def test_pipeline_truncated_coarse_weights(self, tmp_path, capsys):
+        # the weights are read before any stage runs: no scene or model is written
+        weights = tmp_path / "coarse.fmat"
+        write_fmat(weights, AttentionStack.random(1, 32, seed=1).to_sections())
+        weights.write_bytes(weights.read_bytes()[:100])
+        rc = run("pipeline", "--out", tmp_path / "run", "--coarse-weights", weights, *FAST)
+        self._assert_usage_error(rc, capsys, "truncated")
+        assert not (tmp_path / "run" / "scene.json").exists()
+        assert not (tmp_path / "run" / "model").exists()
+
     def test_pipeline_tau_below_span_bound(self, tmp_path, capsys):
         rc = run("pipeline", "--out", tmp_path / "run", "--tau", "1e-6", *FAST)
         self._assert_usage_error(rc, capsys, "tau must be at least")
@@ -518,6 +550,39 @@ class TestBadInputs:
         out.write_text("")
         rc = run("pipeline", "--out", out, *FAST)
         self._assert_usage_error(rc, capsys, f"cannot write {out}")
+
+
+class TestPipelineChain:
+    def test_same_files_as_the_four_commands(self, tmp_path, workspace):
+        steps = tmp_path / "steps"
+        scene = steps / "scene.json"
+        assert run("synth", "--out", scene, *FAST) == 0
+        assert run("reconstruct", "--scene", scene, "--out", steps / "model", *FAST) == 0
+        assert run("estimate", "--scene", scene, "--model", steps / "model",
+                   "--out", steps / "estimate", *FAST) == 0
+        assert run("eval", "--scene", scene, "--poses", steps / "estimate" / "poses.json",
+                   "--out", steps / "metrics.csv", *FAST) == 0
+
+        def files(root):
+            return sorted(str(p.relative_to(root)) for p in root.rglob("*") if p.is_file())
+
+        def content(path):
+            if path.name != "poses.json":
+                return path.read_bytes()
+            queries = json.loads(path.read_text())["queries"]
+            return [{k: v for k, v in q.items() if k != "time_ms"} for q in queries]
+
+        assert files(workspace) == sorted(files(steps) + ["config.json"])
+        for name in files(steps):
+            assert content(workspace / name) == content(steps / name), name
+
+    def test_reads_back_no_file_it_wrote(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError(f"pipeline read back {args[0]}")
+
+        for name in ("load_scene", "load_model", "_load_json"):
+            monkeypatch.setattr(cli, name, refuse)
+        assert run("pipeline", "--out", tmp_path / "run", *FAST) == 0
 
 
 class TestPipelineDeterminism:

@@ -45,6 +45,20 @@ class TestValidation:
             {"inlier_px": float("-inf")},
             {"units_to_cm": 0.0},
             {"units_to_cm": -10.0},
+            {"seed": -1},
+            {"image_size": 0},
+            {"jitter_deg": -5.0},
+            {"coarse_dim": 0},
+            {"fine_dim": 0},
+            {"max_reproj_px": 0.0},
+            {"min_refine_confidence": 1.5},
+            {"refine_window": -1},
+            {"fine_window": -1},
+            {"n_coarse_layers": -1},
+            {"n_fine_layers": -1},
+            {"inlier_px": 0.0},
+            {"ransac_max_iters": 0},
+            {"ransac_confidence": 1.0},
         ):
             with pytest.raises(ValueError):
                 RunConfig(**bad).validate()
