@@ -5,11 +5,14 @@ the O(N) kernel-sum formulation equals the explicit quadratic
 kernel-attention computation exactly (up to float rounding).
 Attention weights are either loaded from a weight file or seeded-random;
 a zero-layer stack is the identity (attention bypass).
+
+Precision follows the input: float32 features (and a float32 stack, see
+`AttentionStack.astype`) are computed in float32, anything else in float64.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,6 +27,12 @@ POSITION_ENCODING_GAIN = 0.1
 
 _ATTENTION_WEIGHT_STREAM = 30
 _WEIGHT_ROLES = ("q", "k", "v", "ff1", "ff2")
+
+
+def _as_float(x) -> np.ndarray:
+    """`x` as an array in its working precision: float32 if it is float32, else float64."""
+    x = np.asarray(x)
+    return x.astype(np.result_type(x, np.float32), copy=False)
 
 
 def sinusoidal_encoding(positions: np.ndarray, channels: int) -> np.ndarray:
@@ -60,7 +69,7 @@ def positional_encode(
     so the shared frequency ladder resolves them. The encoding is scaled
     by POSITION_ENCODING_GAIN / sqrt(C) to keep descriptor content dominant.
     """
-    feats = np.asarray(features, dtype=float)
+    feats = _as_float(features)
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
     if not np.all(np.isfinite(pos)):
         raise ValueError("positions must be finite")
@@ -71,7 +80,7 @@ def positional_encode(
         pos = (pos - box_min) / extent * POSITION_GRID_SCALE
     channels = feats.shape[1]
     pe = sinusoidal_encoding(pos, channels) * (POSITION_ENCODING_GAIN / np.sqrt(channels))
-    out = feats + pe
+    out = feats + pe.astype(feats.dtype, copy=False)
     return out / np.linalg.norm(out, axis=1, keepdims=True)
 
 
@@ -95,11 +104,9 @@ def linear_attention(
     Equivalent to the explicit softmax-free quadratic form
     out_i = sum_j phi(q_i).phi(k_j) v_j / sum_j phi(q_i).phi(k_j).
     Inputs are (..., N, C) stacks; leading axes broadcast, one independent
-    attention per slice.
+    attention per slice. Float32 inputs give a float32 result.
     """
-    queries = np.asarray(queries, dtype=float)
-    keys = np.asarray(keys, dtype=float)
-    values = np.asarray(values, dtype=float)
+    queries, keys, values = _as_float(queries), _as_float(keys), _as_float(values)
     if queries.shape[-1] != keys.shape[-1] or keys.shape[-2] != values.shape[-2]:
         raise ValueError(
             f"shape mismatch: Q{queries.shape} K{keys.shape} V{values.shape}"
@@ -175,8 +182,9 @@ class AttentionStack:
         """Self-attend each set, then cross-attend both directions, per layer.
 
         Sets are (N, C) or (..., N, C) stacks of independent problems.
+        Float32 sets through a float32 stack stay float32.
         """
-        a, b = np.asarray(feats_a, dtype=float), np.asarray(feats_b, dtype=float)
+        a, b = _as_float(feats_a), _as_float(feats_b)
         for self_layer, cross_layer in self.layers:
             a = self_layer.apply(a, a)
             b = self_layer.apply(b, b)
@@ -184,6 +192,15 @@ class AttentionStack:
             b2 = cross_layer.apply(b, a)
             a, b = a2, b2
         return a, b
+
+    def astype(self, dtype) -> "AttentionStack":
+        """The same stack with every weight cast to `dtype` (no copy where it already is)."""
+        def cast(layer: AttentionLayer) -> AttentionLayer:
+            return AttentionLayer(
+                *(getattr(layer, f.name).astype(dtype, copy=False) for f in fields(layer))
+            )
+
+        return AttentionStack(layers=[tuple(cast(layer) for layer in pair) for pair in self.layers])
 
     def to_sections(self) -> dict[str, np.ndarray]:
         """FMAT sections keyed layer{i}.{self|cross}.{q|k|v|ff1|ff2}."""

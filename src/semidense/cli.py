@@ -45,7 +45,12 @@ from .metrics import (
     translation_error,
 )
 from .pnp import PnPResult, ransac_pnp
-from .pose_matching import coarse_match_2d3d, fine_match_2d3d, synthesize_query_maps
+from .pose_matching import (
+    COARSE_FLOAT32_MIN_TAU,
+    coarse_match_2d3d,
+    fine_match_2d3d,
+    synthesize_query_maps,
+)
 from .refine import refine_reconstruction
 from .scene import generate_scene
 from .tracks import build_tracks, tracks_to_json, triangulate_tracks
@@ -110,16 +115,26 @@ def reconstruct_scene(scene, config: RunConfig, recon_views: list[int]):
 
 
 def estimate_views(scene, model, config: RunConfig, query_views, stacks=None):
-    """Coarse match -> fine match -> RANSAC PnP per query view."""
+    """Coarse match -> fine match -> RANSAC PnP per query view.
+
+    The coarse block runs in float32 where tau leaves the float32
+    dual-softmax its headroom, else in float64; the rest runs in float64.
+    """
     coarse_stack, fine_stack = stacks if stacks else _default_stacks(config)
+    coarse_dtype = np.float32 if config.tau >= COARSE_FLOAT32_MIN_TAU else np.float64
+    coarse_stack = coarse_stack.astype(coarse_dtype)
+    coarse_model = dataclasses.replace(
+        model, coarse_features=model.coarse_features.astype(coarse_dtype, copy=False)
+    )
     results = []
     for view in query_views:
         t0 = time.perf_counter()
         qmaps = synthesize_query_maps(scene, view)
+        qmaps = dataclasses.replace(qmaps, coarse=qmaps.coarse.astype(coarse_dtype, copy=False))
         # keep only the matches: the (M, N) score and probability matrices
         # and this view's maps are freed before the next view builds its own
         corr = coarse_match_2d3d(
-            model, qmaps, coarse_stack, tau=config.tau, theta=config.theta
+            coarse_model, qmaps, coarse_stack, tau=config.tau, theta=config.theta
         )[2]
         corr = fine_match_2d3d(
             model, qmaps, corr, fine_stack, window=config.fine_window, fine_tau=config.tau
@@ -470,6 +485,8 @@ def cmd_eval(args) -> None:
 def cmd_pipeline(args) -> None:
     """The four stages in one process, each on the one before's in-memory result."""
     config = _load_config(args)
+    if config.n_query_views < 1:
+        raise ValueError("n_query_views must be at least 1 for pipeline")
     stacks = _stacks_from_args(args, config)
     out = Path(args.out)
     with _writing(out):

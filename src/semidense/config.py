@@ -95,7 +95,10 @@ class RunConfig:
             (self.ransac_max_iters >= 1, "ransac_max_iters must be at least 1"),
             (0 < self.ransac_confidence < 1, "ransac_confidence must be in (0, 1)"),
             (self.units_to_cm > 0, "units_to_cm must be positive"),
-            (0 < self.distance_min <= self.distance_max, "invalid camera distance range"),
+            (
+                0 < self.distance_min <= self.distance_max,
+                "distance_min must be in (0, distance_max]",
+            ),
         ):
             if not ok:
                 raise ValueError(message)

@@ -174,24 +174,33 @@ def synthesize_query_maps(scene: SyntheticScene, view_id: int) -> QueryFeatureMa
 
 
 # Largest span max(S) - min(S) of a score matrix that `dual_softmax` accepts.
-# The one-pass form squares exp(S - max S), which stays a normal double only
-# while the span is below ~354. Unit-norm features give |S| <= 1/tau, so this
-# admits every tau >= 2 / DUAL_SOFTMAX_MAX_SPAN.
+# The one-pass form squares exp(S - max S), which stays a normal float only
+# while 2 * span < -ln(smallest normal): ~354 for doubles, ~43.7 for float32.
+# Unit-norm features give |S| <= 1/tau, so float64 scores admit every
+# tau >= 2 / DUAL_SOFTMAX_MAX_SPAN.
 DUAL_SOFTMAX_MAX_SPAN = 300.0
+DUAL_SOFTMAX_MAX_SPAN_F32 = 43.0
+
+# Smallest tau at which the coarse block runs in float32: its span bound of
+# 2 / tau <= 40 leaves headroom under DUAL_SOFTMAX_MAX_SPAN_F32 for the
+# rounding of float32 unit rows. Smaller taus run in float64.
+COARSE_FLOAT32_MIN_TAU = 0.05
 
 
 def softmax_factors(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """E = exp(S - max S) with its row sums R and column sums C.
+    """E = exp(S - max S) with its row sums R and column sums C, in the dtype of S.
 
     E/R is the row-wise and E/C the column-wise softmax of S. Raises
-    ValueError when the span of S exceeds DUAL_SOFTMAX_MAX_SPAN (or S is
-    not finite), where E**2 would leave the range of normal doubles.
+    ValueError when the span of S exceeds DUAL_SOFTMAX_MAX_SPAN (or
+    DUAL_SOFTMAX_MAX_SPAN_F32 for float32 S), or S is not finite, where
+    E**2 would leave the range of normal floats.
     """
+    bound = DUAL_SOFTMAX_MAX_SPAN_F32 if scores.dtype == np.float32 else DUAL_SOFTMAX_MAX_SPAN
     top = scores.max()
     span = top - scores.min()
-    if not span <= DUAL_SOFTMAX_MAX_SPAN:
+    if not span <= bound:
         raise ValueError(
-            f"score span {span:.6g} exceeds {DUAL_SOFTMAX_MAX_SPAN:g}: "
+            f"score span {span:.6g} exceeds {bound:g}: "
             "features must be unit-norm and tau >= 2 / that bound"
         )
     e = scores - top
@@ -237,7 +246,8 @@ def coarse_match_2d3d(
     With a zero-layer stack the raw descriptors are compared directly
     (attention bypass; positional encoding is skipped too so the purely
     geometric pipeline works without trained weights). An empty model gives
-    empty correspondences, not an error.
+    empty correspondences, not an error. The block computes in float32 when
+    the model's and the query's coarse features and the stack are float32.
     """
     n = model.n_points
     n_cells = query.coarse.shape[0] * query.coarse.shape[1]

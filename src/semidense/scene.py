@@ -60,8 +60,9 @@ class NoiseModel:
     outlier_rate: float = 0.0
 
     def __post_init__(self):
-        if self.fine_noise_sigma < 0 or self.descriptor_noise_sigma < 0:
-            raise ValueError("noise sigmas must be non-negative")
+        for name in ("fine_noise_sigma", "descriptor_noise_sigma"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
         if not (0 <= self.dropout_rate < 1):
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if not (0 <= self.outlier_rate < 1):

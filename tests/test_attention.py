@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from semidense.attention import (
+    POSITION_ENCODING_GAIN,
+    POSITION_GRID_SCALE,
     AttentionStack,
     elu_plus_one,
     linear_attention,
@@ -261,3 +263,72 @@ class TestAttentionStack:
         pa, pb = stack.transform(a[perm], b)
         np.testing.assert_allclose(pa, out_a[perm], atol=1e-9)
         np.testing.assert_allclose(pb, out_b, atol=1e-9)
+
+
+class TestPrecision:
+    """Float32 input is computed in float32; float64 input keeps its float64 bits."""
+
+    def test_positional_encode(self):
+        rng = np.random.default_rng(21)
+        feats = rng.standard_normal((20, 32))
+        box_min, box_extent = -np.ones(3), 2.0 * np.ones(3)
+        pos3 = rng.uniform(-1.0, 1.0, (20, 3))
+        for pos, box, grid in (
+            (rng.uniform(0, 512, (20, 2)), {}, None),
+            (pos3, {"box_min": box_min, "box_extent": box_extent},
+             (pos3 - box_min) / box_extent * POSITION_GRID_SCALE),
+        ):
+            enc64 = positional_encode(feats, pos, **box)
+            ref = feats + sinusoidal_encoding(pos if grid is None else grid, 32) * (
+                POSITION_ENCODING_GAIN / np.sqrt(32)
+            )
+            ref /= np.linalg.norm(ref, axis=1, keepdims=True)
+            assert enc64.dtype == np.float64 and np.array_equal(enc64, ref)
+            enc32 = positional_encode(feats.astype(np.float32), pos, **box)
+            assert enc32.dtype == np.float32
+            assert np.abs(enc32 - enc64).max() <= 1e-5
+
+    def test_linear_attention(self):
+        rng = np.random.default_rng(22)
+        q, k, v = (rng.standard_normal(shape) for shape in ((9, 40, 16), (9, 25, 16), (9, 25, 16)))
+        out64 = linear_attention(q, k, v)
+        Q, K = elu_plus_one(q), elu_plus_one(k)
+        z = (Q @ K.sum(axis=-2)[..., None])[..., 0]
+        ref = (Q @ (np.swapaxes(K, -1, -2) @ v)) / np.maximum(z, 1e-6)[..., None]
+        assert out64.dtype == np.float64 and np.array_equal(out64, ref)
+        out32 = linear_attention(q.astype(np.float32), k.astype(np.float32), v.astype(np.float32))
+        assert out32.dtype == np.float32
+        assert np.abs(out32 - out64).max() <= 1e-5
+
+    def test_transform(self):
+        stack = AttentionStack.random(3, 32, seed=23)
+        rng = np.random.default_rng(24)
+        for shape_a, shape_b in (((60, 32), (100, 32)), ((11, 1, 32), (11, 25, 32))):
+            a, b = rng.standard_normal(shape_a), rng.standard_normal(shape_b)
+            a /= np.linalg.norm(a, axis=-1, keepdims=True)
+            b /= np.linalg.norm(b, axis=-1, keepdims=True)
+            out64 = stack.transform(a, b)
+            ref = allocating_transform(stack, a, b)
+            assert all(x.dtype == np.float64 and np.array_equal(x, r) for x, r in zip(out64, ref))
+            out32 = stack.astype(np.float32).transform(a.astype(np.float32), b.astype(np.float32))
+            for x32, x64 in zip(out32, out64):
+                assert x32.dtype == np.float32
+                assert np.abs(x32 - x64).max() <= 1e-5
+
+    def test_astype_keeps_every_weight_shape(self):
+        # q/k narrower and the hidden layer wider than C, as a loaded weight file may have them
+        rng = np.random.default_rng(25)
+        sections = AttentionStack.random(2, 8, seed=26).to_sections()
+        shapes = {"q": (8, 4), "k": (8, 4), "ff1": (8, 12), "ff2": (12, 8)}
+        for i in range(2):
+            for kind in ("self", "cross"):
+                for role, shape in shapes.items():
+                    sections[f"layer{i}.{kind}.{role}"] = rng.standard_normal(shape)
+        stack = AttentionStack.from_sections(sections)
+        cast = stack.astype(np.float32).to_sections()
+        assert cast.keys() == sections.keys()
+        for name, w in sections.items():
+            assert cast[name].dtype == np.float32 and cast[name].shape == w.shape, name
+            assert np.array_equal(cast[name], w.astype(np.float32)), name
+        same = stack.astype(np.float64).to_sections()
+        assert all(same[name] is w for name, w in sections.items())  # no copy where already float64

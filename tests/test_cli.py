@@ -20,7 +20,7 @@ from semidense.cli import main
 from semidense.config import RunConfig
 from semidense.formats import load_model, load_scene, read_fmat, save_model, write_fmat
 from semidense.matching import OracleMatcher
-from semidense.pose_matching import synthesize_query_maps
+from semidense.pose_matching import coarse_match_2d3d, synthesize_query_maps
 from semidense.refine import PointCloudModel
 from semidense.scene import NoiseModel, generate_scene
 
@@ -353,6 +353,7 @@ class TestBadInputs:
             ("--n-fine-layers", "-1"),
             ("--jitter-deg", "-5"),
             ("--image-size", "0"),
+            ("--n-query-views", "0"),  # valid for synth and reconstruct, not for pipeline
         ],
     )
     def test_pipeline_config_value_out_of_range(self, tmp_path, capsys, flag, value):
@@ -605,6 +606,19 @@ class TestPipelineDeterminism:
         assert rc == 0
         agg = list(csv.DictReader((tmp_path / "n" / "metrics.csv").open()))[-1]
         assert float(agg["ok_5cm_5deg"]) == 1.0
+
+    @pytest.mark.parametrize("tau, dtype", [("0.02", np.float64), ("0.05", np.float32)])
+    def test_both_sides_of_the_float32_switch(self, tmp_path, monkeypatch, tau, dtype):
+        # 0.05 is the smallest tau whose coarse block runs in float32
+        seen = set()
+
+        def spy(model, query, stack, **kwargs):
+            seen.add((model.coarse_features.dtype, query.coarse.dtype))
+            return coarse_match_2d3d(model, query, stack, **kwargs)
+
+        monkeypatch.setattr(cli, "coarse_match_2d3d", spy)
+        assert run("pipeline", "--out", tmp_path / "run", "--tau", tau, *FAST_SIZE) == 0
+        assert seen == {(np.dtype(dtype), np.dtype(dtype))}
 
     def test_blas_thread_count_does_not_change_results(self, tmp_path):
         # attention on, so the BLAS-backed matrix products run at both settings

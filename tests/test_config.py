@@ -59,8 +59,10 @@ class TestValidation:
             {"inlier_px": 0.0},
             {"ransac_max_iters": 0},
             {"ransac_confidence": 1.0},
+            {"fine_noise_sigma": -1.0},
+            {"descriptor_noise_sigma": -1.0},
         ):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=next(iter(bad))):  # the message names the field
                 RunConfig(**bad).validate()
 
     def test_default_is_valid(self):

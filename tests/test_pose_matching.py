@@ -14,6 +14,7 @@ from semidense.pose_matching import (
     DEFAULT_TAU,
     DEFAULT_THETA,
     DUAL_SOFTMAX_MAX_SPAN,
+    DUAL_SOFTMAX_MAX_SPAN_F32,
     FINE_SPLAT_SIGMA_PX,
     FINE_STRIDE,
     CorrespondenceSet,
@@ -265,6 +266,23 @@ class TestDualSoftmax:
             with pytest.raises(ValueError, match="span"):
                 dual_softmax(bad)
 
+    def test_float32_span_guard_at_the_bound(self):
+        rng = np.random.default_rng(81)
+        unit = rng.uniform(size=(6, 9)).astype(np.float32)
+        unit = (unit - unit.min()) / (unit.max() - unit.min())  # span exactly 1
+        bound = np.float32(DUAL_SOFTMAX_MAX_SPAN_F32)
+        at_bound = unit * bound - bound / 2
+        assert at_bound.max() - at_bound.min() == bound
+        prob = dual_softmax(at_bound)
+        ref = support.two_pass_dual_softmax(at_bound.astype(float))
+        assert prob.dtype == np.float32
+        assert np.max(np.abs(prob - ref) / ref) <= 1e-5  # E**2 stays a normal float32
+        past = unit * np.nextafter(bound, np.float32(np.inf))
+        assert past.dtype == np.float32 and past.max() - past.min() > bound
+        for bad in (past, np.where(unit == 0, np.float32(np.inf), unit)):
+            with pytest.raises(ValueError, match="span"):
+                dual_softmax(bad)
+
 
 class TestMutualNearestNeighbors:
     def test_equals_brute_force_with_ties(self):
@@ -344,6 +362,22 @@ class TestCoarseMatch2d3d:
             assert expected.get(j) == cell
         # and every cell-winning model point is matched
         assert set(expected).issubset(set(got))
+
+    def test_float32_inputs_give_the_float64_matches(self):
+        scene = generate_scene(75, 200, 7, ZERO)
+        model = build_model(scene, OracleMatcher(scene))
+        qmaps = synthesize_query_maps(scene, 6)
+        stack = AttentionStack.random(3, scene.desc_coarse.shape[1], seed=75)
+        _, prob64, corr64 = coarse_match_2d3d(model, qmaps, stack)
+        _, prob32, corr32 = coarse_match_2d3d(
+            dataclasses.replace(model, coarse_features=model.coarse_features.astype(np.float32)),
+            dataclasses.replace(qmaps, coarse=qmaps.coarse.astype(np.float32)),
+            stack.astype(np.float32),
+        )
+        assert prob32.dtype == np.float32 and corr64.n_coarse > 50
+        np.testing.assert_array_equal(corr32.coarse_points, corr64.coarse_points)
+        np.testing.assert_array_equal(corr32.coarse_pixels, corr64.coarse_pixels)
+        np.testing.assert_allclose(corr32.coarse_conf, corr64.coarse_conf, atol=1e-5)
 
     def test_permutation_equivariance_exact(self):
         rng = np.random.default_rng(76)
