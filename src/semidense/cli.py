@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import re
 import sys
 import time
 from pathlib import Path
@@ -237,18 +238,22 @@ def run_reconstruct(scene, config: RunConfig, out: Path, dump_matches: bool):
 
 
 def _query_views(spec: str | None, scene_views: int, recon_views) -> list[int]:
-    """The views `spec` names (e.g. 12-17 or 12,13); by default every view not reconstructed."""
-    if spec:
-        views = []
-        for part in spec.split(","):
-            if "-" in part:
-                a, b = part.split("-")
-                views.extend(range(int(a), int(b) + 1))
-            else:
-                views.append(int(part))
-        return views
-    used = set(recon_views)
-    return [v for v in range(scene_views) if v not in used]
+    """The views `spec` names (e.g. 12-17 or 12,13); by default every view not reconstructed.
+
+    A bad part or a view named twice raises ValueError naming --views.
+    """
+    if not spec:
+        return [v for v in range(scene_views) if v not in recon_views]
+    views = []
+    for part in spec.split(","):
+        m = re.fullmatch(r"\s*(\d+)(?:-(\d+))?\s*", part)
+        lo, hi = (int(m[1]), int(m[2] or m[1])) if m else (1, 0)
+        if not lo <= hi < scene_views:
+            raise ValueError(f"--views: {part!r} is not a view or range a-b in [0, {scene_views})")
+        views.extend(range(lo, hi + 1))
+    if len(set(views)) < len(views):
+        raise ValueError(f"--views: {spec!r} names a view twice")
+    return views
 
 
 def run_estimate(scene, model, config: RunConfig, query_views, stacks, out: Path) -> list[dict]:

@@ -192,8 +192,12 @@ class SE3Pose:
 
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "SE3Pose":
+        """The pose of a 3x4 [R | t] or a 4x4 matrix, whose last row must be (0, 0, 0, 1)."""
         m = np.asarray(m, dtype=float)
-        return cls(m[:3, :3], m[:3, 3])
+        pose = cls(m[:3, :3], m[:3, 3])
+        if m.shape == (4, 4) and not np.array_equal(m[3], [0.0, 0.0, 0.0, 1.0]):
+            raise ValueError(f"last row {m[3].tolist()} is not (0, 0, 0, 1)")
+        return pose
 
 
 def rotation_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:

@@ -21,7 +21,7 @@ from .scene import (
     GRID_STRIDE,
     SyntheticScene,
     ViewObservations,
-    grid_cell_center,
+    cell_keys,
     oracle_fine_location,
     render_observations,
 )
@@ -145,8 +145,8 @@ class OracleMatcher(MatchingFrontend):
     ) -> PairMatches:
         if obs_a.view_id == obs_b.view_id:
             raise ValueError("coarse matching needs two distinct views")
-        # the points that win a cell in both views, in ascending point id; a
-        # point past the end of one view's table is not visible in that view
+        # the points that win a (distinct) cell in both views, in ascending point
+        # id; a point past the end of one view's table is not visible in that view
         n = min(len(obs_a.winner_row_of_point), len(obs_b.winner_row_of_point))
         of_a = obs_a.winner_row_of_point[:n]
         of_b = obs_b.winner_row_of_point[:n]
@@ -166,16 +166,6 @@ class OracleMatcher(MatchingFrontend):
             )
             cells_b[rows] = wrong_cells
             scores[rows] = wrong_scores
-
-        if not obs_a.winner_cells_distinct:
-            # one match per cell_a: the highest score wins, and the stable sort
-            # lets the first row win ties
-            order = np.lexsort((-scores, cells_a[:, 1], cells_a[:, 0]))
-            sorted_cells = cells_a[order]
-            first = np.ones(len(order), dtype=bool)
-            first[1:] = np.any(sorted_cells[1:] != sorted_cells[:-1], axis=1)
-            kept = np.sort(order[first])
-            cells_a, cells_b, scores = cells_a[kept], cells_b[kept], scores[kept]
         return PairMatches(
             view_a=obs_a.view_id,
             view_b=obs_b.view_id,
@@ -213,12 +203,11 @@ class OracleMatcher(MatchingFrontend):
             if not inside.all():
                 raise ValueError(f"query cell {cells[~inside][0]} outside the image")
 
-        ref_cells = grid_cell_center(u_ref)
         point_ids = np.full(len(view_ref), -1, dtype=int)
         for v in sorted(set(view_ref.tolist())):
             rows = np.flatnonzero(view_ref == v)
             ref_obs = self.observations(v)
-            win = ref_obs.winner_rows(ref_cells[rows])
+            win = ref_obs.winner_rows(u_ref[rows])
             point_ids[rows[win >= 0]] = ref_obs.point_ids[win[win >= 0]]
         pixels = cell_src.copy()
         confidence = np.where(point_ids >= 0, OUTLIER_CONFIDENCE, 0.0)
@@ -229,7 +218,7 @@ class OracleMatcher(MatchingFrontend):
             src_obs = self.observations(v)
             rows = rows[src_obs.visible_mask[point_ids[rows]]]
             true_cells = src_obs.cells[np.searchsorted(src_obs.point_ids, point_ids[rows])]
-            rows = rows[np.all(true_cells == grid_cell_center(cell_src[rows]), axis=1)]
+            rows = rows[cell_keys(true_cells) == cell_keys(cell_src[rows])]
             confidence[rows] = 1.0
             pixels[rows] = oracle_fine_location(
                 self.scene, v, point_ids[rows], window_half=self.window_half

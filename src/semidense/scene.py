@@ -29,6 +29,8 @@ from .geometry import (
 GRID_STRIDE = 8
 # Half-extent of the 9x9 sub-pixel refinement window around a grid-cell center.
 FINE_WINDOW_HALF = 4
+# Bits of a cell_keys key: a grid column, then a grid row of half as many bits.
+CELL_KEY_BITS = 40
 
 # RNG stream tags
 _STREAM_POINTS = 1
@@ -113,7 +115,8 @@ class ViewObservations:
 
     Rows cover visible points in ascending point-id order. `cell_winner`
     marks the front-most point of each occupied grid cell: only winners are
-    observable at the coarse level (one descriptor patch per cell).
+    observable at the coarse level (one descriptor patch per cell). Winners
+    on a shared or off-grid cell (by cell_keys) raise ValueError.
     """
 
     view_id: int
@@ -124,50 +127,46 @@ class ViewObservations:
     desc_fine: np.ndarray         # (M, C_f)
     cell_winner: np.ndarray       # (M,) bool
     visible_mask: np.ndarray      # (N,) bool over all scene points
-    _winner_keys: np.ndarray = field(init=False, repr=False)   # sorted cell keys of winners
-    _winner_rows: np.ndarray = field(init=False, repr=False)   # their rows
+    _winner_keys: np.ndarray = field(init=False, repr=False)   # sorted winner keys, then a top key
+    _winner_rows: np.ndarray = field(init=False, repr=False)   # their rows, then -1 for a miss
     winner_row_of_point: np.ndarray = field(init=False, repr=False)
     """(N,) row of each scene point's cell-winning observation, -1 where it wins no cell."""
-    winner_cells_distinct: bool = field(init=False, repr=False)
-    """True when no two cell winners share a cell key, as render_observations guarantees."""
 
     def __post_init__(self):
         rows = np.flatnonzero(self.cell_winner)
-        keys, _ = _cell_keys(self.cells[rows])
-        order = np.argsort(keys, kind="stable")
+        keys = cell_keys(self.cells[rows])
+        order = np.argsort(keys)
         sorted_keys = keys[order]
-        object.__setattr__(self, "_winner_keys", sorted_keys)
-        object.__setattr__(self, "_winner_rows", rows[order])
+        if np.any(sorted_keys[:1] < 0) or np.any(sorted_keys[1:] == sorted_keys[:-1]):
+            raise ValueError("cell winners must be on the grid, at most one per cell")
+        object.__setattr__(self, "_winner_keys", np.append(sorted_keys, 2**CELL_KEY_BITS))
+        object.__setattr__(self, "_winner_rows", np.append(rows[order], -1))
         of_point = np.full(len(self.visible_mask), -1, dtype=np.intp)
         of_point[self.point_ids[rows]] = rows
         object.__setattr__(self, "winner_row_of_point", of_point)
-        object.__setattr__(
-            self, "winner_cells_distinct", bool(np.all(sorted_keys[1:] != sorted_keys[:-1]))
-        )
 
-    def winner_rows(self, cells) -> np.ndarray:
-        """Row index of each cell's cell-winning observation, -1 for empty cells.
+    def winner_rows(self, pixels) -> np.ndarray:
+        """Row index of the cell winner of each pixel's grid cell, -1 where there is none.
 
-        A cell is keyed by its integer-truncated coordinates.
+        Any pixel of a cell finds that cell's winner, not only its center.
+        A pixel off the grid or not finite finds none.
         """
-        keys, valid = _cell_keys(cells)
-        rows = np.full(len(keys), -1, dtype=np.intp)
-        if len(self._winner_keys):
-            pos = np.minimum(np.searchsorted(self._winner_keys, keys), len(self._winner_keys) - 1)
-            hit = valid & (self._winner_keys[pos] == keys)
-            rows[hit] = self._winner_rows[pos[hit]]
-        return rows
+        keys = cell_keys(pixels)
+        pos = np.searchsorted(self._winner_keys, keys)
+        return np.where(self._winner_keys[pos] == keys, self._winner_rows[pos], -1)
 
 
-def _cell_keys(cells) -> tuple[np.ndarray, np.ndarray]:
-    """One int64 key per (u, v) cell from its truncated coordinates, plus a validity mask.
+def cell_keys(pixels) -> np.ndarray:
+    """The int64 key of each pixel's stride-8 grid cell: column * 2**(CELL_KEY_BITS / 2) + row.
 
-    Cells outside +-2**31 or not finite are invalid and key to 0.
+    Every pixel of a cell gets the same key, and keys sort like (u, v). A
+    pixel off the grid (a negative coordinate, or a column or row that does
+    not fit in CELL_KEY_BITS / 2 bits) or not finite gets -1.
     """
-    cells = np.asarray(cells, dtype=float).reshape(-1, 2)
-    valid = np.all(np.abs(cells) < 2.0**31, axis=1)
-    c = np.where(valid[:, None], cells, 0.0).astype(np.int64)
-    return c[:, 0] * 2**32 + c[:, 1], valid
+    u, v = np.floor(np.asarray(pixels, dtype=float).reshape(-1, 2) / GRID_STRIDE).T
+    n = 2 ** (CELL_KEY_BITS // 2)  # columns, and rows, a key can hold
+    on_grid = (np.minimum(u, v) >= 0) & (np.maximum(u, v) < n)  # False for NaN
+    return np.where(on_grid, u * n + v, -1).astype(np.int64)
 
 
 def _sample_blob_points(rng: np.random.Generator, n_points: int) -> np.ndarray:
@@ -311,7 +310,7 @@ def render_observations(scene: SyntheticScene, view_id: int) -> ViewObservations
 
     # front-most point wins each occupied cell, the earliest row at equal
     # depth; losers are not coarse-observable
-    keys, _ = _cell_keys(cells)
+    keys = cell_keys(cells)
     order = np.lexsort((np.arange(len(ids)), depths, keys))
     _, first = np.unique(keys[order], return_index=True)
     winner = np.zeros(len(ids), dtype=bool)

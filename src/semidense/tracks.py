@@ -26,6 +26,7 @@ from .geometry import (
 )
 from .formats import _dump_json
 from .matching import PairMatches
+from .scene import CELL_KEY_BITS, cell_keys, grid_cell_center
 
 
 class TrackTable:
@@ -110,14 +111,14 @@ def _node_ids(views: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndar
     """Integer ids of (view, cell) endpoints, in the order of (view, u, v).
 
     Returns the id of every endpoint and one endpoint row of every id.
+    Raises ValueError for a cell that is not the center of a grid cell.
     """
-    n = len(views)  # every rank is below n
-    _, u = np.unique(cells[:, 0], return_inverse=True)
-    _, view_u = np.unique(views * n + u, return_inverse=True)
-    _, v = np.unique(cells[:, 1], return_inverse=True)
-    keys, ids = np.unique(view_u * n + v, return_inverse=True)
-    node_row = np.empty(len(keys), dtype=np.intp)
-    node_row[ids] = np.arange(n)
+    keys = cell_keys(cells)
+    if np.any(keys < 0) or np.any(cells != grid_cell_center(cells)):
+        raise ValueError("match cells must be the centers of grid cells")
+    node_keys, ids = np.unique(views << CELL_KEY_BITS | keys, return_inverse=True)
+    node_row = np.empty(len(node_keys), dtype=np.intp)
+    node_row[ids] = np.arange(len(ids))
     return ids, node_row
 
 

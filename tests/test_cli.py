@@ -268,6 +268,25 @@ class TestBadInputs:
                  "--out", tmp_path / "est", "--views", "abc", *FAST)
         self._assert_usage_error(rc, capsys, "abc")
 
+    @pytest.mark.parametrize(
+        "views, mention",
+        [
+            ("12-13-14", "'12-13-14' is not a view or range a-b in [0, 8)"),
+            ("-1", "'-1' is not a view"),
+            ("7-6", "'7-6' is not a view"),
+            ("6,", "'' is not a view"),
+            ("6-99", "'6-99' is not a view"),
+            ("6,6", "'6,6' names a view twice"),
+            ("5-7,6", "'5-7,6' names a view twice"),
+        ],
+        ids=["three-ends", "negative", "reversed", "empty-part", "past-end", "twice", "in-range"],
+    )
+    def test_estimate_bad_views(self, tmp_path, workspace, capsys, views, mention):
+        rc = run("estimate", "--scene", workspace / "scene.json", "--model", workspace / "model",
+                 "--out", tmp_path / "est", f"--views={views}", *FAST)
+        self._assert_usage_error(rc, capsys, f"--views: {mention}")
+        assert not (tmp_path / "est").exists()
+
     def test_eval_poses_without_queries(self, tmp_path, workspace, capsys):
         poses_path = tmp_path / "p.json"
         poses_path.write_text(json.dumps({"poses": []}))
@@ -432,6 +451,10 @@ class TestBadInputs:
                 {"view": 6, "ok": True, "pose": (2.0 * np.eye(4)).tolist()}, "not orthonormal",
                 id="pose-not-rigid",
             ),
+            pytest.param(
+                {"view": 6, "ok": True, "pose": np.eye(4)[:3].tolist() + [[5.0, 5.0, 5.0, 9.0]]},
+                "pose last row [5.0, 5.0, 5.0, 9.0] is not (0, 0, 0, 1)", id="pose-bad-last-row",
+            ),
             pytest.param([5], "is not an object", id="entry-list"),
         ],
     )
@@ -499,6 +522,13 @@ class TestBadInputs:
 
         rc = self._reconstruct_edited_scene(tmp_path, workspace, edit)
         self._assert_usage_error(rc, capsys, "view 1: pose must be a finite 4x4 matrix")
+
+    def test_reconstruct_pose_bad_last_row(self, tmp_path, workspace, capsys):
+        def edit(payload):
+            payload["views"][1]["pose"][3] = [0.0, 0.0, 0.0, 2.0]
+
+        rc = self._reconstruct_edited_scene(tmp_path, workspace, edit)
+        self._assert_usage_error(rc, capsys, "view 1: last row [0.0, 0.0, 0.0, 2.0] is not")
 
     def test_reconstruct_views_not_a_list(self, tmp_path, workspace, capsys):
         rc = self._reconstruct_edited_scene(

@@ -169,6 +169,20 @@ class TestSE3:
         with pytest.raises(ValueError):
             SE3Pose(R, np.zeros(3))
 
+    def test_from_matrix_round_trip(self):
+        pose = support.random_pose(np.random.default_rng(2))
+        for m in (pose.matrix, pose.matrix[:3]):
+            assert np.array_equal(SE3Pose.from_matrix(m).matrix, pose.matrix)
+
+    @pytest.mark.parametrize(
+        "last_row", [(5.0, 5.0, 5.0, 9.0), (0.0, 0.0, 0.0, 2.0), (1e-12, 0.0, 0.0, 1.0)]
+    )
+    def test_from_matrix_rejects_a_non_rigid_last_row(self, last_row):
+        m = support.random_pose(np.random.default_rng(2)).matrix
+        m[3] = last_row
+        with pytest.raises(ValueError, match=r"is not \(0, 0, 0, 1\)"):
+            SE3Pose.from_matrix(m)
+
     def test_relative_pose_of_self_is_identity(self):
         pose = support.random_pose(np.random.default_rng(3))
         rel = relative_pose(pose, pose)

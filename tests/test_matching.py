@@ -255,7 +255,7 @@ def _assert_same_as_dict_reference(matcher, obs_a, obs_b):
 
 
 def _synthetic_obs(view_id, point_ids, cells, desc):
-    """Observations in which every row wins its cell, cell collisions allowed."""
+    """Observations in which every row wins its cell; construction rejects shared cells."""
     n = len(point_ids)
     visible = np.zeros(max(point_ids) + 1, dtype=bool)
     visible[point_ids] = True
@@ -281,24 +281,6 @@ class TestCoarseMatchPairMatchesDictReference:
             n_rows += len(_assert_same_as_dict_reference(matcher, obs_a, obs_b))
             _assert_same_as_dict_reference(matcher, obs_b, obs_a)
         assert n_rows > 10_000
-
-    def test_score_ties_on_one_cell(self):
-        # rows 0-2 share cell_a; rows 0 and 2 tie at the highest score, row 1 scores lower
-        cells_a = [(4.0, 4.0), (4.0, 4.0), (4.0, 4.0), (12.0, 4.0), (12.0, 4.0)]
-        desc_a = [(0.6, 0.8), (1.0, 0.0), (0.6, 0.8), (1.0, 0.0), (0.0, 1.0)]
-        desc_b = [(0.6, 0.8), (0.6, 0.8), (0.6, 0.8), (0.0, 1.0), (0.0, 1.0)]
-        cells_b = [(20.0, 12.0), (28.0, 12.0), (36.0, 12.0), (44.0, 12.0), (52.0, 12.0)]
-        for outlier_rate in (0.0, 0.5):
-            scene = generate_scene(28, 20, 2, NoiseModel(outlier_rate=outlier_rate))
-            matcher = OracleMatcher(scene)
-            obs_a = _synthetic_obs(0, [1, 3, 5, 7, 9], cells_a, desc_a)
-            obs_b = _synthetic_obs(1, [1, 3, 5, 7, 9], cells_b, desc_b)
-            got = _assert_same_as_dict_reference(matcher, obs_a, obs_b)
-            if outlier_rate == 0.0:
-                assert _rows(got) == [
-                    (0, 1, (4.0, 4.0), (20.0, 12.0), 1.0),
-                    (0, 1, (12.0, 4.0), (52.0, 12.0), 1.0),
-                ]
 
     def test_no_common_winners(self):
         scene = generate_scene(29, 20, 2, NoiseModel(outlier_rate=0.5))
@@ -334,19 +316,33 @@ class TestPerViewWinnerTables:
             obs = render_observations(scene, v)
             assert obs.winner_row_of_point.shape == (scene.n_points,)
             assert _table_as_dict(obs) == _winner_points(obs)
-            assert obs.winner_cells_distinct
             losers += int(np.sum(~obs.cell_winner))
         assert losers > 0
 
-    def test_colliding_synthetic_views_not_distinct(self):
+    def test_colliding_winners_rejected(self):
         cells = [(4.0, 4.0), (4.0, 4.0), (12.0, 4.0)]
-        obs = _synthetic_obs(0, [1, 3, 5], cells, np.eye(3))
-        assert not obs.winner_cells_distinct
-        # a cell truncating to the key of another cell collides with it too
-        near = _synthetic_obs(0, [1, 3], [(4.0, 4.0), (4.5, 4.9)], np.eye(2))
-        assert not near.winner_cells_distinct
+        with pytest.raises(ValueError, match="one per cell"):
+            _synthetic_obs(0, [1, 3, 5], cells, np.eye(3))
+        # a point inside another winner's cell, off its center, collides with it too
+        with pytest.raises(ValueError, match="one per cell"):
+            _synthetic_obs(0, [1, 3], [(4.0, 4.0), (4.5, 4.9)], np.eye(2))
+        for off_grid in ((-4.0, 4.0), (4.0, np.nan)):
+            with pytest.raises(ValueError, match="on the grid"):
+                _synthetic_obs(0, [1, 3], [(4.0, 4.0), off_grid], np.eye(2))
         apart = _synthetic_obs(0, [1, 3], [(4.0, 4.0), (12.0, 4.0)], np.eye(2))
-        assert apart.winner_cells_distinct
+        assert apart.winner_row_of_point.tolist() == [-1, 0, -1, 1]
+        # losers may share a winner's cell
+        loser = dataclasses.replace(apart, cells=np.array([(4.0, 4.0), (4.5, 4.9)]),
+                                    cell_winner=np.array([True, False]))
+        assert loser.winner_row_of_point.tolist() == [-1, 0, -1, -1]
+
+    def test_score_ties_on_one_cell_rejected(self):
+        # rows 0-2 share cell_a, with rows 0 and 2 tied at the highest score: the
+        # matcher never has to choose among them, because view a cannot be built
+        cells_a = [(4.0, 4.0), (4.0, 4.0), (4.0, 4.0), (12.0, 4.0), (12.0, 4.0)]
+        desc_a = [(0.6, 0.8), (1.0, 0.0), (0.6, 0.8), (1.0, 0.0), (0.0, 1.0)]
+        with pytest.raises(ValueError, match="one per cell"):
+            _synthetic_obs(0, [1, 3, 5, 7, 9], cells_a, desc_a)
 
     def test_table_covers_the_visible_mask(self):
         obs = _synthetic_obs(0, [1, 3, 5], [(4.0, 4.0), (12.0, 4.0), (20.0, 4.0)], np.eye(3))
@@ -371,13 +367,18 @@ class TestWinnerRows:
         obs = OracleMatcher(scene).observations(3)
         assert not obs.cell_winner.all()  # losers must not be found
         lookup = support.winner_row_lookup(obs)
-        # winners and losers; truncation keys a cell by its integer part; empty cells
+        # winners and losers, at and off their cells' centers; empty and off-grid cells
         cells = np.concatenate([obs.cells, obs.cells + 0.5, [[4.0, 4.0], [-4.0, 4.0], [4.0, -2.5]]])
         want = [lookup.get((int(u), int(v)), -1) for u, v in cells.tolist()]
         assert obs.winner_rows(cells).tolist() == want
         assert obs.winner_rows(np.zeros((0, 2))).shape == (0,)
         for cell, row in zip(cells[:50].tolist(), want[:50]):
             assert obs.winner_rows([cell]).tolist() == [row]
+
+    def test_any_pixel_of_a_cell_finds_its_winner(self):
+        obs = _synthetic_obs(0, [0, 1], [(4.0, 4.0), (20.0, 12.0)], np.eye(2))
+        pixels = [(0.0, 0.0), (7.99, 0.5), (16.0, 15.9), (23.5, 8.0), (8.0, 4.0), (20.0, 16.0)]
+        assert obs.winner_rows(pixels).tolist() == [0, 0, 1, 1, -1, -1]
 
     def test_unusable_cells_are_empty(self):
         obs = _synthetic_obs(0, [0], [(4.0, 4.0)], [(1.0, 0.0)])

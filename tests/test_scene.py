@@ -7,10 +7,12 @@ import support
 from semidense.errors import VisibilityError
 from semidense.geometry import SE3Pose, project_with_depth, triangulate
 from semidense.scene import (
+    CELL_KEY_BITS,
     FINE_WINDOW_HALF,
     GRID_STRIDE,
     NoiseModel,
     SyntheticScene,
+    cell_keys,
     generate_scene,
     grid_cell_center,
     oracle_fine_location,
@@ -184,6 +186,27 @@ class TestCellWinnerMatchesDictLoop:
         assert len(obs.point_ids) == 6
         assert len({tuple(c) for c in obs.cells.tolist()}) == 2
         assert obs.cell_winner.tolist() == [True, False, False, False, False, True]
+
+
+class TestCellKeys:
+    def test_keys_sort_like_cells(self):
+        u, v = np.meshgrid(np.arange(40) * 8.0 + 4.0, np.arange(30) * 8.0 + 4.0)
+        centers = np.random.default_rng(0).permutation(np.column_stack([u.ravel(), v.ravel()]))
+        keys = cell_keys(centers)
+        assert np.array_equal(np.argsort(keys), np.lexsort((centers[:, 1], centers[:, 0])))
+        # every pixel of a cell shares its center's key
+        for offset in ((-4.0, -4.0), (3.99, -4.0), (0.5, 3.5)):
+            assert np.array_equal(cell_keys(centers + offset), keys)
+
+    def test_off_grid_and_non_finite_are_minus_one(self):
+        top = GRID_STRIDE * 2.0 ** (CELL_KEY_BITS // 2)  # first column past the key's range
+        pixels = [(-0.5, 4.0), (4.0, -8.0), (np.nan, 4.0), (4.0, np.inf), (-np.inf, 4.0),
+                  (top, 4.0), (4.0, top), (1e30, 1e30), (top - 1.0, top - 1.0), (0.0, 0.0)]
+        keys = cell_keys(pixels)
+        assert keys.dtype == np.int64
+        assert keys[:8].tolist() == [-1] * 8
+        assert keys[8] == 2**CELL_KEY_BITS - 1 and keys[9] == 0
+        assert cell_keys(np.zeros((0, 2))).shape == (0,)
 
 
 class TestOracleFineLocation:

@@ -17,7 +17,7 @@ from semidense.geometry import (
 )
 from semidense.matching import OracleMatcher, PairMatches, select_view_pairs
 from semidense.scene import NoiseModel, generate_scene, grid_cell_center
-from semidense.tracks import TrackStats, build_tracks, triangulate_tracks
+from semidense.tracks import TrackStats, _node_ids, build_tracks, triangulate_tracks
 
 ZERO = NoiseModel()
 
@@ -101,6 +101,15 @@ class TestBuildTracks:
                 assert node not in seen
                 seen.add(node)
 
+    @pytest.mark.parametrize(
+        "cell", [(-4.0, 4.0), (4.0, np.nan), (np.inf, 4.0), (5.0, 4.0), (12.0, 4.5)],
+        ids=["negative", "nan", "inf", "off-center-u", "off-center-v"],
+    )
+    def test_cell_not_a_grid_center_rejected(self, cell):
+        for matches in ([_match(0, 1, (4.0, 4.0), cell)], [_match(0, 1, cell, (4.0, 4.0))]):
+            with pytest.raises(ValueError, match="centers of grid cells"):
+                build_tracks(matches, min_track_length=2)
+
     def test_matches_ground_truth_grouping(self):
         # collision-free scene: every visible point wins its cell everywhere
         scene = generate_scene(4, 12, 4, ZERO)
@@ -124,6 +133,36 @@ class TestBuildTracks:
                 expected[frozenset(nodes)] = pid
         got = {frozenset(nodes) for nodes in support.node_lists(tracks)}
         assert got == set(expected.keys())
+
+
+# Reference: the node ids before one cell key, from four rank sorts, kept
+# here so the one-sort ids can be checked against them.
+
+
+def _ref_node_ids(views, cells):
+    n = len(views)  # every rank is below n
+    _, u = np.unique(cells[:, 0], return_inverse=True)
+    _, view_u = np.unique(views * n + u, return_inverse=True)
+    _, v = np.unique(cells[:, 1], return_inverse=True)
+    keys, ids = np.unique(view_u * n + v, return_inverse=True)
+    node_row = np.empty(len(keys), dtype=np.intp)
+    node_row[ids] = np.arange(n)
+    return ids, node_row
+
+
+class TestNodeIdsMatchRankReference:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_onboard_scene(self, seed):
+        scene = support.onboard_scene(seed)
+        matches = _scene_matches(scene, OracleMatcher(scene))
+        lengths = [len(m) for m in matches]
+        views = np.repeat([m.view_a for m in matches] + [m.view_b for m in matches], lengths * 2)
+        cells = np.concatenate([m.cells_a for m in matches] + [m.cells_b for m in matches])
+        ids, node_row = _node_ids(views, cells)
+        ref_ids, ref_node_row = _ref_node_ids(views, cells)
+        assert np.array_equal(ids, ref_ids)
+        assert np.array_equal(node_row, ref_node_row)
+        assert len(node_row) > 1000
 
 
 # Reference: the dict-based union-find that the array track building
