@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .formats import _dump_json, _load_json
-from .pose_matching import DUAL_SOFTMAX_MAX_SPAN
+from .pose_matching import DUAL_SOFTMAX_MAX_SPAN, FINE_STRIDE
 from .scene import NoiseModel
 
 # Unit-norm features score within +-1/tau, a span of 2/tau, which the
@@ -89,6 +89,10 @@ class RunConfig:
             ),
             (0 <= self.theta <= 1, "theta must be in [0, 1]"),
             (_positive_odd(self.fine_window), "fine_window must be a positive odd integer"),
+            (
+                self.fine_window <= self.image_size // FINE_STRIDE,
+                f"fine_window must be at most the fine map's side, image_size // {FINE_STRIDE}",
+            ),
             (self.n_coarse_layers >= 0, "n_coarse_layers must be non-negative"),
             (self.n_fine_layers >= 0, "n_fine_layers must be non-negative"),
             (self.inlier_px > 0, "inlier_px must be positive"),

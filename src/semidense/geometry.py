@@ -412,12 +412,13 @@ def gauss_newton_polish(point, R, t, k, pixels, lengths, max_steps: int = 10) ->
     to convergence makes the result the geometric least-squares optimum,
     which is invariant under a common rigid transform of all cameras.
 
-    Arrays as in triangulate_dlt, with rows sorted by their view counts
-    `lengths` (T,); row i's views past lengths[i] are ViewTable's padding
-    camera, with zero pixels. All rows step in one loop, a row's k-th step
-    at iteration k; the sums over its residuals (J^T J, J^T r and the cost)
-    run per length on exactly its 2 n entries, so every row equals its
-    one-track polish bit for bit.
+    Arrays as in triangulate_dlt, in any row order, with each row's view
+    count in `lengths` (T,); row i's views past lengths[i] are ViewTable's
+    padding camera, with zero pixels. All rows step in one loop, a row's
+    k-th step at iteration k. The active rows are kept sorted by length, so
+    the sums over a row's residuals (J^T J, J^T r and the cost) run per
+    length on exactly its 2 n entries, and every row equals its one-track
+    polish bit for bit.
     Only active rows step. A row freezes on a failed solve, on a step that
     breaks cheirality or does not lower the cost, and once it converges.
     """
@@ -426,8 +427,7 @@ def gauss_newton_polish(point, R, t, k, pixels, lengths, max_steps: int = 10) ->
     scale = 1.0 + np.sqrt(np.vecdot(point, point))
     p_cam = _to_camera(point, R, t)
     r = (pinhole(p_cam, *k) - pixels).reshape(T, 2 * n_max)
-    sizes, starts = np.unique(lengths, return_index=True)
-    active = np.arange(T)
+    active = np.argsort(lengths, kind="stable")
     with np.errstate(all="ignore"):  # rows that fail are masked out
         for _ in range(max_steps):
             if not active.size:
@@ -435,7 +435,7 @@ def gauss_newton_polish(point, R, t, k, pixels, lengths, max_steps: int = 10) ->
             a = active
             R_a, t_a, k_a, pixels_a, r_a = R[a], t[a], tuple(x[a] for x in k), pixels[a], r[a]
             J = (pinhole_jacobian(p_cam[a], k_a[0], k_a[1]) @ R_a).reshape(len(a), 2 * n_max, 3)
-            segments = active_segments(a, starts, 2 * sizes)
+            segments = size_runs(2 * lengths[a])
             JtJ, Jtr = np.empty((len(a), 3, 3)), np.empty((len(a), 3, 1))
             for m, rows in segments:
                 Jt = np.swapaxes(J[rows, :m], 1, 2)
@@ -458,14 +458,15 @@ def gauss_newton_polish(point, R, t, k, pixels, lengths, max_steps: int = 10) ->
     return point
 
 
-def active_segments(active: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> list:
-    """The ascending rows `active` split by size: [(sizes[j], s)] with active[s] in block j.
+def size_runs(sizes: np.ndarray) -> list[tuple[int, slice]]:
+    """The runs of equal values of a sorted array: [(value, slice)], in order.
 
-    Block j is the rows starts[j]:starts[j + 1] of a table sorted by size;
-    blocks without an active row are left out.
+    Callers sort row ids by size once and take each run's rows as a slice
+    of that order; masking rows out keeps the order sorted.
     """
-    cuts = np.append(np.searchsorted(active, starts), len(active)).tolist()
-    return [(m, slice(lo, hi)) for m, lo, hi in zip(sizes.tolist(), cuts, cuts[1:]) if hi > lo]
+    values, starts = np.unique(sizes, return_index=True)
+    cuts = np.append(starts, len(sizes)).tolist()
+    return [(m, slice(lo, hi)) for m, lo, hi in zip(values.tolist(), cuts, cuts[1:])]
 
 
 def mean_reprojection_errors(points, R, t, k, pixels) -> np.ndarray:

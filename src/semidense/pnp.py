@@ -28,7 +28,6 @@ from .geometry import (
 DEFAULT_INLIER_PX = 3.0
 DEFAULT_MAX_ITERS = 10000
 DEFAULT_CONFIDENCE = 0.99
-REFERENCE_IMAGE_WIDTH = 512.0
 # RANSAC samples solved together in the first chunk; later chunks double
 _FIRST_CHUNK = 8
 

@@ -304,12 +304,15 @@ def fine_match_2d3d(
     map (shifted and flagged at borders); all crops go through the fine
     stack together as one (M, w*w, C) stack. Correlations are scaled by
     1/fine_tau: the surrogate descriptors are unit-norm, so an unscaled
-    softmax would flatten the expectation toward the window center.
+    softmax would flatten the expectation toward the window center. A
+    window wider than the fine map raises ValueError.
     """
     if window % 2 != 1:
         raise ValueError(f"window must be odd, got {window}")
     half = window // 2
     hf, wf, _ = query.fine.shape
+    if window > min(hf, wf):
+        raise ValueError(f"window {window} is wider than the {hf} x {wf} fine map")
     out = CorrespondenceSet(
         coarse_points=corr.coarse_points.copy(),
         coarse_pixels=corr.coarse_pixels.copy(),

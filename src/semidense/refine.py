@@ -19,10 +19,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import ViewTable, active_segments, pinhole, pinhole_inverse, pinhole_jacobian
+from .geometry import ViewTable, pinhole, pinhole_inverse, pinhole_jacobian, size_runs
 from .matching import Cell, MatchingFrontend
 from .scene import ViewObservations
-from .tracks import CoarseReconstruction, Tracks, TrackTable, length_groups, length_order
+from .tracks import CoarseReconstruction, Tracks, TrackTable
 
 LM_INITIAL_LAMBDA = 1e-3
 LM_MAX_ITERS = 50
@@ -176,13 +176,16 @@ def reference_nodes(tracks: Tracks, R: np.ndarray, t: np.ndarray) -> np.ndarray:
     lowest view id. R (V, 3, 3) and t (V, 3) are the views' poses. Returns
     node indices within each track (T,), computed per track length.
     """
-    if np.any(np.diff(tracks.offsets) < 2):
+    lengths = np.diff(tracks.offsets)
+    if np.any(lengths < 2):
         raise ValueError("reference selection needs a track with at least 2 nodes")
     if np.isnan(tracks.points).any():
         raise ValueError("track must be triangulated before reference selection")
     best_idx = np.zeros(len(tracks), dtype=int)
-    for rows, nodes in length_groups(tracks.offsets):
-        T, n = nodes.shape
+    order = np.argsort(lengths, kind="stable")
+    for n, s in size_runs(lengths[order]):
+        rows = order[s]
+        T, nodes = len(rows), tracks.offsets[rows, None] + np.arange(n)
         R_n, t_n = R[tracks.views[nodes]], t[tracks.views[nodes]]  # (T, n, 3, 3), (T, n, 3)
         centers = -(t_n[:, :, None, :] @ R_n)[:, :, 0]  # -R^T t per view
         d = tracks.points[rows, None, :] - centers
@@ -220,7 +223,7 @@ def refine_nodes(
     min_confidence: float = 0.2,
     stats: RefineStats | None = None,
 ) -> RefinedTracks:
-    """Sub-pixel refinement of every node of every track, in two batched matcher calls.
+    """Sub-pixel refinement of every node of every track, in one batched matcher call.
 
     The reference node is refined with a self-view query so the reference
     ray passes through the true sub-pixel feature location rather than the
@@ -228,39 +231,39 @@ def refine_nodes(
     lateral quantization offset that no amount of source accuracy removes.
     Source nodes below min_confidence are dropped; a track is dropped when
     no source survives or the reference cannot be grounded, in which case
-    its sources are not queried. Returns the surviving tracks, in order.
+    its sources are queried but dropped too. Returns the surviving tracks,
+    in order.
     """
     stats = stats if stats is not None else RefineStats()
     views, cells, offsets = tracks.views, tracks.cells, tracks.offsets
+    owner = np.repeat(np.arange(len(tracks)), np.diff(offsets))
     ref_node = offsets[:-1] + np.asarray(reference_idx, dtype=int)
-    ref_view, ref_cell = views[ref_node], cells[ref_node]
-    u_ref, ref_conf = matcher.fine_refine_batch(ref_view, ref_cell, ref_view, ref_cell)
-    grounded = ~(ref_conf < min_confidence)
+    # a node that is its own track's reference makes the self-view query
+    pixels, conf = matcher.fine_refine_batch(
+        views[ref_node][owner], cells[ref_node][owner], views, cells
+    )
+    grounded = ~(conf[ref_node] < min_confidence)
     stats.dropped_tracks += int(np.count_nonzero(~grounded))
 
-    # source nodes of grounded tracks, in track order
-    owner = np.repeat(np.arange(len(tracks)), np.diff(offsets))
-    src = np.flatnonzero(grounded[owner] & (np.arange(len(views)) != ref_node[owner]))
-    pixels, conf = matcher.fine_refine_batch(
-        ref_view[owner[src]], ref_cell[owner[src]], views[src], cells[src]
-    )
-    keep = ~(conf < min_confidence)
-    stats.dropped_low_confidence_nodes += int(np.count_nonzero(~keep))
-    src = src[keep]
+    is_ref = np.arange(len(views)) == ref_node[owner]
+    src = grounded[owner] & ~is_ref
+    low = src & (conf < min_confidence)
+    stats.dropped_low_confidence_nodes += int(np.count_nonzero(low))
+    src &= ~low
     n_src = np.bincount(owner[src], minlength=len(tracks))
     stats.dropped_tracks += int(np.count_nonzero(grounded & (n_src == 0)))
 
     kept = np.flatnonzero(n_src > 0)
     # the nodes of the kept tracks, by track, each track's reference first
-    nodes = np.concatenate([ref_node[kept], src])
-    order = np.lexsort((nodes, np.arange(len(nodes)) >= len(kept), owner[nodes]))
+    nodes = np.flatnonzero((src | is_ref) & (n_src > 0)[owner])
+    nodes = nodes[np.argsort(2 * owner[nodes] + src[nodes], kind="stable")]
     return RefinedTracks(
         track_ids=tracks.track_ids[kept],
         point_init=tracks.points[kept],
-        views=views[nodes[order]],
-        cells=cells[nodes[order]],
-        pixels=np.concatenate([u_ref[kept], pixels[keep]])[order],
-        confidences=np.concatenate([ref_conf[kept], conf[keep]])[order],
+        views=views[nodes],
+        cells=cells[nodes],
+        pixels=pixels[nodes],
+        confidences=conf[nodes],
         offsets=np.concatenate([[0], np.cumsum(1 + n_src[kept])]),
         depths=np.full(len(kept), np.nan),
         points=np.full((len(kept), 3), np.nan),
@@ -380,37 +383,28 @@ def optimize_depths(
     max_iters: int = LM_MAX_ITERS,
     rel_tol: float = LM_RELATIVE_TOL,
 ) -> RefinedTracks:
-    """optimize_depth for every track, as one lock-step LM over all of them."""
-    order, groups = length_order(rts.offsets)
-    solved = _depth_lm(rts.take(order), table, groups, max_iters, rel_tol)
-    return solved.take(np.argsort(order))
+    """optimize_depth for every track, as one lock-step LM over all of them.
 
-
-def _depth_lm(rts: RefinedTracks, table: ViewTable, groups, max_iters: int, rel_tol: float):
-    """Levenberg-Marquardt on the reference depth of tracks sorted by source count.
-
-    groups are length_order's (n, rows) of the table. Initialized from the
-    coarse point's z coordinate in the reference frame. Each row keeps its
-    own lambda: accepted steps must not raise the cost (lambda /10, floored
-    at 1e-12), rejected steps raise lambda x10 and stop the row above 1e12.
-    A row stops on flat geometry (near-zero curvature, e.g. pure rotation)
-    or once the cost falls by at most rel_tol. Flat and clamped rows are
+    Levenberg-Marquardt on the reference depth, initialized from the coarse
+    point's z coordinate in the reference frame. Each row keeps its own
+    lambda: accepted steps must not raise the cost (lambda /10, floored at
+    1e-12), rejected steps raise lambda x10 and stop the row above 1e12. A
+    row stops on flat geometry (near-zero curvature, e.g. pure rotation) or
+    once the cost falls by at most rel_tol. Flat and clamped rows are
     flagged non-converged.
 
     Every active row steps in one loop over one problem, its sources padded
     to the largest count with ViewTable's padding camera, a row's k-th step
-    at iteration k; the sums over a row's 2 S residuals (g, H and the cost)
-    run per source count on exactly those entries, so every row equals its
-    one-track solve bit for bit. Returns the table with the LM's columns
-    filled in.
+    at iteration k. The active rows are kept sorted by source count, so the
+    sums over a row's 2 S residuals (g, H and the cost) run per count on
+    exactly those entries, and every row equals its one-track solve bit for
+    bit. Returns the table, in its order, with the LM's columns filled in.
     """
-    width = groups[-1][0] if groups else 1  # from_nodes reads a reference column
+    S = np.diff(rts.offsets) - 1
+    width = int(S.max(initial=0)) + 1  # from_nodes reads a reference column
     problem = DepthProblem.from_nodes(
         rts.padded("views", width, fill=-1), rts.padded("pixels", width), table
     )
-    S = np.diff(rts.offsets) - 1
-    starts = np.array([rows.start for _, rows in groups], dtype=int)
-    sizes = np.array([n - 1 for n, _ in groups], dtype=int)
     ref = rts.views[rts.offsets[:-1]]
     R_r, t_r = table.R[ref], table.t[ref]
     R_rt = np.swapaxes(R_r, 1, 2)
@@ -418,20 +412,22 @@ def _depth_lm(rts: RefinedTracks, table: ViewTable, groups, max_iters: int, rel_
     d0 = (rts.point_init[:, None, :] @ R_rt)[:, 0, 2] + t_r[:, 2]
     d = np.where(d0 > 0, d0, MIN_DEPTH_CLAMP)
     hit_clamp = d0 <= 0
+    active = np.argsort(S, kind="stable")
     with np.errstate(all="ignore"):  # rows that fail are masked out
         r, front = problem.residuals(d)
-        every_row = [(n - 1, rows) for n, rows in groups]
-        cost = np.where(front, _segment_sums(r, every_row), np.inf)
+        cost = np.full(len(d), np.inf)
+        sums = _segment_sums(r[active], size_runs(S[active]))
+        cost[active] = np.where(front[active], sums, np.inf)
         # RMS per-source pixel error: monotone whenever the summed cost is
         initial_cost = np.where(d0 > 0, np.sqrt(cost / S), np.inf)
         lam = np.full(len(d), LM_INITIAL_LAMBDA)
         converged = np.zeros(len(d), dtype=bool)
 
-        active = np.flatnonzero(np.isfinite(cost))
+        active = active[np.isfinite(cost[active])]
         for _ in range(max_iters):
             if not active.size:
                 break
-            segments = active_segments(active, starts, sizes)
+            segments = size_runs(S[active])
             sub, d_a, r_a = problem.rows(active), d[active], r[active]
             J = sub.jacobian(d_a)
             g, H = np.empty(len(active)), np.empty(len(active))
@@ -475,7 +471,7 @@ def _depth_lm(rts: RefinedTracks, table: ViewTable, groups, max_iters: int, rel_
 def _segment_sums(r: np.ndarray, segments) -> np.ndarray:
     """_sum_squares of every row of padded (B, S_max, 2) residuals over its own m sources.
 
-    segments are active_segments' (m, rows) covering every row.
+    segments are size_runs' (m, rows) covering every row.
     """
     out = np.empty(len(r))
     for m, rows in segments:
@@ -536,9 +532,12 @@ def _mean_descriptors(observations, name, views, rows, counts):
         at = views == v
         desc[at] = getattr(observations[v], name)[rows[at]]
     mean = np.zeros((len(counts), dim))
-    for tracks, nodes in length_groups(np.concatenate([[0], np.cumsum(counts)])):
-        if nodes.shape[1]:
-            mean[tracks] = np.mean(desc[nodes], axis=1)
+    starts = np.cumsum(counts) - counts
+    order = np.argsort(counts, kind="stable")
+    for n, s in size_runs(counts[order]):
+        if n:
+            rows = order[s]
+            mean[rows] = np.mean(desc[starts[rows, None] + np.arange(n)], axis=1)
     return mean, np.sqrt((mean[:, None, :] @ mean[:, :, None])[:, 0, 0])
 
 
@@ -552,8 +551,8 @@ def refine_reconstruction(
 ) -> tuple[PointCloudModel, RefinedTracks, RefineStats]:
     """Full refinement pass over a coarse reconstruction (deterministic order).
 
-    Reference selection runs batched by track length, node refinement as two
-    matcher batch calls, and the depth LM as one lock-step loop over all tracks.
+    Reference selection runs batched by track length, node refinement as one
+    matcher batch call, and the depth LM as one lock-step loop over all tracks.
     """
     stats = RefineStats()
     table = ViewTable.stack(poses, intrinsics)

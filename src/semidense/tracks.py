@@ -22,6 +22,7 @@ from .geometry import (
     ViewTable,
     gauss_newton_polish,
     mean_reprojection_errors,
+    size_runs,
     triangulate_dlt,
 )
 from .formats import _dump_json
@@ -215,29 +216,29 @@ def triangulate_tracks(
     grid-quantization offset so clean quantized tracks always survive.
     """
     stats = stats if stats is not None else TrackStats()
-    if np.any(np.diff(tracks.offsets) < 2):
+    lengths = np.diff(tracks.offsets)
+    if np.any(lengths < 2):
         raise ValueError("triangulation needs at least 2 observations")
     table = ViewTable.stack(poses, intrinsics)
-    order, groups = length_order(tracks.offsets)
-    by_length = tracks.take(order)
-    width = groups[-1][0] if groups else 0
-    views = by_length.padded("views", width, fill=-1)
-    R, t, k, pix = table.R[views], table.t[views], table.k(views), by_length.padded("cells", width)
+    width = int(lengths.max(initial=0))
+    views = tracks.padded("views", width, fill=-1)
+    R, t, k, pix = table.R[views], table.t[views], table.k(views), tracks.padded("cells", width)
 
     def rows_of(rows, n=width):
-        """R, t, k and pixels of the sorted rows `rows`, cut to their first n views."""
+        """R, t, k and pixels of the tracks `rows`, cut to their first n views."""
         return R[rows, :n], t[rows, :n], tuple(a[rows, :n] for a in k), pix[rows, :n]
 
+    order = np.argsort(lengths, kind="stable")
+    groups = [(n, order[s]) for n, s in size_runs(lengths[order])]
     points = np.full((len(tracks), 3), np.nan)
     reject = np.full(len(tracks), TRI_OK)
     for n, rows in groups:
         points[rows], reject[rows] = triangulate_dlt(*rows_of(rows, n))
     kept = np.flatnonzero(reject == TRI_OK)
-    lengths = np.diff(by_length.offsets)
     points[kept] = gauss_newton_polish(points[kept], *rows_of(kept), lengths[kept])
     errors = np.full(len(tracks), np.nan)
     for n, rows in groups:
-        e = np.arange(rows.start, rows.stop)[reject[rows] == TRI_OK]
+        e = rows[reject[rows] == TRI_OK]
         errors[e] = mean_reprojection_errors(points[e], *rows_of(e, n))
 
     behind = reject == TRI_BEHIND
@@ -245,30 +246,9 @@ def triangulate_tracks(
     stats.rejected_cheirality += int(np.count_nonzero(behind))
     too_far = (reject == TRI_OK) & (errors > max_reproj_px)
     stats.rejected_reprojection += int(np.count_nonzero(too_far))
-    rank = np.argsort(order)  # each track's row in by_length
-    survivors = rank[((reject == TRI_OK) & ~too_far)[rank]]
-    triangulated = replace(by_length, points=points, reproj_errors=errors).take(survivors)
+    survivors = np.flatnonzero((reject == TRI_OK) & ~too_far)
+    triangulated = replace(tracks, points=points, reproj_errors=errors).take(survivors)
     return CoarseReconstruction(tracks=triangulated, stats=stats)
-
-
-def length_order(offsets: np.ndarray) -> tuple[np.ndarray, list[tuple[int, slice]]]:
-    """The tracks sorted by length, stably, and per length n the slice of that order so long.
-
-    Returns (order (T,), [(n, slice)]) with the lengths ascending, so the
-    tracks order[rows] of one (n, rows) are contiguous in the sorted table.
-    """
-    lengths = np.diff(offsets)
-    order = np.argsort(lengths, kind="stable")
-    sizes, starts = np.unique(lengths[order], return_index=True)
-    bounds = np.append(starts, len(order)).tolist()
-    return order, [(n, slice(lo, hi)) for n, lo, hi in zip(sizes.tolist(), bounds, bounds[1:])]
-
-
-def length_groups(offsets: np.ndarray):
-    """Per track length n, the tracks that long and their node rows: (rows (T,), nodes (T, n))."""
-    order, groups = length_order(offsets)
-    for n, rows in groups:
-        yield order[rows], offsets[order[rows], None] + np.arange(n)
 
 
 def tracks_to_json(tracks: Tracks, path) -> None:

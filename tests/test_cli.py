@@ -362,6 +362,7 @@ class TestBadInputs:
         [
             ("--refine-window", "-1"),
             ("--fine-window", "-1"),
+            ("--fine-window", "513"),  # wider than the 256-px fine map
             ("--ransac-confidence", "2"),
             ("--coarse-dim", "0"),
             ("--ransac-max-iters", "0"),

@@ -54,6 +54,7 @@ class TestValidation:
             {"min_refine_confidence": 1.5},
             {"refine_window": -1},
             {"fine_window": -1},
+            {"fine_window": 257},  # wider than the 256 x 256 fine map of a 512-px image
             {"n_coarse_layers": -1},
             {"n_fine_layers": -1},
             {"inlier_px": 0.0},

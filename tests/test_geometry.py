@@ -17,6 +17,7 @@ from semidense.geometry import (
     project,
     project_with_depth,
     relative_pose,
+    size_runs,
     triangulate,
 )
 
@@ -296,3 +297,15 @@ class TestTriangulate:
         k = tuple(np.array([[getattr(i, a) for _, i in views]]) for a in ("fx", "fy", "cx", "cy"))
         pixels = np.array([project(p, i, point) for p, i in views])[None]
         assert mean_reprojection_errors(point[None], R, t, k, pixels) < 1e-12
+
+
+class TestSizeRuns:
+    def test_runs_of_a_sorted_array(self):
+        runs = size_runs(np.array([2, 2, 3, 5, 5, 5]))
+        assert runs == [(2, slice(0, 2)), (3, slice(2, 3)), (5, slice(3, 6))]
+
+    def test_one_value(self):
+        assert size_runs(np.array([4, 4, 4])) == [(4, slice(0, 3))]
+
+    def test_empty(self):
+        assert size_runs(np.array([], dtype=int)) == []

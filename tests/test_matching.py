@@ -617,9 +617,12 @@ class TestViewPairSelection:
 
     def test_nearest_neighbours_for_large_sets(self):
         scene = generate_scene(38, 16, 60, ZERO)
-        pairs = select_view_pairs(scene.views)
+        pairs = select_view_pairs(scene.views, k_nearest=10)
         assert len(pairs) < 60 * 59 // 2
         assert all(a < b for a, b in pairs)
-        # every view participates
+        assert pairs == sorted(set(pairs))  # unique, in order
+        # every view participates, paired with at least its k nearest
         seen = {v for p in pairs for v in p}
         assert seen == set(range(60))
+        partners = np.bincount(np.array(pairs).ravel(), minlength=60)
+        assert partners.min() >= 10

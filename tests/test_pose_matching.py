@@ -579,6 +579,23 @@ class TestFineMatch2d3d:
         with pytest.raises(ValueError):
             fine_match_2d3d(model, query, CorrespondenceSet(), BYPASS, window=4)
 
+    def test_window_wider_than_the_fine_map_rejected(self):
+        rng = np.random.default_rng(82)
+        model = random_model(rng, n=4)
+        query = random_query(rng, hw=4)  # a 16 x 16 fine map
+        corr = CorrespondenceSet(
+            coarse_points=np.arange(4),
+            coarse_pixels=np.array([[4.0, 4.0], [28.0, 4.0], [4.0, 28.0], [28.0, 28.0]]),
+            coarse_conf=np.ones(4),
+        )
+        with pytest.raises(ValueError, match="wider than the 16 x 16 fine map"):
+            fine_match_2d3d(model, query, corr, BYPASS, window=17)
+        out = fine_match_2d3d(model, query, corr, BYPASS, window=15)
+        _, pixels, _, clamped = reference_fine_match(model, query, corr, BYPASS, window=15)
+        np.testing.assert_array_equal(out.fine_pixels, pixels)
+        np.testing.assert_array_equal(out.fine_clamped, clamped)
+        assert np.all(out.fine_pixels >= 0) and np.all(out.fine_pixels <= 30)
+
 
 class TestGroundTruthMatches:
     def test_cells_match_projections(self):

@@ -35,6 +35,7 @@ from semidense.refine import (
     refine_nodes,
     refine_reconstruction,
     refine_track_nodes,
+    reference_nodes,
     select_reference_node,
 )
 from semidense.scene import NoiseModel, ViewObservations, generate_scene, grid_cell_center
@@ -653,6 +654,16 @@ class TestBatchedRefinementMatchesOneTrackReference:
         assert stats == ref_stats
         assert len({len(rt.sources) for rt in refined}) > 3  # several source-count groups
         _assert_same_model(model, ref_model)
+
+    def test_shuffled_onboard_rows_equal_their_one_track_solve(self):
+        scene, matcher, recon, poses, intrs = self._onboard(3)
+        table = ViewTable.stack(poses, intrs)
+        nodes = refine_nodes(recon.tracks, reference_nodes(recon.tracks, table.R, table.t), matcher)
+        nodes = nodes.take(np.random.default_rng(5).permutation(len(nodes))[:300])
+        assert np.any(np.diff(np.diff(nodes.offsets)) < 0)  # rows out of source-count order
+        got = _records(optimize_depths(nodes, table))
+        for a, rt in zip(got, _records(nodes)):
+            _assert_same_refined(a, _ref_optimize_depth(rt, poses, intrs))
 
     def test_ungrounded_reference_and_all_sources_below_confidence(self):
         scene, matcher, recon, poses, _ = self._onboard(8)

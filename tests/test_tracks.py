@@ -8,12 +8,16 @@ from semidense.errors import CheiralityError, DegenerateGeometryError
 from semidense.geometry import (
     MAX_CONDITION,
     MIN_DEPTH,
+    TRI_OK,
     SE3Pose,
+    ViewTable,
+    gauss_newton_polish,
     pinhole,
     pinhole_jacobian,
     project,
     rotation_from_axis_angle,
     triangulate,
+    triangulate_dlt,
 )
 from semidense.matching import OracleMatcher, PairMatches, select_view_pairs
 from semidense.scene import NoiseModel, generate_scene, grid_cell_center
@@ -555,3 +559,35 @@ class TestTriangulateTracksMatchesOneTrackReference:
         assert recon.stats.rejected_reprojection == 1
         assert len(recon.tracks) == 40
         assert len(set(np.diff(recon.tracks.offsets).tolist())) == 11
+
+
+class TestPolishRowsInAnyOrder:
+    def test_shuffled_onboard_rows_equal_their_one_track_polish(self):
+        scene = support.onboard_scene(3)
+        tracks, _ = support.scene_tracks(scene, OracleMatcher(scene))
+        tracks = tracks.take(np.random.default_rng(5).permutation(len(tracks))[:300])
+        lengths = np.diff(tracks.offsets)
+        table = ViewTable.stack(*zip(*scene.views))
+        width = int(lengths.max())
+        views = tracks.padded("views", width, fill=-1)
+        R, t, k, pix = table.R[views], table.t[views], table.k(views), tracks.padded("cells", width)
+
+        points = np.full((len(tracks), 3), np.nan)
+        for i, n in enumerate(lengths.tolist()):
+            point, reject = triangulate_dlt(
+                R[i:i + 1, :n], t[i:i + 1, :n], tuple(a[i:i + 1, :n] for a in k), pix[i:i + 1, :n]
+            )
+            if reject[0] == TRI_OK:
+                points[i] = point[0]
+        ok = np.flatnonzero(~np.isnan(points).any(axis=1))
+        assert len(ok) > 250 and np.any(np.diff(lengths[ok]) < 0)  # rows out of length order
+
+        got = gauss_newton_polish(
+            points[ok], R[ok], t[ok], tuple(a[ok] for a in k), pix[ok], lengths[ok]
+        )
+        for row, i in zip(got, ok.tolist()):
+            n = lengths[i]
+            want = _ref_gauss_newton_polish(
+                points[i], R[i, :n], t[i, :n], np.array([a[i, :n] for a in k]), pix[i, :n]
+            )
+            assert np.array_equal(row, want)
