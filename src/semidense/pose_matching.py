@@ -34,11 +34,42 @@ DEFAULT_FINE_WINDOW = 5
 
 @dataclass(frozen=True, eq=False)
 class QueryFeatureMaps:
-    """Coarse (1/8) and fine (1/2) descriptor grids of one query image."""
+    """Coarse (1/8) and fine (1/2) descriptor grids of one query image.
 
-    coarse: np.ndarray  # (H/8, W/8, C_c) unit rows
-    fine: np.ndarray    # (H/2, W/2, C_f) unit rows
+    The fine grid is a row table plus a cell index: fine cell (r, c) holds
+    the descriptor fine_rows[fine_index[r, c]], so cells may share a row. A
+    dense (H/2, W/2, C_f) map is the case of one row per cell (`from_dense`).
+    """
+
+    coarse: np.ndarray      # (H/8, W/8, C_c) unit rows
+    fine_rows: np.ndarray   # (R, C_f) unit rows
+    fine_index: np.ndarray  # (H/2, W/2) integer row of each fine cell
     intrinsics: CameraIntrinsics
+
+    def __post_init__(self):
+        if np.ndim(self.fine_rows) != 2:
+            raise ValueError(f"fine_rows must be 2-D, got shape {np.shape(self.fine_rows)}")
+        index = np.asarray(self.fine_index)
+        if index.ndim != 2 or not np.issubdtype(index.dtype, np.integer):
+            raise ValueError(
+                f"fine_index must be a 2-D integer array, got {index.dtype} of shape {index.shape}"
+            )
+        n_rows = len(self.fine_rows)
+        if index.size and (index.min() < 0 or index.max() >= n_rows):
+            raise ValueError(f"fine_index entries must lie in [0, {n_rows}), the rows of fine_rows")
+
+    @classmethod
+    def from_dense(
+        cls, coarse: np.ndarray, fine: np.ndarray, intrinsics: CameraIntrinsics
+    ) -> "QueryFeatureMaps":
+        """Maps over a dense (H/2, W/2, C_f) fine grid: one row per cell, row-major."""
+        hf, wf, cf = fine.shape
+        return cls(
+            coarse=coarse,
+            fine_rows=fine.reshape(hf * wf, cf),
+            fine_index=np.arange(hf * wf).reshape(hf, wf),
+            intrinsics=intrinsics,
+        )
 
     def coarse_cell_pixels(self) -> np.ndarray:
         """Pixel centers of the flattened (row-major) coarse grid."""
@@ -75,17 +106,21 @@ FINE_SPLAT_SIGMA_PX = 1.0
 _FINE_SPLAT_RADIUS_CELLS = 3
 
 
-def _splat_fine(fine: np.ndarray, pixels: np.ndarray, desc: np.ndarray) -> np.ndarray:
-    """Blend each row's Gaussian descriptor peak into `fine` in place, in row order.
+def _splat_fine(
+    table: np.ndarray, index: np.ndarray, pixels: np.ndarray, desc: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Blend each row's Gaussian descriptor peak into the fine map table[index], in row order.
 
     A peak updates every cell x of its clipped 7x7 stencil to
-    g*desc + (1-g)*x. The updates are applied in rounds: round k holds the
-    k-th update of every cell, so no cell repeats within a round and each
-    cell receives its updates in row order, with the same arithmetic as
-    blending one row at a time. Returns the flat (row-major) indices of the
-    cells that were touched, each once.
+    g*desc + (1-g)*x. Only the touched cells' rows are gathered, ranked by
+    update count, most first. The updates are applied in rounds: round k
+    holds the k-th update of every cell that has one, which is a prefix of
+    the ranking, so no cell repeats within a round and each cell receives
+    its updates in row order, with the same arithmetic as blending one row
+    at a time. Returns the flat (row-major) indices of the touched cells,
+    each once in rank order, and their blended rows.
     """
-    hf, wf, cf = fine.shape
+    hf, wf = index.shape
     offsets = np.arange(-_FINE_SPLAT_RADIUS_CELLS, _FINE_SPLAT_RADIUS_CELLS + 1)
     cs = np.rint(pixels[:, :1] / FINE_STRIDE).astype(int) + offsets  # (n, 7)
     rs = np.rint(pixels[:, 1:] / FINE_STRIDE).astype(int) + offsets
@@ -102,38 +137,47 @@ def _splat_fine(fine: np.ndarray, pixels: np.ndarray, desc: np.ndarray) -> np.nd
     # 16 bits or fewer, and a 512-px image has 65,536 fine cells.
     by_cell = np.argsort(cell.astype(np.min_scalar_type(hf * wf - 1)), kind="stable")
     sorted_cells = cell[by_cell]
-    pos = np.arange(len(cell))
-    run_start = np.where(np.diff(sorted_cells, prepend=-1) != 0, pos, 0)
-    k = pos - np.maximum.accumulate(run_start)  # k-th update of its cell
-    perm = by_cell[np.argsort(k.astype(np.min_scalar_type(k.max(initial=0))), kind="stable")]
-    cell, src, g = cell[perm], src[perm], g[perm][:, None]
+    is_start = np.diff(sorted_cells, prepend=-1) != 0
+    starts = np.flatnonzero(is_start)
+    run = np.cumsum(is_start) - 1  # touched cell of each update, in cell order
+    k = np.arange(len(cell)) - starts[run]  # k-th update of its cell
+    counts = np.diff(starts, append=len(cell))
+    top = counts.max(initial=0)
+    rank = np.argsort((top - counts).astype(np.min_scalar_type(top)), kind="stable")
+    slot = np.empty_like(rank)
+    slot[rank] = np.arange(len(rank))
+    sizes = np.bincount(k)  # round k updates the slots [0, sizes[k])
+    order = np.empty_like(by_cell)
+    order[(np.cumsum(sizes) - sizes)[k] + slot[run]] = by_cell
+    src, g = src[order], g[order][:, None]
 
-    flat = fine.reshape(-1, cf)  # a view: `fine` is C-contiguous
+    cells = sorted_cells[starts[rank]]
+    x = np.take(table, np.take(index, cells), axis=0)
     lo = 0
-    for hi in np.cumsum(np.bincount(k)):
-        idx = cell[lo:hi]
-        gk = g[lo:hi]
-        blend = np.take(desc, src[lo:hi], axis=0)
+    for m in sizes:
+        gk = g[lo : lo + m]
+        blend = np.take(desc, src[lo : lo + m], axis=0)
         blend *= gk
-        kept = np.take(flat, idx, axis=0)
+        kept = x[:m]
         kept *= 1.0 - gk
-        blend += kept  # g*desc + (1-g)*x, products in place: same bits, one temporary fewer
-        flat[idx] = blend
-        lo = hi
-    return cell[: np.count_nonzero(k == 0)]  # round 0 holds every touched cell once
+        kept += blend  # (1-g)*x + g*desc: IEEE addition commutes, so the same bits
+        lo += m
+    return cells, x
 
 
-# Rows of the unit-vector table that the fine noise floor is gathered from.
+# Rows of the unit-vector table that the fine noise floor indexes.
 _FINE_FLOOR_TABLE_ROWS = 4096
 
 
-def query_noise_floors(scene: SyntheticScene, view_id: int) -> tuple[np.ndarray, np.ndarray]:
-    """The random unit-vector floors of one query view's coarse and fine maps.
+def query_noise_floors(
+    scene: SyntheticScene, view_id: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The random unit-vector floors of one query view: (coarse, table, index).
 
-    Every coarse cell gets its own normalized Gaussian vector. Every fine
-    cell gets a row of a table of _FINE_FLOOR_TABLE_ROWS such vectors, picked
-    by a random index per cell. Both come from one generator keyed on
-    (seed, view), coarse first.
+    Every coarse cell gets its own normalized Gaussian vector. The fine
+    floor is a table of _FINE_FLOOR_TABLE_ROWS such vectors and a random
+    (H/2, W/2) index into it, one row per fine cell. All come from one
+    generator keyed on (seed, view), coarse first.
     """
     _, intr = scene.views[view_id]
     hc, wc = intr.height // GRID_STRIDE, intr.width // GRID_STRIDE
@@ -143,7 +187,7 @@ def query_noise_floors(scene: SyntheticScene, view_id: int) -> tuple[np.ndarray,
     coarse /= np.linalg.norm(coarse, axis=2, keepdims=True)
     table = rng.standard_normal((_FINE_FLOOR_TABLE_ROWS, scene.desc_fine.shape[1]))
     table /= np.linalg.norm(table, axis=1, keepdims=True)
-    return coarse, np.take(table, rng.integers(0, _FINE_FLOOR_TABLE_ROWS, size=(hf, wf)), axis=0)
+    return coarse, table, rng.integers(0, _FINE_FLOOR_TABLE_ROWS, size=(hf, wf))
 
 
 def synthesize_query_maps(scene: SyntheticScene, view_id: int) -> QueryFeatureMaps:
@@ -153,12 +197,12 @@ def synthesize_query_maps(scene: SyntheticScene, view_id: int) -> QueryFeatureMa
     map each point spreads a Gaussian-shaped descriptor peak (a real feature
     map is smooth, so correlation decays with distance from the feature);
     nearer points are blended over farther ones. Unoccupied cells keep
-    their noise-floor unit vectors, and every fine cell a peak touched is
-    renormalized.
+    their noise-floor rows, and every fine cell a peak touched gets a
+    renormalized row of its own, appended after the floor table.
     """
     pose, intr = scene.views[view_id]
     obs = render_observations(scene, view_id)
-    coarse, fine = query_noise_floors(scene, view_id)
+    coarse, table, index = query_noise_floors(scene, view_id)
 
     win = np.flatnonzero(obs.cell_winner)
     cells = (obs.cells[win] // GRID_STRIDE).astype(int)
@@ -166,11 +210,16 @@ def synthesize_query_maps(scene: SyntheticScene, view_id: int) -> QueryFeatureMa
 
     depths = pose.transform(scene.points[obs.point_ids])[:, 2]
     order = np.argsort(-depths)  # far first; nearer points blend over them
-    touched = _splat_fine(fine, obs.pixels[order], obs.desc_fine[order])
-    flat = fine.reshape(-1, fine.shape[2])
-    flat[touched] /= np.linalg.norm(flat[touched], axis=1, keepdims=True)
+    touched, rows = _splat_fine(table, index, obs.pixels[order], obs.desc_fine[order])
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    np.put(index, touched, np.arange(len(table), len(table) + len(touched)))
 
-    return QueryFeatureMaps(coarse=coarse, fine=fine, intrinsics=intr)
+    return QueryFeatureMaps(
+        coarse=coarse,
+        fine_rows=np.concatenate([table, rows]),
+        fine_index=index,
+        intrinsics=intr,
+    )
 
 
 # Largest span max(S) - min(S) of a score matrix that `dual_softmax` accepts.
@@ -290,6 +339,11 @@ def window_expectation(probabilities: np.ndarray, positions: np.ndarray) -> np.n
     return p @ np.asarray(positions, dtype=float)
 
 
+# Most elements of one block of fine windows, (windows, w*w, C): blocks bound
+# the crop stack and the fine attention's buffers of the same shape.
+_FINE_BLOCK_ELEMENTS = 1 << 21
+
+
 def fine_match_2d3d(
     model: PointCloudModel,
     query: QueryFeatureMaps,
@@ -301,16 +355,17 @@ def fine_match_2d3d(
     """Refine each coarse match to sub-pixel by windowed softmax expectation.
 
     The w x w crop is centered on the coarse cell in the half-resolution
-    map (shifted and flagged at borders); all crops go through the fine
-    stack together as one (M, w*w, C) stack. Correlations are scaled by
-    1/fine_tau: the surrogate descriptors are unit-norm, so an unscaled
-    softmax would flatten the expectation toward the window center. A
-    window wider than the fine map raises ValueError.
+    map (shifted and flagged at borders); the crops go through the fine
+    stack together, in (B, w*w, C) blocks of at most _FINE_BLOCK_ELEMENTS
+    elements. Correlations are scaled by 1/fine_tau: the surrogate
+    descriptors are unit-norm, so an unscaled softmax would flatten the
+    expectation toward the window center. A window wider than the fine map
+    raises ValueError.
     """
     if window % 2 != 1:
         raise ValueError(f"window must be odd, got {window}")
     half = window // 2
-    hf, wf, _ = query.fine.shape
+    hf, wf = query.fine_index.shape
     if window > min(hf, wf):
         raise ValueError(f"window {window} is wider than the {hf} x {wf} fine map")
     out = CorrespondenceSet(
@@ -329,13 +384,42 @@ def fine_match_2d3d(
     cols = c0[:, None] + offsets  # (M, w)
     rows = r0[:, None] + offsets
 
-    # (M, w*w, C) windows in row-major order, and (M, w*w, 2) their (u, v) pixels
-    f2 = query.fine[rows[:, :, None], cols[:, None, :]].reshape(len(cf), window * window, -1)
+    block = max(1, _FINE_BLOCK_ELEMENTS // (window * window * query.fine_rows.shape[1]))
+    pixels, conf = [], []
+    for lo in range(0, corr.n_coarse, block):
+        at = slice(lo, lo + block)
+        pix, p_max = _window_expectations(
+            model.fine_features[corr.coarse_points[at]], query, rows[at], cols[at], stack, fine_tau
+        )
+        pixels.append(pix)
+        conf.append(p_max)
+
+    out.fine_points = corr.coarse_points.astype(int)
+    out.fine_pixels = np.concatenate(pixels)
+    out.fine_conf = np.concatenate(conf)
+    out.fine_clamped = (c0 != cf - half) | (r0 != rf - half)
+    return out
+
+
+def _window_expectations(
+    features: np.ndarray,
+    query: QueryFeatureMaps,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    stack: AttentionStack,
+    fine_tau: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Expected pixel and peak probability of each (B, C) point feature over
+    the window of fine-map rows x cols (each (B, w)) it is matched in."""
+    n, window = rows.shape
+    # (B, w*w, C) windows in row-major order, and (B, w*w, 2) their (u, v) pixels
+    cells = query.fine_index[rows[:, :, None], cols[:, None, :]].reshape(n, window * window)
+    f2 = np.take(query.fine_rows, cells, axis=0)
     positions = np.stack(
         [np.tile(cols * FINE_STRIDE, window), np.repeat(rows * FINE_STRIDE, window, axis=1)],
         axis=2,
     ).astype(float)
-    f3 = model.fine_features[corr.coarse_points][:, None, :]  # (M, 1, C)
+    f3 = features[:, None, :]  # (B, 1, C)
     if stack.n_layers > 0:
         f3, f2 = stack.transform(f3, f2)
         f3 = f3 / np.maximum(np.linalg.norm(f3, axis=-1, keepdims=True), 1e-12)
@@ -345,12 +429,7 @@ def fine_match_2d3d(
     logits -= logits.max(axis=1, keepdims=True)
     p = np.exp(logits)
     p /= p.sum(axis=1, keepdims=True)
-
-    out.fine_points = corr.coarse_points.astype(int)
-    out.fine_pixels = window_expectation(p[:, None, :], positions)[:, 0]
-    out.fine_conf = p.max(axis=1)
-    out.fine_clamped = (c0 != cf - half) | (r0 != rf - half)
-    return out
+    return window_expectation(p[:, None, :], positions)[:, 0], p.max(axis=1)
 
 
 def ground_truth_matches(

@@ -185,7 +185,7 @@ class TestAcceptance:
                 track_ids=np.arange(n),
             )
             intr = CameraIntrinsics(fx=200, fy=200, cx=size / 2, cy=size / 2, width=size, height=size)
-            query = QueryFeatureMaps(
+            query = QueryFeatureMaps.from_dense(
                 coarse=_unit(rng.standard_normal((hw, hw, c))),
                 fine=_unit(rng.standard_normal((size // 2, size // 2, c))),
                 intrinsics=intr,

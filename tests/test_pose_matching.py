@@ -1,11 +1,13 @@
 """Coarse/fine 2D-3D matching: dual-softmax, MNN selection, window expectation."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import support
+from semidense import pose_matching
 from semidense.attention import AttentionStack
 from semidense.matching import OracleMatcher, select_view_pairs
 from semidense.geometry import CameraIntrinsics, SE3Pose
@@ -64,14 +66,16 @@ def random_query(rng, hw=16, cc=16, cf=16) -> QueryFeatureMaps:
     coarse /= np.linalg.norm(coarse, axis=2, keepdims=True)
     fine = rng.standard_normal((size // 2, size // 2, cf))
     fine /= np.linalg.norm(fine, axis=2, keepdims=True)
-    return QueryFeatureMaps(coarse=coarse, fine=fine, intrinsics=intr)
+    return QueryFeatureMaps.from_dense(coarse, fine, intr)
 
 
 def reference_query_maps(scene, view_id):
-    """Per-point splat loop: the oracle for `synthesize_query_maps`, over the same noise floors."""
+    """Per-point splat loop over the dense floor table[index]: the oracle for
+    `synthesize_query_maps`, over the same noise floors."""
     pose, intr = scene.views[view_id]
     obs = render_observations(scene, view_id)
-    coarse, fine = query_noise_floors(scene, view_id)
+    coarse, table, index = query_noise_floors(scene, view_id)
+    fine = table[index]
     hf, wf, _ = fine.shape
     touched = np.zeros((hf, wf), dtype=bool)
 
@@ -104,7 +108,8 @@ def reference_query_maps(scene, view_id):
 def reference_fine_match(model, query, corr, stack, window=5, fine_tau=0.08):
     """Per-window loop: the oracle for `fine_match_2d3d`."""
     half = window // 2
-    hf, wf, _ = query.fine.shape
+    fine = query.fine_rows[query.fine_index]
+    hf, wf, _ = fine.shape
     points, pixels, confs, clamped = [], [], [], []
     offsets = np.arange(window)
     for j, cell in zip(corr.coarse_points, corr.coarse_pixels):
@@ -112,7 +117,7 @@ def reference_fine_match(model, query, corr, stack, window=5, fine_tau=0.08):
         rf = int(cell[1] // FINE_STRIDE)
         c0 = int(np.clip(cf - half, 0, wf - window))
         r0 = int(np.clip(rf - half, 0, hf - window))
-        crop = query.fine[r0 : r0 + window, c0 : c0 + window].reshape(-1, query.fine.shape[2])
+        crop = fine[r0 : r0 + window, c0 : c0 + window].reshape(-1, fine.shape[2])
         pos_u = (c0 + offsets) * FINE_STRIDE
         pos_v = (r0 + offsets) * FINE_STRIDE
         positions = np.stack(
@@ -142,7 +147,7 @@ def reference_fine_match(model, query, corr, stack, window=5, fine_tau=0.08):
 
 def searchsorted_splat_fine(fine, pixels, desc):
     """The splat in rounds with each cell's update number from `searchsorted`: the
-    reference for the radix-ordered `_splat_fine`, over the same arithmetic."""
+    reference for the rank-ordered `_splat_fine`, over the same arithmetic on a dense map."""
     hf, wf, cf = fine.shape
     offsets = np.arange(-_FINE_SPLAT_RADIUS_CELLS, _FINE_SPLAT_RADIUS_CELLS + 1)
     cs = np.rint(pixels[:, :1] / FINE_STRIDE).astype(int) + offsets
@@ -409,7 +414,12 @@ class TestSynthesizeQueryMaps:
         qmaps = synthesize_query_maps(scene, view_id)
         coarse, fine = reference_query_maps(scene, view_id)
         np.testing.assert_array_equal(qmaps.coarse, coarse)
-        np.testing.assert_array_equal(qmaps.fine, fine)
+        np.testing.assert_array_equal(qmaps.fine_rows[qmaps.fine_index], fine)
+        # the floor rows are untouched and every appended row belongs to one cell
+        _, table, _ = query_noise_floors(scene, view_id)
+        np.testing.assert_array_equal(qmaps.fine_rows[: len(table)], table)
+        refs = np.bincount(qmaps.fine_index.ravel(), minlength=len(qmaps.fine_rows))
+        assert np.all(refs[len(table) :] == 1)
 
     def test_noisy_view_with_dropout(self):
         noise = NoiseModel(descriptor_noise_sigma=0.1, dropout_rate=0.1)
@@ -442,25 +452,40 @@ class TestSynthesizeQueryMaps:
         assert render_observations(scene, 0).point_ids.size == 0
         self._assert_equals_loop(scene, 0)
 
+    def test_no_dense_fine_map_allocated(self):
+        scene = generate_scene(86, 300, 3, ZERO)
+        tracemalloc.start()
+        try:
+            qmaps = synthesize_query_maps(scene, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        dense_bytes = qmaps.fine_index.size * qmaps.fine_rows.itemsize * qmaps.fine_rows.shape[1]
+        assert dense_bytes == 256 * 256 * 32 * 8 and peak < dense_bytes
+        assert len(qmaps.fine_rows) == 4096 + np.count_nonzero(qmaps.fine_index >= 4096)
 
     def test_noise_floors(self):
         scene = generate_scene(86, 300, 3, NoiseModel(descriptor_noise_sigma=0.1))
-        coarse, fine = query_noise_floors(scene, 1)
+        coarse, table, index = query_noise_floors(scene, 1)
         again = query_noise_floors(scene, 1)
-        assert np.array_equal(coarse, again[0]) and np.array_equal(fine, again[1])
-        assert not np.array_equal(fine, query_noise_floors(scene, 2)[1])
+        for a, b in zip((coarse, table, index), again):
+            assert np.array_equal(a, b)
+        other = query_noise_floors(scene, 2)
+        assert not np.array_equal(table, other[1]) and not np.array_equal(index, other[2])
         np.testing.assert_allclose(np.linalg.norm(coarse, axis=2), 1.0, atol=1e-12)
-        np.testing.assert_allclose(np.linalg.norm(fine, axis=2), 1.0, atol=1e-12)
-        # the 256 x 256 fine cells gather rows of one 4096-row table
-        distinct = np.unique(fine.reshape(-1, fine.shape[2]), axis=0)
-        assert 4000 < len(distinct) <= 4096
+        # the 256 x 256 fine cells index rows of one table of 4096 unit rows
+        assert table.shape == (4096, scene.desc_fine.shape[1]) and index.shape == (256, 256)
+        np.testing.assert_allclose(np.linalg.norm(table, axis=1), 1.0, atol=1e-12)
+        assert np.issubdtype(index.dtype, np.integer)
+        assert index.min() >= 0 and index.max() < 4096 and len(np.unique(index)) > 4000
         # untouched cells keep their unit floor and touched ones are renormalized
         qmaps = synthesize_query_maps(scene, 1)
-        np.testing.assert_allclose(np.linalg.norm(qmaps.fine, axis=2), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(qmaps.fine_rows, axis=1), 1.0, atol=1e-12)
+        assert 4096 < len(qmaps.fine_rows) <= 4096 + 256 * 256
 
 
 class TestSplatFine:
-    """The radix-ordered splat equals the searchsorted reference bit for bit."""
+    """The compact splat equals the searchsorted reference on the dense map bit for bit."""
 
     @pytest.mark.parametrize("size, key_type", [(512, np.uint16), (2048, np.uint32)])
     def test_equals_searchsorted_reference(self, size, key_type):
@@ -475,13 +500,51 @@ class TestSplatFine:
             ]
         )
         desc = _unit_rows(rng, len(pixels), 4)
-        fine = _unit_rows(rng, hf * hf, 4).reshape(hf, hf, 4)
-        ref = fine.copy()
-        touched = _splat_fine(fine, pixels, desc)
+        table = _unit_rows(rng, 4096, 4)
+        index = rng.integers(0, len(table), (hf, hf))
+        ref = table[index]
+        touched, rows = _splat_fine(table, index, pixels, desc)
         ref_touched, rounds = searchsorted_splat_fine(ref, pixels, desc)
         assert rounds > 20  # clustered peaks update one cell many times
-        np.testing.assert_array_equal(touched, ref_touched)
-        np.testing.assert_array_equal(fine, ref)
+        np.testing.assert_array_equal(np.sort(touched), ref_touched)  # each touched cell once
+        fine = table[index].reshape(hf * hf, 4)
+        fine[touched] = rows
+        np.testing.assert_array_equal(fine.reshape(ref.shape), ref)
+
+
+class TestQueryFeatureMaps:
+    """The constructor names the fine field that is malformed."""
+
+    INTR = CameraIntrinsics(fx=50.0, fy=50.0, cx=16.0, cy=16.0, width=32, height=32)
+
+    def _maps(self, fine_rows, fine_index):
+        return QueryFeatureMaps(np.ones((4, 4, 2)), fine_rows, fine_index, self.INTR)
+
+    def test_dense_maps_index_one_row_per_cell(self):
+        fine = np.arange(16 * 16 * 2.0).reshape(16, 16, 2)
+        query = QueryFeatureMaps.from_dense(np.ones((4, 4, 2)), fine, self.INTR)
+        np.testing.assert_array_equal(query.fine_rows[query.fine_index], fine)
+        assert len(query.fine_rows) == 16 * 16
+
+    def test_index_not_a_2d_integer_array(self):
+        rows = np.ones((3, 2))
+        for bad in (np.zeros(16, dtype=int), np.zeros((2, 2, 2), dtype=int), np.zeros((4, 4))):
+            with pytest.raises(ValueError, match="fine_index must be a 2-D integer array"):
+                self._maps(rows, bad)
+
+    def test_index_out_of_range(self):
+        rows = np.ones((3, 2))
+        for entry in (-1, 3):
+            index = np.zeros((4, 4), dtype=int)
+            index[2, 1] = entry
+            with pytest.raises(ValueError, match=r"fine_index entries must lie in \[0, 3\)"):
+                self._maps(rows, index)
+        self._maps(rows, np.full((4, 4), 2))  # the last row is in range
+
+    def test_rows_not_2d(self):
+        for bad in (np.ones(6), np.ones((3, 2, 1))):
+            with pytest.raises(ValueError, match="fine_rows must be 2-D"):
+                self._maps(bad, np.zeros((4, 4), dtype=int))
 
 
 class TestWindowExpectation:
@@ -571,6 +634,31 @@ class TestFineMatch2d3d:
             np.testing.assert_array_equal(out.fine_conf, conf)
             np.testing.assert_array_equal(out.fine_clamped, clamped)
             assert clamped[1:4].all() and not clamped[0]
+
+    @pytest.mark.parametrize("window", [5, 9])
+    def test_blocks_equal_one_block(self, window, monkeypatch):
+        rng = np.random.default_rng(91)
+        model = random_model(rng, n=70)
+        dense = random_query(rng)
+        table = _unit_rows(rng, 500, 16)  # cells share rows, as in a synthesized map
+        index = rng.integers(0, len(table), dense.fine_index.shape)
+        query = QueryFeatureMaps(dense.coarse, table, index, dense.intrinsics)
+        corr = CorrespondenceSet(
+            coarse_points=rng.permutation(70),
+            coarse_pixels=rng.integers(0, 16, size=(70, 2)) * GRID_STRIDE + GRID_STRIDE / 2.0,
+            coarse_conf=np.ones(70),
+        )
+        for stack in (BYPASS, AttentionStack.random(1, 16, seed=92)):
+            whole = fine_match_2d3d(model, query, corr, stack, window=window)
+            for n_windows in (1, 7, 64):
+                monkeypatch.setattr(
+                    pose_matching, "_FINE_BLOCK_ELEMENTS", n_windows * window * window * 16
+                )
+                out = fine_match_2d3d(model, query, corr, stack, window=window)
+                np.testing.assert_array_equal(out.fine_pixels, whole.fine_pixels)
+                np.testing.assert_array_equal(out.fine_conf, whole.fine_conf)
+                np.testing.assert_array_equal(out.fine_clamped, whole.fine_clamped)
+            monkeypatch.undo()
 
     def test_even_window_rejected(self):
         rng = np.random.default_rng(81)
