@@ -6,8 +6,8 @@ chains the four stages in memory and writes the same files. Every command
 is deterministic given its config and seed.
 
 Exit codes, all set in `main`: 0 on success, 2 on usage/validation errors
-(ValueError, OSError), 3 when a stage produces an empty result (no tracks,
-no poses).
+(ValueError, OSError) and when memory runs out (MemoryError), 3 when a
+stage produces an empty result (no tracks, no poses).
 """
 
 from __future__ import annotations
@@ -118,8 +118,10 @@ def reconstruct_scene(scene, config: RunConfig, recon_views: list[int]):
 def estimate_views(scene, model, config: RunConfig, query_views, stacks=None):
     """Coarse match -> fine match -> RANSAC PnP per query view.
 
-    The coarse block runs in float32 where tau leaves the float32
-    dual-softmax its headroom, else in float64; the rest runs in float64.
+    Each view's maps cover the oracle's object box, grown to hold a fine
+    window (synthesize_query_maps). The coarse block runs in float32 where
+    tau leaves the float32 dual-softmax its headroom, else in float64; the
+    rest runs in float64.
     """
     coarse_stack, fine_stack = stacks if stacks else _default_stacks(config)
     coarse_dtype = np.float32 if config.tau >= COARSE_FLOAT32_MIN_TAU else np.float64
@@ -130,7 +132,7 @@ def estimate_views(scene, model, config: RunConfig, query_views, stacks=None):
     results = []
     for view in query_views:
         t0 = time.perf_counter()
-        qmaps = synthesize_query_maps(scene, view)
+        qmaps = synthesize_query_maps(scene, view, config.fine_window)
         qmaps = dataclasses.replace(qmaps, coarse=qmaps.coarse.astype(coarse_dtype, copy=False))
         # keep only the matches: the (M, N) score and probability matrices
         # and this view's maps are freed before the next view builds its own
@@ -567,6 +569,9 @@ def main(argv=None) -> int:
         return EXIT_EMPTY
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as e:
+        print(f"error: out of memory: {str(e) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK
 

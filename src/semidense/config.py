@@ -18,6 +18,10 @@ from .scene import NoiseModel
 # Unit-norm features score within +-1/tau, a span of 2/tau, which the
 # one-pass dual-softmax accepts up to DUAL_SOFTMAX_MAX_SPAN.
 MIN_TAU = 2.0 / DUAL_SOFTMAX_MAX_SPAN
+# At tau = 1e6 every score lies within +-1e-6, so the dual-softmax is uniform
+# to 2e-6 and a larger tau matches nothing better; the float32 coarse block
+# would turn a tau past ~3.4e38 into inf.
+MAX_TAU = 1e6
 
 
 @dataclass
@@ -87,6 +91,7 @@ class RunConfig:
                 self.tau >= MIN_TAU,
                 f"tau must be at least {MIN_TAU:.6g} (2 / the dual-softmax span bound)",
             ),
+            (self.tau <= MAX_TAU, f"tau must be at most {MAX_TAU:g}"),
             (0 <= self.theta <= 1, "theta must be in [0, 1]"),
             (_positive_odd(self.fine_window), "fine_window must be a positive odd integer"),
             (

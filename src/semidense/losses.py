@@ -2,8 +2,8 @@
 
 The coarse module is supervised with a focal loss between the dual-softmax
 probability matrix and the binary ground-truth match matrix (built by
-projecting observable model points into the query frame); the fine module
-with a squared-l2 loss between predicted and ground-truth sub-pixel
+projecting observable model points into the query maps' window); the fine
+module with a squared-l2 loss between predicted and ground-truth sub-pixel
 locations. The total is a weighted sum. Gradients with respect to the
 score matrix chain analytically through the dual-softmax.
 """
@@ -22,14 +22,16 @@ COARSE_LOSS_WEIGHT = 1.0
 FINE_LOSS_WEIGHT = 1.0
 
 
-def gt_probability_matrix(model, pose, intrinsics, n_cells: int) -> np.ndarray:
+def gt_probability_matrix(model, pose, query) -> np.ndarray:
     """Binary (n_points, n_cells) coarse supervision target for one query view.
 
-    Entry (j, q) is 1 iff model point j is observable under the pose and its
-    projection falls into flattened coarse grid cell q.
+    The columns are the n_cells coarse cells of the query maps' window, as
+    in coarse_match_2d3d's scores. Entry (j, q) is 1 iff model point j is
+    observable under the pose and its projection falls into window cell q;
+    a point projecting outside the window is unobserved.
     """
-    ok, cells, _ = ground_truth_matches(model, pose, intrinsics)
-    gt = np.zeros((model.n_points, n_cells))
+    ok, cells, _ = ground_truth_matches(model, pose, query)
+    gt = np.zeros((model.n_points, query.coarse.shape[0] * query.coarse.shape[1]))
     idx = np.flatnonzero(ok)
     gt[idx, cells[idx]] = 1.0
     return gt

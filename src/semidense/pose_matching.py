@@ -7,9 +7,11 @@ half-resolution feature map around each coarse match is correlated with the
 point's fine descriptor; the sub-pixel location is the probability-weighted
 expectation over the window.
 
-Query feature maps are synthesized from the scene oracle by splatting
-observed point descriptors over a random noise floor; the map container is
-the seam where a learned image backbone would plug in.
+Query feature maps cover a window of the query image, the object's box:
+the oracle box (`oracle_object_box`) stands in for a detector. They are
+synthesized from the scene oracle by splatting observed point descriptors
+over a random noise floor; the map container is the seam where a learned
+image backbone would plug in. Pixels stay in the image frame throughout.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from .attention import AttentionStack, positional_encode
 from .geometry import CameraIntrinsics, project_with_depth
 from .refine import PointCloudModel
-from .scene import GRID_STRIDE, SyntheticScene, render_observations
+from .scene import GRID_STRIDE, SyntheticScene, ViewObservations, render_observations
 
 FINE_STRIDE = 2
 
@@ -34,19 +36,32 @@ DEFAULT_FINE_WINDOW = 5
 
 @dataclass(frozen=True, eq=False)
 class QueryFeatureMaps:
-    """Coarse (1/8) and fine (1/2) descriptor grids of one query image.
+    """Coarse (1/8) and fine (1/2) descriptor grids over a window of one query image.
 
-    The fine grid is a row table plus a cell index: fine cell (r, c) holds
-    the descriptor fine_rows[fine_index[r, c]], so cells may share a row. A
-    dense (H/2, W/2, C_f) map is the case of one row per cell (`from_dense`).
+    The window's first coarse cell is cell `origin` = (column, row) of the
+    image's coarse grid; its h x w coarse cells cover 4h x 4w fine cells.
+    The full image is the window with origin (0, 0). The fine grid is a row
+    table plus a cell index: fine cell (r, c) holds the descriptor
+    fine_rows[fine_index[r, c]], so cells may share a row. A dense
+    (h', w', C_f) map is the case of one row per cell (`from_dense`).
     """
 
-    coarse: np.ndarray      # (H/8, W/8, C_c) unit rows
+    coarse: np.ndarray      # (h, w, C_c) unit rows
     fine_rows: np.ndarray   # (R, C_f) unit rows
-    fine_index: np.ndarray  # (H/2, W/2) integer row of each fine cell
+    fine_index: np.ndarray  # (4h, 4w) integer row of each fine cell
     intrinsics: CameraIntrinsics
+    origin: tuple[int, int] = (0, 0)
 
     def __post_init__(self):
+        object.__setattr__(self, "origin", tuple(int(x) for x in self.origin))
+        c0, r0 = self.origin
+        h, w = np.shape(self.coarse)[:2]
+        hc, wc = self.intrinsics.height // GRID_STRIDE, self.intrinsics.width // GRID_STRIDE
+        if not (0 <= c0 <= wc - w and 0 <= r0 <= hc - h):
+            raise ValueError(
+                f"a {h} x {w} coarse window at origin {self.origin} leaves the image's "
+                f"{hc} x {wc} grid"
+            )
         if np.ndim(self.fine_rows) != 2:
             raise ValueError(f"fine_rows must be 2-D, got shape {np.shape(self.fine_rows)}")
         index = np.asarray(self.fine_index)
@@ -60,21 +75,34 @@ class QueryFeatureMaps:
 
     @classmethod
     def from_dense(
-        cls, coarse: np.ndarray, fine: np.ndarray, intrinsics: CameraIntrinsics
+        cls,
+        coarse: np.ndarray,
+        fine: np.ndarray,
+        intrinsics: CameraIntrinsics,
+        origin: tuple[int, int] = (0, 0),
     ) -> "QueryFeatureMaps":
-        """Maps over a dense (H/2, W/2, C_f) fine grid: one row per cell, row-major."""
+        """Maps over a dense (h', w', C_f) fine grid: one row per cell, row-major.
+
+        By default the window is the full image, with origin (0, 0).
+        """
         hf, wf, cf = fine.shape
         return cls(
             coarse=coarse,
             fine_rows=fine.reshape(hf * wf, cf),
             fine_index=np.arange(hf * wf).reshape(hf, wf),
             intrinsics=intrinsics,
+            origin=origin,
         )
 
+    @property
+    def fine_origin(self) -> np.ndarray:
+        """(column, row) of the window's first fine cell in the image's fine grid."""
+        return np.asarray(self.origin) * (GRID_STRIDE // FINE_STRIDE)
+
     def coarse_cell_pixels(self) -> np.ndarray:
-        """Pixel centers of the flattened (row-major) coarse grid."""
+        """Image-frame pixel centers of the window's flattened (row-major) coarse grid."""
         h, w, _ = self.coarse.shape
-        cols, rows = np.meshgrid(np.arange(w), np.arange(h))
+        cols, rows = np.meshgrid(np.arange(w) + self.origin[0], np.arange(h) + self.origin[1])
         u = cols * GRID_STRIDE + GRID_STRIDE / 2.0
         v = rows * GRID_STRIDE + GRID_STRIDE / 2.0
         return np.stack([u.ravel(), v.ravel()], axis=1)
@@ -102,39 +130,48 @@ class CorrespondenceSet:
 
 
 # Spatial footprint of a point's fine descriptor in the synthesized map (px).
+# The 5x5 stencil's dropped ring would sit >= 5 px from the peak, where
+# g <= exp(-12.5).
 FINE_SPLAT_SIGMA_PX = 1.0
-_FINE_SPLAT_RADIUS_CELLS = 3
+_FINE_SPLAT_RADIUS_CELLS = 2
 
 
 def _splat_fine(
-    table: np.ndarray, index: np.ndarray, pixels: np.ndarray, desc: np.ndarray
+    table: np.ndarray,
+    index: np.ndarray,
+    pixels: np.ndarray,
+    desc: np.ndarray,
+    origin=(0, 0),
 ) -> tuple[np.ndarray, np.ndarray]:
     """Blend each row's Gaussian descriptor peak into the fine map table[index], in row order.
 
-    A peak updates every cell x of its clipped 7x7 stencil to
+    The map is a window of the image's fine grid whose first cell is fine
+    cell `origin` = (column, row); pixels are in the image frame. A peak
+    updates every cell x of its 5x5 stencil, clipped to the window, to
     g*desc + (1-g)*x. Only the touched cells' rows are gathered, ranked by
     update count, most first. The updates are applied in rounds: round k
     holds the k-th update of every cell that has one, which is a prefix of
     the ranking, so no cell repeats within a round and each cell receives
     its updates in row order, with the same arithmetic as blending one row
-    at a time. Returns the flat (row-major) indices of the touched cells,
-    each once in rank order, and their blended rows.
+    at a time. Returns the flat (row-major) window indices of the touched
+    cells, each once in rank order, and their blended rows.
     """
     hf, wf = index.shape
     offsets = np.arange(-_FINE_SPLAT_RADIUS_CELLS, _FINE_SPLAT_RADIUS_CELLS + 1)
-    cs = np.rint(pixels[:, :1] / FINE_STRIDE).astype(int) + offsets  # (n, 7)
+    cs = np.rint(pixels[:, :1] / FINE_STRIDE).astype(int) + offsets  # (n, 5), image frame
     rs = np.rint(pixels[:, 1:] / FINE_STRIDE).astype(int) + offsets
     du = cs * FINE_STRIDE - pixels[:, :1]
     dv = rs * FINE_STRIDE - pixels[:, 1:]
     d2 = dv[:, :, None] ** 2 + du[:, None, :] ** 2
     g = np.exp(-d2 / (2.0 * FINE_SPLAT_SIGMA_PX**2))
+    cs, rs = cs - origin[0], rs - origin[1]  # the window's frame
     inside = ((rs >= 0) & (rs < hf))[:, :, None] & ((cs >= 0) & (cs < wf))[:, None, :]
     cell = (rs[:, :, None] * wf + cs[:, None, :])[inside]  # row-major: in row order
     src = np.broadcast_to(np.arange(len(pixels))[:, None, None], inside.shape)[inside]
     g = g[inside]
 
     # Stable sorts on the narrowest unsigned keys: numpy radix-sorts keys of
-    # 16 bits or fewer, and a 512-px image has 65,536 fine cells.
+    # 16 bits or fewer, which hold windows of up to 65,536 fine cells.
     by_cell = np.argsort(cell.astype(np.min_scalar_type(hf * wf - 1)), kind="stable")
     sorted_cells = cell[by_cell]
     is_start = np.diff(sorted_cells, prepend=-1) != 0
@@ -168,20 +205,56 @@ def _splat_fine(
 # Rows of the unit-vector table that the fine noise floor indexes.
 _FINE_FLOOR_TABLE_ROWS = 4096
 
+# Margin (px) of the oracle object box around the view's observed pixels.
+OBJECT_BOX_PAD_PX = 16
 
-def query_noise_floors(
-    scene: SyntheticScene, view_id: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The random unit-vector floors of one query view: (coarse, table, index).
 
-    Every coarse cell gets its own normalized Gaussian vector. The fine
-    floor is a table of _FINE_FLOOR_TABLE_ROWS such vectors and a random
-    (H/2, W/2) index into it, one row per fine cell. All come from one
-    generator keyed on (seed, view), coarse first.
+def oracle_object_box(
+    scene: SyntheticScene,
+    view_id: int,
+    fine_window: int = DEFAULT_FINE_WINDOW,
+    obs: ViewObservations | None = None,
+) -> tuple[int, int, int, int]:
+    """The oracle's object detection in one query view: a pixel box (u0, v0, u1, v1).
+
+    The half-open box holds every observed pixel with OBJECT_BOX_PAD_PX to
+    spare, is snapped outward to the coarse grid and clipped to the image,
+    then grows inside the image to at least `fine_window` fine cells per
+    side, so that every fine window fits. With no observed pixel it is the
+    whole image. `obs` is the view's render_observations, when the caller
+    has it.
     """
     _, intr = scene.views[view_id]
-    hc, wc = intr.height // GRID_STRIDE, intr.width // GRID_STRIDE
-    hf, wf = intr.height // FINE_STRIDE, intr.width // FINE_STRIDE
+    n = np.array([intr.width, intr.height]) // GRID_STRIDE  # the image's coarse cells
+    if obs is None:
+        obs = render_observations(scene, view_id)
+    if len(obs.pixels) == 0:
+        lo, hi = np.zeros(2, dtype=int), n
+    else:
+        lo = np.floor((obs.pixels.min(axis=0) - OBJECT_BOX_PAD_PX) / GRID_STRIDE).astype(int)
+        hi = np.ceil((obs.pixels.max(axis=0) + OBJECT_BOX_PAD_PX) / GRID_STRIDE).astype(int)
+        lo, hi = np.maximum(lo, 0), np.minimum(hi, n)
+    need = np.minimum(-(-fine_window * FINE_STRIDE // GRID_STRIDE), n)
+    lo = np.clip(lo - np.maximum(need - (hi - lo), 0) // 2, 0, n - need)
+    hi = np.maximum(hi, lo + need)
+    u0, v0, u1, v1 = (int(x) * GRID_STRIDE for x in (*lo, *hi))
+    return u0, v0, u1, v1
+
+
+def query_noise_floors(
+    scene: SyntheticScene, view_id: int, box: tuple[int, int, int, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The random unit-vector floors of one query view's window: (coarse, table, index).
+
+    `box` is the window's pixel box (u0, v0, u1, v1) on the coarse grid.
+    Every coarse cell of the window gets its own normalized Gaussian
+    vector. The fine floor is a table of _FINE_FLOOR_TABLE_ROWS such
+    vectors and a random index into it, one row per fine cell of the
+    window. All come from one generator keyed on (seed, view), coarse first.
+    """
+    u0, v0, u1, v1 = box
+    hc, wc = (v1 - v0) // GRID_STRIDE, (u1 - u0) // GRID_STRIDE
+    hf, wf = (v1 - v0) // FINE_STRIDE, (u1 - u0) // FINE_STRIDE
     rng = np.random.default_rng([scene.seed, _STREAM_QUERY_MAPS, view_id])
     coarse = rng.standard_normal((hc, wc, scene.desc_coarse.shape[1]))
     coarse /= np.linalg.norm(coarse, axis=2, keepdims=True)
@@ -190,27 +263,42 @@ def query_noise_floors(
     return coarse, table, rng.integers(0, _FINE_FLOOR_TABLE_ROWS, size=(hf, wf))
 
 
-def synthesize_query_maps(scene: SyntheticScene, view_id: int) -> QueryFeatureMaps:
-    """Splat observed descriptors onto coarse/fine grids over a noise floor.
+def synthesize_query_maps(
+    scene: SyntheticScene,
+    view_id: int,
+    fine_window: int = DEFAULT_FINE_WINDOW,
+    box: tuple[int, int, int, int] | None = None,
+) -> QueryFeatureMaps:
+    """Splat observed descriptors onto coarse/fine grids over a noise floor, in a window.
 
-    Coarse cells take their winning point's observed descriptor. On the fine
-    map each point spreads a Gaussian-shaped descriptor peak (a real feature
-    map is smooth, so correlation decays with distance from the feature);
-    nearer points are blended over farther ones. Unoccupied cells keep
-    their noise-floor rows, and every fine cell a peak touched gets a
-    renormalized row of its own, appended after the floor table.
+    The window is `box`, by default the oracle's object box for
+    `fine_window` (oracle_object_box). Coarse cells take their winning
+    point's observed descriptor. On the fine map each point spreads a
+    Gaussian-shaped descriptor peak (a real feature map is smooth, so
+    correlation decays with distance from the feature); nearer points are
+    blended over farther ones. Unoccupied cells keep their noise-floor
+    rows, and every fine cell a peak touched gets a renormalized row of its
+    own, appended after the floor table. What falls outside the window is
+    dropped.
     """
     pose, intr = scene.views[view_id]
     obs = render_observations(scene, view_id)
-    coarse, table, index = query_noise_floors(scene, view_id)
+    if box is None:
+        box = oracle_object_box(scene, view_id, fine_window, obs)
+    coarse, table, index = query_noise_floors(scene, view_id, box)
+    origin = np.array(box[:2]) // GRID_STRIDE
 
     win = np.flatnonzero(obs.cell_winner)
-    cells = (obs.cells[win] // GRID_STRIDE).astype(int)
-    coarse[cells[:, 1], cells[:, 0]] = obs.desc_coarse[win]
+    cells = (obs.cells[win] // GRID_STRIDE).astype(int) - origin
+    inside = np.all((cells >= 0) & (cells < coarse.shape[1::-1]), axis=1)
+    coarse[cells[inside, 1], cells[inside, 0]] = obs.desc_coarse[win[inside]]
 
     depths = pose.transform(scene.points[obs.point_ids])[:, 2]
     order = np.argsort(-depths)  # far first; nearer points blend over them
-    touched, rows = _splat_fine(table, index, obs.pixels[order], obs.desc_fine[order])
+    fine_origin = np.array(box[:2]) // FINE_STRIDE
+    touched, rows = _splat_fine(
+        table, index, obs.pixels[order], obs.desc_fine[order], fine_origin
+    )
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     np.put(index, touched, np.arange(len(table), len(table) + len(touched)))
 
@@ -219,6 +307,7 @@ def synthesize_query_maps(scene: SyntheticScene, view_id: int) -> QueryFeatureMa
         fine_rows=np.concatenate([table, rows]),
         fine_index=index,
         intrinsics=intr,
+        origin=tuple(origin),
     )
 
 
@@ -355,9 +444,9 @@ def fine_match_2d3d(
     """Refine each coarse match to sub-pixel by windowed softmax expectation.
 
     The w x w crop is centered on the coarse cell in the half-resolution
-    map (shifted and flagged at borders); the crops go through the fine
-    stack together, in (B, w*w, C) blocks of at most _FINE_BLOCK_ELEMENTS
-    elements. Correlations are scaled by 1/fine_tau: the surrogate
+    map (shifted and flagged at the borders of the maps' window); the crops
+    go through the fine stack together, in (B, w*w, C) blocks of at most
+    _FINE_BLOCK_ELEMENTS elements. Correlations are scaled by 1/fine_tau: the surrogate
     descriptors are unit-norm, so an unscaled softmax would flatten the
     expectation toward the window center. A window wider than the fine map
     raises ValueError.
@@ -377,8 +466,9 @@ def fine_match_2d3d(
         return out
 
     offsets = np.arange(window)
-    cf = (corr.coarse_pixels[:, 0] // FINE_STRIDE).astype(int)
-    rf = (corr.coarse_pixels[:, 1] // FINE_STRIDE).astype(int)
+    # the matched fine cell in the window's frame
+    cf = (corr.coarse_pixels[:, 0] // FINE_STRIDE).astype(int) - query.fine_origin[0]
+    rf = (corr.coarse_pixels[:, 1] // FINE_STRIDE).astype(int) - query.fine_origin[1]
     c0 = np.clip(cf - half, 0, wf - window)
     r0 = np.clip(rf - half, 0, hf - window)
     cols = c0[:, None] + offsets  # (M, w)
@@ -410,15 +500,15 @@ def _window_expectations(
     fine_tau: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Expected pixel and peak probability of each (B, C) point feature over
-    the window of fine-map rows x cols (each (B, w)) it is matched in."""
+    the window of fine-map rows x cols (each (B, w), in the maps' frame) it
+    is matched in."""
     n, window = rows.shape
-    # (B, w*w, C) windows in row-major order, and (B, w*w, 2) their (u, v) pixels
+    # (B, w*w, C) windows in row-major order, and (B, w*w, 2) their image-frame (u, v) pixels
     cells = query.fine_index[rows[:, :, None], cols[:, None, :]].reshape(n, window * window)
     f2 = np.take(query.fine_rows, cells, axis=0)
-    positions = np.stack(
-        [np.tile(cols * FINE_STRIDE, window), np.repeat(rows * FINE_STRIDE, window, axis=1)],
-        axis=2,
-    ).astype(float)
+    u = (cols + query.fine_origin[0]) * FINE_STRIDE
+    v = (rows + query.fine_origin[1]) * FINE_STRIDE
+    positions = np.stack([np.tile(u, window), np.repeat(v, window, axis=1)], axis=2).astype(float)
     f3 = features[:, None, :]  # (B, 1, C)
     if stack.n_layers > 0:
         f3, f2 = stack.transform(f3, f2)
@@ -433,21 +523,22 @@ def _window_expectations(
 
 
 def ground_truth_matches(
-    model: PointCloudModel,
-    pose,
-    intrinsics: CameraIntrinsics,
+    model: PointCloudModel, pose, query: QueryFeatureMaps
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Project model points; return (observable mask, cell indices, pixels).
 
-    Cell indices address the flattened row-major coarse grid; observability
-    means positive depth and in-bounds projection. Used for supervision.
+    Cell indices address the flattened row-major coarse grid of the query
+    maps' window, the columns of coarse_match_2d3d's scores; -1 marks a
+    point that is not observable. Observable means positive depth and a
+    projection inside the window (hence inside the image). Used for
+    supervision.
     """
-    pix, _, ok = project_with_depth(pose, intrinsics, model.points)
-    wc = intrinsics.width // GRID_STRIDE
-    cols = np.clip((pix[:, 0] // GRID_STRIDE).astype(int), 0, wc - 1)
-    rows = np.clip(
-        (pix[:, 1] // GRID_STRIDE).astype(int), 0, intrinsics.height // GRID_STRIDE - 1
-    )
-    cells = rows * wc + cols
-    cells[~ok] = -1
+    pix, _, ok = project_with_depth(pose, query.intrinsics, model.points)
+    h, w, _ = query.coarse.shape
+    idx = np.flatnonzero(ok)
+    cols, rows = ((pix[idx] // GRID_STRIDE).astype(int) - query.origin).T
+    inside = (cols >= 0) & (cols < w) & (rows >= 0) & (rows < h)
+    ok[idx[~inside]] = False
+    cells = np.full(len(pix), -1)
+    cells[idx[inside]] = rows[inside] * w + cols[inside]
     return ok, cells, pix

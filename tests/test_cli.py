@@ -131,17 +131,16 @@ def workspace(tmp_path_factory):
 
 class TestEstimateAndEval:
     def test_one_view_of_query_maps_alive_at_a_time(self, workspace, monkeypatch):
-        # a view's maps (16.8 MB of fine map at the defaults) must be freed
-        # before the next view's maps are built
+        # a view's maps must be freed before the next view's maps are built
         scene = load_scene(workspace / "scene.json")
         model, _ = load_model(workspace / "model")
         config = RunConfig(n_points=60, n_views=6, n_query_views=2,
                            n_coarse_layers=0, n_fine_layers=0)
         alive = []
 
-        def tracked(scene, view):
+        def tracked(scene, view, *args):
             assert all(ref() is None for ref in alive)
-            maps = synthesize_query_maps(scene, view)
+            maps = synthesize_query_maps(scene, view, *args)
             alive.append(weakref.ref(maps))
             return maps
 
@@ -409,6 +408,26 @@ class TestBadInputs:
         assert proc.stderr.startswith("error: tau must be at least"), proc.stderr
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
+    def test_pipeline_tau_above_bound(self, tmp_path, capsys):
+        # past the largest float32 the coarse block would score with tau = inf
+        rc = run("pipeline", "--out", tmp_path / "run", "--tau", "1e300", *FAST)
+        self._assert_usage_error(rc, capsys, "tau must be at most")
+        assert not (tmp_path / "run").exists()
+
+    def test_pipeline_out_of_memory(self, tmp_path, capsys, monkeypatch):
+        # a stage that runs out of memory, as at --n-points 100000000000, without allocating
+        message = "Unable to allocate 745. GiB for an array with shape (100000000000, 3)"
+        for error, line in (
+            (MemoryError(message), f"error: out of memory: {message}\n"),
+            (MemoryError(), "error: out of memory: an allocation failed\n"),
+        ):
+            def exhausted(*args, error=error):
+                raise error
+
+            monkeypatch.setattr(cli, "reconstruct_scene", exhausted)
+            rc = run("pipeline", "--out", tmp_path / "run", *FAST)
+            assert rc == 2 and capsys.readouterr().err == line
+
     def test_synth_config_not_an_object(self, tmp_path, capsys):
         config = tmp_path / "c.json"
         config.write_text("5")
@@ -615,6 +634,23 @@ class TestPipelineChain:
         for name in ("load_scene", "load_model", "_load_json"):
             monkeypatch.setattr(cli, name, refuse)
         assert run("pipeline", "--out", tmp_path / "run", *FAST) == 0
+
+
+class TestQueryWindow:
+    """The query maps cover the object's box: large images and wide fine windows solve."""
+
+    def test_2048_px_queries_solve(self, tmp_path):
+        # over a full 256 x 256 coarse grid the noise floor keeps every probability below theta
+        out = tmp_path / "run"
+        rc = run("pipeline", "--seed", 2, "--image-size", 2048, "--focal", 5000,
+                 "--n-points", 400, "--dump-matches", "--out", out)
+        assert rc == 0
+        queries = json.loads((out / "estimate" / "poses.json").read_text())["queries"]
+        assert len(queries) == 6 and all(q["ok"] for q in queries)
+
+    def test_fine_window_wider_than_the_object_box(self, tmp_path):
+        # a 63-cell fine window is wider than the box of the small scene's objects
+        assert run("pipeline", "--fine-window", 63, "--out", tmp_path / "run", *FAST_SIZE) == 0
 
 
 class TestPipelineDeterminism:

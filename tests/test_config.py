@@ -1,8 +1,9 @@
 """Run configuration: published defaults, validation, JSON round trip."""
 
+import numpy as np
 import pytest
 
-from semidense.config import MIN_TAU, RunConfig
+from semidense.config import MAX_TAU, MIN_TAU, RunConfig
 from semidense.pose_matching import DEFAULT_FINE_WINDOW, DEFAULT_TAU, DEFAULT_THETA
 
 
@@ -35,6 +36,7 @@ class TestValidation:
             {"tau": 0.0},
             {"tau": 1e-6},
             {"tau": MIN_TAU * (1 - 1e-12)},
+            {"tau": float(np.finfo(np.float32).max)},  # inf in the float32 coarse block
             {"theta": 1.5},
             {"dropout_rate": 1.0},
             {"distance_min": 5.0, "distance_max": 3.0},
@@ -71,6 +73,12 @@ class TestValidation:
 
     def test_smallest_tau_is_valid(self):
         RunConfig(tau=MIN_TAU).validate()
+
+    def test_largest_tau_is_valid(self):
+        RunConfig(tau=1.0).validate()
+        RunConfig(tau=MAX_TAU).validate()
+        with pytest.raises(ValueError, match="tau must be at most"):
+            RunConfig(tau=MAX_TAU * (1 + 1e-12)).validate()
 
 
 class TestRoundTrip:

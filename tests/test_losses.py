@@ -146,6 +146,7 @@ class TestGradients:
 class TestSupervisionTarget:
     def test_gt_matrix_from_scene(self):
         from semidense.attention import AttentionStack
+        from semidense.geometry import project_with_depth
         from semidense.matching import OracleMatcher
         from semidense.pose_matching import coarse_match_2d3d, synthesize_query_maps
         from semidense.scene import NoiseModel, generate_scene
@@ -157,10 +158,15 @@ class TestSupervisionTarget:
         pose, intr = scene.views[4]
         qmaps = synthesize_query_maps(scene, 4)
         scores, prob, _ = coarse_match_2d3d(model, qmaps, AttentionStack(layers=[]))
-        gt = gt_probability_matrix(model, pose, intr, scores.shape[1])
+        gt = gt_probability_matrix(model, pose, qmaps)
         assert gt.shape == prob.shape
         assert np.all(gt.sum(axis=1) <= 1.0)
         assert gt.sum() > 0
+        # each positive entry's column is the window cell its point projects into
+        j, q = np.nonzero(gt)
+        centers = qmaps.coarse_cell_pixels()[q]
+        projections = project_with_depth(pose, intr, model.points)[0][j]
+        assert np.all(np.linalg.norm(centers - projections, axis=1) <= 8.0)
         # a matcher fed oracle descriptors scores near zero against its target
         assert focal_loss(prob, gt) < focal_loss(np.full_like(prob, 0.5), gt)
         # and the analytic gradient of the full instance stays finite

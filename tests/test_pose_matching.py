@@ -10,9 +10,11 @@ import support
 from semidense import pose_matching
 from semidense.attention import AttentionStack
 from semidense.matching import OracleMatcher, select_view_pairs
-from semidense.geometry import CameraIntrinsics, SE3Pose
+from semidense.geometry import CameraIntrinsics, SE3Pose, project_with_depth
+from semidense.pnp import ransac_pnp
 from semidense.pose_matching import (
     _FINE_SPLAT_RADIUS_CELLS,
+    DEFAULT_FINE_WINDOW,
     DEFAULT_TAU,
     DEFAULT_THETA,
     DUAL_SOFTMAX_MAX_SPAN,
@@ -26,6 +28,8 @@ from semidense.pose_matching import (
     fine_match_2d3d,
     ground_truth_matches,
     mutual_nearest_neighbors,
+    OBJECT_BOX_PAD_PX,
+    oracle_object_box,
     query_noise_floors,
     _splat_fine,
     synthesize_query_maps,
@@ -69,20 +73,32 @@ def random_query(rng, hw=16, cc=16, cf=16) -> QueryFeatureMaps:
     return QueryFeatureMaps.from_dense(coarse, fine, intr)
 
 
-def reference_query_maps(scene, view_id):
-    """Per-point splat loop over the dense floor table[index]: the oracle for
-    `synthesize_query_maps`, over the same noise floors."""
+def image_box(scene, view_id):
+    """The pixel box of the whole image of one view."""
+    intr = scene.views[view_id][1]
+    return (0, 0, intr.width, intr.height)
+
+
+def reference_query_maps(scene, view_id, box=None):
+    """Per-point splat loop over the dense floor table[index] of the window `box`
+    (by default the oracle box): the oracle for `synthesize_query_maps`, over
+    the same noise floors."""
     pose, intr = scene.views[view_id]
     obs = render_observations(scene, view_id)
-    coarse, table, index = query_noise_floors(scene, view_id)
+    box = oracle_object_box(scene, view_id) if box is None else box
+    coarse, table, index = query_noise_floors(scene, view_id, box)
     fine = table[index]
+    hc, wc, _ = coarse.shape
     hf, wf, _ = fine.shape
+    oc, orow = box[0] // GRID_STRIDE, box[1] // GRID_STRIDE
+    fc, fr = box[0] // FINE_STRIDE, box[1] // FINE_STRIDE
     touched = np.zeros((hf, wf), dtype=bool)
 
     for row in np.flatnonzero(obs.cell_winner):
-        c = int(obs.cells[row, 0] // GRID_STRIDE)
-        r = int(obs.cells[row, 1] // GRID_STRIDE)
-        coarse[r, c] = obs.desc_coarse[row]
+        c = int(obs.cells[row, 0] // GRID_STRIDE) - oc
+        r = int(obs.cells[row, 1] // GRID_STRIDE) - orow
+        if 0 <= c < wc and 0 <= r < hc:
+            coarse[r, c] = obs.desc_coarse[row]
 
     depths = pose.transform(scene.points[obs.point_ids])[:, 2]
     rad = _FINE_SPLAT_RADIUS_CELLS
@@ -90,17 +106,18 @@ def reference_query_maps(scene, view_id):
         u, v = obs.pixels[row]
         c0 = int(np.rint(u / FINE_STRIDE))
         r0 = int(np.rint(v / FINE_STRIDE))
-        cs = np.arange(max(c0 - rad, 0), min(c0 + rad + 1, wf))
-        rs = np.arange(max(r0 - rad, 0), min(r0 + rad + 1, hf))
+        # image-frame fine cells of the stencil, clipped to the window
+        cs = np.arange(max(c0 - rad, fc), min(c0 + rad + 1, fc + wf))
+        rs = np.arange(max(r0 - rad, fr), min(r0 + rad + 1, fr + hf))
         if not len(cs) or not len(rs):
             continue
         du = cs * FINE_STRIDE - u
         dv = rs * FINE_STRIDE - v
         d2 = dv[:, None] ** 2 + du[None, :] ** 2
         g = np.exp(-d2 / (2.0 * FINE_SPLAT_SIGMA_PX**2))[:, :, None]
-        block = fine[np.ix_(rs, cs)]
-        fine[np.ix_(rs, cs)] = g * obs.desc_fine[row] + (1.0 - g) * block
-        touched[np.ix_(rs, cs)] = True
+        at = np.ix_(rs - fr, cs - fc)
+        fine[at] = g * obs.desc_fine[row] + (1.0 - g) * fine[at]
+        touched[at] = True
     fine[touched] /= np.linalg.norm(fine[touched], axis=1, keepdims=True)
     return coarse, fine
 
@@ -170,6 +187,20 @@ def searchsorted_splat_fine(fine, pixels, desc):
         at = k == r
         flat[cell[at]] = g[at] * desc[src[at]] + (1.0 - g[at]) * flat[cell[at]]
     return cell[k == 0], int(k.max(initial=-1)) + 1
+
+
+def corner_view(scene, view_id, corner):
+    """The scene with view `view_id` slid so that the object's median projection lands
+    on the image point `corner`."""
+    pose, intr = scene.views[view_id]
+    obs = render_observations(scene, view_id)
+    u, v = np.median(obs.pixels, axis=0)
+    z = np.median(pose.transform(scene.points[obs.point_ids])[:, 2])
+    shift = (np.array(corner) - [u, v]) * z / intr.fx
+    moved = SE3Pose(pose.rotation, pose.translation + [shift[0], shift[1], 0.0])
+    views = list(scene.views)
+    views[view_id] = (moved, intr)
+    return dataclasses.replace(scene, views=views)
 
 
 def brute_force_mnn(prob, threshold):
@@ -410,13 +441,15 @@ class TestCoarseMatch2d3d:
 class TestSynthesizeQueryMaps:
     """The array splat equals the per-point loop bit for bit."""
 
-    def _assert_equals_loop(self, scene, view_id):
-        qmaps = synthesize_query_maps(scene, view_id)
-        coarse, fine = reference_query_maps(scene, view_id)
+    def _assert_equals_loop(self, scene, view_id, box=None):
+        qmaps = synthesize_query_maps(scene, view_id, box=box)
+        box = oracle_object_box(scene, view_id) if box is None else box
+        assert qmaps.origin == (box[0] // GRID_STRIDE, box[1] // GRID_STRIDE)
+        coarse, fine = reference_query_maps(scene, view_id, box)
         np.testing.assert_array_equal(qmaps.coarse, coarse)
         np.testing.assert_array_equal(qmaps.fine_rows[qmaps.fine_index], fine)
         # the floor rows are untouched and every appended row belongs to one cell
-        _, table, _ = query_noise_floors(scene, view_id)
+        _, table, _ = query_noise_floors(scene, view_id, box)
         np.testing.assert_array_equal(qmaps.fine_rows[: len(table)], table)
         refs = np.bincount(qmaps.fine_index.ravel(), minlength=len(qmaps.fine_rows))
         assert np.all(refs[len(table) :] == 1)
@@ -427,19 +460,25 @@ class TestSynthesizeQueryMaps:
         for view_id in range(scene.n_views):
             assert render_observations(scene, view_id).point_ids.size > 200
             self._assert_equals_loop(scene, view_id)
+        self._assert_equals_loop(scene, 0, image_box(scene, 0))
+
+    def test_window_cuts_through_the_object(self):
+        # a box that drops some winners and clips some stencils at every side
+        scene = generate_scene(86, 300, 3, NoiseModel(descriptor_noise_sigma=0.1))
+        u0, v0, u1, v1 = oracle_object_box(scene, 1)
+        cut = (u0 + 24, v0 + 24, u1 - 24, v1 - 24)
+        obs = render_observations(scene, 1)
+        inner = np.all((obs.pixels >= cut[:2]) & (obs.pixels < cut[2:]), axis=1)
+        assert 0 < inner.sum() < len(inner)
+        self._assert_equals_loop(scene, 1, cut)
 
     def test_splats_clipped_at_the_border(self):
         scene = generate_scene(87, 300, 2, ZERO)
-        pose, intr = scene.views[0]
-        obs = render_observations(scene, 0)
-        u, v = np.median(obs.pixels, axis=0)
-        z = np.median(pose.transform(scene.points[obs.point_ids])[:, 2])
+        intr = scene.views[0][1]
         reach = _FINE_SPLAT_RADIUS_CELLS * FINE_STRIDE
         for corner in ([0.0, 0.0], [intr.width, intr.height]):
             # slide the camera so the object's median projection lands on the corner
-            shift = (np.array(corner) - [u, v]) * z / intr.fx
-            moved = SE3Pose(pose.rotation, pose.translation + [shift[0], shift[1], 0.0])
-            cornered = dataclasses.replace(scene, views=[(moved, intr), scene.views[1]])
+            cornered = corner_view(scene, 0, corner)
             pix = render_observations(cornered, 0).pixels
             edge = np.minimum(pix, intr.width - pix)
             assert len(pix) > 20 and np.all(np.any(edge < reach, axis=0))
@@ -456,7 +495,7 @@ class TestSynthesizeQueryMaps:
         scene = generate_scene(86, 300, 3, ZERO)
         tracemalloc.start()
         try:
-            qmaps = synthesize_query_maps(scene, 0)
+            qmaps = synthesize_query_maps(scene, 0, box=image_box(scene, 0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -466,11 +505,12 @@ class TestSynthesizeQueryMaps:
 
     def test_noise_floors(self):
         scene = generate_scene(86, 300, 3, NoiseModel(descriptor_noise_sigma=0.1))
-        coarse, table, index = query_noise_floors(scene, 1)
-        again = query_noise_floors(scene, 1)
+        full = image_box(scene, 1)
+        coarse, table, index = query_noise_floors(scene, 1, full)
+        again = query_noise_floors(scene, 1, full)
         for a, b in zip((coarse, table, index), again):
             assert np.array_equal(a, b)
-        other = query_noise_floors(scene, 2)
+        other = query_noise_floors(scene, 2, full)
         assert not np.array_equal(table, other[1]) and not np.array_equal(index, other[2])
         np.testing.assert_allclose(np.linalg.norm(coarse, axis=2), 1.0, atol=1e-12)
         # the 256 x 256 fine cells index rows of one table of 4096 unit rows
@@ -478,10 +518,14 @@ class TestSynthesizeQueryMaps:
         np.testing.assert_allclose(np.linalg.norm(table, axis=1), 1.0, atol=1e-12)
         assert np.issubdtype(index.dtype, np.integer)
         assert index.min() >= 0 and index.max() < 4096 and len(np.unique(index)) > 4000
+        # a window's floors are drawn for its cells only
+        box = (64, 128, 192, 224)
+        coarse, table, index = query_noise_floors(scene, 1, box)
+        assert coarse.shape == (12, 16, scene.desc_coarse.shape[1]) and index.shape == (48, 64)
         # untouched cells keep their unit floor and touched ones are renormalized
         qmaps = synthesize_query_maps(scene, 1)
         np.testing.assert_allclose(np.linalg.norm(qmaps.fine_rows, axis=1), 1.0, atol=1e-12)
-        assert 4096 < len(qmaps.fine_rows) <= 4096 + 256 * 256
+        assert 4096 < len(qmaps.fine_rows) <= 4096 + qmaps.fine_index.size
 
 
 class TestSplatFine:
@@ -512,8 +556,149 @@ class TestSplatFine:
         np.testing.assert_array_equal(fine.reshape(ref.shape), ref)
 
 
+class TestOracleObjectBox:
+    """The box holds every observed pixel with its pad, on the coarse grid, inside the image."""
+
+    def _assert_box(self, scene, view_id, fine_window=DEFAULT_FINE_WINDOW):
+        box = oracle_object_box(scene, view_id, fine_window)
+        intr = scene.views[view_id][1]
+        size = np.array([intr.width, intr.height])
+        lo, hi = np.array(box[:2]), np.array(box[2:])
+        assert all(isinstance(x, int) and x % GRID_STRIDE == 0 for x in box)
+        assert np.all(0 <= lo) and np.all(lo < hi) and np.all(hi <= size)
+        assert np.all(hi - lo >= fine_window * FINE_STRIDE)
+        pix = render_observations(scene, view_id).pixels
+        assert np.all((pix >= lo) & (pix < hi))
+        # the pad fits wherever the image has room for it
+        assert np.all(lo <= np.maximum(pix - OBJECT_BOX_PAD_PX, 0))
+        assert np.all(np.minimum(pix + OBJECT_BOX_PAD_PX, size) <= hi)
+        return box, pix
+
+    def test_holds_the_observed_pixels(self):
+        scene = generate_scene(86, 300, 3, NoiseModel(descriptor_noise_sigma=0.1, dropout_rate=0.1))
+        for view_id in range(scene.n_views):
+            box, pix = self._assert_box(scene, view_id)
+            # and is no larger than snapping the padded pixels to the grid makes it
+            assert np.all(box[:2] > pix.min(axis=0) - OBJECT_BOX_PAD_PX - GRID_STRIDE)
+            assert np.all(box[2:] < pix.max(axis=0) + OBJECT_BOX_PAD_PX + GRID_STRIDE)
+            intr = scene.views[view_id][1]
+            area = (box[2] - box[0]) * (box[3] - box[1])
+            assert area < 0.25 * intr.width * intr.height
+
+    def test_clipped_at_the_border(self):
+        scene = generate_scene(87, 300, 2, ZERO)
+        intr = scene.views[0][1]
+        for corner, at in (([0.0, 0.0], (0, 1)), ([intr.width, intr.height], (2, 3))):
+            cornered = corner_view(scene, 0, corner)
+            box, _ = self._assert_box(cornered, 0)
+            assert [box[i] for i in at] == corner
+            self._assert_box(cornered, 0, fine_window=63)
+
+    def test_grows_to_hold_a_fine_window(self):
+        scene = generate_scene(86, 300, 3, ZERO)
+        intr = scene.views[0][1]
+        small = np.array(oracle_object_box(scene, 0))
+        assert np.all(small[2:] - small[:2] < 256)
+        for fine_window in (63, 127):  # 126 and 254 px
+            box, _ = self._assert_box(scene, 0, fine_window)
+            need = -(-fine_window * FINE_STRIDE // GRID_STRIDE) * GRID_STRIDE
+            side = np.maximum(small[2:] - small[:2], need)
+            np.testing.assert_array_equal(np.subtract(box[2:], box[:2]), side)
+        # a window as wide as the fine map takes the whole image
+        assert oracle_object_box(scene, 0, intr.width // FINE_STRIDE) == image_box(scene, 0)
+
+    def test_no_observed_pixel_gives_the_whole_image(self):
+        scene = generate_scene(88, 60, 2, ZERO)
+        behind = SE3Pose(np.eye(3), np.array([0.0, 0.0, -10.0]))
+        scene = dataclasses.replace(scene, views=[(behind, scene.views[0][1]), scene.views[1]])
+        assert oracle_object_box(scene, 0) == image_box(scene, 0)
+
+
+class TestFullImageWindow:
+    """The full image is the window at origin (0, 0): the synthesized full-image
+    window and the per-point loop's dense maps (`from_dense`) give the same maps,
+    coarse matches, fine matches and poses bit for bit."""
+
+    def test_window_equals_dense_maps(self):
+        scene = generate_scene(75, 200, 8, NoiseModel(descriptor_noise_sigma=0.05))
+        model = build_model(scene, OracleMatcher(scene))
+        coarse_stack = AttentionStack.random(3, scene.desc_coarse.shape[1], seed=75)
+        fine_stack = AttentionStack.random(1, scene.desc_fine.shape[1], seed=75)
+        for view_id in (6, 7):
+            intr = scene.views[view_id][1]
+            window = synthesize_query_maps(scene, view_id, box=image_box(scene, view_id))
+            coarse, fine = reference_query_maps(scene, view_id, image_box(scene, view_id))
+            dense = QueryFeatureMaps.from_dense(coarse, fine, intr)
+            assert window.origin == dense.origin == (0, 0)
+            np.testing.assert_array_equal(window.coarse, dense.coarse)
+            np.testing.assert_array_equal(window.fine_rows[window.fine_index], fine)
+            outs = []
+            for maps in (window, dense):
+                scores, prob, corr = coarse_match_2d3d(model, maps, coarse_stack)
+                corr = fine_match_2d3d(model, maps, corr, fine_stack)
+                res = ransac_pnp(
+                    model.points[corr.fine_points], corr.fine_pixels, intr, seed=[75, view_id]
+                )
+                outs.append((scores, prob, corr, res))
+            (s_w, p_w, c_w, r_w), (s_d, p_d, c_d, r_d) = outs
+            assert c_w.n_fine > 50 and r_w.ok
+            np.testing.assert_array_equal(s_w, s_d)
+            np.testing.assert_array_equal(p_w, p_d)
+            for name in dataclasses.asdict(c_w):
+                np.testing.assert_array_equal(getattr(c_w, name), getattr(c_d, name))
+            np.testing.assert_array_equal(r_w.pose.matrix, r_d.pose.matrix)
+            np.testing.assert_array_equal(r_w.inliers, r_d.inliers)
+
+
+class TestWindowOrigin:
+    """A window keeps pixels in the image frame: maps cropped from a dense full-image
+    map at an origin refine matches as the full maps do."""
+
+    def test_cropped_dense_maps(self):
+        rng = np.random.default_rng(93)
+        model = random_model(rng, n=30)
+        full = random_query(rng, hw=16)
+        c0, r0, w, h = 3, 5, 9, 7
+        f = GRID_STRIDE // FINE_STRIDE
+        fine = full.fine_rows[full.fine_index]
+        crop = QueryFeatureMaps.from_dense(
+            full.coarse[r0 : r0 + h, c0 : c0 + w],
+            fine[f * r0 : f * (r0 + h), f * c0 : f * (c0 + w)],
+            full.intrinsics,
+            origin=(c0, r0),
+        )
+        assert crop.origin == (c0, r0)
+        centers = full.coarse_cell_pixels().reshape(16, 16, 2)[r0 : r0 + h, c0 : c0 + w]
+        np.testing.assert_array_equal(crop.coarse_cell_pixels(), centers.reshape(-1, 2))
+
+        # matches whose fine windows lie inside the crop
+        cells = rng.integers([c0 + 1, r0 + 1], [c0 + w - 1, r0 + h - 1], size=(30, 2))
+        corr = CorrespondenceSet(
+            coarse_points=rng.permutation(30),
+            coarse_pixels=cells * GRID_STRIDE + GRID_STRIDE / 2.0,
+            coarse_conf=np.ones(30),
+        )
+        for stack in (BYPASS, AttentionStack.random(1, 16, seed=94)):
+            a = fine_match_2d3d(model, full, corr, stack)
+            b = fine_match_2d3d(model, crop, corr, stack)
+            np.testing.assert_array_equal(b.fine_pixels, a.fine_pixels)
+            np.testing.assert_array_equal(b.fine_conf, a.fine_conf)
+            assert not b.fine_clamped.any()
+
+        # at the crop's far corner the window shifts inside the crop
+        corner = CorrespondenceSet(
+            coarse_points=np.arange(1),
+            coarse_pixels=np.array([[c0 + w - 1, r0 + h - 1]]) * GRID_STRIDE + GRID_STRIDE / 2.0,
+            coarse_conf=np.ones(1),
+        )
+        out = fine_match_2d3d(model, crop, corner, BYPASS)
+        assert out.fine_clamped.all()
+        hi = np.array([c0 + w, r0 + h]) * GRID_STRIDE - FINE_STRIDE
+        assert np.all(out.fine_pixels <= hi) and np.all(out.fine_pixels >= hi - 4 * FINE_STRIDE)
+
+
 class TestQueryFeatureMaps:
-    """The constructor names the fine field that is malformed."""
+    """The constructor names the field that is malformed."""
 
     INTR = CameraIntrinsics(fx=50.0, fy=50.0, cx=16.0, cy=16.0, width=32, height=32)
 
@@ -540,6 +725,15 @@ class TestQueryFeatureMaps:
             with pytest.raises(ValueError, match=r"fine_index entries must lie in \[0, 3\)"):
                 self._maps(rows, index)
         self._maps(rows, np.full((4, 4), 2))  # the last row is in range
+
+    def test_window_outside_the_image(self):
+        rows = np.ones((3, 2))
+        index = np.zeros((4, 4), dtype=int)
+        for origin in ((1, 0), (0, 1), (-1, 0)):
+            with pytest.raises(ValueError, match="leaves the image's 4 x 4 grid"):
+                QueryFeatureMaps(np.ones((4, 4, 2)), rows, index, self.INTR, origin)
+        inner = QueryFeatureMaps(np.ones((2, 3, 2)), rows, index, self.INTR, (1, 2))
+        assert inner.origin == (1, 2)
 
     def test_rows_not_2d(self):
         for bad in (np.ones(6), np.ones((3, 2, 1))):
@@ -691,10 +885,24 @@ class TestGroundTruthMatches:
         matcher = OracleMatcher(scene)
         model = build_model(scene, matcher)
         pose, intr = scene.views[0]
-        ok, cells, pix = ground_truth_matches(model, pose, intr)
-        assert ok.sum() > 0
-        wc = intr.width // GRID_STRIDE
-        for j in np.flatnonzero(ok):
-            center = grid_cell_center(pix[j])
-            expected = int(center[1] // GRID_STRIDE) * wc + int(center[0] // GRID_STRIDE)
-            assert cells[j] == expected
+        visible = project_with_depth(pose, intr, model.points)[2]
+        u0, v0, u1, v1 = oracle_object_box(scene, 0)
+        cut = (u0 + 32, v0, u1, v1 - 32)
+        # the whole image, the object's box, and a box that cuts the object
+        for box in (image_box(scene, 0), (u0, v0, u1, v1), cut):
+            query = synthesize_query_maps(scene, 0, box=box)
+            ok, cells, pix = ground_truth_matches(model, pose, query)
+            assert ok.sum() > 0
+            if box == cut:
+                assert ok.sum() < visible.sum()
+            wc = (box[2] - box[0]) // GRID_STRIDE
+            for j in range(model.n_points):
+                center = grid_cell_center(pix[j]) if visible[j] else None
+                inside = visible[j] and box[0] < center[0] < box[2] and box[1] < center[1] < box[3]
+                assert ok[j] == inside
+                if inside:
+                    col = int((center[0] - box[0]) // GRID_STRIDE)
+                    row = int((center[1] - box[1]) // GRID_STRIDE)
+                    assert cells[j] == row * wc + col
+                else:
+                    assert cells[j] == -1
