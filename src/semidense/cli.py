@@ -120,27 +120,36 @@ def estimate_views(scene, model, config: RunConfig, query_views, stacks=None):
 
     Each view's maps cover the oracle's object box, grown to hold a fine
     window (synthesize_query_maps). The coarse block runs in float32 where
-    tau leaves the float32 dual-softmax its headroom, else in float64; the
-    rest runs in float64.
+    tau leaves the float32 dual-softmax its headroom, else in float64. The
+    fine block runs in float32 at every tau: its softmax has no E**2 term,
+    and logits far below the peak only underflow to probability 0. Map
+    synthesis, the fine pixels and PnP run in float64.
     """
     coarse_stack, fine_stack = stacks if stacks else _default_stacks(config)
     coarse_dtype = np.float32 if config.tau >= COARSE_FLOAT32_MIN_TAU else np.float64
     coarse_stack = coarse_stack.astype(coarse_dtype)
-    coarse_model = dataclasses.replace(
-        model, coarse_features=model.coarse_features.astype(coarse_dtype, copy=False)
+    fine_stack = fine_stack.astype(np.float32)
+    cast_model = dataclasses.replace(
+        model,
+        coarse_features=model.coarse_features.astype(coarse_dtype, copy=False),
+        fine_features=model.fine_features.astype(np.float32, copy=False),
     )
     results = []
     for view in query_views:
         t0 = time.perf_counter()
         qmaps = synthesize_query_maps(scene, view, config.fine_window)
-        qmaps = dataclasses.replace(qmaps, coarse=qmaps.coarse.astype(coarse_dtype, copy=False))
+        qmaps = dataclasses.replace(
+            qmaps,
+            coarse=qmaps.coarse.astype(coarse_dtype, copy=False),
+            fine_rows=qmaps.fine_rows.astype(np.float32),
+        )
         # keep only the matches: the (M, N) score and probability matrices
         # and this view's maps are freed before the next view builds its own
         corr = coarse_match_2d3d(
-            coarse_model, qmaps, coarse_stack, tau=config.tau, theta=config.theta
+            cast_model, qmaps, coarse_stack, tau=config.tau, theta=config.theta
         )[2]
         corr = fine_match_2d3d(
-            model, qmaps, corr, fine_stack, window=config.fine_window, fine_tau=config.tau
+            cast_model, qmaps, corr, fine_stack, window=config.fine_window, fine_tau=config.tau
         )
         del qmaps
         if corr.n_fine >= 4:

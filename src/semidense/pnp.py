@@ -28,8 +28,10 @@ from .geometry import (
 DEFAULT_INLIER_PX = 3.0
 DEFAULT_MAX_ITERS = 10000
 DEFAULT_CONFIDENCE = 0.99
-# RANSAC samples solved together in the first chunk; later chunks double
-_FIRST_CHUNK = 8
+# RANSAC samples solved together in the first chunk; later chunks double.
+# Well-matched queries stop after ~2 hypotheses, so a larger first chunk
+# mostly solves samples that are never consumed.
+_FIRST_CHUNK = 2
 
 # control-point pairs (a, b) for the six pairwise distances
 _PAIR_A = np.array([0, 0, 0, 1, 1, 2])
@@ -62,6 +64,18 @@ def reprojection_errors(
 ) -> np.ndarray:
     """Pixel errors per correspondence; infinite behind the camera."""
     return _reprojection_errors(pose.rotation, pose.translation, intr, points, pixels)
+
+
+def _median(x: np.ndarray) -> float:
+    """np.median of a non-empty 1-D array of finite values, bit for bit.
+
+    The middle value of one sort, or the mean of the two middle values.
+    np.median would import numpy.ma (for its NaN check), a cost paid again
+    by every CLI process.
+    """
+    s = np.sort(x)
+    m = len(s) // 2
+    return float(s[m] if len(s) % 2 else (s[m - 1] + s[m]) / 2)
 
 
 def _umeyama_rigid(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -511,7 +525,7 @@ def ransac_pnp(
     errs = reprojection_errors(pose, intr, points, pixels)
     core = errs <= inlier_px
     if core.sum() >= 8:
-        tight = min(inlier_px, max(3.0 * float(np.median(errs[core])), 0.25 * inlier_px))
+        tight = min(inlier_px, max(3.0 * _median(errs[core]), 0.25 * inlier_px))
         tight_set = np.flatnonzero(errs <= tight)
         if len(tight_set) >= max(8, 0.5 * core.sum()):
             pose = lm_pose_polish(pose, points[tight_set], pixels[tight_set], intr)

@@ -130,10 +130,10 @@ class CorrespondenceSet:
 
 
 # Spatial footprint of a point's fine descriptor in the synthesized map (px).
-# The 5x5 stencil's dropped ring would sit >= 5 px from the peak, where
-# g <= exp(-12.5).
+# A peak lies within 1 px of its stencil's center cell, so the 3x3 stencil's
+# dropped ring would sit >= 3 px = 3 sigma from it, where g <= exp(-4.5).
 FINE_SPLAT_SIGMA_PX = 1.0
-_FINE_SPLAT_RADIUS_CELLS = 2
+_FINE_SPLAT_RADIUS_CELLS = 1
 
 
 def _splat_fine(
@@ -147,7 +147,7 @@ def _splat_fine(
 
     The map is a window of the image's fine grid whose first cell is fine
     cell `origin` = (column, row); pixels are in the image frame. A peak
-    updates every cell x of its 5x5 stencil, clipped to the window, to
+    updates every cell x of its 3x3 stencil, clipped to the window, to
     g*desc + (1-g)*x. Only the touched cells' rows are gathered, ranked by
     update count, most first. The updates are applied in rounds: round k
     holds the k-th update of every cell that has one, which is a prefix of
@@ -158,7 +158,7 @@ def _splat_fine(
     """
     hf, wf = index.shape
     offsets = np.arange(-_FINE_SPLAT_RADIUS_CELLS, _FINE_SPLAT_RADIUS_CELLS + 1)
-    cs = np.rint(pixels[:, :1] / FINE_STRIDE).astype(int) + offsets  # (n, 5), image frame
+    cs = np.rint(pixels[:, :1] / FINE_STRIDE).astype(int) + offsets  # (n, 3), image frame
     rs = np.rint(pixels[:, 1:] / FINE_STRIDE).astype(int) + offsets
     du = cs * FINE_STRIDE - pixels[:, :1]
     dv = rs * FINE_STRIDE - pixels[:, 1:]
@@ -448,8 +448,10 @@ def fine_match_2d3d(
     go through the fine stack together, in (B, w*w, C) blocks of at most
     _FINE_BLOCK_ELEMENTS elements. Correlations are scaled by 1/fine_tau: the surrogate
     descriptors are unit-norm, so an unscaled softmax would flatten the
-    expectation toward the window center. A window wider than the fine map
-    raises ValueError.
+    expectation toward the window center. The block computes in float32
+    when the model's fine features, the query's fine rows and the stack are
+    float32; the fine pixels and confidences are float64 either way. A
+    window wider than the fine map raises ValueError.
     """
     if window % 2 != 1:
         raise ValueError(f"window must be odd, got {window}")
@@ -486,7 +488,7 @@ def fine_match_2d3d(
 
     out.fine_points = corr.coarse_points.astype(int)
     out.fine_pixels = np.concatenate(pixels)
-    out.fine_conf = np.concatenate(conf)
+    out.fine_conf = np.concatenate(conf, dtype=float)
     out.fine_clamped = (c0 != cf - half) | (r0 != rf - half)
     return out
 
@@ -515,7 +517,8 @@ def _window_expectations(
         f3 = f3 / np.maximum(np.linalg.norm(f3, axis=-1, keepdims=True), 1e-12)
         f2 = f2 / np.maximum(np.linalg.norm(f2, axis=-1, keepdims=True), 1e-12)
 
-    logits = (f2 @ np.swapaxes(f3, -1, -2))[:, :, 0] / fine_tau
+    logits = (f2 @ np.swapaxes(f3, -1, -2))[:, :, 0]
+    logits /= fine_tau  # in place: a float32 block stays float32
     logits -= logits.max(axis=1, keepdims=True)
     p = np.exp(logits)
     p /= p.sum(axis=1, keepdims=True)

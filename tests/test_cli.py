@@ -7,6 +7,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import warnings
 import weakref
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from semidense.cli import main
 from semidense.config import RunConfig
 from semidense.formats import load_model, load_scene, read_fmat, save_model, write_fmat
 from semidense.matching import OracleMatcher
-from semidense.pose_matching import coarse_match_2d3d, synthesize_query_maps
+from semidense.pose_matching import coarse_match_2d3d, fine_match_2d3d, synthesize_query_maps
 from semidense.refine import PointCloudModel
 from semidense.scene import NoiseModel, generate_scene
 
@@ -686,6 +687,40 @@ class TestPipelineDeterminism:
         monkeypatch.setattr(cli, "coarse_match_2d3d", spy)
         assert run("pipeline", "--out", tmp_path / "run", "--tau", tau, *FAST_SIZE) == 0
         assert seen == {(np.dtype(dtype), np.dtype(dtype))}
+
+    def test_fine_block_float32_at_the_smallest_tau(self, tmp_path, monkeypatch):
+        # 0.0067 is just above MIN_TAU: the fine logits span up to 2 / tau ~ 298,
+        # past float32's exp range, so far cells underflow to probability 0;
+        # that must pass without a warning of any kind
+        seen = set()
+
+        def spy(model, query, corr, stack, **kwargs):
+            seen.add((model.fine_features.dtype, query.fine_rows.dtype))
+            out = fine_match_2d3d(model, query, corr, stack, **kwargs)
+            assert out.fine_pixels.dtype == out.fine_conf.dtype == np.float64
+            return out
+
+        monkeypatch.setattr(cli, "fine_match_2d3d", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("pipeline", "--out", tmp_path / "run", "--tau", "0.0067", *FAST_SIZE) == 0
+        assert seen == {(np.dtype(np.float32), np.dtype(np.float32))}
+
+    def test_pipeline_does_not_import_numpy_ma(self, tmp_path):
+        # np.median imports numpy.ma for its NaN check, a cost every CLI process would pay
+        src = str(Path(semidense.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import sys\n"
+            "from semidense.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "sys.exit('numpy.ma' in sys.modules)\n"
+        )
+        subprocess.run(
+            [sys.executable, "-c", code, "pipeline", "--out", str(tmp_path / "run"), *FAST_SIZE],
+            env=env, check=True, capture_output=True,
+        )
 
     def test_blas_thread_count_does_not_change_results(self, tmp_path):
         # attention on, so the BLAS-backed matrix products run at both settings

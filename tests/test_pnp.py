@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 import support
 
+from semidense import pnp
 from semidense.errors import DegenerateGeometryError
 from semidense.geometry import SE3Pose, project
 from semidense.pnp import (
     _candidates,
     _homography_pose,
+    _median,
     _ranked_candidates,
     lm_pose_polish,
     pnp_minimal,
@@ -208,6 +210,26 @@ class TestRansacPnP:
         assert np.all(errs[res.inliers] <= 3.0)
         assert res.mean_error == pytest.approx(np.mean(errs[res.inliers]), rel=1e-12)
 
+    @pytest.mark.parametrize("outliers", [0, 30])
+    def test_first_chunk_size_does_not_change_the_result(self, monkeypatch, outliers):
+        # samples are drawn in the serial order and consumed in draw order, so
+        # the chunking changes only how many hypotheses are solved and dropped
+        rng = np.random.default_rng([112, outliers])
+        pose, points, pixels, intr = _pose_and_points(rng, 100)
+        pixels = pixels + rng.normal(0, 0.5, pixels.shape)
+        pixels[rng.choice(100, size=outliers, replace=False)] = rng.uniform(0, 512, (outliers, 2))
+        results = []
+        for first in (1, 2, 8):
+            monkeypatch.setattr(pnp, "_FIRST_CHUNK", first)
+            results.append(ransac_pnp(points, pixels, intr, inlier_px=3.0, seed=3))
+        base = results[0]
+        assert base.ok and base.iterations > (8 if outliers else 0)
+        for res in results[1:]:
+            assert res.pose.matrix.tobytes() == base.pose.matrix.tobytes()
+            np.testing.assert_array_equal(res.inliers, base.inliers)
+            assert res.iterations == base.iterations
+            assert res.mean_error == base.mean_error
+
     def test_robust_recovery_monte_carlo(self):
         # 70 noisy inliers + 30 uniform outliers, n = 100 seeded trials. On
         # 1000 held-out trials (seeds 1000-1999) none failed, so the failure
@@ -234,3 +256,11 @@ class TestRansacPnP:
                 successes += 1
         assert successes >= 95
         assert np.median(runtimes) < 0.05
+
+
+class TestMedian:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 101, 1000])
+    def test_equals_np_median_bit_for_bit(self, n):
+        rng = np.random.default_rng([113, n])
+        for x in (rng.exponential(size=n), rng.integers(0, 4, size=n) / 3.0):  # ties too
+            assert np.float64(_median(x)).tobytes() == np.median(x).tobytes()

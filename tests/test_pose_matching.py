@@ -829,6 +829,31 @@ class TestFineMatch2d3d:
             np.testing.assert_array_equal(out.fine_clamped, clamped)
             assert clamped[1:4].all() and not clamped[0]
 
+    @pytest.mark.parametrize("fine_tau", [DEFAULT_TAU, 0.0067])
+    def test_float32_inputs_agree_with_float64(self, fine_tau):
+        # estimate_views runs the fine block in float32 at every tau; at 0.0067,
+        # just above MIN_TAU, the logits span up to 2 / tau ~ 298, far past
+        # float32's exp range, and the far cells' probabilities underflow to 0
+        scene = generate_scene(75, 200, 7, ZERO)
+        model = build_model(scene, OracleMatcher(scene))
+        qmaps = synthesize_query_maps(scene, 6)
+        stack = AttentionStack.random(1, scene.desc_fine.shape[1], seed=75)
+        corr = coarse_match_2d3d(model, qmaps, BYPASS)[2]
+        out64 = fine_match_2d3d(model, qmaps, corr, stack, fine_tau=fine_tau)
+        out32 = fine_match_2d3d(
+            dataclasses.replace(model, fine_features=model.fine_features.astype(np.float32)),
+            dataclasses.replace(qmaps, fine_rows=qmaps.fine_rows.astype(np.float32)),
+            corr,
+            stack.astype(np.float32),
+            fine_tau=fine_tau,
+        )
+        assert out64.n_fine > 50
+        assert out32.fine_pixels.dtype == out32.fine_conf.dtype == np.float64
+        np.testing.assert_array_equal(out32.fine_points, out64.fine_points)
+        np.testing.assert_array_equal(out32.fine_clamped, out64.fine_clamped)
+        assert np.max(np.abs(out32.fine_pixels - out64.fine_pixels)) <= 1e-3
+        np.testing.assert_allclose(out32.fine_conf, out64.fine_conf, atol=1e-5)
+
     @pytest.mark.parametrize("window", [5, 9])
     def test_blocks_equal_one_block(self, window, monkeypatch):
         rng = np.random.default_rng(91)
