@@ -46,12 +46,7 @@ from .metrics import (
     translation_error,
 )
 from .pnp import PnPResult, ransac_pnp
-from .pose_matching import (
-    COARSE_FLOAT32_MIN_TAU,
-    coarse_match_2d3d,
-    fine_match_2d3d,
-    synthesize_query_maps,
-)
+from .pose_matching import coarse_match_2d3d, fine_match_2d3d, synthesize_query_maps
 from .refine import refine_reconstruction
 from .scene import generate_scene
 from .tracks import build_tracks, tracks_to_json, triangulate_tracks
@@ -119,19 +114,15 @@ def estimate_views(scene, model, config: RunConfig, query_views, stacks=None):
     """Coarse match -> fine match -> RANSAC PnP per query view.
 
     Each view's maps cover the oracle's object box, grown to hold a fine
-    window (synthesize_query_maps). The coarse block runs in float32 where
-    tau leaves the float32 dual-softmax its headroom, else in float64. The
-    fine block runs in float32 at every tau: its softmax has no E**2 term,
-    and logits far below the peak only underflow to probability 0. Map
-    synthesis, the fine pixels and PnP run in float64.
+    window (synthesize_query_maps). The coarse and fine blocks run in
+    float32 at every tau: each softmax is shifted by its own max, and a
+    logit far below it only underflows to probability 0. Map synthesis,
+    the fine pixels and PnP run in float64.
     """
-    coarse_stack, fine_stack = stacks if stacks else _default_stacks(config)
-    coarse_dtype = np.float32 if config.tau >= COARSE_FLOAT32_MIN_TAU else np.float64
-    coarse_stack = coarse_stack.astype(coarse_dtype)
-    fine_stack = fine_stack.astype(np.float32)
+    coarse_stack, fine_stack = (s.astype(np.float32) for s in stacks or _default_stacks(config))
     cast_model = dataclasses.replace(
         model,
-        coarse_features=model.coarse_features.astype(coarse_dtype, copy=False),
+        coarse_features=model.coarse_features.astype(np.float32, copy=False),
         fine_features=model.fine_features.astype(np.float32, copy=False),
     )
     results = []
@@ -140,7 +131,7 @@ def estimate_views(scene, model, config: RunConfig, query_views, stacks=None):
         qmaps = synthesize_query_maps(scene, view, config.fine_window)
         qmaps = dataclasses.replace(
             qmaps,
-            coarse=qmaps.coarse.astype(coarse_dtype, copy=False),
+            coarse=qmaps.coarse.astype(np.float32, copy=False),
             fine_rows=qmaps.fine_rows.astype(np.float32),
         )
         # keep only the matches: the (M, N) score and probability matrices
@@ -272,7 +263,7 @@ def run_estimate(scene, model, config: RunConfig, query_views, stacks, out: Path
 
     Raises EmptyResult, after writing, when no pose is solved.
     """
-    _check_widths(scene, model, stacks)
+    _check_inputs(scene, model, stacks)
     if model.n_points == 0:
         raise EmptyResult("empty model")
     if not query_views or any(not 0 <= v < scene.n_views for v in query_views):
@@ -324,8 +315,14 @@ def _stacks_from_args(args, config: RunConfig):
     return coarse, fine
 
 
-def _check_widths(scene, model, stacks) -> None:
-    """Model features and attention stacks must be as wide as the scene's descriptors."""
+# Largest deviation of a model feature's norm from 1 that `estimate` accepts;
+# float32 unit rows of up to a few hundred elements round well within it.
+_UNIT_NORM_TOL = 1e-5
+
+
+def _check_inputs(scene, model, stacks) -> None:
+    """Model features must be unit-norm rows, and they and the attention
+    stacks as wide as the scene's descriptors."""
     for kind, scene_desc, features, stack in zip(
         ("coarse", "fine"),
         (scene.desc_coarse, scene.desc_fine),
@@ -337,6 +334,8 @@ def _check_widths(scene, model, stacks) -> None:
             raise ValueError(
                 f"model {kind} features are {features.shape[1]} wide, scene descriptors {width}"
             )
+        if not np.all(np.abs(np.linalg.norm(features, axis=1) - 1.0) <= _UNIT_NORM_TOL):
+            raise ValueError(f"model {kind} features are not unit-norm")
         if stack.width not in (None, width):
             raise ValueError(
                 f"{kind} attention weights take {stack.width}-wide input, "

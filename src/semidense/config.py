@@ -12,12 +12,13 @@ import math
 from dataclasses import dataclass
 
 from .formats import _dump_json, _load_json
-from .pose_matching import DUAL_SOFTMAX_MAX_SPAN, FINE_STRIDE
+from .pose_matching import FINE_STRIDE
 from .scene import NoiseModel
 
-# Unit-norm features score within +-1/tau, a span of 2/tau, which the
-# one-pass dual-softmax accepts up to DUAL_SOFTMAX_MAX_SPAN.
-MIN_TAU = 2.0 / DUAL_SOFTMAX_MAX_SPAN
+# The reciprocal of MAX_TAU. Unit-norm features score within +-1/tau, so
+# float32 scores stay within +-1e6; every softmax is shifted by its own max,
+# so no span of such scores is too wide for it.
+MIN_TAU = 1e-6
 # At tau = 1e6 every score lies within +-1e-6, so the dual-softmax is uniform
 # to 2e-6 and a larger tau matches nothing better; the float32 coarse block
 # would turn a tau past ~3.4e38 into inf.
@@ -87,10 +88,7 @@ class RunConfig:
             (self.max_reproj_px > 0, "max_reproj_px must be positive"),
             (0 <= self.min_refine_confidence <= 1, "min_refine_confidence must be in [0, 1]"),
             (_positive_odd(self.refine_window), "refine_window must be a positive odd integer"),
-            (
-                self.tau >= MIN_TAU,
-                f"tau must be at least {MIN_TAU:.6g} (2 / the dual-softmax span bound)",
-            ),
+            (self.tau >= MIN_TAU, f"tau must be at least {MIN_TAU:g}"),
             (self.tau <= MAX_TAU, f"tau must be at most {MAX_TAU:g}"),
             (0 <= self.theta <= 1, "theta must be in [0, 1]"),
             (_positive_odd(self.fine_window), "fine_window must be a positive odd integer"),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .pose_matching import dual_softmax, ground_truth_matches, softmax_factors
+from .pose_matching import dual_softmax, ground_truth_matches, shifted_softmax
 
 FOCAL_ALPHA = 0.25
 FOCAL_GAMMA = 2.0
@@ -115,8 +115,8 @@ def dual_softmax_grad(scores: np.ndarray, dloss_dprob: np.ndarray) -> np.ndarray
       dL/dS = r .(g_r - sum_q g_r r |row)  +  c .(g_c - sum_j g_c c |col)
     where g_r = dL/dP * c and g_c = dL/dP * r.
     """
-    e, row_sums, col_sums = softmax_factors(scores)
-    r, c = e / row_sums, e / col_sums
+    r = shifted_softmax(scores.copy(), axis=1)
+    c = shifted_softmax(scores.copy(), axis=0)
     g_r = dloss_dprob * c
     g_c = dloss_dprob * r
     row_part = r * (g_r - np.sum(g_r * r, axis=1, keepdims=True))

@@ -311,47 +311,28 @@ def synthesize_query_maps(
     )
 
 
-# Largest span max(S) - min(S) of a score matrix that `dual_softmax` accepts.
-# The one-pass form squares exp(S - max S), which stays a normal float only
-# while 2 * span < -ln(smallest normal): ~354 for doubles, ~43.7 for float32.
-# Unit-norm features give |S| <= 1/tau, so float64 scores admit every
-# tau >= 2 / DUAL_SOFTMAX_MAX_SPAN.
-DUAL_SOFTMAX_MAX_SPAN = 300.0
-DUAL_SOFTMAX_MAX_SPAN_F32 = 43.0
+def shifted_softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    """Softmax of float array `x` along `axis`, in place; returns `x`.
 
-# Smallest tau at which the coarse block runs in float32: its span bound of
-# 2 / tau <= 40 leaves headroom under DUAL_SOFTMAX_MAX_SPAN_F32 for the
-# rounding of float32 unit rows. Smaller taus run in float64.
-COARSE_FLOAT32_MIN_TAU = 0.05
-
-
-def softmax_factors(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """E = exp(S - max S) with its row sums R and column sums C, in the dtype of S.
-
-    E/R is the row-wise and E/C the column-wise softmax of S. Raises
-    ValueError when the span of S exceeds DUAL_SOFTMAX_MAX_SPAN (or
-    DUAL_SOFTMAX_MAX_SPAN_F32 for float32 S), or S is not finite, where
-    E**2 would leave the range of normal floats.
+    Each slice is shifted by its own max before the exp, so the largest
+    entry of a slice is exp(0) = 1 and the result is exact at any finite
+    span; an entry far below its slice's max only underflows to 0.
     """
-    bound = DUAL_SOFTMAX_MAX_SPAN_F32 if scores.dtype == np.float32 else DUAL_SOFTMAX_MAX_SPAN
-    top = scores.max()
-    span = top - scores.min()
-    if not span <= bound:
-        raise ValueError(
-            f"score span {span:.6g} exceeds {bound:g}: "
-            "features must be unit-norm and tau >= 2 / that bound"
-        )
-    e = scores - top
-    np.exp(e, out=e)
-    return e, e.sum(axis=1, keepdims=True), e.sum(axis=0, keepdims=True)
+    x -= x.max(axis=axis, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=axis, keepdims=True)
+    return x
 
 
 def dual_softmax(scores: np.ndarray) -> np.ndarray:
-    """Entrywise product of row-wise and column-wise softmax: E**2 / (R C) in one buffer."""
-    prob, rows, cols = softmax_factors(scores)
-    prob *= prob
-    prob /= rows
-    prob /= cols
+    """Row-wise softmax of S times its column-wise softmax, in the dtype of S.
+
+    Raises ValueError when S is not finite.
+    """
+    if not (np.isfinite(scores.min()) and np.isfinite(scores.max())):
+        raise ValueError("dual-softmax scores must be finite")
+    prob = shifted_softmax(scores.copy(), axis=1)
+    prob *= shifted_softmax(scores.copy(), axis=0)
     return prob
 
 
@@ -519,9 +500,7 @@ def _window_expectations(
 
     logits = (f2 @ np.swapaxes(f3, -1, -2))[:, :, 0]
     logits /= fine_tau  # in place: a float32 block stays float32
-    logits -= logits.max(axis=1, keepdims=True)
-    p = np.exp(logits)
-    p /= p.sum(axis=1, keepdims=True)
+    p = shifted_softmax(logits, axis=1)
     return window_expectation(p[:, None, :], positions)[:, 0], p.max(axis=1)
 
 

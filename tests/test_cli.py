@@ -18,7 +18,7 @@ import semidense
 from semidense.attention import AttentionStack
 from semidense import cli
 from semidense.cli import main
-from semidense.config import RunConfig
+from semidense.config import MAX_TAU, MIN_TAU, RunConfig
 from semidense.formats import load_model, load_scene, read_fmat, save_model, write_fmat
 from semidense.matching import OracleMatcher
 from semidense.pose_matching import coarse_match_2d3d, fine_match_2d3d, synthesize_query_maps
@@ -333,12 +333,21 @@ class TestBadInputs:
         self._assert_usage_error(rc, capsys, "coarse features are 8 wide, scene descriptors 32")
 
     def test_estimate_non_unit_features(self, tmp_path, workspace, capsys):
-        # |score| reaches 100 / tau: past the span the dual-softmax accepts
-        def scale(sections):
-            sections["coarse_features"] = sections["coarse_features"] * 100.0
+        for kind in ("coarse", "fine"):
+            def scale(sections, kind=kind):
+                sections[f"{kind}_features"] = sections[f"{kind}_features"] * 100.0
 
-        rc = self._estimate_edited_features(tmp_path, workspace, scale)
-        self._assert_usage_error(rc, capsys, "span")
+            (tmp_path / kind).mkdir()
+            rc = self._estimate_edited_features(tmp_path / kind, workspace, scale)
+            self._assert_usage_error(rc, capsys, f"error: model {kind} features are not unit-norm")
+
+    def test_estimate_float32_unit_features(self, tmp_path, workspace):
+        # float32 unit rows round within the unit-norm tolerance
+        def cast(sections):
+            for kind in ("coarse", "fine"):
+                sections[f"{kind}_features"] = sections[f"{kind}_features"].astype(np.float32)
+
+        assert self._estimate_edited_features(tmp_path, workspace, cast) == 0
 
     def test_estimate_narrow_coarse_weights(self, tmp_path, workspace, capsys):
         weights = tmp_path / "coarse16.fmat"
@@ -391,17 +400,17 @@ class TestBadInputs:
         assert not (tmp_path / "run" / "scene.json").exists()
         assert not (tmp_path / "run" / "model").exists()
 
-    def test_pipeline_tau_below_span_bound(self, tmp_path, capsys):
-        rc = run("pipeline", "--out", tmp_path / "run", "--tau", "1e-6", *FAST)
+    def test_pipeline_tau_below_bound(self, tmp_path, capsys):
+        rc = run("pipeline", "--out", tmp_path / "run", "--tau", "1e-7", *FAST)
         self._assert_usage_error(rc, capsys, "tau must be at least")
 
-    def test_pipeline_tau_below_span_bound_as_a_child_process(self, tmp_path):
+    def test_pipeline_tau_below_bound_as_a_child_process(self, tmp_path):
         # through `python -m semidense`: exit 2 and one line, no traceback
         src = str(Path(semidense.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
-            [sys.executable, "-m", "semidense", "pipeline", "--tau", "1e-6",
+            [sys.executable, "-m", "semidense", "pipeline", "--tau", "1e-7",
              "--out", str(tmp_path / "run"), *FAST],
             env=env, capture_output=True, text=True,
         )
@@ -675,9 +684,9 @@ class TestPipelineDeterminism:
         agg = list(csv.DictReader((tmp_path / "n" / "metrics.csv").open()))[-1]
         assert float(agg["ok_5cm_5deg"]) == 1.0
 
-    @pytest.mark.parametrize("tau, dtype", [("0.02", np.float64), ("0.05", np.float32)])
-    def test_both_sides_of_the_float32_switch(self, tmp_path, monkeypatch, tau, dtype):
-        # 0.05 is the smallest tau whose coarse block runs in float32
+    # at MAX_TAU the dual-softmax is uniform to 2e-6: no match passes theta
+    @pytest.mark.parametrize("tau, code", [(MIN_TAU, 0), (0.02, 0), (0.08, 0), (MAX_TAU, 3)])
+    def test_coarse_block_float32_at_every_tau(self, tmp_path, monkeypatch, tau, code):
         seen = set()
 
         def spy(model, query, stack, **kwargs):
@@ -685,12 +694,12 @@ class TestPipelineDeterminism:
             return coarse_match_2d3d(model, query, stack, **kwargs)
 
         monkeypatch.setattr(cli, "coarse_match_2d3d", spy)
-        assert run("pipeline", "--out", tmp_path / "run", "--tau", tau, *FAST_SIZE) == 0
-        assert seen == {(np.dtype(dtype), np.dtype(dtype))}
+        assert run("pipeline", "--out", tmp_path / "run", "--tau", tau, *FAST_SIZE) == code
+        assert seen == {(np.dtype(np.float32), np.dtype(np.float32))}
 
     def test_fine_block_float32_at_the_smallest_tau(self, tmp_path, monkeypatch):
-        # 0.0067 is just above MIN_TAU: the fine logits span up to 2 / tau ~ 298,
-        # past float32's exp range, so far cells underflow to probability 0;
+        # at MIN_TAU the fine logits span up to 2 / tau = 2e6, far past
+        # float32's exp range, so far cells underflow to probability 0;
         # that must pass without a warning of any kind
         seen = set()
 
@@ -703,7 +712,7 @@ class TestPipelineDeterminism:
         monkeypatch.setattr(cli, "fine_match_2d3d", spy)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert run("pipeline", "--out", tmp_path / "run", "--tau", "0.0067", *FAST_SIZE) == 0
+            assert run("pipeline", "--out", tmp_path / "run", "--tau", MIN_TAU, *FAST_SIZE) == 0
         assert seen == {(np.dtype(np.float32), np.dtype(np.float32))}
 
     def test_pipeline_does_not_import_numpy_ma(self, tmp_path):

@@ -34,7 +34,7 @@ class TestValidation:
             {"refine_window": 8},
             {"fine_window": 4},
             {"tau": 0.0},
-            {"tau": 1e-6},
+            {"tau": 1e-7},
             {"tau": MIN_TAU * (1 - 1e-12)},
             {"tau": float(np.finfo(np.float32).max)},  # inf in the float32 coarse block
             {"theta": 1.5},

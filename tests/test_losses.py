@@ -104,7 +104,7 @@ class TestGradients:
         np.testing.assert_allclose(ana, fd, rtol=1e-5, atol=1e-10)
 
     def test_dual_softmax_vjp_equals_two_pass_factors(self):
-        # the one-exp factors give the VJP of the separately computed softmaxes
+        # the VJP formula on separately computed row and column softmaxes
         rng = np.random.default_rng(97)
         s = rng.uniform(-100.0, 100.0, (30, 40))
         w = rng.standard_normal((30, 40))

@@ -17,8 +17,6 @@ from semidense.pose_matching import (
     DEFAULT_FINE_WINDOW,
     DEFAULT_TAU,
     DEFAULT_THETA,
-    DUAL_SOFTMAX_MAX_SPAN,
-    DUAL_SOFTMAX_MAX_SPAN_F32,
     FINE_SPLAT_SIGMA_PX,
     FINE_STRIDE,
     CorrespondenceSet,
@@ -289,35 +287,52 @@ class TestDualSoftmax:
             np.testing.assert_array_equal(pairs, mutual_nearest_neighbors(ref, threshold))
         assert len(pairs) > 500
 
-    def test_span_guard_at_the_bound(self):
-        rng = np.random.default_rng(80)
-        unit = rng.uniform(size=(6, 9))
-        unit = (unit - unit.min()) / (unit.max() - unit.min())  # span exactly 1
-        at_bound = unit * DUAL_SOFTMAX_MAX_SPAN - DUAL_SOFTMAX_MAX_SPAN / 2
-        assert at_bound.max() - at_bound.min() == DUAL_SOFTMAX_MAX_SPAN
-        ref = support.two_pass_dual_softmax(at_bound)
-        assert np.max(np.abs(dual_softmax(at_bound) - ref) / ref) <= 1e-13
-        past = unit * np.nextafter(DUAL_SOFTMAX_MAX_SPAN, np.inf)
-        for bad in (past, np.where(unit == 0, np.inf, unit), np.where(unit == 0, np.nan, unit)):
-            with pytest.raises(ValueError, match="span"):
-                dual_softmax(bad)
+    @staticmethod
+    def _blocks(rng, shape, span, dtype):
+        """Scores of exactly the given span, in groups of rows and columns.
 
-    def test_float32_span_guard_at_the_bound(self):
-        rng = np.random.default_rng(81)
-        unit = rng.uniform(size=(6, 9)).astype(np.float32)
-        unit = (unit - unit.min()) / (unit.max() - unit.min())  # span exactly 1
-        bound = np.float32(DUAL_SOFTMAX_MAX_SPAN_F32)
-        at_bound = unit * bound - bound / 2
-        assert at_bound.max() - at_bound.min() == bound
-        prob = dual_softmax(at_bound)
-        ref = support.two_pass_dual_softmax(at_bound.astype(float))
-        assert prob.dtype == np.float32
-        assert np.max(np.abs(prob - ref) / ref) <= 1e-5  # E**2 stays a normal float32
-        past = unit * np.nextafter(bound, np.float32(np.inf))
-        assert past.dtype == np.float32 and past.max() - past.min() > bound
-        for bad in (past, np.where(unit == 0, np.float32(np.inf), unit)):
-            with pytest.raises(ValueError, match="span"):
-                dual_softmax(bad)
+        Group g's entries lie just below its own peak height, which falls
+        from span / 2 for group 0 toward 0, and entries across groups lie
+        just above -span / 2. So every row and every column has a mutual
+        peak, while most rows and columns peak far below the maximum score.
+        """
+        groups = min(shape)
+        row_group = rng.permutation(np.arange(shape[0]) % groups)
+        col_group = rng.permutation(np.arange(shape[1]) % groups)
+        same = row_group[:, None] == col_group[None, :]
+        peak = span / 2 * (1 - row_group[:, None] / groups)
+        spread = min(span / 4, 10.0) * rng.uniform(size=shape)
+        s = np.where(same, peak - spread, spread - span / 2)
+        s[np.unravel_index(np.argmax(same & (peak == span / 2)), shape)] = span / 2
+        s[np.unravel_index(np.argmin(same), shape)] = -span / 2
+        return s.astype(dtype)
+
+    @pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-13), (np.float32, 1e-5)])
+    def test_exact_at_any_span(self, dtype, rtol):
+        # each softmax is shifted by its own row or column max, so no span is
+        # too wide; an entry far below both only underflows toward 0
+        rng = np.random.default_rng(80)
+        tiny = np.finfo(dtype).tiny
+        for span in (1.0, 43.0, 300.0, 1e3, 1e4, 1e5, 2e6):
+            for shape in ((6, 9), (9, 6), (2, 30), (30, 2), (40, 25)):
+                s = self._blocks(rng, shape, span, dtype)
+                assert s.max() - s.min() == span
+                prob = dual_softmax(s)
+                ref = support.two_pass_dual_softmax(s.astype(np.float64))
+                assert prob.dtype == dtype
+                assert np.all(np.abs(prob - ref) <= rtol * ref + tiny), (span, shape)
+                normal = ref >= tiny
+                assert np.max(np.abs(prob - ref)[normal] / ref[normal]) <= rtol
+                assert prob.max(axis=1).min() > 0 and prob.max(axis=0).min() > 0
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_non_finite_scores_raise(self, dtype):
+        s = np.random.default_rng(81).uniform(size=(6, 9)).astype(dtype)
+        for bad in (np.inf, -np.inf, np.nan):
+            t = s.copy()
+            t[2, 3] = bad
+            with pytest.raises(ValueError, match="finite"):
+                dual_softmax(t)
 
 
 class TestMutualNearestNeighbors:
@@ -831,9 +846,9 @@ class TestFineMatch2d3d:
 
     @pytest.mark.parametrize("fine_tau", [DEFAULT_TAU, 0.0067])
     def test_float32_inputs_agree_with_float64(self, fine_tau):
-        # estimate_views runs the fine block in float32 at every tau; at 0.0067,
-        # just above MIN_TAU, the logits span up to 2 / tau ~ 298, far past
-        # float32's exp range, and the far cells' probabilities underflow to 0
+        # estimate_views runs the fine block in float32 at every tau; at 0.0067
+        # the logits span up to 2 / tau ~ 298, far past float32's exp range,
+        # and the far cells' probabilities underflow to 0
         scene = generate_scene(75, 200, 7, ZERO)
         model = build_model(scene, OracleMatcher(scene))
         qmaps = synthesize_query_maps(scene, 6)
