@@ -2,7 +2,8 @@
 
 Single-head linear attention with the elu(x)+1 positive feature map:
 the O(N) kernel-sum formulation equals the explicit quadratic
-kernel-attention computation exactly (up to float rounding).
+kernel-attention computation exactly (up to float rounding), and each
+call takes whichever of the two is cheaper for its shapes.
 Attention weights are either loaded from a weight file or seeded-random;
 a zero-layer stack is the identity (attention bypass).
 
@@ -96,15 +97,29 @@ def elu_plus_one(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _quadratic_order(q_shape, k_shape, v_shape) -> bool:
+    """Whether linear_attention associates (phi(Q) phi(K)^T) V for these shapes.
+
+    True when its N M (C + Cv) multiply-adds are fewer than the linear
+    order's C Cv (N + M).
+    """
+    n, m, c, cv = q_shape[-2], k_shape[-2], q_shape[-1], v_shape[-1]
+    return n * m * (c + cv) < c * cv * (n + m)
+
+
 def linear_attention(
     queries: np.ndarray, keys: np.ndarray, values: np.ndarray, eps: float = 1e-6
 ) -> np.ndarray:
-    """Kernel attention in O(N): phi(Q) (phi(K)^T V) / (phi(Q) sum phi(K)).
+    """Kernel attention out_i = sum_j phi(q_i).phi(k_j) v_j / sum_j phi(q_i).phi(k_j).
 
-    Equivalent to the explicit softmax-free quadratic form
-    out_i = sum_j phi(q_i).phi(k_j) v_j / sum_j phi(q_i).phi(k_j).
-    Inputs are (..., N, C) stacks; leading axes broadcast, one independent
-    attention per slice. Float32 inputs give a float32 result.
+    Inputs are (..., N, C) queries, (..., M, C) keys and (..., M, Cv)
+    values; leading axes broadcast, one independent attention per slice.
+    Float32 inputs give a float32 result. The product is associated in
+    whichever order takes fewer multiply-adds for the shapes: the linear
+    order phi(Q) (phi(K)^T V) / (phi(Q) sum phi(K)) costs C Cv (N + M), the
+    quadratic order (phi(Q) phi(K)^T) V over its row sums N M (C + Cv).
+    So large sets (the coarse grid) take the linear order and short ones
+    (the fine windows) the quadratic; both compute the same function.
     """
     queries, keys, values = _as_float(queries), _as_float(keys), _as_float(values)
     if queries.shape[-1] != keys.shape[-1] or keys.shape[-2] != values.shape[-2]:
@@ -113,9 +128,14 @@ def linear_attention(
         )
     Q = elu_plus_one(queries)
     K = elu_plus_one(keys)
-    kv = np.swapaxes(K, -1, -2) @ values              # (..., C, Cv)
-    z = (Q @ K.sum(axis=-2)[..., None])[..., 0]       # (..., N)
-    out = Q @ kv
+    if _quadratic_order(queries.shape, keys.shape, values.shape):
+        weights = Q @ np.swapaxes(K, -1, -2)          # (..., N, M)
+        z = weights.sum(axis=-1)                      # (..., N)
+        out = weights @ values
+    else:
+        kv = np.swapaxes(K, -1, -2) @ values          # (..., C, Cv)
+        z = (Q @ K.sum(axis=-2)[..., None])[..., 0]   # (..., N)
+        out = Q @ kv
     out /= np.maximum(z, eps)[..., None]
     return out
 

@@ -4,8 +4,9 @@ The minimal solver is a control-point (EPnP-style) solve for n >= 4 with a
 homography-decomposition fallback for (near-)coplanar point sets. RANSAC
 hypothesizes on random 4-subsets, solved a chunk at a time as one stacked
 EPnP, verifies by reprojection error with a cheirality gate, adapts its
-iteration count from the best inlier ratio, then re-solves on all inliers
-and polishes with Levenberg-Marquardt on the 6-DoF reprojection error.
+iteration count from the best inlier ratio, then polishes the best
+hypothesis on its inliers with Levenberg-Marquardt on the 6-DoF
+reprojection error, and once more on a tightened inlier set.
 """
 
 from __future__ import annotations
@@ -328,14 +329,14 @@ def _rank(R, t, ok, points, pixels, intr):
     return flat[..., :9].reshape(*slot.shape, 3, 3), flat[..., 9:], ok
 
 
-def _ranked_candidates(points, pixels, intr, thorough):
+def _ranked_candidates(points, pixels, intr):
     """What pnp_minimal(polish=False) returns, for each set of a stack.
 
     Returns rotations (B, 4, 3, 3), translations (B, 4, 3) and a mask
-    (B, 4) of the filled slots, best first. `thorough` adds the extra beta
-    initialisations that pnp_minimal(polish=True) uses.
+    (B, 4) of the filled slots, best first, from the three beta
+    initialisations that RANSAC solves its samples with.
     """
-    R, t, ok, _ = _candidates(points, pixels, intr, thorough)
+    R, t, ok, _ = _candidates(points, pixels, intr, thorough=False)
     return _rank(R, t, ok, points, pixels, intr)
 
 
@@ -474,7 +475,7 @@ def ransac_pnp(
         size = min(chunk, needed - i)
         chunk *= 2
         idx = np.array([rng.choice(n, size=4, replace=False) for _ in range(size)])
-        R, t, ok = _ranked_candidates(points[idx], pixels[idx], intr, thorough=False)
+        R, t, ok = _ranked_candidates(points[idx], pixels[idx], intr)
         R, t = R[ok], t[ok]  # draw order, best candidate of each sample first
         errs = _reprojection_errors(R, t, intr, points, pixels)  # (candidates, n)
         mask = errs <= inlier_px
@@ -502,23 +503,10 @@ def ransac_pnp(
     if best is None or best_count < 4:
         return PnPResult(pose=None, iterations=i)
 
-    hypothesis = pose = SE3Pose(*best)
+    hypothesis = SE3Pose(*best)
     hyp_errs = reprojection_errors(hypothesis, intr, points, pixels)
     inliers = np.flatnonzero(hyp_errs <= inlier_px)
-    if len(inliers) >= 4:
-        # unpolished refit on all inliers; it replaces the hypothesis only if it
-        # reprojects better, and the chosen pose is polished once below
-        R, t, ok = _ranked_candidates(
-            points[inliers][None], pixels[inliers][None], intr, thorough=True
-        )
-        if ok[0, 0]:
-            refit = SE3Pose(R[0, 0], t[0, 0])
-            refit_errs = reprojection_errors(refit, intr, points[inliers], pixels[inliers])
-            base_errs = reprojection_errors(pose, intr, points[inliers], pixels[inliers])
-            if np.mean(refit_errs) < np.mean(base_errs):
-                pose = refit
-
-    pose = lm_pose_polish(pose, points[inliers], pixels[inliers], intr)
+    pose = lm_pose_polish(hypothesis, points[inliers], pixels[inliers], intr)
 
     # second pass on a tightened inlier set: reduces the pull of the
     # within-threshold error tail once the gross outliers are gone

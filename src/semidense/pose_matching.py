@@ -202,8 +202,10 @@ def _splat_fine(
     return cells, x
 
 
-# Rows of the unit-vector table that the fine noise floor indexes.
-_FINE_FLOOR_TABLE_ROWS = 4096
+# Rows of the unit-vector table that the fine noise floor indexes. A row's
+# correlation with a descriptor does not depend on the table's size; the size
+# sets only how often two fine cells share a floor row.
+_FINE_FLOOR_TABLE_ROWS = 256
 
 # Margin (px) of the oracle object box around the view's observed pixels.
 OBJECT_BOX_PAD_PX = 16

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from semidense.attention import (
+    _quadratic_order,
     POSITION_ENCODING_GAIN,
     POSITION_GRID_SCALE,
     AttentionStack,
@@ -29,14 +30,21 @@ def quadratic_attention(queries, keys, values, eps=1e-6):
 
 def allocating_transform(stack, a, b, eps=1e-6):
     """`AttentionStack.transform` with every sum in a new array, as `x + message`
-    and `h + relu(h ff1) ff2`: the reference for the in-place layers."""
+    and `h + relu(h ff1) ff2`: the reference for the in-place layers. The
+    message takes the association order with fewer multiply-adds."""
 
     def apply(layer, x, source):
         Q = elu_plus_one(x @ layer.wq)
         K = elu_plus_one(source @ layer.wk)
-        kv = np.swapaxes(K, -1, -2) @ (source @ layer.wv)
-        z = (Q @ K.sum(axis=-2)[..., None])[..., 0]
-        message = (Q @ kv) / np.maximum(z, eps)[..., None]
+        V = source @ layer.wv
+        n, m, c, cv = Q.shape[-2], K.shape[-2], Q.shape[-1], V.shape[-1]
+        if n * m * (c + cv) < c * cv * (n + m):
+            weights = Q @ np.swapaxes(K, -1, -2)
+            message = (weights @ V) / np.maximum(weights.sum(axis=-1), eps)[..., None]
+        else:
+            kv = np.swapaxes(K, -1, -2) @ V
+            z = (Q @ K.sum(axis=-2)[..., None])[..., 0]
+            message = (Q @ kv) / np.maximum(z, eps)[..., None]
         h = x + message
         return h + np.maximum(h @ layer.ff1, 0.0) @ layer.ff2
 
@@ -289,16 +297,35 @@ class TestPrecision:
             assert np.abs(enc32 - enc64).max() <= 1e-5
 
     def test_linear_attention(self):
+        def orders(q, k, v):
+            Q, K = elu_plus_one(q), elu_plus_one(k)
+            weights = Q @ np.swapaxes(K, -1, -2)
+            quad = (weights @ v) / np.maximum(weights.sum(axis=-1), 1e-6)[..., None]
+            z = (Q @ K.sum(axis=-2)[..., None])[..., 0]
+            lin = (Q @ (np.swapaxes(K, -1, -2) @ v)) / np.maximum(z, 1e-6)[..., None]
+            return quad, lin
+
+        # the fine windows' sets take the quadratic order, the localize coarse block the linear
+        for n, m in ((1, 1), (1, 25), (25, 1), (25, 25)):
+            assert _quadratic_order((7, n, 32), (7, m, 32), (7, m, 32))
+        for n, m in ((649, 342), (342, 649), (649, 649), (342, 342)):
+            assert not _quadratic_order((n, 32), (m, 32), (m, 32))
         rng = np.random.default_rng(22)
-        q, k, v = (rng.standard_normal(shape) for shape in ((9, 40, 16), (9, 25, 16), (9, 25, 16)))
-        out64 = linear_attention(q, k, v)
-        Q, K = elu_plus_one(q), elu_plus_one(k)
-        z = (Q @ K.sum(axis=-2)[..., None])[..., 0]
-        ref = (Q @ (np.swapaxes(K, -1, -2) @ v)) / np.maximum(z, 1e-6)[..., None]
-        assert out64.dtype == np.float64 and np.array_equal(out64, ref)
-        out32 = linear_attention(q.astype(np.float32), k.astype(np.float32), v.astype(np.float32))
-        assert out32.dtype == np.float32
-        assert np.abs(out32 - out64).max() <= 1e-5
+        for n, m, c, quadratic in ((40, 25, 16, False), (1, 25, 32, True), (25, 25, 32, True)):
+            q, k, v = (rng.standard_normal(shape) for shape in ((9, n, c), (9, m, c), (9, m, c)))
+            assert _quadratic_order(q.shape, k.shape, v.shape) == quadratic
+            # each order equals its own formula bit for bit, and the two agree
+            out64 = linear_attention(q, k, v)
+            quad, lin = orders(q, k, v)
+            assert out64.dtype == np.float64 and np.array_equal(out64, quad if quadratic else lin)
+            assert np.abs(quad - lin).max() <= 1e-12
+            q32, k32, v32 = (x.astype(np.float32) for x in (q, k, v))
+            out32 = linear_attention(q32, k32, v32)
+            quad32, lin32 = orders(q32, k32, v32)
+            assert out32.dtype == np.float32
+            assert np.array_equal(out32, quad32 if quadratic else lin32)
+            assert np.abs(quad32 - lin32).max() <= 1e-5
+            assert np.abs(out32 - out64).max() <= 1e-5
 
     def test_transform(self):
         stack = AttentionStack.random(3, 32, seed=23)

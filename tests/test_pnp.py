@@ -13,6 +13,7 @@ from semidense.pnp import (
     _candidates,
     _homography_pose,
     _median,
+    _rank,
     _ranked_candidates,
     lm_pose_polish,
     pnp_minimal,
@@ -110,7 +111,7 @@ class TestStackedEPnP:
         intr = sets[0][3]
         points = np.stack([s[1] for s in sets])
         pixels = np.stack([s[2] for s in sets]) + rng.normal(0, 0.5, (40, 4, 2))
-        R, t, ok = _ranked_candidates(points, pixels, intr, thorough=False)
+        R, t, ok = _ranked_candidates(points, pixels, intr)
         for b in range(len(sets)):
             ref = pnp_minimal(points[b], pixels[b], intr, polish=False)
             assert ok[b].sum() == len(ref)
@@ -134,7 +135,7 @@ class TestStackedEPnP:
         assert np.array_equal(R[1, :2], Rh) and np.array_equal(t[1, :2], th)
         assert ok[1].tolist() == okh.tolist() + [False] * (ok.shape[1] - 2)
 
-        R, t, ok = _ranked_candidates(points, pixels, intr, thorough=False)
+        R, t, ok = _ranked_candidates(points, pixels, intr)
         planar = pnp_minimal(points[1], pixels[1], intr, polish=False)
         assert ok[1].sum() == len(planar)
         assert np.max(np.abs(R[1, 0] - planar[0].rotation)) < 1e-9
@@ -229,6 +230,38 @@ class TestRansacPnP:
             np.testing.assert_array_equal(res.inliers, base.inliers)
             assert res.iterations == base.iterations
             assert res.mean_error == base.mean_error
+
+    @pytest.mark.parametrize("noise_px, outliers", [(0.0, 0), (0.5, 0), (0.5, 30)])
+    def test_polish_needs_no_refit(self, monkeypatch, noise_px, outliers):
+        # the best hypothesis goes straight into the LM polish: polishing a thorough
+        # EPnP refit on the same inliers lands on the same pose, and the returned
+        # pose is a fixed point of the polish on the set it was last polished on
+        rng = np.random.default_rng([113, outliers])
+        pose, points, pixels, intr = _pose_and_points(rng, 100)
+        pixels = pixels + rng.normal(0, noise_px, pixels.shape)
+        pixels[rng.choice(100, size=outliers, replace=False)] = rng.uniform(0, 512, (outliers, 2))
+        calls = []
+
+        def recording_polish(start, pts, pix, intr, **kwargs):
+            calls.append((pts, pix, lm_pose_polish(start, pts, pix, intr, **kwargs)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(pnp, "lm_pose_polish", recording_polish)
+        res = ransac_pnp(points, pixels, intr, inlier_px=3.0, seed=4)
+        assert res.ok and calls and res.pose is calls[-1][2]
+        P, X, first = calls[0]
+        R, t, ok, _ = _candidates(P[None], X[None], intr, thorough=True)
+        R, t, ok = _rank(R, t, ok, P[None], X[None], intr)
+        assert ok[0, 0]
+        refit = lm_pose_polish(SE3Pose(R[0, 0], t[0, 0]), P, X, intr)
+        assert np.abs(refit.matrix - first.matrix).max() <= 1e-8
+        P, X, _ = calls[-1]
+        again = lm_pose_polish(res.pose, P, X, intr)
+        assert np.abs(again.matrix - res.pose.matrix).max() <= 1e-8
+        # the ground-truth tolerances of the Monte Carlo recovery test
+        assert support.rotation_angle_deg(res.pose.rotation, pose.rotation) < 0.5
+        dist = np.linalg.norm(pose.camera_center)
+        assert np.linalg.norm(res.pose.translation - pose.translation) < 0.005 * dist
 
     def test_robust_recovery_monte_carlo(self):
         # 70 noisy inliers + 30 uniform outliers, n = 100 seeded trials. On

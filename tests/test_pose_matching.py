@@ -13,6 +13,7 @@ from semidense.matching import OracleMatcher, select_view_pairs
 from semidense.geometry import CameraIntrinsics, SE3Pose, project_with_depth
 from semidense.pnp import ransac_pnp
 from semidense.pose_matching import (
+    _FINE_FLOOR_TABLE_ROWS,
     _FINE_SPLAT_RADIUS_CELLS,
     DEFAULT_FINE_WINDOW,
     DEFAULT_TAU,
@@ -516,7 +517,8 @@ class TestSynthesizeQueryMaps:
             tracemalloc.stop()
         dense_bytes = qmaps.fine_index.size * qmaps.fine_rows.itemsize * qmaps.fine_rows.shape[1]
         assert dense_bytes == 256 * 256 * 32 * 8 and peak < dense_bytes
-        assert len(qmaps.fine_rows) == 4096 + np.count_nonzero(qmaps.fine_index >= 4096)
+        rows = _FINE_FLOOR_TABLE_ROWS
+        assert len(qmaps.fine_rows) == rows + np.count_nonzero(qmaps.fine_index >= rows)
 
     def test_noise_floors(self):
         scene = generate_scene(86, 300, 3, NoiseModel(descriptor_noise_sigma=0.1))
@@ -528,11 +530,12 @@ class TestSynthesizeQueryMaps:
         other = query_noise_floors(scene, 2, full)
         assert not np.array_equal(table, other[1]) and not np.array_equal(index, other[2])
         np.testing.assert_allclose(np.linalg.norm(coarse, axis=2), 1.0, atol=1e-12)
-        # the 256 x 256 fine cells index rows of one table of 4096 unit rows
-        assert table.shape == (4096, scene.desc_fine.shape[1]) and index.shape == (256, 256)
+        # the 256 x 256 fine cells index rows of one table of unit rows, and use every row
+        rows = _FINE_FLOOR_TABLE_ROWS
+        assert table.shape == (rows, scene.desc_fine.shape[1]) and index.shape == (256, 256)
         np.testing.assert_allclose(np.linalg.norm(table, axis=1), 1.0, atol=1e-12)
         assert np.issubdtype(index.dtype, np.integer)
-        assert index.min() >= 0 and index.max() < 4096 and len(np.unique(index)) > 4000
+        np.testing.assert_array_equal(np.unique(index), np.arange(rows))
         # a window's floors are drawn for its cells only
         box = (64, 128, 192, 224)
         coarse, table, index = query_noise_floors(scene, 1, box)
@@ -540,7 +543,7 @@ class TestSynthesizeQueryMaps:
         # untouched cells keep their unit floor and touched ones are renormalized
         qmaps = synthesize_query_maps(scene, 1)
         np.testing.assert_allclose(np.linalg.norm(qmaps.fine_rows, axis=1), 1.0, atol=1e-12)
-        assert 4096 < len(qmaps.fine_rows) <= 4096 + qmaps.fine_index.size
+        assert rows < len(qmaps.fine_rows) <= rows + qmaps.fine_index.size
 
 
 class TestSplatFine:
