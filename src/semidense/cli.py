@@ -46,7 +46,7 @@ from .metrics import (
     translation_error,
 )
 from .pnp import PnPResult, ransac_pnp
-from .pose_matching import coarse_match_2d3d, fine_match_2d3d, synthesize_query_maps
+from .pose_matching import coarse_match_2d3d, crop_frame, fine_match_2d3d, synthesize_query_maps
 from .refine import refine_reconstruction
 from .scene import generate_scene
 from .tracks import build_tracks, tracks_to_json, triangulate_tracks
@@ -113,11 +113,12 @@ def reconstruct_scene(scene, config: RunConfig, recon_views: list[int]):
 def estimate_views(scene, model, config: RunConfig, query_views, stacks=None):
     """Coarse match -> fine match -> RANSAC PnP per query view.
 
-    Each view's maps cover the oracle's object box, grown to hold a fine
-    window (synthesize_query_maps). The coarse and fine blocks run in
-    float32 at every tau: each softmax is shifted by its own max, and a
-    logit far below it only underflows to probability 0. Map synthesis,
-    the fine pixels and PnP run in float64.
+    Each view's maps cover a crop of the oracle's object box, at most
+    MAX_CROP_SIDE px on a side (synthesize_query_maps); the matches go back
+    to the image's pixels, so PnP runs on the view's own intrinsics. The
+    coarse and fine blocks run in float32 at every tau: each softmax is
+    shifted by its own max, and a logit far below it only underflows to
+    probability 0. Map synthesis, the fine pixels and PnP run in float64.
     """
     coarse_stack, fine_stack = (s.astype(np.float32) for s in stacks or _default_stacks(config))
     cast_model = dataclasses.replace(
@@ -142,6 +143,9 @@ def estimate_views(scene, model, config: RunConfig, query_views, stacks=None):
         corr = fine_match_2d3d(
             cast_model, qmaps, corr, fine_stack, window=config.fine_window, fine_tau=config.tau
         )
+        s, corner = crop_frame(qmaps.intrinsics, scene.views[view][1])  # back to the image
+        corr.coarse_pixels = corr.coarse_pixels / s + corner
+        corr.fine_pixels = corr.fine_pixels / s + corner
         del qmaps
         if corr.n_fine >= 4:
             res = ransac_pnp(

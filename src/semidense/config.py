@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .formats import _dump_json, _load_json
-from .pose_matching import FINE_STRIDE
+from .pose_matching import FINE_STRIDE, MAX_CROP_SIDE
 from .scene import NoiseModel
 
 # The reciprocal of MAX_TAU. Unit-norm features score within +-1/tau, so
@@ -23,6 +23,10 @@ MIN_TAU = 1e-6
 # to 2e-6 and a larger tau matches nothing better; the float32 coarse block
 # would turn a tau past ~3.4e38 into inf.
 MAX_TAU = 1e6
+# Farthest camera (object diameters) and longest focal length (px): there the
+# object spans about a pixel, and the squares of camera coordinates that
+# triangulation's gates sum stay far inside float64's range (1e300 overflowed).
+MAX_DISTANCE = MAX_FOCAL = 1e6
 
 
 @dataclass
@@ -93,8 +97,9 @@ class RunConfig:
             (0 <= self.theta <= 1, "theta must be in [0, 1]"),
             (_positive_odd(self.fine_window), "fine_window must be a positive odd integer"),
             (
-                self.fine_window <= self.image_size // FINE_STRIDE,
-                f"fine_window must be at most the fine map's side, image_size // {FINE_STRIDE}",
+                self.fine_window <= min(self.image_size, MAX_CROP_SIDE) // FINE_STRIDE,
+                f"fine_window must be at most the fine map's side, "
+                f"min(image_size, {MAX_CROP_SIDE}) // {FINE_STRIDE}",
             ),
             (self.n_coarse_layers >= 0, "n_coarse_layers must be non-negative"),
             (self.n_fine_layers >= 0, "n_fine_layers must be non-negative"),
@@ -106,6 +111,8 @@ class RunConfig:
                 0 < self.distance_min <= self.distance_max,
                 "distance_min must be in (0, distance_max]",
             ),
+            (self.distance_max <= MAX_DISTANCE, f"distance_max must be at most {MAX_DISTANCE:g}"),
+            (0 < self.focal <= MAX_FOCAL, f"focal must be in (0, {MAX_FOCAL:g}]"),
         ):
             if not ok:
                 raise ValueError(message)

@@ -47,7 +47,11 @@ def rotation_checks(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
-    """Pinhole intrinsics: focal lengths and principal point in pixels."""
+    """Pinhole intrinsics: focal lengths and principal point in pixels.
+
+    The principal point may lie outside the image, as it does for a crop of
+    an image off its centre (pose_matching.crop_camera).
+    """
 
     fx: float
     fy: float
@@ -64,10 +68,6 @@ class CameraIntrinsics:
             )
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError(f"focal lengths must be positive, got ({self.fx}, {self.fy})")
-        if not (0 <= self.cx < self.width):
-            raise ValueError(f"cx={self.cx} outside [0, {self.width})")
-        if not (0 <= self.cy < self.height):
-            raise ValueError(f"cy={self.cy} outside [0, {self.height})")
 
     @property
     def matrix(self) -> np.ndarray:
@@ -177,11 +177,6 @@ class SE3Pose:
     def camera_center(self) -> np.ndarray:
         """Camera center in world coordinates."""
         return -self.rotation.T @ self.translation
-
-    @property
-    def optical_axis(self) -> np.ndarray:
-        """World direction of the camera +z axis."""
-        return self.rotation[2].copy()
 
     @property
     def matrix(self) -> np.ndarray:

@@ -1,12 +1,14 @@
 """Perspective-n-Point pose recovery: EPnP candidates inside adaptive RANSAC.
 
 The minimal solver is a control-point (EPnP-style) solve for n >= 4 with a
-homography-decomposition fallback for (near-)coplanar point sets. RANSAC
-hypothesizes on random 4-subsets, solved a chunk at a time as one stacked
-EPnP, verifies by reprojection error with a cheirality gate, adapts its
-iteration count from the best inlier ratio, then polishes the best
-hypothesis on its inliers with Levenberg-Marquardt on the 6-DoF
-reprojection error, and once more on a tightened inlier set.
+homography-decomposition fallback for (near-)coplanar point sets; each set
+gets one candidate per beta initialisation (EPnP's cases N = 1, 2, 3), each
+refined by Gauss-Newton, and `pnp_minimal(polish=True)` LM-polishes them
+before ranking. RANSAC hypothesizes on random 4-subsets, solved a chunk at
+a time as one stacked EPnP, verifies by reprojection error with a
+cheirality gate, adapts its iteration count from the best inlier ratio,
+then polishes the best hypothesis on its inliers with Levenberg-Marquardt
+on the 6-DoF reprojection error, and once more on a tightened inlier set.
 """
 
 from __future__ import annotations
@@ -143,21 +145,23 @@ def _beta_gauss_newton(betas, G, rho, iters=12):
 
 
 def _relinearized_products(G, rho, n_kernel):
-    """Least-squares fit of the products beta_a beta_b (a <= b < n_kernel), per set."""
+    """Least-squares fit of the products beta_a beta_b (a <= b < n_kernel), per set, row-major."""
     combos = [(a, b) for a in range(n_kernel) for b in range(a, n_kernel)]
     L = np.stack([G[:, :, a, b] * (1.0 if a == b else 2.0) for a, b in combos], axis=2)
     # minimum-norm least squares with numpy lstsq's default singular-value cutoff
     sol = np.linalg.pinv(L, rcond=max(L.shape[1:]) * np.finfo(float).eps) @ rho[:, :, None]
-    return combos, sol[..., 0]
+    return sol[..., 0]
 
 
 def _epnp(
-    points: np.ndarray, pixels: np.ndarray, intr: CameraIntrinsics, thorough: bool = True
+    points: np.ndarray, pixels: np.ndarray, intr: CameraIntrinsics
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """EPnP on a stack of B non-planar sets: points (B, n, 3), pixels (B, n, 2).
 
-    Returns rotations (B, K, 3, 3), translations (B, K, 3) and a validity
-    mask (B, K), one candidate per beta initialisation in a fixed order.
+    Returns rotations (B, 3, 3, 3), translations (B, 3, 3) and a validity
+    mask (B, 3), one candidate per beta initialisation in a fixed order: a
+    scale fit on the first kernel vector, then the relinearized fits over
+    two and three kernel vectors.
     """
     B = len(points)
     ctrl_w = _control_points(points)
@@ -171,19 +175,13 @@ def _epnp(
     G = np.einsum("bkpc,blpc->bpkl", dv, dv)  # (B, 6, 4, 4) pairwise quadratic forms
 
     # case-N approximate betas, each refined by Gauss-Newton on the full 4-vector
-    inits, usable = [], []
-    # single-vector scale fits; v2 matters when the kernel mixes
-    for k in (0, 1) if thorough else (0,):
-        denom = G[:, :, k, k].sum(axis=1)
-        fits = denom > 1e-18
-        beta = np.zeros((B, 4))
-        scale = np.sum(np.sqrt(G[:, :, k, k]) * np.sqrt(rho), axis=1)
-        beta[:, k] = scale / np.where(fits, denom, 1.0)
-        inits.append(beta)
-        usable.append(fits)
-
+    denom = G[:, :, 0, 0].sum(axis=1)
+    fits = denom > 1e-18
+    beta = np.zeros((B, 4))
+    beta[:, 0] = np.sum(np.sqrt(G[:, :, 0, 0]) * np.sqrt(rho), axis=1) / np.where(fits, denom, 1.0)
+    inits, usable = [beta], [fits]
     for n_kernel in (2, 3):
-        _, sol = _relinearized_products(G, rho, n_kernel)
+        sol = _relinearized_products(G, rho, n_kernel)
         b11 = sol[:, 0]
         beta = np.zeros((B, 4))
         beta[:, 0] = np.sqrt(np.abs(b11))
@@ -191,20 +189,8 @@ def _epnp(
         beta[:, 1:n_kernel] = np.where(
             lead, sol[:, 1:n_kernel] / np.where(lead, beta[:, :1], 1.0) * np.sign(b11)[:, None], 0.0
         )
-        variants = (beta, beta * [1.0, -1.0, -1.0, -1.0]) if thorough else (beta,)
-        inits.extend(variants)
-        usable.extend([np.ones(B, dtype=bool)] * len(variants))
-
-    if thorough:
-        # relinearization over all four kernel vectors: fit the products, then
-        # extract betas as the dominant eigen-direction of the rank-1 estimate
-        combos4, sol4 = _relinearized_products(G, rho, 4)
-        prod = np.zeros((B, 4, 4))
-        for col, (a, b) in enumerate(combos4):
-            prod[:, a, b] = prod[:, b, a] = sol4[:, col]
-        w, vecs = np.linalg.eigh(prod)
-        inits.append(np.sqrt(np.maximum(w[:, -1:], 0.0)) * vecs[:, :, -1])
-        usable.append(w[:, -1] > 0)
+        inits.append(beta)
+        usable.append(np.ones(B, dtype=bool))
 
     beta = _beta_gauss_newton(np.stack(inits, axis=1), G, rho)
     ctrl_c = np.einsum("bkj,bjcx->bkcx", beta, V)
@@ -275,7 +261,7 @@ def _homography_pose(
     return rotations, translations, valid
 
 
-def _candidates(points, pixels, intr, thorough):
+def _candidates(points, pixels, intr):
     """Raw candidate poses for B correspondence sets: points (B, n, 3), pixels (B, n, 2).
 
     Collinear and non-finite sets are rejected, (near-)coplanar sets take the
@@ -293,19 +279,17 @@ def _candidates(points, pixels, intr, thorough):
     planar = ~rejected & (s[:, 2] <= 1e-3 * s[:, 0])
     general = ~rejected & ~planar
 
-    K = 7 if thorough else 3  # EPnP beta initialisations; the homography fills two slots
+    K = 3  # EPnP beta initialisations; the homography fills two slots
     R, t, ok = np.zeros((B, K, 3, 3)), np.zeros((B, K, 3)), np.zeros((B, K), dtype=bool)
     if general.any():
-        R[general], t[general], ok[general] = _epnp(
-            points[general], pixels[general], intr, thorough
-        )
+        R[general], t[general], ok[general] = _epnp(points[general], pixels[general], intr)
     for b in np.flatnonzero(planar):
         R[b, :2], t[b, :2], ok[b, :2] = _homography_pose(points[b], pixels[b], intr)
     return R, t, ok, rejected
 
 
 def _rank(R, t, ok, points, pixels, intr):
-    """Best-first candidates per set, near-duplicates dropped, at most four kept.
+    """Best-first candidates per set, near-duplicates dropped.
 
     Candidates are ordered by mean reprojection error on their own set
     (stable, so ties keep the initialisation order); one whose pose matrix
@@ -323,7 +307,7 @@ def _rank(R, t, ok, points, pixels, intr):
     )
     for j in range(1, ok.shape[1]):
         ok[:, j] &= ~np.any(close[:, j, :j] & ok[:, :j], axis=1)
-    slot = np.argsort(~ok, axis=1, kind="stable")[:, :4]
+    slot = np.argsort(~ok, axis=1, kind="stable")
     flat = np.take_along_axis(flat, slot[..., None], axis=1)
     ok = np.take_along_axis(ok, slot, axis=1)
     return flat[..., :9].reshape(*slot.shape, 3, 3), flat[..., 9:], ok
@@ -332,11 +316,10 @@ def _rank(R, t, ok, points, pixels, intr):
 def _ranked_candidates(points, pixels, intr):
     """What pnp_minimal(polish=False) returns, for each set of a stack.
 
-    Returns rotations (B, 4, 3, 3), translations (B, 4, 3) and a mask
-    (B, 4) of the filled slots, best first, from the three beta
-    initialisations that RANSAC solves its samples with.
+    Returns rotations (B, 3, 3, 3), translations (B, 3, 3) and a mask
+    (B, 3) of the filled slots, best first.
     """
-    R, t, ok, _ = _candidates(points, pixels, intr, thorough=False)
+    R, t, ok, _ = _candidates(points, pixels, intr)
     return _rank(R, t, ok, points, pixels, intr)
 
 
@@ -346,9 +329,9 @@ def pnp_minimal(
     """Candidate poses from n >= 4 correspondences, cheirality-filtered.
 
     Raises DegenerateGeometryError for collinear point sets; switches to the
-    homography route when the set is (near-)coplanar. `polish=False` skips
-    the per-candidate LM refinement and the extra beta initialisations; it is
-    the one-set case of the stacked solve that RANSAC runs on its samples.
+    homography route when the set is (near-)coplanar. `polish=True` refines
+    each candidate with LM before ranking; `polish=False` is the one-set case
+    of the stacked solve that RANSAC runs on its samples.
     """
     points = np.asarray(points, dtype=float)
     pixels = np.asarray(pixels, dtype=float)
@@ -359,7 +342,7 @@ def pnp_minimal(
         raise ValueError("PnP correspondences must be finite")
 
     P, X = points[None], pixels[None]
-    R, t, ok, rejected = _candidates(P, X, intr, thorough=polish)
+    R, t, ok, rejected = _candidates(P, X, intr)
     if rejected[0]:
         raise DegenerateGeometryError("correspondences are collinear")
     if polish:

@@ -7,11 +7,14 @@ half-resolution feature map around each coarse match is correlated with the
 point's fine descriptor; the sub-pixel location is the probability-weighted
 expectation over the window.
 
-Query feature maps cover a window of the query image, the object's box:
-the oracle box (`oracle_object_box`) stands in for a detector. They are
-synthesized from the scene oracle by splatting observed point descriptors
-over a random noise floor; the map container is the seam where a learned
-image backbone would plug in. Pixels stay in the image frame throughout.
+Query feature maps cover a crop of the query image around the object's
+box, at a bounded resolution: the oracle box (`oracle_object_box`)
+stands in for a detector. A crop is a camera (`crop_camera`): it has the
+view's pose and its own intrinsics, so the maps, their matches and their
+pixels are in the crop's frame, and `crop_frame` takes pixels back to the
+image. The maps are synthesized from the scene oracle by splatting observed
+point descriptors over a random noise floor; the map container is the seam
+where a learned image backbone would plug in.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 from .attention import AttentionStack, positional_encode
 from .geometry import CameraIntrinsics, project_with_depth
 from .refine import PointCloudModel
-from .scene import GRID_STRIDE, SyntheticScene, ViewObservations, render_observations
+from .scene import GRID_STRIDE, SyntheticScene, ViewObservations, cell_winners, render_observations
 
 FINE_STRIDE = 2
 
@@ -33,35 +36,31 @@ DEFAULT_TAU = 0.08
 DEFAULT_THETA = 0.4
 DEFAULT_FINE_WINDOW = 5
 
+# Longest side (px) of the crop that a query is matched on. The object is
+# matched at a fixed resolution, as OnePose and the paper do, so a query's
+# cost and its dual-softmax's number of cells do not grow with the image;
+# 512 px is the image size that the published operating point is set at.
+MAX_CROP_SIDE = 512
+
 
 @dataclass(frozen=True, eq=False)
 class QueryFeatureMaps:
-    """Coarse (1/8) and fine (1/2) descriptor grids over a window of one query image.
+    """Coarse (1/8) and fine (1/2) descriptor grids over the image of one camera.
 
-    The window's first coarse cell is cell `origin` = (column, row) of the
-    image's coarse grid; its h x w coarse cells cover 4h x 4w fine cells.
-    The full image is the window with origin (0, 0). The fine grid is a row
-    table plus a cell index: fine cell (r, c) holds the descriptor
+    The camera is the query view, or a crop of it (`crop_camera`); its
+    H x W image has H/8 x W/8 coarse and H/2 x W/2 fine cells, and every
+    pixel the maps give is in its frame. The fine grid is a row table plus a
+    cell index: fine cell (r, c) holds the descriptor
     fine_rows[fine_index[r, c]], so cells may share a row. A dense
-    (h', w', C_f) map is the case of one row per cell (`from_dense`).
+    (H/2, W/2, C_f) map is the case of one row per cell (`from_dense`).
     """
 
-    coarse: np.ndarray      # (h, w, C_c) unit rows
+    coarse: np.ndarray      # (H/8, W/8, C_c) unit rows
     fine_rows: np.ndarray   # (R, C_f) unit rows
-    fine_index: np.ndarray  # (4h, 4w) integer row of each fine cell
+    fine_index: np.ndarray  # (H/2, W/2) integer row of each fine cell
     intrinsics: CameraIntrinsics
-    origin: tuple[int, int] = (0, 0)
 
     def __post_init__(self):
-        object.__setattr__(self, "origin", tuple(int(x) for x in self.origin))
-        c0, r0 = self.origin
-        h, w = np.shape(self.coarse)[:2]
-        hc, wc = self.intrinsics.height // GRID_STRIDE, self.intrinsics.width // GRID_STRIDE
-        if not (0 <= c0 <= wc - w and 0 <= r0 <= hc - h):
-            raise ValueError(
-                f"a {h} x {w} coarse window at origin {self.origin} leaves the image's "
-                f"{hc} x {wc} grid"
-            )
         if np.ndim(self.fine_rows) != 2:
             raise ValueError(f"fine_rows must be 2-D, got shape {np.shape(self.fine_rows)}")
         index = np.asarray(self.fine_index)
@@ -69,21 +68,21 @@ class QueryFeatureMaps:
             raise ValueError(
                 f"fine_index must be a 2-D integer array, got {index.dtype} of shape {index.shape}"
             )
+        h, w = self.intrinsics.height, self.intrinsics.width
+        grids = (np.shape(self.coarse)[:2], index.shape)
+        if grids != ((h // GRID_STRIDE, w // GRID_STRIDE), (h // FINE_STRIDE, w // FINE_STRIDE)):
+            raise ValueError(f"coarse, fine_index cover {grids} cells, not the camera's {h} x {w} px")
         n_rows = len(self.fine_rows)
         if index.size and (index.min() < 0 or index.max() >= n_rows):
             raise ValueError(f"fine_index entries must lie in [0, {n_rows}), the rows of fine_rows")
 
     @classmethod
     def from_dense(
-        cls,
-        coarse: np.ndarray,
-        fine: np.ndarray,
-        intrinsics: CameraIntrinsics,
-        origin: tuple[int, int] = (0, 0),
+        cls, coarse: np.ndarray, fine: np.ndarray, intrinsics: CameraIntrinsics
     ) -> "QueryFeatureMaps":
-        """Maps over a dense (h', w', C_f) fine grid: one row per cell, row-major.
+        """Maps over a dense (H/2, W/2, C_f) fine grid: one row per cell, row-major.
 
-        By default the window is the full image, with origin (0, 0).
+        A dense map of a crop comes with the crop's intrinsics (`crop_camera`).
         """
         hf, wf, cf = fine.shape
         return cls(
@@ -91,21 +90,13 @@ class QueryFeatureMaps:
             fine_rows=fine.reshape(hf * wf, cf),
             fine_index=np.arange(hf * wf).reshape(hf, wf),
             intrinsics=intrinsics,
-            origin=origin,
         )
 
-    @property
-    def fine_origin(self) -> np.ndarray:
-        """(column, row) of the window's first fine cell in the image's fine grid."""
-        return np.asarray(self.origin) * (GRID_STRIDE // FINE_STRIDE)
-
     def coarse_cell_pixels(self) -> np.ndarray:
-        """Image-frame pixel centers of the window's flattened (row-major) coarse grid."""
+        """Pixel centers of the flattened (row-major) coarse grid."""
         h, w, _ = self.coarse.shape
-        cols, rows = np.meshgrid(np.arange(w) + self.origin[0], np.arange(h) + self.origin[1])
-        u = cols * GRID_STRIDE + GRID_STRIDE / 2.0
-        v = rows * GRID_STRIDE + GRID_STRIDE / 2.0
-        return np.stack([u.ravel(), v.ravel()], axis=1)
+        cols, rows = np.meshgrid(np.arange(w), np.arange(h))
+        return np.stack([cols.ravel(), rows.ravel()], axis=1) * GRID_STRIDE + GRID_STRIDE / 2.0
 
 
 @dataclass
@@ -141,37 +132,33 @@ def _splat_fine(
     index: np.ndarray,
     pixels: np.ndarray,
     desc: np.ndarray,
-    origin=(0, 0),
 ) -> tuple[np.ndarray, np.ndarray]:
     """Blend each row's Gaussian descriptor peak into the fine map table[index], in row order.
 
-    The map is a window of the image's fine grid whose first cell is fine
-    cell `origin` = (column, row); pixels are in the image frame. A peak
-    updates every cell x of its 3x3 stencil, clipped to the window, to
+    A peak updates every cell x of its 3x3 stencil, clipped to the map, to
     g*desc + (1-g)*x. Only the touched cells' rows are gathered, ranked by
     update count, most first. The updates are applied in rounds: round k
     holds the k-th update of every cell that has one, which is a prefix of
     the ranking, so no cell repeats within a round and each cell receives
     its updates in row order, with the same arithmetic as blending one row
-    at a time. Returns the flat (row-major) window indices of the touched
+    at a time. Returns the flat (row-major) map indices of the touched
     cells, each once in rank order, and their blended rows.
     """
     hf, wf = index.shape
     offsets = np.arange(-_FINE_SPLAT_RADIUS_CELLS, _FINE_SPLAT_RADIUS_CELLS + 1)
-    cs = np.rint(pixels[:, :1] / FINE_STRIDE).astype(int) + offsets  # (n, 3), image frame
+    cs = np.rint(pixels[:, :1] / FINE_STRIDE).astype(int) + offsets  # (n, 3)
     rs = np.rint(pixels[:, 1:] / FINE_STRIDE).astype(int) + offsets
     du = cs * FINE_STRIDE - pixels[:, :1]
     dv = rs * FINE_STRIDE - pixels[:, 1:]
     d2 = dv[:, :, None] ** 2 + du[:, None, :] ** 2
     g = np.exp(-d2 / (2.0 * FINE_SPLAT_SIGMA_PX**2))
-    cs, rs = cs - origin[0], rs - origin[1]  # the window's frame
     inside = ((rs >= 0) & (rs < hf))[:, :, None] & ((cs >= 0) & (cs < wf))[:, None, :]
     cell = (rs[:, :, None] * wf + cs[:, None, :])[inside]  # row-major: in row order
     src = np.broadcast_to(np.arange(len(pixels))[:, None, None], inside.shape)[inside]
     g = g[inside]
 
     # Stable sorts on the narrowest unsigned keys: numpy radix-sorts keys of
-    # 16 bits or fewer, which hold windows of up to 65,536 fine cells.
+    # 16 bits or fewer, which hold maps of up to 65,536 fine cells.
     by_cell = np.argsort(cell.astype(np.min_scalar_type(hf * wf - 1)), kind="stable")
     sorted_cells = cell[by_cell]
     is_start = np.diff(sorted_cells, prepend=-1) != 0
@@ -221,10 +208,10 @@ def oracle_object_box(
 
     The half-open box holds every observed pixel with OBJECT_BOX_PAD_PX to
     spare, is snapped outward to the coarse grid and clipped to the image,
-    then grows inside the image to at least `fine_window` fine cells per
-    side, so that every fine window fits. With no observed pixel it is the
-    whole image. `obs` is the view's render_observations, when the caller
-    has it.
+    then grows inside the image until its crop (crop_camera) has at least
+    `fine_window` fine cells per side, so that every fine window fits. With
+    no observed pixel it is the whole image. `obs` is the view's
+    render_observations, when the caller has it.
     """
     _, intr = scene.views[view_id]
     n = np.array([intr.width, intr.height]) // GRID_STRIDE  # the image's coarse cells
@@ -236,27 +223,53 @@ def oracle_object_box(
         lo = np.floor((obs.pixels.min(axis=0) - OBJECT_BOX_PAD_PX) / GRID_STRIDE).astype(int)
         hi = np.ceil((obs.pixels.max(axis=0) + OBJECT_BOX_PAD_PX) / GRID_STRIDE).astype(int)
         lo, hi = np.maximum(lo, 0), np.minimum(hi, n)
-    need = np.minimum(-(-fine_window * FINE_STRIDE // GRID_STRIDE), n)
+    # the crop shrinks a box by MAX_CROP_SIDE / its long side when that is below 1
+    span = max(int((hi - lo).max()) * GRID_STRIDE, MAX_CROP_SIDE)
+    need = -(-fine_window * FINE_STRIDE * span // (MAX_CROP_SIDE * GRID_STRIDE))  # coarse cells
+    need = np.minimum(need, n)
     lo = np.clip(lo - np.maximum(need - (hi - lo), 0) // 2, 0, n - need)
     hi = np.maximum(hi, lo + need)
-    u0, v0, u1, v1 = (int(x) * GRID_STRIDE for x in (*lo, *hi))
-    return u0, v0, u1, v1
+    return tuple(int(x) * GRID_STRIDE for x in (*lo, *hi))
+
+
+def crop_camera(intrinsics: CameraIntrinsics, box: tuple[int, int, int, int]) -> CameraIntrinsics:
+    """The camera of a crop: the image's box (u0, v0, u1, v1), resized by s.
+
+    s = min(1, MAX_CROP_SIDE / long side). The crop has the view's pose,
+    intrinsics (s fx, s fy, s (cx - u0), s (cy - v0)) and the box's size
+    times s, rounded up to the coarse grid: a box on the grid that fits is
+    its own crop, with s = 1 and only the principal point moved.
+    """
+    u0, v0, u1, v1 = box
+    long_side = max(u1 - u0, v1 - v0)
+    s = min(1.0, MAX_CROP_SIDE / long_side)
+    width, height = (
+        -(-min(long_side, MAX_CROP_SIDE) * side // (GRID_STRIDE * long_side)) * GRID_STRIDE
+        for side in (u1 - u0, v1 - v0)
+    )
+    k = intrinsics
+    return CameraIntrinsics(s * k.fx, s * k.fy, s * (k.cx - u0), s * (k.cy - v0), width, height)
+
+
+def crop_frame(crop: CameraIntrinsics, image: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
+    """(s, corner) of a crop of the image: crop pixel p is image pixel p / s + corner."""
+    s = np.array([crop.fx / image.fx, crop.fy / image.fy])
+    return s, np.array([image.cx, image.cy]) - np.array([crop.cx, crop.cy]) / s
 
 
 def query_noise_floors(
-    scene: SyntheticScene, view_id: int, box: tuple[int, int, int, int]
+    scene: SyntheticScene, view_id: int, camera: CameraIntrinsics
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The random unit-vector floors of one query view's window: (coarse, table, index).
+    """The random unit-vector floors of one query view's maps: (coarse, table, index).
 
-    `box` is the window's pixel box (u0, v0, u1, v1) on the coarse grid.
-    Every coarse cell of the window gets its own normalized Gaussian
-    vector. The fine floor is a table of _FINE_FLOOR_TABLE_ROWS such
-    vectors and a random index into it, one row per fine cell of the
-    window. All come from one generator keyed on (seed, view), coarse first.
+    The maps cover the image of `camera`, the view's crop (crop_camera).
+    Every coarse cell gets its own normalized Gaussian vector. The fine
+    floor is a table of _FINE_FLOOR_TABLE_ROWS such vectors and a random
+    index into it, one row per fine cell. All come from one generator keyed
+    on (seed, view), coarse first.
     """
-    u0, v0, u1, v1 = box
-    hc, wc = (v1 - v0) // GRID_STRIDE, (u1 - u0) // GRID_STRIDE
-    hf, wf = (v1 - v0) // FINE_STRIDE, (u1 - u0) // FINE_STRIDE
+    hc, wc = camera.height // GRID_STRIDE, camera.width // GRID_STRIDE
+    hf, wf = camera.height // FINE_STRIDE, camera.width // FINE_STRIDE
     rng = np.random.default_rng([scene.seed, _STREAM_QUERY_MAPS, view_id])
     coarse = rng.standard_normal((hc, wc, scene.desc_coarse.shape[1]))
     coarse /= np.linalg.norm(coarse, axis=2, keepdims=True)
@@ -271,36 +284,36 @@ def synthesize_query_maps(
     fine_window: int = DEFAULT_FINE_WINDOW,
     box: tuple[int, int, int, int] | None = None,
 ) -> QueryFeatureMaps:
-    """Splat observed descriptors onto coarse/fine grids over a noise floor, in a window.
+    """Splat observed descriptors onto coarse/fine grids over a noise floor, on a crop.
 
-    The window is `box`, by default the oracle's object box for
-    `fine_window` (oracle_object_box). Coarse cells take their winning
-    point's observed descriptor. On the fine map each point spreads a
-    Gaussian-shaped descriptor peak (a real feature map is smooth, so
-    correlation decays with distance from the feature); nearer points are
-    blended over farther ones. Unoccupied cells keep their noise-floor
-    rows, and every fine cell a peak touched gets a renormalized row of its
-    own, appended after the floor table. What falls outside the window is
-    dropped.
+    The crop is crop_camera's of `box`, by default the oracle's object box
+    for `fine_window` (oracle_object_box), and the maps are the crop
+    camera's. Each coarse cell takes the observed descriptor of its
+    front-most point, by render_observations' z-buffer (cell_winners) on the
+    crop's grid. On the fine map each point spreads a Gaussian-shaped
+    descriptor peak (a real feature map is smooth, so correlation decays
+    with distance from the feature); nearer points are blended over farther
+    ones. Unoccupied cells keep their noise-floor rows, and every fine cell
+    a peak touched gets a renormalized row of its own, appended after the
+    floor table. What falls outside the crop is dropped.
     """
     pose, intr = scene.views[view_id]
     obs = render_observations(scene, view_id)
     if box is None:
         box = oracle_object_box(scene, view_id, fine_window, obs)
-    coarse, table, index = query_noise_floors(scene, view_id, box)
-    origin = np.array(box[:2]) // GRID_STRIDE
+    crop = crop_camera(intr, box)
+    coarse, table, index = query_noise_floors(scene, view_id, crop)
+    s, corner = crop_frame(crop, intr)
+    pixels = (obs.pixels - corner) * s
+    depths = pose.transform(scene.points)[obs.point_ids, 2]  # render_observations' depths
 
-    win = np.flatnonzero(obs.cell_winner)
-    cells = (obs.cells[win] // GRID_STRIDE).astype(int) - origin
-    inside = np.all((cells >= 0) & (cells < coarse.shape[1::-1]), axis=1)
-    coarse[cells[inside, 1], cells[inside, 0]] = obs.desc_coarse[win[inside]]
+    inside = np.flatnonzero(np.all((pixels >= 0) & (pixels < [crop.width, crop.height]), axis=1))
+    win = inside[cell_winners(pixels[inside], depths[inside])]
+    cols, rows = (pixels[win] // GRID_STRIDE).astype(int).T
+    coarse[rows, cols] = obs.desc_coarse[win]
 
-    depths = pose.transform(scene.points[obs.point_ids])[:, 2]
     order = np.argsort(-depths)  # far first; nearer points blend over them
-    fine_origin = np.array(box[:2]) // FINE_STRIDE
-    touched, rows = _splat_fine(
-        table, index, obs.pixels[order], obs.desc_fine[order], fine_origin
-    )
+    touched, rows = _splat_fine(table, index, pixels[order], obs.desc_fine[order])
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     np.put(index, touched, np.arange(len(table), len(table) + len(touched)))
 
@@ -308,8 +321,7 @@ def synthesize_query_maps(
         coarse=coarse,
         fine_rows=np.concatenate([table, rows]),
         fine_index=index,
-        intrinsics=intr,
-        origin=tuple(origin),
+        intrinsics=crop,
     )
 
 
@@ -426,8 +438,8 @@ def fine_match_2d3d(
 ) -> CorrespondenceSet:
     """Refine each coarse match to sub-pixel by windowed softmax expectation.
 
-    The w x w crop is centered on the coarse cell in the half-resolution
-    map (shifted and flagged at the borders of the maps' window); the crops
+    The w x w window is centered on the coarse cell in the half-resolution
+    map (shifted and flagged at the map's borders); the windows
     go through the fine stack together, in (B, w*w, C) blocks of at most
     _FINE_BLOCK_ELEMENTS elements. Correlations are scaled by 1/fine_tau: the surrogate
     descriptors are unit-norm, so an unscaled softmax would flatten the
@@ -451,9 +463,7 @@ def fine_match_2d3d(
         return out
 
     offsets = np.arange(window)
-    # the matched fine cell in the window's frame
-    cf = (corr.coarse_pixels[:, 0] // FINE_STRIDE).astype(int) - query.fine_origin[0]
-    rf = (corr.coarse_pixels[:, 1] // FINE_STRIDE).astype(int) - query.fine_origin[1]
+    cf, rf = (corr.coarse_pixels // FINE_STRIDE).astype(int).T  # the matched fine cell
     c0 = np.clip(cf - half, 0, wf - window)
     r0 = np.clip(rf - half, 0, hf - window)
     cols = c0[:, None] + offsets  # (M, w)
@@ -485,15 +495,13 @@ def _window_expectations(
     fine_tau: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Expected pixel and peak probability of each (B, C) point feature over
-    the window of fine-map rows x cols (each (B, w), in the maps' frame) it
-    is matched in."""
+    the window of fine-map rows x cols (each (B, w)) it is matched in."""
     n, window = rows.shape
-    # (B, w*w, C) windows in row-major order, and (B, w*w, 2) their image-frame (u, v) pixels
+    # (B, w*w, C) windows in row-major order, and (B, w*w, 2) their (u, v) pixels
     cells = query.fine_index[rows[:, :, None], cols[:, None, :]].reshape(n, window * window)
     f2 = np.take(query.fine_rows, cells, axis=0)
-    u = (cols + query.fine_origin[0]) * FINE_STRIDE
-    v = (rows + query.fine_origin[1]) * FINE_STRIDE
-    positions = np.stack([np.tile(u, window), np.repeat(v, window, axis=1)], axis=2).astype(float)
+    positions = np.stack([np.tile(cols, window), np.repeat(rows, window, axis=1)], axis=2)
+    positions = positions * float(FINE_STRIDE)
     f3 = features[:, None, :]  # (B, 1, C)
     if stack.n_layers > 0:
         f3, f2 = stack.transform(f3, f2)
@@ -509,20 +517,17 @@ def _window_expectations(
 def ground_truth_matches(
     model: PointCloudModel, pose, query: QueryFeatureMaps
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Project model points; return (observable mask, cell indices, pixels).
+    """Project model points into the maps' camera: (observable mask, cell indices, pixels).
 
     Cell indices address the flattened row-major coarse grid of the query
-    maps' window, the columns of coarse_match_2d3d's scores; -1 marks a
-    point that is not observable. Observable means positive depth and a
-    projection inside the window (hence inside the image). Used for
-    supervision.
+    maps, the columns of coarse_match_2d3d's scores; -1 marks a point that
+    is not observable. Observable means positive depth and a projection on
+    the coarse grid. Used for supervision.
     """
     pix, _, ok = project_with_depth(pose, query.intrinsics, model.points)
     h, w, _ = query.coarse.shape
-    idx = np.flatnonzero(ok)
-    cols, rows = ((pix[idx] // GRID_STRIDE).astype(int) - query.origin).T
-    inside = (cols >= 0) & (cols < w) & (rows >= 0) & (rows < h)
-    ok[idx[~inside]] = False
+    ok &= np.all(pix < [w * GRID_STRIDE, h * GRID_STRIDE], axis=1)  # sizes off the stride
     cells = np.full(len(pix), -1)
-    cells[idx[inside]] = rows[inside] * w + cols[inside]
+    cols, rows = (pix[ok] // GRID_STRIDE).astype(int).T
+    cells[ok] = rows * w + cols
     return ok, cells, pix

@@ -306,15 +306,6 @@ def render_observations(scene: SyntheticScene, view_id: int) -> ViewObservations
     ids = np.flatnonzero(visible)
     pixels = pix[ids]
     cells = grid_cell_center(pixels)
-    depths = z[ids]
-
-    # front-most point wins each occupied cell, the earliest row at equal
-    # depth; losers are not coarse-observable
-    keys = cell_keys(cells)
-    order = np.lexsort((np.arange(len(ids)), depths, keys))
-    _, first = np.unique(keys[order], return_index=True)
-    winner = np.zeros(len(ids), dtype=bool)
-    winner[order[first]] = True
 
     return ViewObservations(
         view_id=view_id,
@@ -323,9 +314,21 @@ def render_observations(scene: SyntheticScene, view_id: int) -> ViewObservations
         cells=cells,
         desc_coarse=obs_coarse[ids],
         desc_fine=obs_fine[ids],
-        cell_winner=winner,
+        cell_winner=cell_winners(cells, z[ids]),  # losers are not coarse-observable
         visible_mask=visible,
     )
+
+
+def cell_winners(pixels: np.ndarray, depths: np.ndarray) -> np.ndarray:
+    """Z-buffer mask: each occupied grid cell's row of least depth, the earliest on a tie."""
+    keys = cell_keys(pixels)
+    order = np.argsort(keys)  # rows grouped by cell, in no set order within a cell
+    starts = np.flatnonzero(np.diff(keys[order], prepend=-2))
+    d = depths[order]
+    front = d == np.repeat(np.minimum.reduceat(d, starts), np.diff(starts, append=len(d)))
+    winner = np.zeros(len(keys), dtype=bool)
+    winner[np.minimum.reduceat(np.where(front, order, len(d)), starts)] = True
+    return winner
 
 
 def fine_noise_table(scene: SyntheticScene, view_id: int) -> np.ndarray:

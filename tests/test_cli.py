@@ -390,6 +390,21 @@ class TestBadInputs:
         self._assert_usage_error(rc, capsys, flag[2:].replace("-", "_"))
         assert not (tmp_path / "run").exists()
 
+    def test_fine_window_wider_than_a_crop(self, tmp_path, capsys):
+        # a query's maps cover at most a 512-px crop, whatever the image's size
+        rc = run("pipeline", "--out", tmp_path / "run", "--image-size", 8192, "--focal", 20000,
+                 "--fine-window", 301, *FAST)
+        self._assert_usage_error(rc, capsys, "fine_window must be at most")
+
+    def test_distances_past_float64_squares(self, tmp_path, capsys):
+        # camera coordinates of 1e300 overflowed the squares that triangulation's gates sum
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run("pipeline", "--out", tmp_path / "run", *FAST_SIZE,
+                     "--distance-min", "1e300", "--distance-max", "1e300")
+        err = capsys.readouterr().err
+        assert rc in (0, 2, 3) and err.count("\n") <= 1, err
+
     def test_pipeline_truncated_coarse_weights(self, tmp_path, capsys):
         # the weights are read before any stage runs: no scene or model is written
         weights = tmp_path / "coarse.fmat"
@@ -647,13 +662,25 @@ class TestPipelineChain:
 
 
 class TestQueryWindow:
-    """The query maps cover the object's box: large images and wide fine windows solve."""
+    """The query maps cover a crop of the object's box: large images and wide fine
+    windows solve."""
 
     def test_2048_px_queries_solve(self, tmp_path):
         # over a full 256 x 256 coarse grid the noise floor keeps every probability below theta
         out = tmp_path / "run"
         rc = run("pipeline", "--seed", 2, "--image-size", 2048, "--focal", 5000,
                  "--n-points", 400, "--dump-matches", "--out", out)
+        assert rc == 0
+        queries = json.loads((out / "estimate" / "poses.json").read_text())["queries"]
+        assert len(queries) == 6 and all(q["ok"] for q in queries)
+
+    @pytest.mark.parametrize("size, focal", [(4096, 10000), (8192, 20000)])
+    def test_crops_of_larger_images_solve(self, tmp_path, size, focal):
+        # the 4096-px and 8192-px boxes hold 60k-270k coarse cells, where the noise floor
+        # kept the best probabilities below theta; their crops hold at most 64 x 64
+        out = tmp_path / "run"
+        rc = run("pipeline", "--seed", 2, "--image-size", size, "--focal", focal,
+                 "--n-points", 400, "--out", out)
         assert rc == 0
         queries = json.loads((out / "estimate" / "poses.json").read_text())["queries"]
         assert len(queries) == 6 and all(q["ok"] for q in queries)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from semidense.config import MAX_TAU, MIN_TAU, RunConfig
+from semidense.config import MAX_DISTANCE, MAX_FOCAL, MAX_TAU, MIN_TAU, RunConfig
 from semidense.pose_matching import DEFAULT_FINE_WINDOW, DEFAULT_TAU, DEFAULT_THETA
 
 
@@ -57,6 +57,11 @@ class TestValidation:
             {"refine_window": -1},
             {"fine_window": -1},
             {"fine_window": 257},  # wider than the 256 x 256 fine map of a 512-px image
+            {"fine_window": 257, "image_size": 8192},  # or of any query's crop
+            {"distance_max": 1e300},
+            {"distance_max": MAX_DISTANCE * (1 + 1e-12)},
+            {"focal": 0.0},
+            {"focal": MAX_FOCAL * (1 + 1e-12)},
             {"n_coarse_layers": -1},
             {"n_fine_layers": -1},
             {"inlier_px": 0.0},
@@ -70,6 +75,10 @@ class TestValidation:
 
     def test_default_is_valid(self):
         RunConfig().validate()
+
+    def test_bounds_are_valid(self):
+        RunConfig(distance_min=MAX_DISTANCE, distance_max=MAX_DISTANCE, focal=MAX_FOCAL).validate()
+        RunConfig(fine_window=255, image_size=8192).validate()
 
     def test_smallest_tau_is_valid(self):
         RunConfig(tau=MIN_TAU).validate()

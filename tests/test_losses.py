@@ -155,17 +155,17 @@ class TestSupervisionTarget:
         scene = generate_scene(97, 80, 5, NoiseModel())
         matcher = OracleMatcher(scene)
         model = build_model(scene, matcher)
-        pose, intr = scene.views[4]
+        pose = scene.views[4][0]
         qmaps = synthesize_query_maps(scene, 4)
         scores, prob, _ = coarse_match_2d3d(model, qmaps, AttentionStack(layers=[]))
         gt = gt_probability_matrix(model, pose, qmaps)
         assert gt.shape == prob.shape
         assert np.all(gt.sum(axis=1) <= 1.0)
         assert gt.sum() > 0
-        # each positive entry's column is the window cell its point projects into
+        # each positive entry's column is the crop cell its point projects into
         j, q = np.nonzero(gt)
         centers = qmaps.coarse_cell_pixels()[q]
-        projections = project_with_depth(pose, intr, model.points)[0][j]
+        projections = project_with_depth(pose, qmaps.intrinsics, model.points)[0][j]
         assert np.all(np.linalg.norm(centers - projections, axis=1) <= 8.0)
         # a matcher fed oracle descriptors scores near zero against its target
         assert focal_loss(prob, gt) < focal_loss(np.full_like(prob, 0.5), gt)

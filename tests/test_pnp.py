@@ -128,7 +128,7 @@ class TestStackedEPnP:
         points[2] = np.outer(np.linspace(-0.3, 0.3, 4), [1.0, 0.2, 0.1])  # collinear: rejected
         pixels = np.stack([project(pose, intr, p) for p in points])
 
-        R, t, ok, rejected = _candidates(points, pixels, intr, thorough=False)
+        R, t, ok, rejected = _candidates(points, pixels, intr)
         assert rejected.tolist() == [False, False, True]
         assert ok[0].any() and not ok[2].any()
         Rh, th, okh = _homography_pose(points[1], pixels[1], intr)
@@ -233,7 +233,7 @@ class TestRansacPnP:
 
     @pytest.mark.parametrize("noise_px, outliers", [(0.0, 0), (0.5, 0), (0.5, 30)])
     def test_polish_needs_no_refit(self, monkeypatch, noise_px, outliers):
-        # the best hypothesis goes straight into the LM polish: polishing a thorough
+        # the best hypothesis goes straight into the LM polish: polishing an
         # EPnP refit on the same inliers lands on the same pose, and the returned
         # pose is a fixed point of the polish on the set it was last polished on
         rng = np.random.default_rng([113, outliers])
@@ -250,7 +250,7 @@ class TestRansacPnP:
         res = ransac_pnp(points, pixels, intr, inlier_px=3.0, seed=4)
         assert res.ok and calls and res.pose is calls[-1][2]
         P, X, first = calls[0]
-        R, t, ok, _ = _candidates(P[None], X[None], intr, thorough=True)
+        R, t, ok, _ = _candidates(P[None], X[None], intr)
         R, t, ok = _rank(R, t, ok, P[None], X[None], intr)
         assert ok[0, 0]
         refit = lm_pose_polish(SE3Pose(R[0, 0], t[0, 0]), P, X, intr)

@@ -10,7 +10,12 @@ import support
 from semidense import pose_matching
 from semidense.attention import AttentionStack
 from semidense.matching import OracleMatcher, select_view_pairs
-from semidense.geometry import CameraIntrinsics, SE3Pose, project_with_depth
+from semidense.geometry import (
+    CameraIntrinsics,
+    SE3Pose,
+    project_with_depth,
+    rotation_from_axis_angle,
+)
 from semidense.pnp import ransac_pnp
 from semidense.pose_matching import (
     _FINE_FLOOR_TABLE_ROWS,
@@ -20,9 +25,12 @@ from semidense.pose_matching import (
     DEFAULT_THETA,
     FINE_SPLAT_SIGMA_PX,
     FINE_STRIDE,
+    MAX_CROP_SIDE,
     CorrespondenceSet,
     QueryFeatureMaps,
     coarse_match_2d3d,
+    crop_camera,
+    crop_frame,
     dual_softmax,
     fine_match_2d3d,
     ground_truth_matches,
@@ -72,6 +80,12 @@ def random_query(rng, hw=16, cc=16, cf=16) -> QueryFeatureMaps:
     return QueryFeatureMaps.from_dense(coarse, fine, intr)
 
 
+def crop_to_image(pixels, crop, image):
+    """Image pixels of pixels of a crop of the image."""
+    s, corner = crop_frame(crop, image)
+    return pixels / s + corner
+
+
 def image_box(scene, view_id):
     """The pixel box of the whole image of one view."""
     intr = scene.views[view_id][1]
@@ -79,42 +93,45 @@ def image_box(scene, view_id):
 
 
 def reference_query_maps(scene, view_id, box=None):
-    """Per-point splat loop over the dense floor table[index] of the window `box`
-    (by default the oracle box): the oracle for `synthesize_query_maps`, over
-    the same noise floors."""
+    """Per-point z-buffer and splat loops over the dense floor table[index] of the crop
+    of `box` (by default the oracle box): the oracle for `synthesize_query_maps`, over
+    the same noise floors and crop pixels."""
     pose, intr = scene.views[view_id]
     obs = render_observations(scene, view_id)
     box = oracle_object_box(scene, view_id) if box is None else box
-    coarse, table, index = query_noise_floors(scene, view_id, box)
+    crop = crop_camera(intr, box)
+    coarse, table, index = query_noise_floors(scene, view_id, crop)
     fine = table[index]
-    hc, wc, _ = coarse.shape
     hf, wf, _ = fine.shape
-    oc, orow = box[0] // GRID_STRIDE, box[1] // GRID_STRIDE
-    fc, fr = box[0] // FINE_STRIDE, box[1] // FINE_STRIDE
+    s, corner = crop_frame(crop, intr)
+    pixels = (obs.pixels - corner) * s
+    depths = pose.transform(scene.points)[obs.point_ids, 2]
     touched = np.zeros((hf, wf), dtype=bool)
 
-    for row in np.flatnonzero(obs.cell_winner):
-        c = int(obs.cells[row, 0] // GRID_STRIDE) - oc
-        r = int(obs.cells[row, 1] // GRID_STRIDE) - orow
-        if 0 <= c < wc and 0 <= r < hc:
-            coarse[r, c] = obs.desc_coarse[row]
+    front = {}  # crop cell -> row of its front-most point, the earliest at equal depth
+    for row, (u, v) in enumerate(pixels):
+        cell = (int(v // GRID_STRIDE), int(u // GRID_STRIDE))
+        inside = 0 <= u < crop.width and 0 <= v < crop.height
+        if inside and (cell not in front or depths[row] < depths[front[cell]]):
+            front[cell] = row
+    for (r, c), row in front.items():
+        coarse[r, c] = obs.desc_coarse[row]
 
-    depths = pose.transform(scene.points[obs.point_ids])[:, 2]
     rad = _FINE_SPLAT_RADIUS_CELLS
     for row in np.argsort(-depths):
-        u, v = obs.pixels[row]
+        u, v = pixels[row]
         c0 = int(np.rint(u / FINE_STRIDE))
         r0 = int(np.rint(v / FINE_STRIDE))
-        # image-frame fine cells of the stencil, clipped to the window
-        cs = np.arange(max(c0 - rad, fc), min(c0 + rad + 1, fc + wf))
-        rs = np.arange(max(r0 - rad, fr), min(r0 + rad + 1, fr + hf))
+        # fine cells of the stencil, clipped to the crop
+        cs = np.arange(max(c0 - rad, 0), min(c0 + rad + 1, wf))
+        rs = np.arange(max(r0 - rad, 0), min(r0 + rad + 1, hf))
         if not len(cs) or not len(rs):
             continue
         du = cs * FINE_STRIDE - u
         dv = rs * FINE_STRIDE - v
         d2 = dv[:, None] ** 2 + du[None, :] ** 2
         g = np.exp(-d2 / (2.0 * FINE_SPLAT_SIGMA_PX**2))[:, :, None]
-        at = np.ix_(rs - fr, cs - fc)
+        at = np.ix_(rs, cs)
         fine[at] = g * obs.desc_fine[row] + (1.0 - g) * fine[at]
         touched[at] = True
     fine[touched] /= np.linalg.norm(fine[touched], axis=1, keepdims=True)
@@ -393,6 +410,9 @@ class TestCoarseMatch2d3d:
         query_view = 6
         qmaps = synthesize_query_maps(scene, query_view)
         _, prob, corr = coarse_match_2d3d(model, qmaps, BYPASS)
+        image = scene.views[query_view][1]
+        assert qmaps.intrinsics.fx == image.fx  # the box fits: a crop at scale 1
+        corr.coarse_pixels = crop_to_image(corr.coarse_pixels, qmaps.intrinsics, image)
 
         # ground truth: model point -> its scene point -> cell in the query view
         obs = matcher.observations(query_view)
@@ -460,12 +480,12 @@ class TestSynthesizeQueryMaps:
     def _assert_equals_loop(self, scene, view_id, box=None):
         qmaps = synthesize_query_maps(scene, view_id, box=box)
         box = oracle_object_box(scene, view_id) if box is None else box
-        assert qmaps.origin == (box[0] // GRID_STRIDE, box[1] // GRID_STRIDE)
+        assert qmaps.intrinsics == crop_camera(scene.views[view_id][1], box)
         coarse, fine = reference_query_maps(scene, view_id, box)
         np.testing.assert_array_equal(qmaps.coarse, coarse)
         np.testing.assert_array_equal(qmaps.fine_rows[qmaps.fine_index], fine)
         # the floor rows are untouched and every appended row belongs to one cell
-        _, table, _ = query_noise_floors(scene, view_id, box)
+        _, table, _ = query_noise_floors(scene, view_id, qmaps.intrinsics)
         np.testing.assert_array_equal(qmaps.fine_rows[: len(table)], table)
         refs = np.bincount(qmaps.fine_index.ravel(), minlength=len(qmaps.fine_rows))
         assert np.all(refs[len(table) :] == 1)
@@ -500,6 +520,21 @@ class TestSynthesizeQueryMaps:
             assert len(pix) > 20 and np.all(np.any(edge < reach, axis=0))
             self._assert_equals_loop(cornered, 0)
 
+    def test_crop_smaller_than_its_box(self):
+        # a 2048-px view's object box is longer than MAX_CROP_SIDE, so its crop is
+        # resized: points that win cells of their own in the image share the crop's
+        noise = NoiseModel(dropout_rate=0.1)
+        scene = generate_scene(86, 300, 2, noise, image_size=2048, focal=5000.0)
+        for view_id in range(scene.n_views):
+            u0, v0, u1, v1 = oracle_object_box(scene, view_id)
+            qmaps = synthesize_query_maps(scene, view_id)
+            crop = qmaps.intrinsics
+            assert max(u1 - u0, v1 - v0) > MAX_CROP_SIDE == max(crop.width, crop.height)
+            floor = query_noise_floors(scene, view_id, crop)[0]
+            occupied = np.any(qmaps.coarse != floor, axis=2).sum()
+            assert occupied < np.count_nonzero(render_observations(scene, view_id).cell_winner)
+            self._assert_equals_loop(scene, view_id)
+
     def test_no_visible_point(self):
         scene = generate_scene(88, 60, 2, ZERO)
         behind = SE3Pose(np.eye(3), np.array([0.0, 0.0, -10.0]))
@@ -522,7 +557,7 @@ class TestSynthesizeQueryMaps:
 
     def test_noise_floors(self):
         scene = generate_scene(86, 300, 3, NoiseModel(descriptor_noise_sigma=0.1))
-        full = image_box(scene, 1)
+        full = scene.views[1][1]
         coarse, table, index = query_noise_floors(scene, 1, full)
         again = query_noise_floors(scene, 1, full)
         for a, b in zip((coarse, table, index), again):
@@ -536,9 +571,9 @@ class TestSynthesizeQueryMaps:
         np.testing.assert_allclose(np.linalg.norm(table, axis=1), 1.0, atol=1e-12)
         assert np.issubdtype(index.dtype, np.integer)
         np.testing.assert_array_equal(np.unique(index), np.arange(rows))
-        # a window's floors are drawn for its cells only
+        # a crop's floors are drawn for its cells only
         box = (64, 128, 192, 224)
-        coarse, table, index = query_noise_floors(scene, 1, box)
+        coarse, table, index = query_noise_floors(scene, 1, crop_camera(full, box))
         assert coarse.shape == (12, 16, scene.desc_coarse.shape[1]) and index.shape == (48, 64)
         # untouched cells keep their unit floor and touched ones are renormalized
         qmaps = synthesize_query_maps(scene, 1)
@@ -633,9 +668,9 @@ class TestOracleObjectBox:
 
 
 class TestFullImageWindow:
-    """The full image is the window at origin (0, 0): the synthesized full-image
-    window and the per-point loop's dense maps (`from_dense`) give the same maps,
-    coarse matches, fine matches and poses bit for bit."""
+    """The crop of the full image is the image's own camera: the synthesized
+    full-image maps and the per-point loop's dense maps (`from_dense`) give the
+    same maps, coarse matches, fine matches and poses bit for bit."""
 
     def test_window_equals_dense_maps(self):
         scene = generate_scene(75, 200, 8, NoiseModel(descriptor_noise_sigma=0.05))
@@ -647,7 +682,7 @@ class TestFullImageWindow:
             window = synthesize_query_maps(scene, view_id, box=image_box(scene, view_id))
             coarse, fine = reference_query_maps(scene, view_id, image_box(scene, view_id))
             dense = QueryFeatureMaps.from_dense(coarse, fine, intr)
-            assert window.origin == dense.origin == (0, 0)
+            assert window.intrinsics == dense.intrinsics == intr
             np.testing.assert_array_equal(window.coarse, dense.coarse)
             np.testing.assert_array_equal(window.fine_rows[window.fine_index], fine)
             outs = []
@@ -668,26 +703,61 @@ class TestFullImageWindow:
             np.testing.assert_array_equal(r_w.inliers, r_d.inliers)
 
 
-class TestWindowOrigin:
-    """A window keeps pixels in the image frame: maps cropped from a dense full-image
-    map at an origin refine matches as the full maps do."""
+class TestCropCamera:
+    """A crop of a box, resized by s, is a camera with the view's pose: its pixel of a
+    point is s (p - corner) for the point's image pixel p."""
+
+    INTR = CameraIntrinsics(fx=5000.0, fy=5000.0, cx=1024.0, cy=1024.0, width=2048, height=2048)
+
+    def test_projection_through_the_crop(self):
+        rng = np.random.default_rng(95)
+        for _ in range(200):
+            lo = rng.integers(0, 200, 2) * GRID_STRIDE
+            box = (*lo.tolist(), *(lo + rng.integers(1, 100, 2) * GRID_STRIDE).tolist())
+            crop = crop_camera(self.INTR, box)
+            s = min(1.0, MAX_CROP_SIDE / max(box[2] - box[0], box[3] - box[1]))
+            assert crop.fx == crop.fy == s * self.INTR.fx
+            assert max(crop.width, crop.height) == min(max(box[2] - box[0], box[3] - box[1]), 512)
+            assert crop.width % GRID_STRIDE == crop.height % GRID_STRIDE == 0
+            angle = rng.uniform(0, 0.3)
+            pose = SE3Pose(rotation_from_axis_angle(rng.standard_normal(3), angle), [0, 0, 4.0])
+            points = rng.uniform(-0.5, 0.5, (50, 3))
+            image_pix = project_with_depth(pose, self.INTR, points)[0]
+            crop_pix = project_with_depth(pose, crop, points)[0]
+            expected = s * (image_pix - box[:2])
+            np.testing.assert_allclose(crop_pix, expected, rtol=0, atol=1e-12 * 2048)
+            np.testing.assert_allclose(
+                crop_to_image(crop_pix, crop, self.INTR), image_pix, rtol=0, atol=1e-12 * 2048
+            )
+
+    def test_a_box_that_fits_shifts_the_principal_point(self):
+        crop = crop_camera(self.INTR, (64, 128, 576, 384))
+        assert crop == CameraIntrinsics(
+            fx=5000.0, fy=5000.0, cx=1024.0 - 64, cy=1024.0 - 128, width=512, height=256
+        )
+        pixels = np.array([[0.25, 7.5], [511.75, 255.0]])
+        np.testing.assert_array_equal(crop_to_image(pixels, crop, self.INTR), pixels + [64, 128])
 
     def test_cropped_dense_maps(self):
+        # maps cut out of a dense full-image map at a box that fits, with the crop's
+        # camera, refine matches as the full maps do, back in the image's pixels
         rng = np.random.default_rng(93)
         model = random_model(rng, n=30)
         full = random_query(rng, hw=16)
         c0, r0, w, h = 3, 5, 9, 7
+        box = (c0 * GRID_STRIDE, r0 * GRID_STRIDE, (c0 + w) * GRID_STRIDE, (r0 + h) * GRID_STRIDE)
         f = GRID_STRIDE // FINE_STRIDE
         fine = full.fine_rows[full.fine_index]
         crop = QueryFeatureMaps.from_dense(
             full.coarse[r0 : r0 + h, c0 : c0 + w],
             fine[f * r0 : f * (r0 + h), f * c0 : f * (c0 + w)],
-            full.intrinsics,
-            origin=(c0, r0),
+            crop_camera(full.intrinsics, box),
         )
-        assert crop.origin == (c0, r0)
         centers = full.coarse_cell_pixels().reshape(16, 16, 2)[r0 : r0 + h, c0 : c0 + w]
-        np.testing.assert_array_equal(crop.coarse_cell_pixels(), centers.reshape(-1, 2))
+        np.testing.assert_array_equal(
+            crop_to_image(crop.coarse_cell_pixels(), crop.intrinsics, full.intrinsics),
+            centers.reshape(-1, 2),
+        )
 
         # matches whose fine windows lie inside the crop
         cells = rng.integers([c0 + 1, r0 + 1], [c0 + w - 1, r0 + h - 1], size=(30, 2))
@@ -696,22 +766,25 @@ class TestWindowOrigin:
             coarse_pixels=cells * GRID_STRIDE + GRID_STRIDE / 2.0,
             coarse_conf=np.ones(30),
         )
+        in_crop = dataclasses.replace(corr, coarse_pixels=corr.coarse_pixels - box[:2])
         for stack in (BYPASS, AttentionStack.random(1, 16, seed=94)):
             a = fine_match_2d3d(model, full, corr, stack)
-            b = fine_match_2d3d(model, crop, corr, stack)
-            np.testing.assert_array_equal(b.fine_pixels, a.fine_pixels)
+            b = fine_match_2d3d(model, crop, in_crop, stack)
+            # the expectations are taken over positions shifted by the box's corner
+            pixels = crop_to_image(b.fine_pixels, crop.intrinsics, full.intrinsics)
+            np.testing.assert_allclose(pixels, a.fine_pixels, rtol=0, atol=1e-12)
             np.testing.assert_array_equal(b.fine_conf, a.fine_conf)
             assert not b.fine_clamped.any()
 
         # at the crop's far corner the window shifts inside the crop
         corner = CorrespondenceSet(
             coarse_points=np.arange(1),
-            coarse_pixels=np.array([[c0 + w - 1, r0 + h - 1]]) * GRID_STRIDE + GRID_STRIDE / 2.0,
+            coarse_pixels=np.array([[w - 1, h - 1]]) * GRID_STRIDE + GRID_STRIDE / 2.0,
             coarse_conf=np.ones(1),
         )
         out = fine_match_2d3d(model, crop, corner, BYPASS)
         assert out.fine_clamped.all()
-        hi = np.array([c0 + w, r0 + h]) * GRID_STRIDE - FINE_STRIDE
+        hi = np.array([w, h]) * GRID_STRIDE - FINE_STRIDE
         assert np.all(out.fine_pixels <= hi) and np.all(out.fine_pixels >= hi - 4 * FINE_STRIDE)
 
 
@@ -720,8 +793,8 @@ class TestQueryFeatureMaps:
 
     INTR = CameraIntrinsics(fx=50.0, fy=50.0, cx=16.0, cy=16.0, width=32, height=32)
 
-    def _maps(self, fine_rows, fine_index):
-        return QueryFeatureMaps(np.ones((4, 4, 2)), fine_rows, fine_index, self.INTR)
+    def _maps(self, fine_rows, fine_index, coarse=np.ones((4, 4, 2))):
+        return QueryFeatureMaps(coarse, fine_rows, fine_index, self.INTR)
 
     def test_dense_maps_index_one_row_per_cell(self):
         fine = np.arange(16 * 16 * 2.0).reshape(16, 16, 2)
@@ -731,32 +804,33 @@ class TestQueryFeatureMaps:
 
     def test_index_not_a_2d_integer_array(self):
         rows = np.ones((3, 2))
-        for bad in (np.zeros(16, dtype=int), np.zeros((2, 2, 2), dtype=int), np.zeros((4, 4))):
+        for bad in (np.zeros(16, dtype=int), np.zeros((2, 2, 2), dtype=int), np.zeros((16, 16))):
             with pytest.raises(ValueError, match="fine_index must be a 2-D integer array"):
                 self._maps(rows, bad)
 
     def test_index_out_of_range(self):
         rows = np.ones((3, 2))
         for entry in (-1, 3):
-            index = np.zeros((4, 4), dtype=int)
+            index = np.zeros((16, 16), dtype=int)
             index[2, 1] = entry
             with pytest.raises(ValueError, match=r"fine_index entries must lie in \[0, 3\)"):
                 self._maps(rows, index)
-        self._maps(rows, np.full((4, 4), 2))  # the last row is in range
+        self._maps(rows, np.full((16, 16), 2))  # the last row is in range
 
-    def test_window_outside_the_image(self):
-        rows = np.ones((3, 2))
-        index = np.zeros((4, 4), dtype=int)
-        for origin in ((1, 0), (0, 1), (-1, 0)):
-            with pytest.raises(ValueError, match="leaves the image's 4 x 4 grid"):
-                QueryFeatureMaps(np.ones((4, 4, 2)), rows, index, self.INTR, origin)
-        inner = QueryFeatureMaps(np.ones((2, 3, 2)), rows, index, self.INTR, (1, 2))
-        assert inner.origin == (1, 2)
+    def test_maps_do_not_cover_the_camera(self):
+        rows, index = np.ones((3, 2)), np.zeros((16, 16), dtype=int)
+        cover = r"coarse, fine_index cover .* cells, not the camera's 32 x 32 px"
+        for coarse in (np.ones((2, 3, 2)), np.ones((4, 5, 2))):
+            with pytest.raises(ValueError, match=cover):
+                self._maps(rows, index, coarse)
+        for shape in ((8, 16), (16, 17)):
+            with pytest.raises(ValueError, match=cover):
+                self._maps(rows, np.zeros(shape, dtype=int))
 
     def test_rows_not_2d(self):
         for bad in (np.ones(6), np.ones((3, 2, 1))):
             with pytest.raises(ValueError, match="fine_rows must be 2-D"):
-                self._maps(bad, np.zeros((4, 4), dtype=int))
+                self._maps(bad, np.zeros((16, 16), dtype=int))
 
 
 class TestWindowExpectation:
@@ -796,7 +870,8 @@ class TestFineMatch2d3d:
 
         pose, intr = scene.views[5]
         errs = []
-        for j, pix in zip(corr.fine_points, corr.fine_pixels):
+        fine_pixels = crop_to_image(corr.fine_pixels, qmaps.intrinsics, intr)
+        for j, pix in zip(corr.fine_points, fine_pixels):
             true = project(pose, intr, scene.points[scene_pids[j]])
             errs.append(np.linalg.norm(pix - true))
         # nearest-fine-cell splat quantizes to the stride-2 grid
@@ -928,7 +1003,7 @@ class TestGroundTruthMatches:
         matcher = OracleMatcher(scene)
         model = build_model(scene, matcher)
         pose, intr = scene.views[0]
-        visible = project_with_depth(pose, intr, model.points)[2]
+        image_pix, _, visible = project_with_depth(pose, intr, model.points)
         u0, v0, u1, v1 = oracle_object_box(scene, 0)
         cut = (u0 + 32, v0, u1, v1 - 32)
         # the whole image, the object's box, and a box that cuts the object
@@ -938,9 +1013,12 @@ class TestGroundTruthMatches:
             assert ok.sum() > 0
             if box == cut:
                 assert ok.sum() < visible.sum()
+            # pixels in the crop's frame: the box's corner is its origin
+            shifted = image_pix[visible] - box[:2]
+            np.testing.assert_allclose(pix[visible], shifted, rtol=0, atol=1e-9)
             wc = (box[2] - box[0]) // GRID_STRIDE
             for j in range(model.n_points):
-                center = grid_cell_center(pix[j]) if visible[j] else None
+                center = grid_cell_center(image_pix[j]) if visible[j] else None
                 inside = visible[j] and box[0] < center[0] < box[2] and box[1] < center[1] < box[3]
                 assert ok[j] == inside
                 if inside:

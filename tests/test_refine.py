@@ -711,7 +711,7 @@ class TestBatchedRefinementMatchesOneTrackReference:
             ],
             point_init=normal.point_init,
         )
-        behind = ref.camera_center - 2.0 * ref.optical_axis
+        behind = ref.camera_center - 2.0 * ref.rotation[2]
         clamped = RefinedTrack(
             track_id=2, ref_view=0, ref_cell=normal.ref_cell, u_ref=normal.u_ref,
             sources=normal.sources, point_init=behind,
@@ -756,7 +756,7 @@ class TestBatchedRefinementMatchesOneTrackReference:
         add(rt, [ref] + [SE3Pose(R, -R @ ref.camera_center) for R in turns], track_intrs[:3])
 
         rt, track_poses, track_intrs, _ = support.random_refined_track(rng, 3, pixel_noise=0.5)
-        behind = track_poses[0].camera_center - 2.0 * track_poses[0].optical_axis
+        behind = track_poses[0].camera_center - 2.0 * track_poses[0].rotation[2]
         add(dataclasses.replace(rt, point_init=behind), track_poses, track_intrs)
 
         # three sources on the reference ray (zero Jacobian, zero residual) ahead of the

@@ -13,6 +13,7 @@ from semidense.scene import (
     NoiseModel,
     SyntheticScene,
     cell_keys,
+    cell_winners,
     generate_scene,
     grid_cell_center,
     oracle_fine_location,
@@ -186,6 +187,16 @@ class TestCellWinnerMatchesDictLoop:
         assert len(obs.point_ids) == 6
         assert len({tuple(c) for c in obs.cells.tolist()}) == 2
         assert obs.cell_winner.tolist() == [True, False, False, False, False, True]
+
+
+    def test_random_cells_with_ties(self):
+        # few cells and four depth levels: most cells hold several rows, many at one depth
+        rng = np.random.default_rng(12)
+        for n in (0, 1, 2, 7, 50, 400):
+            pixels = rng.uniform(0.0, 32.0, (n, 2))
+            depths = rng.integers(0, 4, n).astype(float)
+            expected = _ref_cell_winner(grid_cell_center(pixels), depths)
+            assert np.array_equal(cell_winners(pixels, depths), expected)
 
 
 class TestCellKeys:
