@@ -26,6 +26,10 @@ POSITION_GRID_SCALE = 512.0
 # them, so the untrained default must keep descriptor content dominant.
 POSITION_ENCODING_GAIN = 0.1
 
+# Narrowest coarse features that coarse attention can encode 3D points in:
+# a sin and a cos per axis.
+MIN_ENCODED_WIDTH = 2 * 3
+
 _ATTENTION_WEIGHT_STREAM = 30
 _WEIGHT_ROLES = ("q", "k", "v", "ff1", "ff2")
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attention import AttentionStack
+from .attention import MIN_ENCODED_WIDTH, AttentionStack
 from .config import RunConfig
 from .formats import (
     _dump_json,
@@ -133,7 +133,7 @@ def estimate_views(scene, model, config: RunConfig, query_views, stacks=None):
         qmaps = dataclasses.replace(
             qmaps,
             coarse=qmaps.coarse.astype(np.float32, copy=False),
-            fine_rows=qmaps.fine_rows.astype(np.float32),
+            fine=qmaps.fine.astype(np.float32, copy=False),
         )
         # keep only the matches: the (M, N) score and probability matrices
         # and this view's maps are freed before the next view builds its own
@@ -314,6 +314,11 @@ def _stacks_from_args(args, config: RunConfig):
     coarse, fine = _default_stacks(config)
     if args.coarse_weights:
         coarse = AttentionStack.from_sections(read_fmat(args.coarse_weights))
+        if coarse.n_layers and coarse.width < MIN_ENCODED_WIDTH:
+            raise ValueError(
+                f"coarse attention weights take {coarse.width}-wide input, "
+                f"narrower than the {MIN_ENCODED_WIDTH} that encode 3D positions"
+            )
     if args.fine_weights:
         fine = AttentionStack.from_sections(read_fmat(args.fine_weights))
     return coarse, fine

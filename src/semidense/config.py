@@ -11,6 +11,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+from .attention import MIN_ENCODED_WIDTH
 from .formats import _dump_json, _load_json
 from .pose_matching import FINE_STRIDE, MAX_CROP_SIDE
 from .scene import NoiseModel
@@ -87,6 +88,11 @@ class RunConfig:
             ),
             (self.jitter_deg >= 0, "jitter_deg must be non-negative"),
             (self.coarse_dim >= 1, "coarse_dim must be at least 1"),
+            (
+                self.n_coarse_layers == 0 or self.coarse_dim >= MIN_ENCODED_WIDTH,
+                f"coarse_dim must be at least {MIN_ENCODED_WIDTH} when n_coarse_layers > 0, "
+                "to encode 3D positions",
+            ),
             (self.fine_dim >= 1, "fine_dim must be at least 1"),
             (self.min_track_length >= 2, "min_track_length must be at least 2"),
             (self.max_reproj_px > 0, "max_reproj_px must be positive"),

@@ -49,48 +49,27 @@ class QueryFeatureMaps:
 
     The camera is the query view, or a crop of it (`crop_camera`); its
     H x W image has H/8 x W/8 coarse and H/2 x W/2 fine cells, and every
-    pixel the maps give is in its frame. The fine grid is a row table plus a
-    cell index: fine cell (r, c) holds the descriptor
-    fine_rows[fine_index[r, c]], so cells may share a row. A dense
-    (H/2, W/2, C_f) map is the case of one row per cell (`from_dense`).
+    pixel the maps give is in its frame.
     """
 
-    coarse: np.ndarray      # (H/8, W/8, C_c) unit rows
-    fine_rows: np.ndarray   # (R, C_f) unit rows
-    fine_index: np.ndarray  # (H/2, W/2) integer row of each fine cell
+    coarse: np.ndarray  # (H/8, W/8, C_c) unit rows
+    fine: np.ndarray    # (H/2, W/2, C_f) unit rows
     intrinsics: CameraIntrinsics
 
     def __post_init__(self):
-        if np.ndim(self.fine_rows) != 2:
-            raise ValueError(f"fine_rows must be 2-D, got shape {np.shape(self.fine_rows)}")
-        index = np.asarray(self.fine_index)
-        if index.ndim != 2 or not np.issubdtype(index.dtype, np.integer):
-            raise ValueError(
-                f"fine_index must be a 2-D integer array, got {index.dtype} of shape {index.shape}"
-            )
+        if np.ndim(self.fine) != 3:
+            raise ValueError(f"fine must be 3-D, got shape {np.shape(self.fine)}")
         h, w = self.intrinsics.height, self.intrinsics.width
-        grids = (np.shape(self.coarse)[:2], index.shape)
+        grids = (np.shape(self.coarse)[:2], np.shape(self.fine)[:2])
         if grids != ((h // GRID_STRIDE, w // GRID_STRIDE), (h // FINE_STRIDE, w // FINE_STRIDE)):
-            raise ValueError(f"coarse, fine_index cover {grids} cells, not the camera's {h} x {w} px")
-        n_rows = len(self.fine_rows)
-        if index.size and (index.min() < 0 or index.max() >= n_rows):
-            raise ValueError(f"fine_index entries must lie in [0, {n_rows}), the rows of fine_rows")
+            raise ValueError(f"coarse, fine cover {grids} cells, not the camera's {h} x {w} px")
 
     @classmethod
     def from_dense(
         cls, coarse: np.ndarray, fine: np.ndarray, intrinsics: CameraIntrinsics
     ) -> "QueryFeatureMaps":
-        """Maps over a dense (H/2, W/2, C_f) fine grid: one row per cell, row-major.
-
-        A dense map of a crop comes with the crop's intrinsics (`crop_camera`).
-        """
-        hf, wf, cf = fine.shape
-        return cls(
-            coarse=coarse,
-            fine_rows=fine.reshape(hf * wf, cf),
-            fine_index=np.arange(hf * wf).reshape(hf, wf),
-            intrinsics=intrinsics,
-        )
+        """The constructor under its earlier name."""
+        return cls(coarse, fine, intrinsics)
 
     def coarse_cell_pixels(self) -> np.ndarray:
         """Pixel centers of the flattened (row-major) coarse grid."""
@@ -127,13 +106,9 @@ FINE_SPLAT_SIGMA_PX = 1.0
 _FINE_SPLAT_RADIUS_CELLS = 1
 
 
-def _splat_fine(
-    table: np.ndarray,
-    index: np.ndarray,
-    pixels: np.ndarray,
-    desc: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Blend each row's Gaussian descriptor peak into the fine map table[index], in row order.
+def _splat_fine(fine: np.ndarray, pixels: np.ndarray, desc: np.ndarray) -> np.ndarray:
+    """Blend each row's Gaussian descriptor peak into the C-contiguous (hf, wf, C)
+    fine map, in place and in row order.
 
     A peak updates every cell x of its 3x3 stencil, clipped to the map, to
     g*desc + (1-g)*x. Only the touched cells' rows are gathered, ranked by
@@ -142,9 +117,9 @@ def _splat_fine(
     the ranking, so no cell repeats within a round and each cell receives
     its updates in row order, with the same arithmetic as blending one row
     at a time. Returns the flat (row-major) map indices of the touched
-    cells, each once in rank order, and their blended rows.
+    cells, each once in rank order.
     """
-    hf, wf = index.shape
+    hf, wf, cf = fine.shape
     offsets = np.arange(-_FINE_SPLAT_RADIUS_CELLS, _FINE_SPLAT_RADIUS_CELLS + 1)
     cs = np.rint(pixels[:, :1] / FINE_STRIDE).astype(int) + offsets  # (n, 3)
     rs = np.rint(pixels[:, 1:] / FINE_STRIDE).astype(int) + offsets
@@ -176,7 +151,8 @@ def _splat_fine(
     src, g = src[order], g[order][:, None]
 
     cells = sorted_cells[starts[rank]]
-    x = np.take(table, np.take(index, cells), axis=0)
+    flat = fine.reshape(hf * wf, cf)
+    x = np.take(flat, cells, axis=0)
     lo = 0
     for m in sizes:
         gk = g[lo : lo + m]
@@ -186,7 +162,8 @@ def _splat_fine(
         kept *= 1.0 - gk
         kept += blend  # (1-g)*x + g*desc: IEEE addition commutes, so the same bits
         lo += m
-    return cells, x
+    flat[cells] = x
+    return cells
 
 
 # Rows of the unit-vector table that the fine noise floor indexes. A row's
@@ -293,36 +270,32 @@ def synthesize_query_maps(
     crop's grid. On the fine map each point spreads a Gaussian-shaped
     descriptor peak (a real feature map is smooth, so correlation decays
     with distance from the feature); nearer points are blended over farther
-    ones. Unoccupied cells keep their noise-floor rows, and every fine cell
-    a peak touched gets a renormalized row of its own, appended after the
-    floor table. What falls outside the crop is dropped.
+    ones. The fine floor is gathered once from its table; unoccupied cells
+    keep their floor rows, and every fine cell a peak touched is
+    renormalized. What falls outside the crop is dropped.
     """
-    pose, intr = scene.views[view_id]
+    intr = scene.views[view_id][1]
     obs = render_observations(scene, view_id)
     if box is None:
         box = oracle_object_box(scene, view_id, fine_window, obs)
     crop = crop_camera(intr, box)
     coarse, table, index = query_noise_floors(scene, view_id, crop)
+    fine = np.take(table, index, axis=0)
     s, corner = crop_frame(crop, intr)
     pixels = (obs.pixels - corner) * s
-    depths = pose.transform(scene.points)[obs.point_ids, 2]  # render_observations' depths
 
     inside = np.flatnonzero(np.all((pixels >= 0) & (pixels < [crop.width, crop.height]), axis=1))
-    win = inside[cell_winners(pixels[inside], depths[inside])]
+    win = inside[cell_winners(pixels[inside], obs.depths[inside])]
     cols, rows = (pixels[win] // GRID_STRIDE).astype(int).T
     coarse[rows, cols] = obs.desc_coarse[win]
 
-    order = np.argsort(-depths)  # far first; nearer points blend over them
-    touched, rows = _splat_fine(table, index, pixels[order], obs.desc_fine[order])
+    order = np.argsort(-obs.depths)  # far first; nearer points blend over them
+    touched = _splat_fine(fine, pixels[order], obs.desc_fine[order])
+    flat = fine.reshape(-1, fine.shape[2])
+    rows = np.take(flat, touched, axis=0)
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    np.put(index, touched, np.arange(len(table), len(table) + len(touched)))
-
-    return QueryFeatureMaps(
-        coarse=coarse,
-        fine_rows=np.concatenate([table, rows]),
-        fine_index=index,
-        intrinsics=crop,
-    )
+    flat[touched] = rows
+    return QueryFeatureMaps(coarse=coarse, fine=fine, intrinsics=crop)
 
 
 def shifted_softmax(x: np.ndarray, axis: int) -> np.ndarray:
@@ -444,14 +417,14 @@ def fine_match_2d3d(
     _FINE_BLOCK_ELEMENTS elements. Correlations are scaled by 1/fine_tau: the surrogate
     descriptors are unit-norm, so an unscaled softmax would flatten the
     expectation toward the window center. The block computes in float32
-    when the model's fine features, the query's fine rows and the stack are
+    when the model's fine features, the query's fine map and the stack are
     float32; the fine pixels and confidences are float64 either way. A
     window wider than the fine map raises ValueError.
     """
     if window % 2 != 1:
         raise ValueError(f"window must be odd, got {window}")
     half = window // 2
-    hf, wf = query.fine_index.shape
+    hf, wf = query.fine.shape[:2]
     if window > min(hf, wf):
         raise ValueError(f"window {window} is wider than the {hf} x {wf} fine map")
     out = CorrespondenceSet(
@@ -469,7 +442,7 @@ def fine_match_2d3d(
     cols = c0[:, None] + offsets  # (M, w)
     rows = r0[:, None] + offsets
 
-    block = max(1, _FINE_BLOCK_ELEMENTS // (window * window * query.fine_rows.shape[1]))
+    block = max(1, _FINE_BLOCK_ELEMENTS // (window * window * query.fine.shape[2]))
     pixels, conf = [], []
     for lo in range(0, corr.n_coarse, block):
         at = slice(lo, lo + block)
@@ -498,8 +471,10 @@ def _window_expectations(
     the window of fine-map rows x cols (each (B, w)) it is matched in."""
     n, window = rows.shape
     # (B, w*w, C) windows in row-major order, and (B, w*w, 2) their (u, v) pixels
-    cells = query.fine_index[rows[:, :, None], cols[:, None, :]].reshape(n, window * window)
-    f2 = np.take(query.fine_rows, cells, axis=0)
+    # (np.take on flat cells gathers faster than indexing the map by rows and cols)
+    hf, wf, c = query.fine.shape
+    cells = (rows[:, :, None] * wf + cols[:, None, :]).reshape(n, window * window)
+    f2 = np.take(query.fine.reshape(hf * wf, c), cells, axis=0)
     positions = np.stack([np.tile(cols, window), np.repeat(rows, window, axis=1)], axis=2)
     positions = positions * float(FINE_STRIDE)
     f3 = features[:, None, :]  # (B, 1, C)

@@ -122,6 +122,7 @@ class ViewObservations:
     view_id: int
     point_ids: np.ndarray         # (M,) int
     pixels: np.ndarray            # (M, 2) true sub-pixel projections
+    depths: np.ndarray            # (M,) camera-frame depths
     cells: np.ndarray             # (M, 2) stride-8 cell centers
     desc_coarse: np.ndarray       # (M, C_c) noisy unit rows
     desc_fine: np.ndarray         # (M, C_f)
@@ -305,16 +306,18 @@ def render_observations(scene: SyntheticScene, view_id: int) -> ViewObservations
 
     ids = np.flatnonzero(visible)
     pixels = pix[ids]
+    depths = z[ids]
     cells = grid_cell_center(pixels)
 
     return ViewObservations(
         view_id=view_id,
         point_ids=ids,
         pixels=pixels,
+        depths=depths,
         cells=cells,
         desc_coarse=obs_coarse[ids],
         desc_fine=obs_fine[ids],
-        cell_winner=cell_winners(cells, z[ids]),  # losers are not coarse-observable
+        cell_winner=cell_winners(cells, depths),  # losers are not coarse-observable
         visible_mask=visible,
     )
 

@@ -396,6 +396,20 @@ class TestBadInputs:
                  "--fine-window", 301, *FAST)
         self._assert_usage_error(rc, capsys, "fine_window must be at most")
 
+    def test_coarse_dim_too_narrow_for_the_encoding(self, tmp_path, capsys):
+        # coarse attention encodes 3-D positions in a sin and a cos per axis: the
+        # config is rejected before any file is written
+        rc = run("pipeline", "--out", tmp_path / "run", *FAST_SIZE, "--coarse-dim", "5")
+        self._assert_usage_error(rc, capsys, "coarse_dim must be at least 6")
+        assert not (tmp_path / "run").exists()
+        # and so are coarse attention weights that narrow
+        weights = tmp_path / "coarse.fmat"
+        write_fmat(weights, AttentionStack.random(1, 5, seed=1).to_sections())
+        rc = run("pipeline", "--out", tmp_path / "run", *FAST, "--coarse-dim", "5",
+                 "--coarse-weights", weights)
+        self._assert_usage_error(rc, capsys, "narrower than the 6")
+        assert not (tmp_path / "run").exists()
+
     def test_distances_past_float64_squares(self, tmp_path, capsys):
         # camera coordinates of 1e300 overflowed the squares that triangulation's gates sum
         with warnings.catch_warnings():
@@ -731,7 +745,7 @@ class TestPipelineDeterminism:
         seen = set()
 
         def spy(model, query, corr, stack, **kwargs):
-            seen.add((model.fine_features.dtype, query.fine_rows.dtype))
+            seen.add((model.fine_features.dtype, query.fine.dtype))
             out = fine_match_2d3d(model, query, corr, stack, **kwargs)
             assert out.fine_pixels.dtype == out.fine_conf.dtype == np.float64
             return out

@@ -51,6 +51,7 @@ class TestValidation:
             {"image_size": 0},
             {"jitter_deg": -5.0},
             {"coarse_dim": 0},
+            {"coarse_dim": 5},  # too narrow for the 3-D positional encoding of 3 coarse layers
             {"fine_dim": 0},
             {"max_reproj_px": 0.0},
             {"min_refine_confidence": 1.5},
@@ -79,6 +80,8 @@ class TestValidation:
     def test_bounds_are_valid(self):
         RunConfig(distance_min=MAX_DISTANCE, distance_max=MAX_DISTANCE, focal=MAX_FOCAL).validate()
         RunConfig(fine_window=255, image_size=8192).validate()
+        RunConfig(coarse_dim=6).validate()
+        RunConfig(coarse_dim=1, n_coarse_layers=0).validate()  # no encoding without attention
 
     def test_smallest_tau_is_valid(self):
         RunConfig(tau=MIN_TAU).validate()

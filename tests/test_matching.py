@@ -263,6 +263,7 @@ def _synthetic_obs(view_id, point_ids, cells, desc):
         view_id=view_id,
         point_ids=np.asarray(point_ids),
         pixels=np.asarray(cells, dtype=float),
+        depths=np.ones(n),
         cells=np.asarray(cells, dtype=float),
         desc_coarse=np.asarray(desc, dtype=float),
         desc_fine=np.asarray(desc, dtype=float),

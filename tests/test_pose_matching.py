@@ -77,7 +77,7 @@ def random_query(rng, hw=16, cc=16, cf=16) -> QueryFeatureMaps:
     coarse /= np.linalg.norm(coarse, axis=2, keepdims=True)
     fine = rng.standard_normal((size // 2, size // 2, cf))
     fine /= np.linalg.norm(fine, axis=2, keepdims=True)
-    return QueryFeatureMaps.from_dense(coarse, fine, intr)
+    return QueryFeatureMaps(coarse, fine, intr)
 
 
 def crop_to_image(pixels, crop, image):
@@ -93,7 +93,7 @@ def image_box(scene, view_id):
 
 
 def reference_query_maps(scene, view_id, box=None):
-    """Per-point z-buffer and splat loops over the dense floor table[index] of the crop
+    """Per-point z-buffer and splat loops over the floor table[index] of the crop
     of `box` (by default the oracle box): the oracle for `synthesize_query_maps`, over
     the same noise floors and crop pixels."""
     pose, intr = scene.views[view_id]
@@ -141,7 +141,7 @@ def reference_query_maps(scene, view_id, box=None):
 def reference_fine_match(model, query, corr, stack, window=5, fine_tau=0.08):
     """Per-window loop: the oracle for `fine_match_2d3d`."""
     half = window // 2
-    fine = query.fine_rows[query.fine_index]
+    fine = query.fine
     hf, wf, _ = fine.shape
     points, pixels, confs, clamped = [], [], [], []
     offsets = np.arange(window)
@@ -483,12 +483,7 @@ class TestSynthesizeQueryMaps:
         assert qmaps.intrinsics == crop_camera(scene.views[view_id][1], box)
         coarse, fine = reference_query_maps(scene, view_id, box)
         np.testing.assert_array_equal(qmaps.coarse, coarse)
-        np.testing.assert_array_equal(qmaps.fine_rows[qmaps.fine_index], fine)
-        # the floor rows are untouched and every appended row belongs to one cell
-        _, table, _ = query_noise_floors(scene, view_id, qmaps.intrinsics)
-        np.testing.assert_array_equal(qmaps.fine_rows[: len(table)], table)
-        refs = np.bincount(qmaps.fine_index.ravel(), minlength=len(qmaps.fine_rows))
-        assert np.all(refs[len(table) :] == 1)
+        np.testing.assert_array_equal(qmaps.fine, fine)
 
     def test_noisy_view_with_dropout(self):
         noise = NoiseModel(descriptor_noise_sigma=0.1, dropout_rate=0.1)
@@ -542,7 +537,9 @@ class TestSynthesizeQueryMaps:
         assert render_observations(scene, 0).point_ids.size == 0
         self._assert_equals_loop(scene, 0)
 
-    def test_no_dense_fine_map_allocated(self):
+    def test_one_dense_fine_map_allocated(self):
+        # the floor is gathered into the map once and the splat blends into it in
+        # place: a second full-size temporary would break the bound
         scene = generate_scene(86, 300, 3, ZERO)
         tracemalloc.start()
         try:
@@ -550,10 +547,28 @@ class TestSynthesizeQueryMaps:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        dense_bytes = qmaps.fine_index.size * qmaps.fine_rows.itemsize * qmaps.fine_rows.shape[1]
-        assert dense_bytes == 256 * 256 * 32 * 8 and peak < dense_bytes
-        rows = _FINE_FLOOR_TABLE_ROWS
-        assert len(qmaps.fine_rows) == rows + np.count_nonzero(qmaps.fine_index >= rows)
+        assert qmaps.fine.nbytes == 256 * 256 * 32 * 8 and peak < 1.5 * qmaps.fine.nbytes
+
+    def test_untouched_cells_keep_their_floor(self):
+        scene = generate_scene(86, 300, 3, NoiseModel(descriptor_noise_sigma=0.1))
+        qmaps = synthesize_query_maps(scene, 1)
+        crop = qmaps.intrinsics
+        _, table, index = query_noise_floors(scene, 1, crop)
+        s, corner = crop_frame(crop, scene.views[1][1])
+        pixels = (render_observations(scene, 1).pixels - corner) * s
+        # the fine cells of the 3x3 stencils, clipped to the map
+        reach = np.arange(-_FINE_SPLAT_RADIUS_CELLS, _FINE_SPLAT_RADIUS_CELLS + 1)
+        centers = np.rint(pixels / FINE_STRIDE).astype(int)
+        hf, wf, _ = qmaps.fine.shape
+        touched = np.zeros((hf, wf), dtype=bool)
+        for dr in reach:
+            for dc in reach:
+                c, r = (centers + [dc, dr]).T
+                ok = (0 <= r) & (r < hf) & (0 <= c) & (c < wf)
+                touched[r[ok], c[ok]] = True
+        assert 0 < touched.sum() < touched.size
+        np.testing.assert_array_equal(qmaps.fine[~touched], table[index[~touched]])
+        np.testing.assert_allclose(np.linalg.norm(qmaps.fine[touched], axis=1), 1.0, atol=1e-12)
 
     def test_noise_floors(self):
         scene = generate_scene(86, 300, 3, NoiseModel(descriptor_noise_sigma=0.1))
@@ -577,8 +592,7 @@ class TestSynthesizeQueryMaps:
         assert coarse.shape == (12, 16, scene.desc_coarse.shape[1]) and index.shape == (48, 64)
         # untouched cells keep their unit floor and touched ones are renormalized
         qmaps = synthesize_query_maps(scene, 1)
-        np.testing.assert_allclose(np.linalg.norm(qmaps.fine_rows, axis=1), 1.0, atol=1e-12)
-        assert rows < len(qmaps.fine_rows) <= rows + qmaps.fine_index.size
+        np.testing.assert_allclose(np.linalg.norm(qmaps.fine, axis=2), 1.0, atol=1e-12)
 
 
 class TestSplatFine:
@@ -599,14 +613,12 @@ class TestSplatFine:
         desc = _unit_rows(rng, len(pixels), 4)
         table = _unit_rows(rng, 4096, 4)
         index = rng.integers(0, len(table), (hf, hf))
-        ref = table[index]
-        touched, rows = _splat_fine(table, index, pixels, desc)
+        fine, ref = table[index], table[index]
+        touched = _splat_fine(fine, pixels, desc)
         ref_touched, rounds = searchsorted_splat_fine(ref, pixels, desc)
         assert rounds > 20  # clustered peaks update one cell many times
         np.testing.assert_array_equal(np.sort(touched), ref_touched)  # each touched cell once
-        fine = table[index].reshape(hf * hf, 4)
-        fine[touched] = rows
-        np.testing.assert_array_equal(fine.reshape(ref.shape), ref)
+        np.testing.assert_array_equal(fine, ref)
 
 
 class TestOracleObjectBox:
@@ -669,8 +681,8 @@ class TestOracleObjectBox:
 
 class TestFullImageWindow:
     """The crop of the full image is the image's own camera: the synthesized
-    full-image maps and the per-point loop's dense maps (`from_dense`) give the
-    same maps, coarse matches, fine matches and poses bit for bit."""
+    full-image maps and the per-point loop's maps give the same maps, coarse
+    matches, fine matches and poses bit for bit."""
 
     def test_window_equals_dense_maps(self):
         scene = generate_scene(75, 200, 8, NoiseModel(descriptor_noise_sigma=0.05))
@@ -681,10 +693,10 @@ class TestFullImageWindow:
             intr = scene.views[view_id][1]
             window = synthesize_query_maps(scene, view_id, box=image_box(scene, view_id))
             coarse, fine = reference_query_maps(scene, view_id, image_box(scene, view_id))
-            dense = QueryFeatureMaps.from_dense(coarse, fine, intr)
+            dense = QueryFeatureMaps(coarse, fine, intr)
             assert window.intrinsics == dense.intrinsics == intr
             np.testing.assert_array_equal(window.coarse, dense.coarse)
-            np.testing.assert_array_equal(window.fine_rows[window.fine_index], fine)
+            np.testing.assert_array_equal(window.fine, dense.fine)
             outs = []
             for maps in (window, dense):
                 scores, prob, corr = coarse_match_2d3d(model, maps, coarse_stack)
@@ -747,10 +759,9 @@ class TestCropCamera:
         c0, r0, w, h = 3, 5, 9, 7
         box = (c0 * GRID_STRIDE, r0 * GRID_STRIDE, (c0 + w) * GRID_STRIDE, (r0 + h) * GRID_STRIDE)
         f = GRID_STRIDE // FINE_STRIDE
-        fine = full.fine_rows[full.fine_index]
-        crop = QueryFeatureMaps.from_dense(
+        crop = QueryFeatureMaps(
             full.coarse[r0 : r0 + h, c0 : c0 + w],
-            fine[f * r0 : f * (r0 + h), f * c0 : f * (c0 + w)],
+            full.fine[f * r0 : f * (r0 + h), f * c0 : f * (c0 + w)],
             crop_camera(full.intrinsics, box),
         )
         centers = full.coarse_cell_pixels().reshape(16, 16, 2)[r0 : r0 + h, c0 : c0 + w]
@@ -793,44 +804,28 @@ class TestQueryFeatureMaps:
 
     INTR = CameraIntrinsics(fx=50.0, fy=50.0, cx=16.0, cy=16.0, width=32, height=32)
 
-    def _maps(self, fine_rows, fine_index, coarse=np.ones((4, 4, 2))):
-        return QueryFeatureMaps(coarse, fine_rows, fine_index, self.INTR)
+    def _maps(self, fine, coarse=np.ones((4, 4, 2))):
+        return QueryFeatureMaps(coarse, fine, self.INTR)
 
-    def test_dense_maps_index_one_row_per_cell(self):
-        fine = np.arange(16 * 16 * 2.0).reshape(16, 16, 2)
-        query = QueryFeatureMaps.from_dense(np.ones((4, 4, 2)), fine, self.INTR)
-        np.testing.assert_array_equal(query.fine_rows[query.fine_index], fine)
-        assert len(query.fine_rows) == 16 * 16
+    def test_from_dense_is_the_constructor(self):
+        coarse, fine = np.ones((4, 4, 2)), np.arange(16 * 16 * 2.0).reshape(16, 16, 2)
+        query = QueryFeatureMaps.from_dense(coarse, fine, self.INTR)
+        assert query.coarse is coarse and query.fine is fine and query.intrinsics == self.INTR
 
-    def test_index_not_a_2d_integer_array(self):
-        rows = np.ones((3, 2))
-        for bad in (np.zeros(16, dtype=int), np.zeros((2, 2, 2), dtype=int), np.zeros((16, 16))):
-            with pytest.raises(ValueError, match="fine_index must be a 2-D integer array"):
-                self._maps(rows, bad)
-
-    def test_index_out_of_range(self):
-        rows = np.ones((3, 2))
-        for entry in (-1, 3):
-            index = np.zeros((16, 16), dtype=int)
-            index[2, 1] = entry
-            with pytest.raises(ValueError, match=r"fine_index entries must lie in \[0, 3\)"):
-                self._maps(rows, index)
-        self._maps(rows, np.full((16, 16), 2))  # the last row is in range
+    def test_fine_map_not_3d(self):
+        for bad in (np.ones((16, 16)), np.ones(16 * 16 * 2), np.ones((16, 16, 2, 1))):
+            with pytest.raises(ValueError, match="fine must be 3-D"):
+                self._maps(bad)
 
     def test_maps_do_not_cover_the_camera(self):
-        rows, index = np.ones((3, 2)), np.zeros((16, 16), dtype=int)
-        cover = r"coarse, fine_index cover .* cells, not the camera's 32 x 32 px"
+        fine = np.ones((16, 16, 2))
+        cover = r"coarse, fine cover .* cells, not the camera's 32 x 32 px"
         for coarse in (np.ones((2, 3, 2)), np.ones((4, 5, 2))):
             with pytest.raises(ValueError, match=cover):
-                self._maps(rows, index, coarse)
-        for shape in ((8, 16), (16, 17)):
+                self._maps(fine, coarse)
+        for shape in ((8, 16, 2), (16, 17, 2)):
             with pytest.raises(ValueError, match=cover):
-                self._maps(rows, np.zeros(shape, dtype=int))
-
-    def test_rows_not_2d(self):
-        for bad in (np.ones(6), np.ones((3, 2, 1))):
-            with pytest.raises(ValueError, match="fine_rows must be 2-D"):
-                self._maps(bad, np.zeros((16, 16), dtype=int))
+                self._maps(np.ones(shape))
 
 
 class TestWindowExpectation:
@@ -935,7 +930,7 @@ class TestFineMatch2d3d:
         out64 = fine_match_2d3d(model, qmaps, corr, stack, fine_tau=fine_tau)
         out32 = fine_match_2d3d(
             dataclasses.replace(model, fine_features=model.fine_features.astype(np.float32)),
-            dataclasses.replace(qmaps, fine_rows=qmaps.fine_rows.astype(np.float32)),
+            dataclasses.replace(qmaps, fine=qmaps.fine.astype(np.float32)),
             corr,
             stack.astype(np.float32),
             fine_tau=fine_tau,
@@ -952,9 +947,9 @@ class TestFineMatch2d3d:
         rng = np.random.default_rng(91)
         model = random_model(rng, n=70)
         dense = random_query(rng)
-        table = _unit_rows(rng, 500, 16)  # cells share rows, as in a synthesized map
-        index = rng.integers(0, len(table), dense.fine_index.shape)
-        query = QueryFeatureMaps(dense.coarse, table, index, dense.intrinsics)
+        table = _unit_rows(rng, 500, 16)  # cells share rows, as on a synthesized floor
+        index = rng.integers(0, len(table), dense.fine.shape[:2])
+        query = QueryFeatureMaps(dense.coarse, table[index], dense.intrinsics)
         corr = CorrespondenceSet(
             coarse_points=rng.permutation(70),
             coarse_pixels=rng.integers(0, 16, size=(70, 2)) * GRID_STRIDE + GRID_STRIDE / 2.0,

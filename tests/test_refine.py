@@ -280,6 +280,7 @@ def _obs_with_descriptors(view_id, cells, desc_coarse, desc_fine):
         view_id=view_id,
         point_ids=np.arange(n),
         pixels=cells.copy(),
+        depths=np.ones(n),
         cells=cells,
         desc_coarse=np.asarray(desc_coarse, dtype=float),
         desc_fine=np.asarray(desc_fine, dtype=float),

@@ -100,6 +100,15 @@ class TestRenderObservations:
             assert np.all(obs.pixels[:, 0] < intr.width)
             assert np.all(obs.pixels[:, 1] < intr.height)
 
+    def test_depths_are_the_camera_depths(self):
+        # the depths the z-buffer ranks by, which query-map synthesis reads back
+        scene = generate_scene(10, 150, 4, NoiseModel(dropout_rate=0.2))
+        for v in range(scene.n_views):
+            obs = render_observations(scene, v)
+            pose, _ = scene.views[v]
+            assert obs.depths.shape == obs.point_ids.shape
+            np.testing.assert_array_equal(obs.depths, pose.transform(scene.points)[obs.point_ids, 2])
+
     def test_cells_are_quantized_pixels(self):
         scene = generate_scene(10, 150, 4, ZERO)
         obs = render_observations(scene, 1)
