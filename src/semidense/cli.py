@@ -329,27 +329,30 @@ def _stacks_from_args(args, config: RunConfig):
 _UNIT_NORM_TOL = 1e-5
 
 
+def _check_stack_widths(stacks, widths) -> None:
+    """The coarse and fine attention stacks must take the descriptors' widths as input."""
+    for kind, stack, width in zip(("coarse", "fine"), stacks, widths):
+        if stack.width not in (None, width):
+            raise ValueError(
+                f"{kind} attention weights take {stack.width}-wide input, "
+                f"scene descriptors are {width} wide"
+            )
+
+
 def _check_inputs(scene, model, stacks) -> None:
     """Model features must be unit-norm rows, and they and the attention
     stacks as wide as the scene's descriptors."""
-    for kind, scene_desc, features, stack in zip(
-        ("coarse", "fine"),
-        (scene.desc_coarse, scene.desc_fine),
-        (model.coarse_features, model.fine_features),
-        stacks,
+    widths = (scene.desc_coarse.shape[1], scene.desc_fine.shape[1])
+    for kind, width, features in zip(
+        ("coarse", "fine"), widths, (model.coarse_features, model.fine_features)
     ):
-        width = scene_desc.shape[1]
         if features.shape[1] != width:
             raise ValueError(
                 f"model {kind} features are {features.shape[1]} wide, scene descriptors {width}"
             )
         if not np.all(np.abs(np.linalg.norm(features, axis=1) - 1.0) <= _UNIT_NORM_TOL):
             raise ValueError(f"model {kind} features are not unit-norm")
-        if stack.width not in (None, width):
-            raise ValueError(
-                f"{kind} attention weights take {stack.width}-wide input, "
-                f"scene descriptors are {width} wide"
-            )
+    _check_stack_widths(stacks, widths)
 
 
 def run_eval(scene, queries: list, config: RunConfig, out: Path) -> None:
@@ -512,6 +515,7 @@ def cmd_pipeline(args) -> None:
     if config.n_query_views < 1:
         raise ValueError("n_query_views must be at least 1 for pipeline")
     stacks = _stacks_from_args(args, config)
+    _check_stack_widths(stacks, (config.coarse_dim, config.fine_dim))
     out = Path(args.out)
     with _writing(out):
         out.mkdir(parents=True, exist_ok=True)

@@ -1,14 +1,14 @@
 """Semi-dense matching frontend: pairwise coarse matches plus two-view fine refinement.
 
-The frontend is an abstract seam: the shipped implementation is a
-synthetic-scene oracle, but anything producing the same two operations
-(grid-resolution coarse matches, windowed sub-pixel refinement) can plug in.
+The shipped matcher is a synthetic-scene oracle. A learned matcher plugs in
+by providing the same two calls: coarse_match_pair (grid-resolution matches
+of one view pair) and the batched fine_refine (windowed sub-pixel locations
+for many queries at once).
 """
 
 from __future__ import annotations
 
 import csv
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -52,26 +52,6 @@ class PairMatches:
         return len(self.scores)
 
 
-@dataclass(frozen=True)
-class FineMatchQuery:
-    """Ask for the sub-pixel location in view_src matching the reference node.
-
-    u_ref is the (fixed) reference-node pixel in view_ref; cell_src is the
-    coarse location in view_src whose 9x9 neighbourhood is searched.
-    """
-
-    view_ref: int
-    u_ref: np.ndarray
-    view_src: int
-    cell_src: np.ndarray
-
-
-@dataclass(frozen=True)
-class FineMatchResult:
-    pixel: np.ndarray
-    confidence: float
-
-
 def outlier_draws(
     scene: SyntheticScene, view_a: int, view_b: int, cells_b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -96,29 +76,7 @@ def outlier_draws(
     return rows, cells, rng.uniform(0.0, 1.0, size=len(rows))
 
 
-class MatchingFrontend(ABC):
-    """Interface of the pluggable semi-dense matcher."""
-
-    @abstractmethod
-    def coarse_match_pair(
-        self, obs_a: ViewObservations, obs_b: ViewObservations
-    ) -> PairMatches:
-        """Grid-resolution matches between two distinct views."""
-
-    @abstractmethod
-    def fine_refine_batch(
-        self, view_ref, u_ref, view_src, cell_src
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Sub-pixel locations for Q fine queries at once: (pixels (Q, 2), confidence (Q,)).
-
-        Row i asks, as a FineMatchQuery does, for the location in view_src[i]
-        matching the reference pixel u_ref[i] of view_ref[i], searched within
-        the window around the coarse cell cell_src[i]. View ids are (Q,) and
-        pixels (Q, 2).
-        """
-
-
-class OracleMatcher(MatchingFrontend):
+class OracleMatcher:
     """Ground-truth matcher over a synthetic scene.
 
     Coarse matches pair the cells of points that win their grid cell in both
@@ -143,6 +101,7 @@ class OracleMatcher(MatchingFrontend):
     def coarse_match_pair(
         self, obs_a: ViewObservations, obs_b: ViewObservations
     ) -> PairMatches:
+        """Grid-resolution matches between two distinct views."""
         if obs_a.view_id == obs_b.view_id:
             raise ValueError("coarse matching needs two distinct views")
         # the points that win a (distinct) cell in both views, in ascending point
@@ -174,23 +133,21 @@ class OracleMatcher(MatchingFrontend):
             scores=scores,
         )
 
-    def fine_refine(self, query: FineMatchQuery) -> FineMatchResult:
-        """One fine query: the one-row case of fine_refine_batch."""
-        pixels, confidence = self.fine_refine_batch(
-            [query.view_ref], [query.u_ref], [query.view_src], [query.cell_src]
-        )
-        return FineMatchResult(pixel=pixels[0], confidence=float(confidence[0]))
-
-    def fine_refine_batch(
+    def fine_refine(
         self, view_ref, u_ref, view_src, cell_src
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The clamped noisy true projection where a query is consistent with ground truth.
+        """Sub-pixel locations for Q fine queries at once: (pixels (Q, 2), confidence (Q,)).
+
+        Row i asks for the location in view_src[i] matching the reference
+        pixel u_ref[i] of view_ref[i], searched within the window around the
+        coarse cell cell_src[i]. View ids are (Q,) and pixels (Q, 2).
 
         A query whose cell lies outside its source image raises ValueError.
         Otherwise a query returns its cell at confidence 0 when the reference
         cell has no cell winner, at OUTLIER_CONFIDENCE when the point is not
         visible in the source view or sits in another cell, and the oracle
-        fine location at confidence 1 otherwise.
+        fine location (the clamped noisy true projection) at confidence 1
+        otherwise.
         """
         view_ref = np.asarray(view_ref, dtype=int).reshape(-1)
         view_src = np.asarray(view_src, dtype=int).reshape(-1)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geometry import ViewTable, pinhole, pinhole_inverse, pinhole_jacobian, size_runs
-from .matching import Cell, MatchingFrontend
+from .matching import Cell, OracleMatcher
 from .scene import ViewObservations
 from .tracks import CoarseReconstruction, Tracks, TrackTable
 
@@ -159,22 +159,15 @@ class PointCloudModel:
         return self.points.min(axis=0), self.points.max(axis=0)
 
 
-def select_reference_node(track: Tracks, poses) -> int:
-    """The reference node index of a one-track table; the one-track case of reference_nodes."""
-    R = np.array([pose.rotation for pose in poses])
-    t = np.array([pose.translation for pose in poses])
-    return int(reference_nodes(track, R, t)[0])
-
-
-def reference_nodes(tracks: Tracks, R: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Per track, the node whose view's optical axis is most aligned with its viewing rays.
+def select_reference_node(tracks: Tracks, R: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """One reference node index per track, (T,): the node most aligned with its viewing rays.
 
     For each candidate node, the mean angle between its view's optical axis
     and the rays from the other nodes' camera centers toward the coarse
     point is computed; the minimizer wins (best expected window overlap).
     A later node wins only by more than 1e-12 rad, so ties fall to the
     lowest view id. R (V, 3, 3) and t (V, 3) are the views' poses. Returns
-    node indices within each track (T,), computed per track length.
+    node indices within each track, computed per track length.
     """
     lengths = np.diff(tracks.offsets)
     if np.any(lengths < 2):
@@ -202,24 +195,9 @@ def reference_nodes(tracks: Tracks, R: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def refine_track_nodes(
-    track: Tracks,
-    reference_idx: int,
-    matcher: MatchingFrontend,
-    min_confidence: float = 0.2,
-    stats: RefineStats | None = None,
-) -> RefinedTrack | None:
-    """Resolve every node of a one-track table to sub-pixel accuracy through the fine matcher.
-
-    The one-track case of refine_nodes; None when the track is dropped.
-    """
-    refined = refine_nodes(track, [reference_idx], matcher, min_confidence, stats)
-    return refined.record(0) if len(refined) else None
-
-
-def refine_nodes(
     tracks: Tracks,
     reference_idx,
-    matcher: MatchingFrontend,
+    matcher: OracleMatcher,
     min_confidence: float = 0.2,
     stats: RefineStats | None = None,
 ) -> RefinedTracks:
@@ -239,9 +217,7 @@ def refine_nodes(
     owner = np.repeat(np.arange(len(tracks)), np.diff(offsets))
     ref_node = offsets[:-1] + np.asarray(reference_idx, dtype=int)
     # a node that is its own track's reference makes the self-view query
-    pixels, conf = matcher.fine_refine_batch(
-        views[ref_node][owner], cells[ref_node][owner], views, cells
-    )
+    pixels, conf = matcher.fine_refine(views[ref_node][owner], cells[ref_node][owner], views, cells)
     grounded = ~(conf[ref_node] < min_confidence)
     stats.dropped_tracks += int(np.count_nonzero(~grounded))
 
@@ -545,7 +521,7 @@ def refine_reconstruction(
     recon: CoarseReconstruction,
     poses,
     intrinsics,
-    matcher: MatchingFrontend,
+    matcher: OracleMatcher,
     observations: dict[int, ViewObservations],
     min_confidence: float = 0.2,
 ) -> tuple[PointCloudModel, RefinedTracks, RefineStats]:
@@ -556,8 +532,8 @@ def refine_reconstruction(
     """
     stats = RefineStats()
     table = ViewTable.stack(poses, intrinsics)
-    ref_idx = reference_nodes(recon.tracks, table.R, table.t)
-    nodes = refine_nodes(recon.tracks, ref_idx, matcher, min_confidence, stats)
+    ref_idx = select_reference_node(recon.tracks, table.R, table.t)
+    nodes = refine_track_nodes(recon.tracks, ref_idx, matcher, min_confidence, stats)
     refined = optimize_depths(nodes, table)
     stats.non_converged += int(np.count_nonzero(~refined.converged))
     model = aggregate_features(refined, observations, stats)

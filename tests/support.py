@@ -198,6 +198,12 @@ def scene_tracks(scene, matcher, min_track_length: int = 3):
     return build_tracks(matches, min_track_length=min_track_length)
 
 
+def fine_one(matcher, view_ref, u_ref, view_src, cell_src) -> tuple[np.ndarray, float]:
+    """One fine query through the matcher's batch call: (pixel (2,), confidence)."""
+    pixels, confidence = matcher.fine_refine([view_ref], [u_ref], [view_src], [cell_src])
+    return pixels[0], float(confidence[0])
+
+
 @functools.lru_cache(maxsize=64)
 def winner_row_lookup(obs) -> dict[tuple[int, int], int]:
     """Dict from integer-truncated cell to the row of its cell winner."""

@@ -410,6 +410,15 @@ class TestBadInputs:
         self._assert_usage_error(rc, capsys, "narrower than the 6")
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("kind", ["coarse", "fine"])
+    def test_pipeline_weights_narrower_than_the_config(self, tmp_path, capsys, kind):
+        # the weights' width is checked against the config before any file is written
+        weights = tmp_path / f"{kind}16.fmat"
+        write_fmat(weights, AttentionStack.random(1, 16, seed=1).to_sections())
+        rc = run("pipeline", "--out", tmp_path / "run", *FAST_SIZE, f"--{kind}-weights", weights)
+        self._assert_usage_error(rc, capsys, f"{kind} attention weights take 16-wide input")
+        assert not (tmp_path / "run").exists()
+
     def test_distances_past_float64_squares(self, tmp_path, capsys):
         # camera coordinates of 1e300 overflowed the squares that triangulation's gates sum
         with warnings.catch_warnings():

@@ -10,7 +10,6 @@ from semidense.errors import VisibilityError
 from semidense.geometry import project_with_depth
 from semidense.matching import (
     OUTLIER_CONFIDENCE,
-    FineMatchQuery,
     OracleMatcher,
     outlier_draws,
     select_view_pairs,
@@ -175,15 +174,15 @@ class TestOracleDrawsIndependentOfOrder:
         for i in perm[:20]:
             assert np.array_equal(oracle_fine_location(scene, 4, int(ids[i])), batch[i])
 
-    def test_fine_refine_batch_independent_of_query_order(self):
+    def test_fine_refine_independent_of_query_order(self):
         scene = support.onboard_scene(3)
         matcher = OracleMatcher(scene)
         queries = _track_queries(scene, matcher)
         columns = [np.asarray(c) for c in zip(*queries)]
-        pixels, confidence = matcher.fine_refine_batch(*columns)
+        pixels, confidence = matcher.fine_refine(*columns)
         perm = np.random.default_rng(1).permutation(len(queries))
         fresh = OracleMatcher(scene)
-        got_pixels, got_confidence = fresh.fine_refine_batch(*(c[perm] for c in columns))
+        got_pixels, got_confidence = fresh.fine_refine(*(c[perm] for c in columns))
         assert np.array_equal(got_pixels, pixels[perm])
         assert np.array_equal(got_confidence, confidence[perm])
 
@@ -391,16 +390,13 @@ class TestWinnerRows:
 
 class TestFineRefine:
     def _query_for(self, matcher, view_ref, view_src, point_id):
+        """(view_ref, u_ref, view_src, cell_src) of the point's query, and its true pixel."""
         obs_r = matcher.observations(view_ref)
         obs_s = matcher.observations(view_src)
         row_r = _winner_points(obs_r)[point_id]
         row_s = np.searchsorted(obs_s.point_ids, point_id)
-        return FineMatchQuery(
-            view_ref=view_ref,
-            u_ref=obs_r.cells[row_r],
-            view_src=view_src,
-            cell_src=obs_s.cells[row_s],
-        ), obs_s.pixels[row_s]
+        query = (view_ref, obs_r.cells[row_r], view_src, obs_s.cells[row_s])
+        return query, obs_s.pixels[row_s]
 
     def test_zero_noise_exact(self):
         scene = generate_scene(31, 80, 4, ZERO)
@@ -410,9 +406,9 @@ class TestFineRefine:
         ).keys()
         pid = sorted(common)[0]
         query, true_pix = self._query_for(matcher, 0, 1, pid)
-        res = matcher.fine_refine(query)
-        np.testing.assert_allclose(res.pixel, true_pix, atol=1e-12)
-        assert res.confidence == 1.0
+        pixel, confidence = support.fine_one(matcher, *query)
+        np.testing.assert_allclose(pixel, true_pix, atol=1e-12)
+        assert confidence == 1.0
 
     def test_result_inside_window(self):
         scene = generate_scene(32, 120, 4, NoiseModel(fine_noise_sigma=2.0))
@@ -421,8 +417,8 @@ class TestFineRefine:
         common = win0.keys() & _winner_points(matcher.observations(2)).keys()
         for pid in sorted(common)[:50]:
             query, _ = self._query_for(matcher, 0, 2, pid)
-            res = matcher.fine_refine(query)
-            assert np.max(np.abs(res.pixel - query.cell_src)) <= 4.0 + 1e-12
+            pixel, _ = support.fine_one(matcher, *query)
+            assert np.max(np.abs(pixel - query[3])) <= 4.0 + 1e-12
 
     @staticmethod
     def _fine_errors(sigma):
@@ -454,7 +450,7 @@ class TestFineRefine:
             u_ref.append(ref.cells[rows_ref])
             cell_src.append(src.cells[rows_src])
             truth.append(src.pixels[rows_src])
-        pixels, confidence = matcher.fine_refine_batch(
+        pixels, confidence = matcher.fine_refine(
             view_ref, np.concatenate(u_ref), view_src, np.concatenate(cell_src)
         )
         assert np.all(confidence == 1.0)
@@ -484,15 +480,10 @@ class TestFineRefine:
         row_r = win0[pid]
         row_s = np.searchsorted(obs1.point_ids, pid)
         wrong_cell = obs1.cells[row_s] + np.array([80.0, 0.0])
-        query = FineMatchQuery(
-            view_ref=0,
-            u_ref=matcher.observations(0).cells[row_r],
-            view_src=1,
-            cell_src=wrong_cell,
-        )
-        res = matcher.fine_refine(query)
-        np.testing.assert_array_equal(res.pixel, wrong_cell)
-        assert res.confidence == OUTLIER_CONFIDENCE
+        u_ref = matcher.observations(0).cells[row_r]
+        pixel, confidence = support.fine_one(matcher, 0, u_ref, 1, wrong_cell)
+        np.testing.assert_array_equal(pixel, wrong_cell)
+        assert confidence == OUTLIER_CONFIDENCE
 
     def test_unknown_reference_cell_zero_confidence(self):
         scene = generate_scene(35, 64, 3, ZERO)
@@ -507,23 +498,15 @@ class TestFineRefine:
                     break
             if empty is not None:
                 break
-        query = FineMatchQuery(
-            view_ref=0, u_ref=empty, view_src=1, cell_src=obs1.cells[0]
-        )
-        res = matcher.fine_refine(query)
-        assert res.confidence == 0.0
+        _, confidence = support.fine_one(matcher, 0, empty, 1, obs1.cells[0])
+        assert confidence == 0.0
 
     def test_query_outside_image_rejected(self):
         scene = generate_scene(36, 64, 3, ZERO)
         matcher = OracleMatcher(scene)
-        query = FineMatchQuery(
-            view_ref=0,
-            u_ref=matcher.observations(0).cells[0],
-            view_src=1,
-            cell_src=np.array([-20.0, 4.0]),
-        )
+        u_ref = matcher.observations(0).cells[0]
         with pytest.raises(ValueError):
-            matcher.fine_refine(query)
+            support.fine_one(matcher, 0, u_ref, 1, np.array([-20.0, 4.0]))
 
 
 # Reference: the one-query oracle the batched call replaced, kept here so
@@ -582,7 +565,7 @@ class TestFineRefineBatchMatchesOneQueryReference:
         matcher = OracleMatcher(scene)
         queries = _track_queries(scene, matcher)
         view_ref, u_ref, view_src, cell_src = zip(*queries)
-        pixels, confidence = matcher.fine_refine_batch(view_ref, u_ref, view_src, cell_src)
+        pixels, confidence = matcher.fine_refine(view_ref, u_ref, view_src, cell_src)
         assert pixels.shape == (len(queries), 2) and confidence.shape == (len(queries),)
         for q, pixel, conf in zip(queries, pixels, confidence.tolist()):
             ref_pixel, ref_conf = _ref_fine_refine(matcher, *q)
@@ -595,10 +578,10 @@ class TestFineRefineBatchMatchesOneQueryReference:
         scene = support.onboard_scene(6)
         matcher = OracleMatcher(scene)
         for q in _track_queries(scene, matcher)[:300]:
-            res = matcher.fine_refine(FineMatchQuery(*(np.asarray(x) for x in q)))
+            pixel, confidence = support.fine_one(matcher, *q)
             ref_pixel, ref_conf = _ref_fine_refine(matcher, *q)
-            assert np.array_equal(res.pixel, ref_pixel)
-            assert res.confidence == ref_conf
+            assert np.array_equal(pixel, ref_pixel)
+            assert confidence == ref_conf
 
     def test_cell_outside_image_raises_from_batch(self):
         scene = generate_scene(36, 64, 3, ZERO)
@@ -607,7 +590,7 @@ class TestFineRefineBatchMatchesOneQueryReference:
         cells[2] = (-20.0, 4.0)
         u_ref = matcher.observations(0).cells[:4]
         with pytest.raises(ValueError, match="outside the image"):
-            matcher.fine_refine_batch([0] * 4, u_ref, [1] * 4, cells)
+            matcher.fine_refine([0] * 4, u_ref, [1] * 4, cells)
 
 
 class TestViewPairSelection:

@@ -17,7 +17,7 @@ from semidense.geometry import (
     project,
     rotation_from_axis_angle,
 )
-from semidense.matching import FineMatchQuery, OracleMatcher, select_view_pairs
+from semidense.matching import OracleMatcher, select_view_pairs
 from semidense.refine import (
     LM_INITIAL_LAMBDA,
     LM_MAX_ITERS,
@@ -32,10 +32,8 @@ from semidense.refine import (
     aggregate_features,
     optimize_depth,
     optimize_depths,
-    refine_nodes,
     refine_reconstruction,
     refine_track_nodes,
-    reference_nodes,
     select_reference_node,
 )
 from semidense.scene import NoiseModel, ViewObservations, generate_scene, grid_cell_center
@@ -61,6 +59,19 @@ def _records(refined):
     return [refined.record(i) for i in range(len(refined))]
 
 
+def _reference_node(track, poses):
+    """The reference node index of a one-track table, through the batch call."""
+    R = np.array([pose.rotation for pose in poses])
+    t = np.array([pose.translation for pose in poses])
+    return int(select_reference_node(track, R, t)[0])
+
+
+def _refine_one(track, reference_idx, matcher, min_confidence=0.2, stats=None):
+    """A one-track table's refined record through the batch call; None when it is dropped."""
+    refined = refine_track_nodes(track, [reference_idx], matcher, min_confidence, stats)
+    return refined.record(0) if len(refined) else None
+
+
 class TestSelectReferenceNode:
     def test_symmetric_views_tie_break_to_lowest(self):
         intr = support.default_intrinsics()
@@ -69,7 +80,7 @@ class TestSelectReferenceNode:
         track = support.make_tracks(
             [[(0, (260.0, 260.0)), (1, (260.0, 260.0))]], points=[np.zeros(3)]
         )
-        assert select_reference_node(track, [a, b]) == 0
+        assert _reference_node(track, [a, b]) == 0
         del intr
 
     def test_frontal_view_beats_oblique(self):
@@ -86,7 +97,7 @@ class TestSelectReferenceNode:
         poses = [support.look_at_pose(p, point) for p in positions]
         nodes = [(v, tuple(support.pixel_of(poses[v], intr, point))) for v in range(5)]
         track = support.make_tracks([nodes], points=[point])
-        got = select_reference_node(track, poses)
+        got = _reference_node(track, poses)
 
         # brute-force re-computation of the criterion
         best, best_angle = None, np.inf
@@ -106,7 +117,7 @@ class TestSelectReferenceNode:
     def test_single_node_rejected(self):
         track = support.make_tracks([[(0, (4.0, 4.0))]], points=[np.zeros(3)])
         with pytest.raises(ValueError):
-            select_reference_node(track, [SE3Pose.identity()])
+            _reference_node(track, [SE3Pose.identity()])
 
 
 class TestRefineTrackNodes:
@@ -117,8 +128,7 @@ class TestRefineTrackNodes:
         assert len(recon.tracks)
         for i in range(min(20, len(recon.tracks))):
             track = recon.tracks.take([i])
-            ref_idx = select_reference_node(track, poses)
-            rt = refine_track_nodes(track, ref_idx, matcher)
+            rt = _refine_one(track, _reference_node(track, poses), matcher)
             assert rt is not None
             pid = support.winner_point(matcher.observations(rt.ref_view), rt.ref_cell)
             for s in rt.sources:
@@ -133,8 +143,7 @@ class TestRefineTrackNodes:
         recon, poses, _ = _build_coarse(scene, matcher)
         for i in range(min(30, len(recon.tracks))):
             track = recon.tracks.take([i])
-            ref_idx = select_reference_node(track, poses)
-            rt = refine_track_nodes(track, ref_idx, matcher)
+            rt = _refine_one(track, _reference_node(track, poses), matcher)
             if rt is None:
                 continue
             for s in rt.sources:
@@ -145,9 +154,8 @@ class TestRefineTrackNodes:
         matcher = OracleMatcher(scene)
         recon, poses, _ = _build_coarse(scene, matcher)
         track = recon.tracks.take([0])
-        ref_idx = select_reference_node(track, poses)
         stats = RefineStats()
-        rt = refine_track_nodes(track, ref_idx, matcher, min_confidence=1.5, stats=stats)
+        rt = _refine_one(track, _reference_node(track, poses), matcher, 1.5, stats)
         assert rt is None
         assert stats.dropped_tracks == 1
 
@@ -465,27 +473,27 @@ def _ref_refine_track_nodes(track, reference_idx, matcher, min_confidence, stats
     nodes = support.node_lists(track)[0]
     ref_view, ref_cell = nodes[reference_idx]
     ref_cell_arr = np.asarray(ref_cell, dtype=float)
-    ref_result = matcher.fine_refine(FineMatchQuery(ref_view, ref_cell_arr, ref_view, ref_cell_arr))
-    if ref_result.confidence < min_confidence:
+    u_ref, ref_conf = support.fine_one(matcher, ref_view, ref_cell_arr, ref_view, ref_cell_arr)
+    if ref_conf < min_confidence:
         stats.dropped_tracks += 1
         return None
     sources = []
     for idx, (view_id, cell) in enumerate(nodes):
         if idx == reference_idx:
             continue
-        res = matcher.fine_refine(
-            FineMatchQuery(ref_view, ref_cell_arr, view_id, np.asarray(cell, dtype=float))
+        pixel, confidence = support.fine_one(
+            matcher, ref_view, ref_cell_arr, view_id, np.asarray(cell, dtype=float)
         )
-        if res.confidence < min_confidence:
+        if confidence < min_confidence:
             stats.dropped_low_confidence_nodes += 1
             continue
-        sources.append(SourceNode(view_id, cell, res.pixel, res.confidence))
+        sources.append(SourceNode(view_id, cell, pixel, confidence))
     if not sources:
         stats.dropped_tracks += 1
         return None
     return RefinedTrack(
         track_id=int(track.track_ids[0]), ref_view=ref_view, ref_cell=ref_cell,
-        u_ref=ref_result.pixel, sources=sources, point_init=track.points[0].copy(),
+        u_ref=u_ref, sources=sources, point_init=track.points[0].copy(),
     )
 
 
@@ -640,7 +648,7 @@ class TestBatchedRefinementMatchesOneTrackReference:
         for i in range(len(recon.tracks)):
             track = recon.tracks.take([i])
             ref_idx = _ref_select_reference_node(track, poses)
-            assert select_reference_node(track, poses) == ref_idx
+            assert _reference_node(track, poses) == ref_idx
             rt = _ref_refine_track_nodes(track, ref_idx, matcher, 0.2, ref_stats)
             if rt is None:
                 continue
@@ -659,7 +667,8 @@ class TestBatchedRefinementMatchesOneTrackReference:
     def test_shuffled_onboard_rows_equal_their_one_track_solve(self):
         scene, matcher, recon, poses, intrs = self._onboard(3)
         table = ViewTable.stack(poses, intrs)
-        nodes = refine_nodes(recon.tracks, reference_nodes(recon.tracks, table.R, table.t), matcher)
+        ref_idx = select_reference_node(recon.tracks, table.R, table.t)
+        nodes = refine_track_nodes(recon.tracks, ref_idx, matcher)
         nodes = nodes.take(np.random.default_rng(5).permutation(len(nodes))[:300])
         assert np.any(np.diff(np.diff(nodes.offsets)) < 0)  # rows out of source-count order
         got = _records(optimize_depths(nodes, table))
@@ -684,7 +693,7 @@ class TestBatchedRefinementMatchesOneTrackReference:
         tracks = support.make_tracks(nodes, points=tracks.points, track_ids=tracks.track_ids)
 
         stats, ref_stats = RefineStats(), RefineStats()
-        got = refine_nodes(tracks, ref_idx, matcher, 0.2, stats)
+        got = refine_track_nodes(tracks, ref_idx, matcher, 0.2, stats)
         ref = [
             _ref_refine_track_nodes(tracks.take([i]), ref_idx[i], matcher, 0.2, ref_stats)
             for i in range(6)
