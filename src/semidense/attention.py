@@ -243,7 +243,7 @@ class AttentionStack:
 
     @classmethod
     def from_sections(cls, sections: dict[str, np.ndarray]) -> "AttentionStack":
-        """A stack from FMAT sections; ValueError names a missing or misshapen matrix.
+        """A stack from FMAT sections; ValueError names a missing, misshapen or non-finite matrix.
 
         Every layer maps C-wide features to C-wide features: q, k and v are
         (C, .) with q and k equally wide, v is (C, C), ff1 is (C, F) and ff2
@@ -263,6 +263,8 @@ class AttentionStack:
                         raise ValueError(f"attention weights have no section {name}")
                     if sections[name].ndim != 2:
                         raise ValueError(f"{name} has {sections[name].ndim} axes, expected 2")
+                    if not np.all(np.abs(sections[name]) <= np.finfo(np.float32).max):  # or NaN
+                        raise ValueError(f"{name} holds an entry that is not finite in float32")
                 w = [sections[name] for name in names]
                 q, _, _, ff1, _ = w
                 width = q.shape[0] if width is None else width

@@ -28,8 +28,6 @@ from .scene import (
 
 _STREAM_OUTLIERS = 20
 
-Cell = tuple[float, float]
-
 # Confidence reported for fine queries the matcher cannot ground.
 OUTLIER_CONFIDENCE = 0.1
 

@@ -64,13 +64,6 @@ class QueryFeatureMaps:
         if grids != ((h // GRID_STRIDE, w // GRID_STRIDE), (h // FINE_STRIDE, w // FINE_STRIDE)):
             raise ValueError(f"coarse, fine cover {grids} cells, not the camera's {h} x {w} px")
 
-    @classmethod
-    def from_dense(
-        cls, coarse: np.ndarray, fine: np.ndarray, intrinsics: CameraIntrinsics
-    ) -> "QueryFeatureMaps":
-        """The constructor under its earlier name."""
-        return cls(coarse, fine, intrinsics)
-
     def coarse_cell_pixels(self) -> np.ndarray:
         """Pixel centers of the flattened (row-major) coarse grid."""
         h, w, _ = self.coarse.shape

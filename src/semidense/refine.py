@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geometry import ViewTable, pinhole, pinhole_inverse, pinhole_jacobian, size_runs
-from .matching import Cell, OracleMatcher
+from .matching import OracleMatcher
 from .scene import ViewObservations
 from .tracks import CoarseReconstruction, Tracks, TrackTable
 
@@ -28,31 +28,6 @@ LM_INITIAL_LAMBDA = 1e-3
 LM_MAX_ITERS = 50
 LM_RELATIVE_TOL = 1e-8
 MIN_DEPTH_CLAMP = 1e-6
-
-
-@dataclass
-class SourceNode:
-    view_id: int
-    cell: Cell
-    pixel: np.ndarray      # refined sub-pixel location
-    confidence: float
-
-
-@dataclass
-class RefinedTrack:
-    """A track after sub-pixel refinement and depth optimization."""
-
-    track_id: int
-    ref_view: int
-    ref_cell: Cell
-    u_ref: np.ndarray              # sub-pixel reference location (fixed in Eq. 1 terms)
-    sources: list[SourceNode]
-    point_init: np.ndarray         # coarse 3D point used for initialization
-    depth: float = np.nan
-    point: np.ndarray | None = None
-    initial_cost: float = np.nan   # RMS source reprojection error (px) at d0
-    final_cost: float = np.nan     # RMS error at the optimized depth
-    converged: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,54 +53,6 @@ class RefinedTracks(TrackTable):
     converged: np.ndarray       # (T,) bool
 
     NODE_FIELDS = ("views", "cells", "pixels", "confidences")
-
-    @classmethod
-    def from_records(cls, rts: list[RefinedTrack]) -> RefinedTracks:
-        """The table of one-track records; a record without a point gets a NaN row.
-
-        Records do not keep the reference's confidence: its rows read NaN.
-        """
-        nodes = []
-        for rt in rts:
-            nodes.append((rt.ref_view, rt.ref_cell, rt.u_ref, np.nan))
-            nodes.extend((s.view_id, s.cell, s.pixel, s.confidence) for s in rt.sources)
-        return cls(
-            track_ids=np.array([rt.track_id for rt in rts], dtype=int),
-            point_init=np.array([rt.point_init for rt in rts], dtype=float).reshape(-1, 3),
-            views=np.array([v for v, _, _, _ in nodes], dtype=int),
-            cells=np.array([c for _, c, _, _ in nodes], dtype=float).reshape(-1, 2),
-            pixels=np.array([p for _, _, p, _ in nodes], dtype=float).reshape(-1, 2),
-            confidences=np.array([c for _, _, _, c in nodes], dtype=float),
-            offsets=np.cumsum([0] + [1 + len(rt.sources) for rt in rts]),
-            depths=np.array([rt.depth for rt in rts], dtype=float),
-            points=np.array(
-                [np.full(3, np.nan) if rt.point is None else rt.point for rt in rts], dtype=float
-            ).reshape(-1, 3),
-            initial_costs=np.array([rt.initial_cost for rt in rts], dtype=float),
-            final_costs=np.array([rt.final_cost for rt in rts], dtype=float),
-            converged=np.array([rt.converged for rt in rts], dtype=bool),
-        )
-
-    def record(self, i: int) -> RefinedTrack:
-        """Track i as a one-track record; a NaN point row becomes None."""
-        ref, hi = self.offsets[i], self.offsets[i + 1]
-        sources = zip(
-            self.views[ref + 1:hi].tolist(), self.cells[ref + 1:hi].tolist(),
-            self.pixels[ref + 1:hi], self.confidences[ref + 1:hi].tolist(),
-        )
-        return RefinedTrack(
-            track_id=int(self.track_ids[i]),
-            ref_view=int(self.views[ref]),
-            ref_cell=tuple(self.cells[ref].tolist()),
-            u_ref=self.pixels[ref],
-            sources=[SourceNode(v, tuple(c), pixel, conf) for v, c, pixel, conf in sources],
-            point_init=self.point_init[i],
-            depth=float(self.depths[i]),
-            point=None if np.isnan(self.points[i]).any() else self.points[i],
-            initial_cost=float(self.initial_costs[i]),
-            final_cost=float(self.final_costs[i]),
-            converged=bool(self.converged[i]),
-        )
 
 
 @dataclass
@@ -268,13 +195,6 @@ class DepthProblem:
     targets: np.ndarray  # (B, S, 2)
 
     @classmethod
-    def from_track(cls, rt: RefinedTrack, poses, intrinsics) -> DepthProblem:
-        """The one-track (B = 1) problem."""
-        table = ViewTable.stack(poses, intrinsics)
-        rts = RefinedTracks.from_records([rt])
-        return cls.from_nodes(rts.views[None], rts.pixels[None], table)
-
-    @classmethod
     def from_nodes(cls, views: np.ndarray, pixels: np.ndarray, table: ViewTable) -> DepthProblem:
         """The problem of B tracks of n nodes each: views (B, n), pixels (B, n, 2).
 
@@ -336,30 +256,13 @@ def _sum_squares(r: np.ndarray) -> np.ndarray:
 
 
 def optimize_depth(
-    rt: RefinedTrack,
-    poses,
-    intrinsics,
-    *,
-    max_iters: int = LM_MAX_ITERS,
-    rel_tol: float = LM_RELATIVE_TOL,
-) -> RefinedTrack:
-    """Scalar Levenberg-Marquardt on the reference depth; returns a new track.
-
-    The one-track case of optimize_depths.
-    """
-    table = ViewTable.stack(poses, intrinsics)
-    rts = RefinedTracks.from_records([rt])
-    return optimize_depths(rts, table, max_iters=max_iters, rel_tol=rel_tol).record(0)
-
-
-def optimize_depths(
     rts: RefinedTracks,
     table: ViewTable,
     *,
     max_iters: int = LM_MAX_ITERS,
     rel_tol: float = LM_RELATIVE_TOL,
 ) -> RefinedTracks:
-    """optimize_depth for every track, as one lock-step LM over all of them.
+    """The depth LM of every track, as one lock-step loop over all of them.
 
     Levenberg-Marquardt on the reference depth, initialized from the coarse
     point's z coordinate in the reference frame. Each row keeps its own
@@ -373,8 +276,8 @@ def optimize_depths(
     to the largest count with ViewTable's padding camera, a row's k-th step
     at iteration k. The active rows are kept sorted by source count, so the
     sums over a row's 2 S residuals (g, H and the cost) run per count on
-    exactly those entries, and every row equals its one-track solve bit for
-    bit. Returns the table, in its order, with the LM's columns filled in.
+    exactly those entries, and every row equals its solve in a table of its
+    own bit for bit. Returns the table, in its order, with the LM's columns filled in.
     """
     S = np.diff(rts.offsets) - 1
     width = int(S.max(initial=0)) + 1  # from_nodes reads a reference column
@@ -534,7 +437,7 @@ def refine_reconstruction(
     table = ViewTable.stack(poses, intrinsics)
     ref_idx = select_reference_node(recon.tracks, table.R, table.t)
     nodes = refine_track_nodes(recon.tracks, ref_idx, matcher, min_confidence, stats)
-    refined = optimize_depths(nodes, table)
+    refined = optimize_depth(nodes, table)
     stats.non_converged += int(np.count_nonzero(~refined.converged))
     model = aggregate_features(refined, observations, stats)
     return model, refined, stats

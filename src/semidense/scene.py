@@ -29,6 +29,9 @@ from .geometry import (
 GRID_STRIDE = 8
 # Half-extent of the 9x9 sub-pixel refinement window around a grid-cell center.
 FINE_WINDOW_HALF = 4
+# Largest pixel and descriptor noise sigma: far past any useful noise, and the
+# squares that normalize noisy descriptors stay inside float64 (1e160 overflowed).
+MAX_NOISE_SIGMA = 1e6
 # Bits of a cell_keys key: a grid column, then a grid row of half as many bits.
 CELL_KEY_BITS = 40
 
@@ -63,8 +66,9 @@ class NoiseModel:
 
     def __post_init__(self):
         for name in ("fine_noise_sigma", "descriptor_noise_sigma"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            sigma = getattr(self, name)
+            if not (0 <= sigma <= MAX_NOISE_SIGMA):  # NaN fails too
+                raise ValueError(f"{name} must be in [0, {MAX_NOISE_SIGMA:g}], got {sigma}")
         if not (0 <= self.dropout_rate < 1):
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if not (0 <= self.outlier_rate < 1):

@@ -5,6 +5,7 @@ Reference implementations here are deliberately written from scratch
 of the library code they are used to check.
 """
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -131,13 +132,13 @@ def golden_section_minimize(f, lo: float, hi: float, tol: float) -> float:
 
 def random_refined_track(rng: np.random.Generator, n_sources: int = 8,
                          pixel_noise: float = 0.5, intr: CameraIntrinsics | None = None):
-    """A RefinedTrack with known ground truth for depth-optimizer tests.
+    """A one-track RefinedTracks with known ground truth for depth-optimizer tests.
 
-    The reference ray passes exactly through the true point; source pixels
-    carry Gaussian noise. Returns (track, poses, intrinsics, true_depth).
+    Node k sees view k, the reference view 0. The reference ray passes
+    exactly through the true point; source pixels carry Gaussian noise.
+    Returns (track, views, true_depth), views the ViewTable of its cameras.
     """
-    from semidense.refine import RefinedTrack, SourceNode
-    from semidense.scene import grid_cell_center
+    from semidense.geometry import ViewTable
 
     intr = intr or default_intrinsics()
     point = rng.uniform(-0.35, 0.35, size=3)
@@ -152,28 +153,67 @@ def random_refined_track(rng: np.random.Generator, n_sources: int = 8,
         if 20 < pix[0] < intr.width - 20 and 20 < pix[1] < intr.height - 20:
             poses.append(pose)
 
-    u_ref = pixel_of(poses[0], intr, point)
-    sources = []
+    pixels = [pixel_of(poses[0], intr, point)]
     for k in range(1, n_sources + 1):
-        pix = pixel_of(poses[k], intr, point) + rng.normal(0.0, pixel_noise, size=2)
-        sources.append(
-            SourceNode(
-                view_id=k,
-                cell=tuple(grid_cell_center(pix)),
-                pixel=pix,
-                confidence=1.0,
-            )
-        )
+        pixels.append(pixel_of(poses[k], intr, point) + rng.normal(0.0, pixel_noise, size=2))
     true_depth = float(poses[0].transform(point)[2])
-    track = RefinedTrack(
-        track_id=0,
-        ref_view=0,
-        ref_cell=tuple(grid_cell_center(u_ref)),
-        u_ref=u_ref,
-        sources=sources,
-        point_init=point * rng.uniform(0.95, 1.05),
+    track = refined_track(range(n_sources + 1), pixels, point * rng.uniform(0.95, 1.05))
+    return track, ViewTable.stack(poses, [intr] * (n_sources + 1)), true_depth
+
+
+def refined_track(views, pixels, point_init, **columns):
+    """One track as a RefinedTracks table: its nodes' views (n,) and pixels (n, 2), reference first.
+
+    The other columns default to track id 0, the pixels' grid cells,
+    confidences of 1, and the depth LM's NaN columns (converged False).
+    """
+    from semidense.refine import RefinedTracks
+    from semidense.scene import grid_cell_center
+
+    pixels = np.array(pixels, dtype=float).reshape(-1, 2)
+    defaults = dict(
+        track_ids=np.zeros(1, dtype=int), cells=grid_cell_center(pixels),
+        confidences=np.ones(len(pixels)), depths=np.full(1, np.nan), points=np.full((1, 3), np.nan),
+        initial_costs=np.full(1, np.nan), final_costs=np.full(1, np.nan),
+        converged=np.zeros(1, dtype=bool),
     )
-    return track, poses, [intr] * (n_sources + 1), true_depth
+    return RefinedTracks(
+        point_init=np.array(point_init, dtype=float).reshape(1, 3),
+        views=np.array(views, dtype=int),
+        pixels=pixels,
+        offsets=np.array([0, len(pixels)]),
+        **(defaults | columns),
+    )
+
+
+def concat_tracks(tables):
+    """One track table of several of the same type, their tracks in order."""
+    first = tables[0]
+    lengths = np.concatenate([np.diff(table.offsets) for table in tables])
+    return type(first)(**{
+        f.name: np.concatenate([getattr(table, f.name) for table in tables])
+        for f in dataclasses.fields(first) if f.name != "offsets"
+    }, offsets=np.concatenate([[0], np.cumsum(lengths)]))
+
+
+def stack_tracks(pairs):
+    """One track table and one ViewTable of (tracks, views) pairs, each over cameras of its own.
+
+    A pair's view ids move past the cameras of the pairs before it; the
+    padding camera stays last.
+    """
+    from semidense.geometry import ViewTable
+
+    shifted, shift = [], 0
+    for tracks, views in pairs:
+        shifted.append(dataclasses.replace(tracks, views=tracks.views + shift))
+        shift += len(views.fx) - 1
+
+    def column(name):
+        cameras = [getattr(views, name)[:-1] for _, views in pairs]
+        return np.concatenate(cameras + [getattr(pairs[0][1], name)[-1:]])
+
+    return concat_tracks(shifted), ViewTable(*(column(f.name) for f in dataclasses.fields(ViewTable)))
 
 
 def onboard_scene(seed: int):

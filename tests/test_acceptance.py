@@ -17,7 +17,13 @@ from semidense.cli import (
     reconstruct_scene,
 )
 from semidense.config import RunConfig
-from semidense.geometry import SE3Pose, project, rotation_from_axis_angle
+from semidense.geometry import (
+    SE3Pose,
+    pinhole,
+    pinhole_inverse,
+    project,
+    rotation_from_axis_angle,
+)
 from semidense.losses import total_matching_loss, total_matching_loss_grad_scores
 from semidense.metrics import (
     add_s,
@@ -89,21 +95,22 @@ class TestAcceptance:
 
     def test_03_depth_optimizer_matches_golden_section(self):
         rng = np.random.default_rng(1003)
-        worst = 0.0
+        draws = []
         for _ in range(1000):
             n_src = int(rng.integers(4, 13))
-            rt, poses, intrs, d_true = support.random_refined_track(
-                rng, n_src, pixel_noise=0.5
-            )
-            out = optimize_depth(rt, poses, intrs)
-            problem = DepthProblem.from_track(rt, poses, intrs)
+            draws.append(support.random_refined_track(rng, n_src, pixel_noise=0.5))
+        tracks, views = support.stack_tracks([(track, table) for track, table, _ in draws])
+        depths = optimize_depth(tracks, views).depths
+        worst = 0.0
+        for depth, (track, table, d_true) in zip(depths, draws):
+            problem = DepthProblem.from_nodes(track.views[None], track.pixels[None], table)
             gs = support.golden_section_minimize(
                 problem.cost,
                 0.5 * d_true,
                 2.0 * d_true,
                 tol=1e-10 * d_true,
             )
-            worst = max(worst, abs(out.depth - gs) / gs)
+            worst = max(worst, abs(depth - gs) / gs)
         assert worst < 1e-6
         _report(3, f"depth optimizer vs golden section: worst rel dev {worst:.2e} (< 1e-6)")
 
@@ -112,23 +119,22 @@ class TestAcceptance:
         worst = 0.0
         for _ in range(1000):
             n_src = int(rng.integers(2, 10))
-            rt, poses, intrs, d_true = support.random_refined_track(
+            track, views, d_true = support.random_refined_track(
                 rng, n_src, pixel_noise=1.0
             )
             d = d_true * rng.uniform(0.85, 1.15)
-            ana = DepthProblem.from_track(rt, poses, intrs).jacobian(d)
+            ana = DepthProblem.from_nodes(track.views[None], track.pixels[None], views).jacobian(d)
             h = 1e-5 * d
 
             def residuals(depth):
-                from semidense.geometry import backproject
-
-                p_world = poses[rt.ref_view].inverse().transform(
-                    backproject(rt.u_ref, depth, intrs[rt.ref_view])
+                ref = track.views[0]
+                p_world = SE3Pose(views.R[ref], views.t[ref]).inverse().transform(
+                    pinhole_inverse(track.pixels[0], depth, *views.k(ref))
                 )
                 return np.array(
                     [
-                        support.pixel_of(poses[s.view_id], intrs[s.view_id], p_world) - s.pixel
-                        for s in rt.sources
+                        pinhole(views.R[v] @ p_world + views.t[v], *views.k(v)) - pixel
+                        for v, pixel in zip(track.views[1:], track.pixels[1:])
                     ]
                 )
 
@@ -185,7 +191,7 @@ class TestAcceptance:
                 track_ids=np.arange(n),
             )
             intr = CameraIntrinsics(fx=200, fy=200, cx=size / 2, cy=size / 2, width=size, height=size)
-            query = QueryFeatureMaps.from_dense(
+            query = QueryFeatureMaps(
                 coarse=_unit(rng.standard_normal((hw, hw, c))),
                 fine=_unit(rng.standard_normal((size // 2, size // 2, c))),
                 intrinsics=intr,

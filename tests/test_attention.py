@@ -229,6 +229,21 @@ class TestAttentionStack:
         with pytest.raises(ValueError, match=mention):
             AttentionStack.from_sections(sections)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e300, -1e39])
+    def test_sections_with_an_entry_past_float32_rejected(self, value):
+        # the coarse block runs in float32, where these are not finite
+        sections = AttentionStack.random(2, 8, seed=12).to_sections()
+        sections["layer1.cross.ff1"][3, 2] = value
+        with pytest.raises(ValueError, match="layer1.cross.ff1 holds an entry that is not finite"):
+            AttentionStack.from_sections(sections)
+
+    def test_sections_at_the_float32_maximum_accepted(self):
+        sections = AttentionStack.random(1, 8, seed=12).to_sections()
+        sections["layer0.self.v"][0, 0] = -np.finfo(np.float32).max
+        sections["layer0.self.q"] = sections["layer0.self.q"].astype(np.float32)
+        sections["layer0.self.q"][1, 1] = np.finfo(np.float32).max
+        assert AttentionStack.from_sections(sections).width == 8
+
     def test_sections_with_a_wider_hidden_layer_accepted(self):
         # q/k and ff1 may be narrower or wider than C when their partners agree
         rng = np.random.default_rng(16)

@@ -32,10 +32,6 @@ def test_every_reconstruction_seam_records_a_call(monkeypatch, tmp_path):
         tracer.uninstall()
     assert rc == 0
     layers = ("scene", "matching", "tracks", "refine")
-    # the depth LM's span wraps the one-track optimize_depth, which the batch does not call
-    names = {
-        name for _, _, name, _ in spans.WRAPS
-        if name.split(".")[0] in layers and name != "refine.depth_lm"
-    }
+    names = {name for _, _, name, _ in spans.WRAPS if name.split(".")[0] in layers}
     counts = tracer.counts[tracer.phase]
     assert sorted(name for name in names if not counts.get(name + ".calls")) == []

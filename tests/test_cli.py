@@ -419,6 +419,23 @@ class TestBadInputs:
         self._assert_usage_error(rc, capsys, f"{kind} attention weights take 16-wide input")
         assert not (tmp_path / "run").exists()
 
+    def test_pipeline_noise_sigma_past_bound(self, tmp_path, capsys):
+        # 1e160 overflowed normalizing the noisy descriptors, after the scene was written
+        rc = run("pipeline", "--out", tmp_path / "run", *FAST_SIZE, "--descriptor-noise-sigma", "1e160")
+        self._assert_usage_error(rc, capsys, "descriptor_noise_sigma must be in [0, 1e+06]")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("value", [np.nan, 1e300], ids=["nan", "1e300"])
+    def test_pipeline_non_finite_coarse_weights(self, tmp_path, capsys, value):
+        # the weights are checked as they load, before any file is written
+        sections = AttentionStack.random(1, 32, seed=1).to_sections()
+        sections["layer0.self.v"][1, 2] = value
+        weights = tmp_path / "coarse.fmat"
+        write_fmat(weights, sections)
+        rc = run("pipeline", "--out", tmp_path / "run", *FAST_SIZE, "--coarse-weights", weights)
+        self._assert_usage_error(rc, capsys, "layer0.self.v holds an entry that is not finite")
+        assert not (tmp_path / "run").exists()
+
     def test_distances_past_float64_squares(self, tmp_path, capsys):
         # camera coordinates of 1e300 overflowed the squares that triangulation's gates sum
         with warnings.catch_warnings():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from semidense.config import MAX_DISTANCE, MAX_FOCAL, MAX_TAU, MIN_TAU, RunConfig
+from semidense.scene import MAX_NOISE_SIGMA
 from semidense.pose_matching import DEFAULT_FINE_WINDOW, DEFAULT_TAU, DEFAULT_THETA
 
 
@@ -70,6 +71,9 @@ class TestValidation:
             {"ransac_confidence": 1.0},
             {"fine_noise_sigma": -1.0},
             {"descriptor_noise_sigma": -1.0},
+            {"descriptor_noise_sigma": 1e160},  # overflowed normalizing the noisy descriptors
+            {"descriptor_noise_sigma": MAX_NOISE_SIGMA * (1 + 1e-12)},
+            {"fine_noise_sigma": MAX_NOISE_SIGMA * (1 + 1e-12)},
         ):
             with pytest.raises(ValueError, match=next(iter(bad))):  # the message names the field
                 RunConfig(**bad).validate()
@@ -82,6 +86,7 @@ class TestValidation:
         RunConfig(fine_window=255, image_size=8192).validate()
         RunConfig(coarse_dim=6).validate()
         RunConfig(coarse_dim=1, n_coarse_layers=0).validate()  # no encoding without attention
+        RunConfig(fine_noise_sigma=MAX_NOISE_SIGMA, descriptor_noise_sigma=MAX_NOISE_SIGMA).validate()
 
     def test_smallest_tau_is_valid(self):
         RunConfig(tau=MIN_TAU).validate()

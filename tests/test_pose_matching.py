@@ -807,11 +807,6 @@ class TestQueryFeatureMaps:
     def _maps(self, fine, coarse=np.ones((4, 4, 2))):
         return QueryFeatureMaps(coarse, fine, self.INTR)
 
-    def test_from_dense_is_the_constructor(self):
-        coarse, fine = np.ones((4, 4, 2)), np.arange(16 * 16 * 2.0).reshape(16, 16, 2)
-        query = QueryFeatureMaps.from_dense(coarse, fine, self.INTR)
-        assert query.coarse is coarse and query.fine is fine and query.intrinsics == self.INTR
-
     def test_fine_map_not_3d(self):
         for bad in (np.ones((16, 16)), np.ones(16 * 16 * 2), np.ones((16, 16, 2, 1))):
             with pytest.raises(ValueError, match="fine must be 3-D"):

@@ -11,8 +11,8 @@ from semidense.config import RunConfig
 from semidense.geometry import (
     SE3Pose,
     ViewTable,
-    backproject,
     pinhole,
+    pinhole_inverse,
     pinhole_jacobian,
     project,
     rotation_from_axis_angle,
@@ -25,18 +25,15 @@ from semidense.refine import (
     MIN_DEPTH_CLAMP,
     DepthProblem,
     PointCloudModel,
-    RefinedTrack,
     RefinedTracks,
     RefineStats,
-    SourceNode,
     aggregate_features,
     optimize_depth,
-    optimize_depths,
     refine_reconstruction,
     refine_track_nodes,
     select_reference_node,
 )
-from semidense.scene import NoiseModel, ViewObservations, generate_scene, grid_cell_center
+from semidense.scene import NoiseModel, ViewObservations, generate_scene
 from semidense.tracks import build_tracks, triangulate_tracks
 
 ZERO = NoiseModel()
@@ -54,9 +51,33 @@ def _build_coarse(scene, matcher, min_track_length=3):
     return triangulate_tracks(tracks, poses, intrs, stats=stats), poses, intrs
 
 
-def _records(refined):
-    """A RefinedTracks table as a list of one-track records."""
-    return [refined.record(i) for i in range(len(refined))]
+def _one_problem(track, views):
+    """The depth problem of a one-track table, unpadded."""
+    return DepthProblem.from_nodes(track.views[None], track.pixels[None], views)
+
+
+def _camera(views, v):
+    """View v of a ViewTable as a pose."""
+    return SE3Pose(views.R[v], views.t[v])
+
+
+def _turned_cameras(views):
+    """View 0 of a ViewTable and two pure rotations about its center, at the default intrinsics.
+
+    A track over them, its sources in the rotated views, has a flat depth cost.
+    """
+    ref = _camera(views, 0)
+    turns = [
+        rotation_from_axis_angle(np.array([0.0, 1.0, 0.0]), a) @ ref.rotation for a in (0.05, -0.08)
+    ]
+    poses = [ref] + [SE3Pose(R, -R @ ref.camera_center) for R in turns]
+    return ViewTable.stack(poses, [support.default_intrinsics()] * 3)
+
+
+def _initial_depth(track, views):
+    """The depth of a one-track table's coarse point in its reference view."""
+    ref = track.views[0]
+    return (track.point_init[0] @ views.R[ref].T + views.t[ref])[2]
 
 
 def _reference_node(track, poses):
@@ -67,9 +88,9 @@ def _reference_node(track, poses):
 
 
 def _refine_one(track, reference_idx, matcher, min_confidence=0.2, stats=None):
-    """A one-track table's refined record through the batch call; None when it is dropped."""
+    """A one-track table refined through the batch call; None when it is dropped."""
     refined = refine_track_nodes(track, [reference_idx], matcher, min_confidence, stats)
-    return refined.record(0) if len(refined) else None
+    return refined if len(refined) else None
 
 
 class TestSelectReferenceNode:
@@ -130,12 +151,10 @@ class TestRefineTrackNodes:
             track = recon.tracks.take([i])
             rt = _refine_one(track, _reference_node(track, poses), matcher)
             assert rt is not None
-            pid = support.winner_point(matcher.observations(rt.ref_view), rt.ref_cell)
-            for s in rt.sources:
-                true_pix = project(poses[s.view_id], intrs[s.view_id], scene.points[pid])
-                np.testing.assert_allclose(s.pixel, true_pix, atol=1e-10)
-            true_ref = project(poses[rt.ref_view], intrs[rt.ref_view], scene.points[pid])
-            np.testing.assert_allclose(rt.u_ref, true_ref, atol=1e-10)
+            pid = support.winner_point(matcher.observations(int(rt.views[0])), rt.cells[0])
+            for v, pixel in zip(rt.views.tolist(), rt.pixels):  # the reference first
+                true_pix = project(poses[v], intrs[v], scene.points[pid])
+                np.testing.assert_allclose(pixel, true_pix, atol=1e-10)
 
     def test_refinements_stay_in_window(self):
         scene = generate_scene(52, 150, 6, NoiseModel(fine_noise_sigma=2.5))
@@ -146,8 +165,7 @@ class TestRefineTrackNodes:
             rt = _refine_one(track, _reference_node(track, poses), matcher)
             if rt is None:
                 continue
-            for s in rt.sources:
-                assert np.max(np.abs(s.pixel - np.asarray(s.cell))) <= 4.0 + 1e-12
+            assert np.max(np.abs(rt.pixels[1:] - rt.cells[1:])) <= 4.0 + 1e-12
 
     def test_all_low_confidence_drops_track(self):
         scene = generate_scene(53, 100, 6, ZERO)
@@ -164,33 +182,33 @@ class TestOptimizeDepth:
     def test_exact_sources_recover_true_depth(self):
         rng = np.random.default_rng(61)
         for _ in range(20):
-            rt, poses, intrs, d_true = support.random_refined_track(rng, 8, pixel_noise=0.0)
-            rt.point_init = rt.point_init * 1.1  # perturb the init
-            out = optimize_depth(rt, poses, intrs)
-            assert abs(out.depth - d_true) / d_true < 1e-8
-            assert out.converged
-            assert out.final_cost <= out.initial_cost + 1e-12
+            track, views, d_true = support.random_refined_track(rng, 8, pixel_noise=0.0)
+            track = dataclasses.replace(track, point_init=track.point_init * 1.1)  # perturb the init
+            out = optimize_depth(track, views)
+            assert abs(out.depths[0] - d_true) / d_true < 1e-8
+            assert out.converged[0]
+            assert out.final_costs[0] <= out.initial_costs[0] + 1e-12
 
     def test_matches_golden_section_oracle(self):
         rng = np.random.default_rng(62)
         for _ in range(50):
-            rt, poses, intrs, d_true = support.random_refined_track(rng, 8, pixel_noise=0.5)
-            out = optimize_depth(rt, poses, intrs)
-            problem = DepthProblem.from_track(rt, poses, intrs)
+            track, views, d_true = support.random_refined_track(rng, 8, pixel_noise=0.5)
+            out = optimize_depth(track, views)
             gs = support.golden_section_minimize(
-                problem.cost,
+                _one_problem(track, views).cost,
                 0.5 * d_true,
                 2.0 * d_true,
                 tol=1e-10 * d_true,
             )
-            assert abs(out.depth - gs) / gs < 1e-6
+            assert abs(out.depths[0] - gs) / gs < 1e-6
 
     def test_refined_point_on_reference_ray(self):
         rng = np.random.default_rng(63)
-        rt, poses, intrs, _ = support.random_refined_track(rng, 6, pixel_noise=0.3)
-        out = optimize_depth(rt, poses, intrs)
-        expected = poses[0].inverse().transform(backproject(rt.u_ref, out.depth, intrs[0]))
-        np.testing.assert_allclose(out.point, expected, atol=1e-12)
+        track, views, _ = support.random_refined_track(rng, 6, pixel_noise=0.3)
+        out = optimize_depth(track, views)
+        p_ref = pinhole_inverse(track.pixels[0], out.depths[0], *views.k(0))
+        expected = views.R[0].T @ (p_ref - views.t[0])
+        np.testing.assert_allclose(out.points[0], expected, atol=1e-12)
 
     def test_pure_forward_motion_flagged(self):
         # source camera displaced along the reference ray: depth unobservable
@@ -198,38 +216,30 @@ class TestOptimizeDepth:
         ref = SE3Pose.identity()
         src = SE3Pose(np.eye(3), np.array([0.0, 0.0, 0.5]))
         u_ref = np.array([intr.cx, intr.cy])
-        rt = RefinedTrack(
-            track_id=0,
-            ref_view=0,
-            ref_cell=tuple(grid_cell_center(u_ref)),
-            u_ref=u_ref,
-            sources=[
-                SourceNode(view_id=1, cell=(intr.cx, intr.cy), pixel=u_ref.copy(), confidence=1.0)
-            ],
-            point_init=np.array([0.0, 0.0, 4.0]),
-        )
-        out = optimize_depth(rt, [ref, src], [intr, intr])
-        assert not out.converged
+        track = support.refined_track([0, 1], [u_ref, u_ref], [0.0, 0.0, 4.0])
+        out = optimize_depth(track, ViewTable.stack([ref, src], [intr, intr]))
+        assert not out.converged[0]
 
     def test_monotone_improvement(self):
         rng = np.random.default_rng(64)
         for _ in range(30):
-            rt, poses, intrs, _ = support.random_refined_track(rng, 5, pixel_noise=1.0)
-            out = optimize_depth(rt, poses, intrs)
-            assert out.final_cost <= out.initial_cost + 1e-12
+            track, views, _ = support.random_refined_track(rng, 5, pixel_noise=1.0)
+            out = optimize_depth(track, views)
+            assert out.final_costs[0] <= out.initial_costs[0] + 1e-12
 
 
 class TestDepthJacobian:
-    def _fd_jacobian(self, rt, poses, intrs, d, h):
+    def _fd_jacobian(self, track, views, d, h):
         """Central differences on reference-ray source residuals (independent math)."""
         def residuals(depth):
+            ref = track.views[0]
+            p_ref = pinhole_inverse(track.pixels[0], depth, *views.k(ref))
+            p_world = views.R[ref].T @ (p_ref - views.t[ref])
             res = []
-            p_world = poses[rt.ref_view].inverse().transform(
-                backproject(rt.u_ref, depth, intrs[rt.ref_view])
-            )
-            for s in rt.sources:
-                pix = support.pixel_of(poses[s.view_id], intrs[s.view_id], p_world)
-                res.append(pix - s.pixel)
+            for v, pixel in zip(track.views[1:], track.pixels[1:]):
+                p = views.R[v] @ p_world + views.t[v]
+                res.append([views.fx[v] * p[0] / p[2] + views.cx[v] - pixel[0],
+                            views.fy[v] * p[1] / p[2] + views.cy[v] - pixel[1]])
             return np.array(res)
 
         return (residuals(d + h) - residuals(d - h)) / (2.0 * h)
@@ -238,10 +248,10 @@ class TestDepthJacobian:
         rng = np.random.default_rng(65)
         worst = 0.0
         for _ in range(200):
-            rt, poses, intrs, d_true = support.random_refined_track(rng, 6, pixel_noise=0.5)
+            track, views, d_true = support.random_refined_track(rng, 6, pixel_noise=0.5)
             d = d_true * rng.uniform(0.9, 1.1)
-            ana = DepthProblem.from_track(rt, poses, intrs).jacobian(d)
-            fd = self._fd_jacobian(rt, poses, intrs, d, h=1e-5 * d)
+            ana = _one_problem(track, views).jacobian(d)
+            fd = self._fd_jacobian(track, views, d, h=1e-5 * d)
             rel = np.abs(ana - fd).max() / max(np.abs(fd).max(), 1e-12)
             worst = max(worst, rel)
         assert worst < 1e-5
@@ -250,34 +260,18 @@ class TestDepthJacobian:
         intr = support.default_intrinsics()
         pose = support.look_at_pose(np.array([4.0, 0.0, 1.0]), np.zeros(3))
         u_ref = np.array([250.0, 250.0])
-        rt = RefinedTrack(
-            track_id=0,
-            ref_view=0,
-            ref_cell=tuple(grid_cell_center(u_ref)),
-            u_ref=u_ref,
-            sources=[SourceNode(view_id=0, cell=(4.0, 4.0), pixel=u_ref.copy(), confidence=1.0)],
-            point_init=np.array([0.0, 0.0, 0.0]),
-        )
-        J = DepthProblem.from_track(rt, [pose], [intr]).jacobian(4.0)
+        track = support.refined_track([0, 0], [u_ref, u_ref], np.zeros(3))
+        J = _one_problem(track, ViewTable.stack([pose], [intr])).jacobian(4.0)
         np.testing.assert_allclose(J, 0.0, atol=1e-12)
 
     def test_pure_rotation_is_zero(self):
         intr = support.default_intrinsics()
         ref = support.look_at_pose(np.array([4.0, 0.0, 1.0]), np.zeros(3))
-        from semidense.geometry import rotation_from_axis_angle
-
         R = rotation_from_axis_angle(np.array([0.0, 1.0, 0.0]), 0.1) @ ref.rotation
         rot_only = SE3Pose(R, -R @ ref.camera_center)
         u_ref = np.array([250.0, 250.0])
-        rt = RefinedTrack(
-            track_id=0,
-            ref_view=0,
-            ref_cell=tuple(grid_cell_center(u_ref)),
-            u_ref=u_ref,
-            sources=[SourceNode(view_id=1, cell=(4.0, 4.0), pixel=u_ref.copy(), confidence=1.0)],
-            point_init=np.zeros(3),
-        )
-        J = DepthProblem.from_track(rt, [ref, rot_only], [intr, intr]).jacobian(4.0)
+        track = support.refined_track([0, 1], [u_ref, u_ref], np.zeros(3))
+        J = _one_problem(track, ViewTable.stack([ref, rot_only], [intr, intr])).jacobian(4.0)
         np.testing.assert_allclose(J, 0.0, atol=1e-9)
 
 
@@ -297,16 +291,21 @@ def _obs_with_descriptors(view_id, cells, desc_coarse, desc_fine):
     )
 
 
-def _two_node_track(point=np.array([0.0, 0.0, 1.0])):
-    return RefinedTrack(
-        track_id=7,
-        ref_view=0,
-        ref_cell=(4.0, 4.0),
-        u_ref=np.array([4.0, 4.0]),
-        sources=[SourceNode(view_id=1, cell=(4.0, 4.0), pixel=np.array([4.0, 4.0]), confidence=1.0)],
-        point_init=point,
-        depth=1.0,
-        point=point,
+def _point_track(views=(0, 1), point=np.array([0.0, 0.0, 1.0])):
+    """Track 7, its point solved, with a node at cell (4, 4) of each view."""
+    return support.refined_track(
+        views, np.full((len(views), 2), 4.0), point,
+        track_ids=np.array([7]), depths=np.ones(1), points=point[None],
+    )
+
+
+def _drop_nodes(table, keep):
+    """The table without the nodes where keep (N,) is False."""
+    owner = np.repeat(np.arange(len(table)), np.diff(table.offsets))
+    counts = np.bincount(owner[keep], minlength=len(table))
+    return dataclasses.replace(
+        table, **{name: getattr(table, name)[keep] for name in table.NODE_FIELDS},
+        offsets=np.concatenate([[0], np.cumsum(counts)]),
     )
 
 
@@ -317,7 +316,7 @@ class TestAggregateFeatures:
             0: _obs_with_descriptors(0, [[4.0, 4.0]], d, d),
             1: _obs_with_descriptors(1, [[4.0, 4.0]], d, d),
         }
-        model = aggregate_features(RefinedTracks.from_records([_two_node_track()]), obs)
+        model = aggregate_features(_point_track(), obs)
         assert model.n_points == 1
         np.testing.assert_allclose(model.coarse_features[0], [0.6, 0.8], atol=1e-12)
 
@@ -327,7 +326,7 @@ class TestAggregateFeatures:
             1: _obs_with_descriptors(1, [[4.0, 4.0]], [[-1.0, 0.0]], [[-1.0, 0.0]]),
         }
         stats = RefineStats()
-        model = aggregate_features(RefinedTracks.from_records([_two_node_track()]), obs, stats)
+        model = aggregate_features(_point_track(), obs, stats)
         assert model.n_points == 0
         assert stats.dropped_degenerate_features == 1
 
@@ -343,12 +342,7 @@ class TestAggregateFeatures:
                 v: _obs_with_descriptors(v, [[4.0, 4.0]], noisy[v][None], noisy[v][None])
                 for v in range(10)
             }
-            rt = _two_node_track()
-            rt.sources = [
-                SourceNode(view_id=v, cell=(4.0, 4.0), pixel=np.array([4.0, 4.0]), confidence=1.0)
-                for v in range(1, 10)
-            ]
-            model = aggregate_features(RefinedTracks.from_records([rt]), obs)
+            model = aggregate_features(_point_track(range(10)), obs)
             agg_sim = model.coarse_features[0] @ true
             single_sim = np.mean(noisy @ true)
             wins += agg_sim > single_sim
@@ -361,32 +355,37 @@ class TestAggregateFeatures:
         recon, poses, intrs = _build_coarse(scene, matcher)
         obs = {v: matcher.observations(v) for v in range(scene.n_views)}
         _, refined, _ = refine_reconstruction(recon, poses, intrs, matcher, obs)
-        refined = _records(refined)
-        assert len({len(rt.sources) for rt in refined}) > 3  # several node-count groups
+        lo = refined.offsets
+        assert len(set(np.diff(lo).tolist())) > 3  # several node-count groups
 
         # an ungrounded reference, ungrounded sources, no grounded node, no point
         empty = (4.0, 4.0)
         assert all(support.winner_row(o, empty) is None for o in obs.values())
-        edited = list(refined)
-        ungrounded = [dataclasses.replace(s, cell=empty) for s in refined[1].sources]
-        edited[0] = dataclasses.replace(refined[0], ref_cell=empty)
-        edited[1] = dataclasses.replace(refined[1], sources=ungrounded)
-        edited[2] = dataclasses.replace(refined[2], ref_cell=empty, sources=ungrounded)
-        edited[3] = dataclasses.replace(refined[3], point=None)
+        cells, points = refined.cells.copy(), refined.points.copy()
+        cells[lo[0]] = empty
+        cells[lo[1] + 1:lo[2]] = empty
+        cells[lo[2]:lo[3]] = empty
+        points[3] = np.nan
         # a two-node track whose source descriptors are the negated reference's: zero mean
-        rt = edited[4] = dataclasses.replace(refined[4], sources=refined[4].sources[:1])
-        src = obs[rt.sources[0].view_id]
+        keep = np.ones(len(cells), dtype=bool)
+        keep[lo[4] + 2:lo[5]] = False
+        edited = _drop_nodes(dataclasses.replace(refined, cells=cells, points=points), keep)
+        ref_view, src_view = refined.views[lo[4]:lo[4] + 2]
+        ref_cell, src_cell = cells[lo[4]:lo[4] + 2]
+        src = obs[src_view]
         desc_c, desc_f = src.desc_coarse.copy(), src.desc_fine.copy()
-        ref_row = support.winner_row(obs[rt.ref_view], rt.ref_cell)
-        src_row = support.winner_row(src, rt.sources[0].cell)
-        desc_c[src_row] = -obs[rt.ref_view].desc_coarse[ref_row]
-        desc_f[src_row] = -obs[rt.ref_view].desc_fine[ref_row]
+        ref_row = support.winner_row(obs[ref_view], ref_cell)
+        src_row = support.winner_row(src, src_cell)
+        desc_c[src_row] = -obs[ref_view].desc_coarse[ref_row]
+        desc_f[src_row] = -obs[ref_view].desc_fine[ref_row]
         negated = dict(obs)
         negated[src.view_id] = dataclasses.replace(src, desc_coarse=desc_c, desc_fine=desc_f)
 
-        for tracks, observations, dropped in ((refined, obs, 0), (edited, negated, 2), ([], obs, 0)):
+        none = refined.take(np.zeros(0, dtype=int))
+        cases = ((refined, obs, 0), (edited, negated, 2), (none, obs, 0))
+        for tracks, observations, dropped in cases:
             stats, ref_stats = RefineStats(), RefineStats()
-            got = aggregate_features(RefinedTracks.from_records(tracks), observations, stats)
+            got = aggregate_features(tracks, observations, stats)
             want = _ref_aggregate_features(tracks, observations, ref_stats)
             _assert_same_model(got, want)
             assert stats == ref_stats
@@ -430,12 +429,12 @@ class TestRefineReconstruction:
 
     def test_reconstruct_scene_builds_no_per_track_records(self, monkeypatch):
         built = []
-        for cls in (RefinedTrack, SourceNode):
-            def counting(self, *args, _init=cls.__init__, **kwargs):
-                built.append(type(self).__name__)
-                _init(self, *args, **kwargs)
 
-            monkeypatch.setattr(cls, "__init__", counting)
+        def counting(self, *args, _init=RefinedTracks.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(RefinedTracks, "__init__", counting)
         config = RunConfig(
             seed=1, n_points=400, n_views=12, n_query_views=0,
             fine_noise_sigma=0.5, outlier_rate=0.1, dropout_rate=0.1,
@@ -443,9 +442,8 @@ class TestRefineReconstruction:
         )
         model, _, refined, _, _ = reconstruct_scene(support.onboard_scene(1), config, list(range(12)))
         assert model.n_points > 100
-        assert built == []
-        rt = refined.record(0)  # the counter does see records being built
-        assert built == ["SourceNode"] * len(rt.sources) + ["RefinedTrack"]
+        # one table each for node refinement, the depth LM and aggregation, whatever the track count
+        assert built == ["RefinedTracks"] * 3
 
 
 # Reference: the one-track refinement the batched kernels replaced, kept
@@ -477,7 +475,7 @@ def _ref_refine_track_nodes(track, reference_idx, matcher, min_confidence, stats
     if ref_conf < min_confidence:
         stats.dropped_tracks += 1
         return None
-    sources = []
+    kept = [(ref_view, ref_cell, u_ref, ref_conf)]
     for idx, (view_id, cell) in enumerate(nodes):
         if idx == reference_idx:
             continue
@@ -487,27 +485,26 @@ def _ref_refine_track_nodes(track, reference_idx, matcher, min_confidence, stats
         if confidence < min_confidence:
             stats.dropped_low_confidence_nodes += 1
             continue
-        sources.append(SourceNode(view_id, cell, pixel, confidence))
-    if not sources:
+        kept.append((view_id, cell, pixel, confidence))
+    if len(kept) == 1:
         stats.dropped_tracks += 1
         return None
-    return RefinedTrack(
-        track_id=int(track.track_ids[0]), ref_view=ref_view, ref_cell=ref_cell,
-        u_ref=u_ref, sources=sources, point_init=track.points[0].copy(),
+    views, cells, pixels, confidences = zip(*kept)
+    return support.refined_track(
+        views, pixels, track.points[0], track_ids=track.track_ids[:1],
+        cells=np.array(cells), confidences=np.array(confidences),
     )
 
 
 class _RefDepthProblem:
-    def __init__(self, rt, poses, intrinsics):
-        R_r, t_r = poses[rt.ref_view].rotation, poses[rt.ref_view].translation
-        R_s = np.array([poses[s.view_id].rotation for s in rt.sources])
-        t_s = np.array([poses[s.view_id].translation for s in rt.sources])
-        ray = backproject(np.asarray(rt.u_ref, dtype=float), 1.0, intrinsics[rt.ref_view])
-        K = [intrinsics[s.view_id] for s in rt.sources]
+    def __init__(self, track, views):
+        ref, src = track.views[0], track.views[1:]
+        R_r, t_r, R_s = views.R[ref], views.t[ref], views.R[src]
+        ray = pinhole_inverse(track.pixels[0], 1.0, *views.k(ref))
         self.Rray = (R_s @ R_r.T) @ ray
-        self.t = R_s @ (-R_r.T @ t_r) + t_s
-        self.k = [np.array([getattr(k, name) for k in K]) for name in ("fx", "fy", "cx", "cy")]
-        self.targets = np.stack([s.pixel for s in rt.sources])
+        self.t = R_s @ (-R_r.T @ t_r) + views.t[src]
+        self.k = views.k(src)
+        self.targets = track.pixels[1:]
 
     def residuals(self, d):
         p = d * self.Rray + self.t
@@ -520,10 +517,12 @@ class _RefDepthProblem:
         return (pinhole_jacobian(p, self.k[0], self.k[1]) @ self.Rray[:, :, None])[:, :, 0]
 
 
-def _ref_optimize_depth(rt, poses, intrinsics, max_iters=LM_MAX_ITERS, rel_tol=LM_RELATIVE_TOL):
-    pose_r = poses[rt.ref_view]
-    problem = _RefDepthProblem(rt, poses, intrinsics)
-    d0 = float(pose_r.transform(rt.point_init)[2])
+def _ref_optimize_depth(track, views, max_iters=LM_MAX_ITERS, rel_tol=LM_RELATIVE_TOL):
+    """The depth LM of a one-track table, step by step; returns the table with its LM columns."""
+    ref = track.views[0]
+    pose_r = _camera(views, ref)
+    problem = _RefDepthProblem(track, views)
+    d0 = float(pose_r.transform(track.point_init[0])[2])
     d = d0 if d0 > 0 else MIN_DEPTH_CLAMP
     hit_clamp = d0 <= 0
     r = problem.residuals(d)
@@ -556,27 +555,26 @@ def _ref_optimize_depth(rt, poses, intrinsics, max_iters=LM_MAX_ITERS, rel_tol=L
                     break
     if hit_clamp:
         converged = False
-    n_src = len(rt.sources)
+    n_src = len(track.views) - 1
     final_cost = float(np.sqrt(cost / n_src)) if np.isfinite(cost) else np.inf
     init_r = problem.residuals(d0) if d0 > 0 else None
     initial = float(np.sqrt(np.sum(init_r * init_r) / n_src)) if init_r is not None else np.inf
-    point = pose_r.inverse().transform(backproject(rt.u_ref, d, intrinsics[rt.ref_view]))
-    return RefinedTrack(
-        track_id=rt.track_id, ref_view=rt.ref_view, ref_cell=rt.ref_cell, u_ref=rt.u_ref,
-        sources=rt.sources, point_init=rt.point_init, depth=d, point=point,
-        initial_cost=initial, final_cost=final_cost, converged=converged,
+    point = pose_r.inverse().transform(pinhole_inverse(track.pixels[0], d, *views.k(ref)))
+    return dataclasses.replace(
+        track, depths=np.array([d]), points=point[None], initial_costs=np.array([initial]),
+        final_costs=np.array([final_cost]), converged=np.array([converged]),
     )
 
 
 def _ref_aggregate_features(tracks, observations, stats):
     lookups = {v: support.winner_row_lookup(obs) for v, obs in observations.items()}
     points, coarse, fine, ids = [], [], [], []
-    for rt in tracks:
-        if rt.point is None:
+    for i in range(len(tracks)):
+        if np.isnan(tracks.points[i]).any():
             continue
         rows_c, rows_f = [], []
-        nodes = [(rt.ref_view, rt.ref_cell)] + [(s.view_id, s.cell) for s in rt.sources]
-        for view_id, cell in nodes:
+        lo, hi = tracks.offsets[i], tracks.offsets[i + 1]
+        for view_id, cell in zip(tracks.views[lo:hi].tolist(), tracks.cells[lo:hi].tolist()):
             obs = observations[view_id]
             row = lookups[view_id].get((int(cell[0]), int(cell[1])))
             if row is None:
@@ -592,10 +590,10 @@ def _ref_aggregate_features(tracks, observations, stats):
         if nc < 1e-8 or nf < 1e-8:
             stats.dropped_degenerate_features += 1
             continue
-        points.append(rt.point)
+        points.append(tracks.points[i])
         coarse.append(mean_c / nc)
         fine.append(mean_f / nf)
-        ids.append(rt.track_id)
+        ids.append(tracks.track_ids[i])
     dim_c = next(iter(observations.values())).desc_coarse.shape[1]
     dim_f = next(iter(observations.values())).desc_fine.shape[1]
     return PointCloudModel(
@@ -613,20 +611,11 @@ def _assert_same_model(got, ref):
 
 
 def _assert_same_refined(got, ref):
-    assert (got is None) == (ref is None)
-    if ref is None:
-        return
-    for name in ("track_id", "ref_view", "ref_cell", "converged"):
-        assert getattr(got, name) == getattr(ref, name), name
-    for name in ("depth", "initial_cost", "final_cost"):  # NaN before the depth LM
-        assert np.array_equal(getattr(got, name), getattr(ref, name), equal_nan=True), name
-    assert (got.point is None) == (ref.point is None)
-    for name in ("u_ref", "point_init") + (("point",) if ref.point is not None else ()):
-        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
-    assert len(got.sources) == len(ref.sources)
-    for a, b in zip(got.sources, ref.sources):
-        assert (a.view_id, a.cell, a.confidence) == (b.view_id, b.cell, b.confidence)
-        assert np.array_equal(a.pixel, b.pixel)
+    """Two refined track tables are equal column by column, NaN (no depth LM yet) equal to NaN."""
+    assert len(got) == len(ref)
+    for f in dataclasses.fields(RefinedTracks):
+        a, b = getattr(got, f.name), getattr(ref, f.name)
+        assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), f.name
 
 
 class TestBatchedRefinementMatchesOneTrackReference:
@@ -642,7 +631,7 @@ class TestBatchedRefinementMatchesOneTrackReference:
         scene, matcher, recon, poses, intrs = self._onboard(4)
         obs = {v: matcher.observations(v) for v in range(scene.n_views)}
         model, refined, stats = refine_reconstruction(recon, poses, intrs, matcher, obs)
-        refined = _records(refined)
+        views = ViewTable.stack(poses, intrs)
 
         ref_stats, ref_refined = RefineStats(), []
         for i in range(len(recon.tracks)):
@@ -652,16 +641,15 @@ class TestBatchedRefinementMatchesOneTrackReference:
             rt = _ref_refine_track_nodes(track, ref_idx, matcher, 0.2, ref_stats)
             if rt is None:
                 continue
-            rt = _ref_optimize_depth(rt, poses, intrs)
-            ref_stats.non_converged += not rt.converged
+            rt = _ref_optimize_depth(rt, views)
+            ref_stats.non_converged += int(not rt.converged[0])
             ref_refined.append(rt)
+        ref_refined = support.concat_tracks(ref_refined)
         ref_model = _ref_aggregate_features(ref_refined, obs, ref_stats)
 
-        assert len(refined) == len(ref_refined)
-        for got, ref in zip(refined, ref_refined):
-            _assert_same_refined(got, ref)
+        _assert_same_refined(refined, ref_refined)
         assert stats == ref_stats
-        assert len({len(rt.sources) for rt in refined}) > 3  # several source-count groups
+        assert len(set(np.diff(refined.offsets).tolist())) > 3  # several source-count groups
         _assert_same_model(model, ref_model)
 
     def test_shuffled_onboard_rows_equal_their_one_track_solve(self):
@@ -671,9 +659,8 @@ class TestBatchedRefinementMatchesOneTrackReference:
         nodes = refine_track_nodes(recon.tracks, ref_idx, matcher)
         nodes = nodes.take(np.random.default_rng(5).permutation(len(nodes))[:300])
         assert np.any(np.diff(np.diff(nodes.offsets)) < 0)  # rows out of source-count order
-        got = _records(optimize_depths(nodes, table))
-        for a, rt in zip(got, _records(nodes)):
-            _assert_same_refined(a, _ref_optimize_depth(rt, poses, intrs))
+        want = [_ref_optimize_depth(nodes.take([i]), table) for i in range(len(nodes))]
+        _assert_same_refined(optimize_depth(nodes, table), support.concat_tracks(want))
 
     def test_ungrounded_reference_and_all_sources_below_confidence(self):
         scene, matcher, recon, poses, _ = self._onboard(8)
@@ -699,75 +686,45 @@ class TestBatchedRefinementMatchesOneTrackReference:
             for i in range(6)
         ]
         assert ref[1] is None and ref[3] is None
-        assert got.track_ids.tolist() == [rt.track_id for rt in ref if rt is not None]
-        for a, b in zip(_records(got), [rt for rt in ref if rt is not None]):
-            _assert_same_refined(a, b)
+        _assert_same_refined(got, support.concat_tracks([rt for rt in ref if rt is not None]))
         assert stats == ref_stats
         assert stats.dropped_tracks == 2
 
     def test_one_source_count_group_with_flat_and_clamped_rows(self):
         rng = np.random.default_rng(71)
-        normal, poses, intrs, _ = support.random_refined_track(rng, 2, pixel_noise=0.5)
-        ref = poses[0]
-        for angle in (0.05, -0.08):  # pure rotations about the reference center
-            R = rotation_from_axis_angle(np.array([0.0, 1.0, 0.0]), angle) @ ref.rotation
-            poses.append(SE3Pose(R, -R @ ref.camera_center))
-        intrs = intrs + intrs[:2]
-        flat = RefinedTrack(
-            track_id=1, ref_view=0, ref_cell=normal.ref_cell, u_ref=normal.u_ref,
-            sources=[
-                SourceNode(view_id=v, cell=s.cell, pixel=s.pixel, confidence=1.0)
-                for v, s in zip((3, 4), normal.sources)
-            ],
-            point_init=normal.point_init,
-        )
+        normal, views, _ = support.random_refined_track(rng, 2, pixel_noise=0.5)
+        ref = _camera(views, 0)
         behind = ref.camera_center - 2.0 * ref.rotation[2]
-        clamped = RefinedTrack(
-            track_id=2, ref_view=0, ref_cell=normal.ref_cell, u_ref=normal.u_ref,
-            sources=normal.sources, point_init=behind,
+        clamped = dataclasses.replace(normal, point_init=behind[None])
+        tracks, views = support.stack_tracks(
+            [(normal, views), (normal, _turned_cameras(views)), (clamped, views), (normal, views)]
         )
-        group = [normal, flat, clamped, normal]
-        got = _records(optimize_depths(RefinedTracks.from_records(group), ViewTable.stack(poses, intrs)))
-        want = [_ref_optimize_depth(rt, poses, intrs) for rt in group]
-        for a, b in zip(got, want):
-            _assert_same_refined(a, b)
-        assert got[0].converged and not got[1].converged
-        assert ref.transform(clamped.point_init)[2] <= 0
-        for rt in group:  # the one-track call is the B = 1 case
-            want = _ref_optimize_depth(rt, poses, intrs)
-            _assert_same_refined(optimize_depth(rt, poses, intrs), want)
+        got = optimize_depth(tracks, views)
+        want = [_ref_optimize_depth(tracks.take([i]), views) for i in range(4)]
+        _assert_same_refined(got, support.concat_tracks(want))
+        assert got.converged[0] and not got.converged[1]
+        assert _initial_depth(tracks.take([2]), views) <= 0
+        for i in range(4):  # a table of one track is the B = 1 case
+            _assert_same_refined(optimize_depth(tracks.take([i]), views), want[i])
 
     def _mixed_counts(self):
-        """Tracks of seven source counts over one view list, the last three rows edge cases.
+        """Tracks of seven source counts over cameras of their own, the last three rows edge cases.
 
         They are a flat row (2 sources), a row that starts at the depth clamp
         (3) and a row whose every step is rejected until lambda passes 1e12 (4).
         """
         rng = np.random.default_rng(72)
-        poses, intrs, rts = [], [], []
-
-        def add(rt, track_poses, track_intrs):
-            shift = len(poses)
-            poses.extend(track_poses)
-            intrs.extend(track_intrs)
-            rts.append(dataclasses.replace(
-                rt, track_id=len(rts), ref_view=rt.ref_view + shift,
-                sources=[dataclasses.replace(s, view_id=s.view_id + shift) for s in rt.sources],
-            ))
-
-        for n_src in (5, 2, 7, 3, 9, 2, 5, 3, 4, 8):
-            add(*support.random_refined_track(rng, n_src, pixel_noise=0.5)[:3])
-
-        rt, track_poses, track_intrs, _ = support.random_refined_track(rng, 2, pixel_noise=0.5)
-        ref = track_poses[0]
-        turns = [
-            rotation_from_axis_angle(np.array([0.0, 1.0, 0.0]), a) @ ref.rotation for a in (0.05, -0.08)
+        pairs = [
+            support.random_refined_track(rng, n_src, pixel_noise=0.5)[:2]
+            for n_src in (5, 2, 7, 3, 9, 2, 5, 3, 4, 8)
         ]
-        add(rt, [ref] + [SE3Pose(R, -R @ ref.camera_center) for R in turns], track_intrs[:3])
+        track, views, _ = support.random_refined_track(rng, 2, pixel_noise=0.5)
+        pairs.append((track, _turned_cameras(views)))
 
-        rt, track_poses, track_intrs, _ = support.random_refined_track(rng, 3, pixel_noise=0.5)
-        behind = track_poses[0].camera_center - 2.0 * track_poses[0].rotation[2]
-        add(dataclasses.replace(rt, point_init=behind), track_poses, track_intrs)
+        track, views, _ = support.random_refined_track(rng, 3, pixel_noise=0.5)
+        ref = _camera(views, 0)
+        behind = ref.camera_center - 2.0 * ref.rotation[2]
+        pairs.append((dataclasses.replace(track, point_init=behind[None]), views))
 
         # three sources on the reference ray (zero Jacobian, zero residual) ahead of the
         # reference camera, and one with a 1.8e-12 baseline whose target lies 1e4 px off:
@@ -777,50 +734,45 @@ class TestBatchedRefinementMatchesOneTrackReference:
         on_ray = [SE3Pose(np.eye(3), np.array([0.0, 0.0, -z])) for z in (0.1, 0.3, 0.5)]
         baseline = SE3Pose(np.eye(3), np.array([-1.8e-12, 0.0, 0.0]))
         far = support.pixel_of(baseline, intr, np.array([0.0, 0.0, 0.6])) - [1e4, 0.0]
-        sources = [SourceNode(v, (intr.cx, intr.cy), centre.copy(), 1.0) for v in (1, 2, 3)]
-        sources.append(SourceNode(4, tuple(grid_cell_center(far)), far, 1.0))
-        stalled = RefinedTrack(
-            track_id=0, ref_view=0, ref_cell=tuple(grid_cell_center(centre)), u_ref=centre,
-            sources=sources, point_init=np.array([0.0, 0.0, 0.6]),
-        )
-        add(stalled, [SE3Pose.identity()] + on_ray + [baseline], [intr] * 5)
-        return rts, poses, intrs
+        stalled = support.refined_track(range(5), [centre] * 4 + [far], [0.0, 0.0, 0.6])
+        cameras = ViewTable.stack([SE3Pose.identity()] + on_ray + [baseline], [intr] * 5)
+        pairs.append((stalled, cameras))
+        tracks, views = support.stack_tracks(pairs)
+        return dataclasses.replace(tracks, track_ids=np.arange(len(tracks))), views
 
     def test_lock_step_over_mixed_source_counts(self):
-        rts, poses, intrs = self._mixed_counts()
-        table = ViewTable.stack(poses, intrs)
-        got = _records(optimize_depths(RefinedTracks.from_records(rts), table))
-        want = [_ref_optimize_depth(rt, poses, intrs) for rt in rts]
-        for a, b in zip(got, want):
-            _assert_same_refined(a, b)
-        assert len({len(rt.sources) for rt in rts}) == 7
+        tracks, views = self._mixed_counts()
+        got = optimize_depth(tracks, views)
+        want = [_ref_optimize_depth(tracks.take([i]), views) for i in range(len(tracks))]
+        _assert_same_refined(got, support.concat_tracks(want))
+        assert len(set(np.diff(tracks.offsets).tolist())) == 7
 
-        flat, clamped, stalled = rts[-3:]
-        d0 = poses[flat.ref_view].transform(flat.point_init)[2]
+        T = len(tracks)
+        flat, clamped, stalled = (tracks.take([i]) for i in range(T - 3, T))
         curvature = [
-            np.sum(DepthProblem.from_track(rt, poses, intrs).jacobian(d) ** 2)
-            for rt, d in ((flat, d0), (stalled, 0.6))
+            np.sum(_one_problem(track, views).jacobian(d) ** 2)
+            for track, d in ((flat, _initial_depth(flat, views)), (stalled, 0.6))
         ]
         assert curvature[0] < 1e-18 < curvature[1]
-        assert poses[clamped.ref_view].transform(clamped.point_init)[2] <= 0
-        assert not got[-3].converged and not got[-1].converged
-        assert all(rt.converged for rt in got[:-3])
-        assert got[-1].depth == 0.6 and got[-1].final_cost == got[-1].initial_cost
+        assert _initial_depth(clamped, views) <= 0
+        assert not got.converged[-3] and not got.converged[-1]
+        assert got.converged[:-3].all()
+        assert got.depths[-1] == 0.6 and got.final_costs[-1] == got.initial_costs[-1]
 
     def test_padding_camera_sources_vanish(self):
-        rts, poses, intrs = self._mixed_counts()
-        table = RefinedTracks.from_records(rts)
-        width = np.diff(table.offsets).max() + 1  # every row gets at least one padded source
+        tracks, views = self._mixed_counts()
+        lengths = np.diff(tracks.offsets)
+        width = lengths.max() + 1  # every row gets at least one padded source
         problem = DepthProblem.from_nodes(
-            table.padded("views", width, fill=-1), table.padded("pixels", width),
-            ViewTable.stack(poses, intrs),
+            tracks.padded("views", width, fill=-1), tracks.padded("pixels", width), views
         )
         names = [f.name for f in dataclasses.fields(DepthProblem)]
-        for i, rt in enumerate(rts):  # a row's own sources are its one-track problem's
-            one, S = DepthProblem.from_track(rt, poses, intrs), len(rt.sources)
+        for i, n in enumerate(lengths.tolist()):  # a row's own sources are its one-track problem's
+            one = _one_problem(tracks.take([i]), views)
             for name in names:
-                assert np.array_equal(getattr(problem, name)[i, :S], getattr(one, name)[0]), name
-        pad = np.arange(width - 1) >= np.diff(table.offsets)[:, None] - 1
+                row = getattr(problem, name)[i, :n - 1]
+                assert np.array_equal(row, getattr(one, name)[0]), name
+        pad = np.arange(width - 1) >= lengths[:, None] - 1
         assert pad.any(axis=1).all()
         padding = DepthProblem(**{name: getattr(problem, name)[pad][None] for name in names})
         for d in (1e-12, 1e-3, 0.6, 4.0, 1e12):
@@ -829,19 +781,18 @@ class TestBatchedRefinementMatchesOneTrackReference:
             assert np.all(padding.jacobian(d) == 0.0)
 
     def test_permuted_table_gives_permuted_rows(self):
-        rts, poses, intrs = self._mixed_counts()
-        table, views = RefinedTracks.from_records(rts), ViewTable.stack(poses, intrs)
-        solved = optimize_depths(table, views)
-        perm = np.random.default_rng(3).permutation(len(table))
-        got = optimize_depths(table.take(perm), views)
+        tracks, views = self._mixed_counts()
+        solved = optimize_depth(tracks, views)
+        perm = np.random.default_rng(3).permutation(len(tracks))
+        got = optimize_depth(tracks.take(perm), views)
         for name in ("depths", "points", "initial_costs", "final_costs", "converged"):
             assert np.array_equal(getattr(got, name), getattr(solved, name)[perm]), name
 
     def test_empty_and_one_track_tables(self):
-        rts, poses, intrs = self._mixed_counts()
-        views = ViewTable.stack(poses, intrs)
-        empty = optimize_depths(RefinedTracks.from_records([]), views)
+        tracks, views = self._mixed_counts()
+        empty = optimize_depth(tracks.take(np.zeros(0, dtype=int)), views)
         assert len(empty) == 0 and empty.points.shape == (0, 3)
-        for rt in rts[:2] + rts[-3:]:
-            got = optimize_depths(RefinedTracks.from_records([rt]), views).record(0)
-            _assert_same_refined(got, _ref_optimize_depth(rt, poses, intrs))
+        T = len(tracks)
+        for i in (0, 1, T - 3, T - 2, T - 1):
+            one = tracks.take([i])
+            _assert_same_refined(optimize_depth(one, views), _ref_optimize_depth(one, views))

@@ -75,6 +75,10 @@ class TestGenerateScene:
             NoiseModel(dropout_rate=1.0)
         with pytest.raises(ValueError):
             NoiseModel(fine_noise_sigma=-0.1)
+        # a scene file's noise goes through the same check as the flags
+        for bad in (float("nan"), 1e160):
+            with pytest.raises(ValueError, match="descriptor_noise_sigma must be in"):
+                NoiseModel(descriptor_noise_sigma=bad)
 
 
 class TestRenderObservations:
