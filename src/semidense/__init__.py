@@ -8,15 +8,8 @@ a deterministic synthetic-scene oracle in place of a learned matcher.
 __version__ = "0.1.0"
 
 from .config import RunConfig
-from .errors import CheiralityError, DegenerateGeometryError, VisibilityError
-from .geometry import (
-    CameraIntrinsics,
-    SE3Pose,
-    backproject,
-    project,
-    relative_pose,
-    triangulate,
-)
+from .errors import CheiralityError, VisibilityError
+from .geometry import CameraIntrinsics, SE3Pose, project
 from .scene import NoiseModel, SyntheticScene, generate_scene, render_observations
 
 __all__ = [
@@ -26,12 +19,8 @@ __all__ = [
     "SyntheticScene",
     "RunConfig",
     "CheiralityError",
-    "DegenerateGeometryError",
     "VisibilityError",
-    "backproject",
     "project",
-    "relative_pose",
-    "triangulate",
     "generate_scene",
     "render_observations",
     "__version__",

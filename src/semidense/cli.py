@@ -310,17 +310,27 @@ def run_estimate(scene, model, config: RunConfig, query_views, stacks, out: Path
     return queries
 
 
+def _load_stack(flag: str, path, min_width: int = 0) -> AttentionStack:
+    """The attention stack of an FMAT file; its errors name the flag and the file."""
+    sections = read_fmat(path)  # whose errors name the file already
+    try:
+        stack = AttentionStack.from_sections(sections)
+        if stack.n_layers and stack.width < min_width:
+            raise ValueError(
+                f"coarse attention weights take {stack.width}-wide input, "
+                f"narrower than the {min_width} that encode 3D positions"
+            )
+    except ValueError as exc:
+        raise ValueError(f"{flag} {path}: {exc}") from None
+    return stack
+
+
 def _stacks_from_args(args, config: RunConfig):
     coarse, fine = _default_stacks(config)
     if args.coarse_weights:
-        coarse = AttentionStack.from_sections(read_fmat(args.coarse_weights))
-        if coarse.n_layers and coarse.width < MIN_ENCODED_WIDTH:
-            raise ValueError(
-                f"coarse attention weights take {coarse.width}-wide input, "
-                f"narrower than the {MIN_ENCODED_WIDTH} that encode 3D positions"
-            )
+        coarse = _load_stack("--coarse-weights", args.coarse_weights, MIN_ENCODED_WIDTH)
     if args.fine_weights:
-        fine = AttentionStack.from_sections(read_fmat(args.fine_weights))
+        fine = _load_stack("--fine-weights", args.fine_weights)
     return coarse, fine
 
 

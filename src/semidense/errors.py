@@ -5,9 +5,5 @@ class CheiralityError(ValueError):
     """A point lies behind a camera (non-positive depth)."""
 
 
-class DegenerateGeometryError(ValueError):
-    """Geometry too ill-conditioned to solve (parallel rays, collinear points, ...)."""
-
-
 class VisibilityError(ValueError):
     """A point was queried in a view where it is not visible."""

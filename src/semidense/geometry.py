@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CheiralityError, DegenerateGeometryError
+from .errors import CheiralityError
 
 # Camera-frame depths below this count as "behind the camera".
 MIN_DEPTH = 1e-8
@@ -22,14 +22,6 @@ MAX_CONDITION = 1e12
 
 # Why triangulate_dlt rejects a track; TRI_OK keeps it.
 TRI_OK, TRI_COINCIDENT, TRI_ILL_CONDITIONED, TRI_AT_INFINITY, TRI_BEHIND = range(5)
-_TRI_ERRORS = {
-    TRI_COINCIDENT: (DegenerateGeometryError, "all camera centers coincide; depth unobservable"),
-    TRI_ILL_CONDITIONED: (DegenerateGeometryError, "triangulation condition number too large"),
-    TRI_AT_INFINITY: (DegenerateGeometryError, "triangulated point at infinity (parallel rays)"),
-    TRI_BEHIND: (CheiralityError, "triangulated point is behind a camera"),
-}
-
-Observation = tuple["SE3Pose", "CameraIntrinsics", np.ndarray]
 
 
 def rotation_checks(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -276,21 +268,6 @@ def project_camera_points(
     return pix, z, front & k.contains(pix)
 
 
-def backproject(pixel: np.ndarray, depth, intrinsics: CameraIntrinsics) -> np.ndarray:
-    """Lift pixels at given depth into the camera frame (inverse projection).
-
-    Accepts (2,) with scalar depth, or (N, 2) with (N,) depths.
-    """
-    single = np.ndim(pixel) == 1
-    p = np.atleast_2d(np.asarray(pixel, dtype=float))
-    d = np.atleast_1d(np.asarray(depth, dtype=float))
-    if np.any(d <= 0):
-        raise ValueError(f"depth must be positive, got {d.min():.3g}")
-    k = intrinsics
-    out = pinhole_inverse(p, d, k.fx, k.fy, k.cx, k.cy)
-    return out[0] if single else out
-
-
 def pinhole_inverse(pixels: np.ndarray, depths, fx, fy, cx, cy) -> np.ndarray:
     """Camera-frame points (..., 3) of pixels (..., 2) at depths (...,); inverts pinhole.
 
@@ -300,32 +277,6 @@ def pinhole_inverse(pixels: np.ndarray, depths, fx, fy, cx, cy) -> np.ndarray:
     x = (pixels[..., 0] - cx) * d / fx
     y = (pixels[..., 1] - cy) * d / fy
     return np.stack([x, y, d], axis=-1)
-
-
-def relative_pose(xi_r: SE3Pose, xi_s: SE3Pose) -> SE3Pose:
-    """Transform from the frame of xi_r into the frame of xi_s."""
-    return xi_s.compose(xi_r.inverse())
-
-
-def triangulate(observations: Sequence[Observation]) -> np.ndarray:
-    """Multi-view DLT least-squares point followed by a Gauss-Newton polish.
-
-    Each observation is (pose, intrinsics, pixel). Requires >= 2 views.
-    Raises DegenerateGeometryError for ill-conditioned geometry and
-    CheiralityError if the solution lies behind any camera. This is the
-    one-track case of triangulate_dlt and gauss_newton_polish.
-    """
-    if len(observations) < 2:
-        raise ValueError("triangulation needs at least 2 observations")
-    poses, intrinsics, pixels = zip(*observations)
-    table, views = ViewTable.stack(poses, intrinsics), np.arange(len(observations))[None]
-    R, t, k = table.R[views], table.t[views], table.k(views)
-    pixels = np.array([np.asarray(pixel, dtype=float) for pixel in pixels])[None]
-    points, reject = triangulate_dlt(R, t, k, pixels)
-    if reject[0] != TRI_OK:
-        error, message = _TRI_ERRORS[int(reject[0])]
-        raise error(message)
-    return gauss_newton_polish(points, R, t, k, pixels, np.array([len(observations)]))[0]
 
 
 def _to_camera(points: np.ndarray, R: np.ndarray, t: np.ndarray) -> np.ndarray:

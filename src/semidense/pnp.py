@@ -3,9 +3,8 @@
 The minimal solver is a control-point (EPnP-style) solve for n >= 4 with a
 homography-decomposition fallback for (near-)coplanar point sets; each set
 gets one candidate per beta initialisation (EPnP's cases N = 1, 2, 3), each
-refined by Gauss-Newton, and `pnp_minimal(polish=True)` LM-polishes them
-before ranking. RANSAC hypothesizes on random 4-subsets, solved a chunk at
-a time as one stacked EPnP, verifies by reprojection error with a
+refined by Gauss-Newton. RANSAC hypothesizes on random 4-subsets, solved a
+chunk at a time as one stacked EPnP, verifies by reprojection error with a
 cheirality gate, adapts its iteration count from the best inlier ratio,
 then polishes the best hypothesis on its inliers with Levenberg-Marquardt
 on the 6-DoF reprojection error, and once more on a tightened inlier set.
@@ -17,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateGeometryError
 from .geometry import (
     MIN_DEPTH,
     CameraIntrinsics,
@@ -60,13 +58,6 @@ def _reprojection_errors(R, t, intr, points, pixels):
     pix = pinhole(np.where(ok[..., None], p_cam, 1.0), intr.fx, intr.fy, intr.cx, intr.cy)
     d = pix - pixels
     return np.where(ok, np.hypot(d[..., 0], d[..., 1]), np.inf)
-
-
-def reprojection_errors(
-    pose: SE3Pose, intr: CameraIntrinsics, points: np.ndarray, pixels: np.ndarray
-) -> np.ndarray:
-    """Pixel errors per correspondence; infinite behind the camera."""
-    return _reprojection_errors(pose.rotation, pose.translation, intr, points, pixels)
 
 
 def _median(x: np.ndarray) -> float:
@@ -266,8 +257,8 @@ def _candidates(points, pixels, intr):
 
     Collinear and non-finite sets are rejected, (near-)coplanar sets take the
     homography route, and the rest are solved together by EPnP. Returns
-    rotations (B, K, 3, 3), translations (B, K, 3), a validity mask (B, K)
-    and the (B,) mask of rejected sets.
+    rotations (B, K, 3, 3), translations (B, K, 3) and a validity mask
+    (B, K); a rejected set has no valid candidate.
     """
     B = len(points)
     finite = np.isfinite(points).all(axis=(1, 2)) & np.isfinite(pixels).all(axis=(1, 2))
@@ -285,7 +276,7 @@ def _candidates(points, pixels, intr):
         R[general], t[general], ok[general] = _epnp(points[general], pixels[general], intr)
     for b in np.flatnonzero(planar):
         R[b, :2], t[b, :2], ok[b, :2] = _homography_pose(points[b], pixels[b], intr)
-    return R, t, ok, rejected
+    return R, t, ok
 
 
 def _rank(R, t, ok, points, pixels, intr):
@@ -294,6 +285,8 @@ def _rank(R, t, ok, points, pixels, intr):
     Candidates are ordered by mean reprojection error on their own set
     (stable, so ties keep the initialisation order); one whose pose matrix
     is np.allclose(atol=1e-9) to a better kept candidate is dropped.
+    Returns rotations (B, K, 3, 3), translations (B, K, 3) and a mask (B, K)
+    of the filled slots, best first.
     """
     err = _reprojection_errors(R, t, intr, points[:, None], pixels[:, None]).mean(axis=2)
     ok = ok & np.isfinite(err)
@@ -311,48 +304,6 @@ def _rank(R, t, ok, points, pixels, intr):
     flat = np.take_along_axis(flat, slot[..., None], axis=1)
     ok = np.take_along_axis(ok, slot, axis=1)
     return flat[..., :9].reshape(*slot.shape, 3, 3), flat[..., 9:], ok
-
-
-def _ranked_candidates(points, pixels, intr):
-    """What pnp_minimal(polish=False) returns, for each set of a stack.
-
-    Returns rotations (B, 3, 3, 3), translations (B, 3, 3) and a mask
-    (B, 3) of the filled slots, best first.
-    """
-    R, t, ok, _ = _candidates(points, pixels, intr)
-    return _rank(R, t, ok, points, pixels, intr)
-
-
-def pnp_minimal(
-    points: np.ndarray, pixels: np.ndarray, intr: CameraIntrinsics, polish: bool = True
-) -> list[SE3Pose]:
-    """Candidate poses from n >= 4 correspondences, cheirality-filtered.
-
-    Raises DegenerateGeometryError for collinear point sets; switches to the
-    homography route when the set is (near-)coplanar. `polish=True` refines
-    each candidate with LM before ranking; `polish=False` is the one-set case
-    of the stacked solve that RANSAC runs on its samples.
-    """
-    points = np.asarray(points, dtype=float)
-    pixels = np.asarray(pixels, dtype=float)
-    if len(points) < 4:
-        raise ValueError(f"PnP needs at least 4 correspondences, got {len(points)}")
-
-    if not (np.all(np.isfinite(points)) and np.all(np.isfinite(pixels))):
-        raise ValueError("PnP correspondences must be finite")
-
-    P, X = points[None], pixels[None]
-    R, t, ok, rejected = _candidates(P, X, intr)
-    if rejected[0]:
-        raise DegenerateGeometryError("correspondences are collinear")
-    if polish:
-        for k in np.flatnonzero(ok[0]):
-            pose = lm_pose_polish(SE3Pose(R[0, k], t[0, k]), points, pixels, intr)
-            R[0, k], t[0, k] = pose.rotation, pose.translation
-    R, t, ok = _rank(R, t, ok, P, X, intr)
-    if not ok.any():
-        raise DegenerateGeometryError("no cheirality-consistent pose candidate")
-    return [SE3Pose(r, tr) for r, tr in zip(R[0, ok[0]], t[0, ok[0]])]
 
 
 def lm_pose_polish(
@@ -458,7 +409,8 @@ def ransac_pnp(
         size = min(chunk, needed - i)
         chunk *= 2
         idx = np.array([rng.choice(n, size=4, replace=False) for _ in range(size)])
-        R, t, ok = _ranked_candidates(points[idx], pixels[idx], intr)
+        P, X = points[idx], pixels[idx]
+        R, t, ok = _rank(*_candidates(P, X, intr), P, X, intr)
         R, t = R[ok], t[ok]  # draw order, best candidate of each sample first
         errs = _reprojection_errors(R, t, intr, points, pixels)  # (candidates, n)
         mask = errs <= inlier_px
@@ -487,13 +439,13 @@ def ransac_pnp(
         return PnPResult(pose=None, iterations=i)
 
     hypothesis = SE3Pose(*best)
-    hyp_errs = reprojection_errors(hypothesis, intr, points, pixels)
+    hyp_errs = _reprojection_errors(*best, intr, points, pixels)
     inliers = np.flatnonzero(hyp_errs <= inlier_px)
     pose = lm_pose_polish(hypothesis, points[inliers], pixels[inliers], intr)
 
     # second pass on a tightened inlier set: reduces the pull of the
     # within-threshold error tail once the gross outliers are gone
-    errs = reprojection_errors(pose, intr, points, pixels)
+    errs = _reprojection_errors(pose.rotation, pose.translation, intr, points, pixels)
     core = errs <= inlier_px
     if core.sum() >= 8:
         tight = min(inlier_px, max(3.0 * _median(errs[core]), 0.25 * inlier_px))
@@ -501,7 +453,7 @@ def ransac_pnp(
         if len(tight_set) >= max(8, 0.5 * core.sum()):
             pose = lm_pose_polish(pose, points[tight_set], pixels[tight_set], intr)
 
-    final_errs = reprojection_errors(pose, intr, points, pixels)
+    final_errs = _reprojection_errors(pose.rotation, pose.translation, intr, points, pixels)
     final_inliers = np.flatnonzero(final_errs <= inlier_px)
     if len(final_inliers) < 4:
         # the polish lost the consensus: report the hypothesis it started from

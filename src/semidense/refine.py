@@ -6,7 +6,7 @@ re-parameterized by the scalar depth d of the reference ray. Levenberg-
 Marquardt minimizes the sum of squared distances between the refined
 source locations and the reprojections of the reference ray point:
 
-    sum_k || u_k - proj( rel_pose_k * backproject(u_ref, d) ) ||^2
+    sum_k || u_k - pinhole( rel_pose_k * pinhole_inverse(u_ref, d) ) ||^2
 
 The optimized depth is back-projected through the inverse reference pose
 into the object frame, and per-point descriptors are aggregated by

@@ -10,7 +10,7 @@ import functools
 
 import numpy as np
 
-from semidense.geometry import CameraIntrinsics, SE3Pose
+from semidense.geometry import CameraIntrinsics, SE3Pose, ViewTable
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -61,6 +61,19 @@ def pixel_of(pose: SE3Pose, intr: CameraIntrinsics, point: np.ndarray) -> np.nda
     return np.array(
         [intr.fx * p[0] / p[2] + intr.cx, intr.fy * p[1] / p[2] + intr.cy]
     )
+
+
+def track_arrays(observations):
+    """One track's (pose, intrinsics, pixel) observations as a one-row stack.
+
+    Returns R (1, n, 3, 3), t (1, n, 3), k = (fx, fy, cx, cy) each (1, n)
+    and pixels (1, n, 2): the arrays triangulate_dlt, gauss_newton_polish and
+    mean_reprojection_errors take.
+    """
+    poses, intrinsics, pixels = zip(*observations)
+    views = np.arange(len(observations))[None]
+    table = ViewTable.stack(poses, intrinsics)
+    return table.R[views], table.t[views], table.k(views), np.array(pixels, dtype=float)[None]
 
 
 def total_reprojection_cost(point: np.ndarray, observations) -> float:

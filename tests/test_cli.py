@@ -407,7 +407,10 @@ class TestBadInputs:
         write_fmat(weights, AttentionStack.random(1, 5, seed=1).to_sections())
         rc = run("pipeline", "--out", tmp_path / "run", *FAST, "--coarse-dim", "5",
                  "--coarse-weights", weights)
-        self._assert_usage_error(rc, capsys, "narrower than the 6")
+        self._assert_usage_error(
+            rc, capsys, f"--coarse-weights {weights}: coarse attention weights take 5-wide input, "
+            "narrower than the 6"
+        )
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("kind", ["coarse", "fine"])
@@ -433,7 +436,21 @@ class TestBadInputs:
         weights = tmp_path / "coarse.fmat"
         write_fmat(weights, sections)
         rc = run("pipeline", "--out", tmp_path / "run", *FAST_SIZE, "--coarse-weights", weights)
-        self._assert_usage_error(rc, capsys, "layer0.self.v holds an entry that is not finite")
+        self._assert_usage_error(
+            rc, capsys, f"--coarse-weights {weights}: layer0.self.v holds an entry that is not finite"
+        )
+        assert not (tmp_path / "run").exists()
+
+    def test_pipeline_fine_weights_missing_a_section(self, tmp_path, capsys):
+        # the message names the flag and the file, and the file only once
+        sections = AttentionStack.random(1, 32, seed=1).to_sections()
+        del sections["layer0.cross.ff1"]
+        weights = tmp_path / "fine.fmat"
+        write_fmat(weights, sections)
+        rc = run("pipeline", "--out", tmp_path / "run", *FAST_SIZE, "--fine-weights", weights)
+        err = capsys.readouterr().err
+        assert rc == 2 and err.count("\n") == 1, err
+        assert err == f"error: --fine-weights {weights}: attention weights have no section layer0.cross.ff1\n"
         assert not (tmp_path / "run").exists()
 
     def test_distances_past_float64_squares(self, tmp_path, capsys):

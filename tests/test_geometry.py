@@ -4,21 +4,24 @@ import numpy as np
 import pytest
 import support
 
-from semidense.errors import CheiralityError, DegenerateGeometryError
+from semidense.errors import CheiralityError
 from semidense.geometry import (
     MIN_DEPTH,
+    TRI_BEHIND,
+    TRI_COINCIDENT,
+    TRI_OK,
     CameraIntrinsics,
     SE3Pose,
     ViewTable,
-    backproject,
+    gauss_newton_polish,
     mean_reprojection_errors,
     pinhole,
+    pinhole_inverse,
     pinhole_jacobian,
     project,
     project_with_depth,
-    relative_pose,
     size_runs,
-    triangulate,
+    triangulate_dlt,
 )
 
 
@@ -132,21 +135,20 @@ class TestViewTable:
         assert np.array_equal(empty.R, table.R[-1:]) and np.array_equal(empty.t, table.t[-1:])
 
 
+def _k(intr):
+    return intr.fx, intr.fy, intr.cx, intr.cy
+
+
 class TestBackproject:
     def test_principal_point_is_optical_axis(self):
         intr = _simple_intr(cx=320.0, cy=240.0, w=640, h=480)
-        p = backproject(np.array([320.0, 240.0]), 2.0, intr)
+        p = pinhole_inverse(np.array([320.0, 240.0]), 2.0, *_k(intr))
         np.testing.assert_allclose(p, [0.0, 0.0, 2.0])
 
     def test_focal_scaling(self):
         intr = _simple_intr()
-        p = backproject(np.array([100.0, 0.0]), 1.0, intr)
+        p = pinhole_inverse(np.array([100.0, 0.0]), 1.0, *_k(intr))
         np.testing.assert_allclose(p, [1.0, 0.0, 1.0])
-
-    def test_nonpositive_depth_rejected(self):
-        intr = _simple_intr()
-        with pytest.raises(ValueError):
-            backproject(np.array([0.0, 0.0]), 0.0, intr)
 
     def test_project_backproject_roundtrip(self):
         rng = np.random.default_rng(11)
@@ -155,7 +157,8 @@ class TestBackproject:
             pose = support.random_pose(rng)
             u = rng.uniform(0, 512, size=2)
             d = rng.uniform(0.5, 10.0)
-            p_cam = backproject(u, d, intr)
+            p_cam = pinhole_inverse(u, d, *_k(intr))
+            np.testing.assert_allclose(pinhole(p_cam, *_k(intr)), u, atol=1e-10)
             p_world = pose.inverse().transform(p_cam)
             np.testing.assert_allclose(project(pose, intr, p_world), u, atol=1e-10)
 
@@ -184,34 +187,44 @@ class TestSE3:
         with pytest.raises(ValueError, match=r"is not \(0, 0, 0, 1\)"):
             SE3Pose.from_matrix(m)
 
+    # the pose from the frame of a into the frame of b is b.compose(a.inverse())
+
     def test_relative_pose_of_self_is_identity(self):
         pose = support.random_pose(np.random.default_rng(3))
-        rel = relative_pose(pose, pose)
+        rel = pose.compose(pose.inverse())
         np.testing.assert_allclose(rel.rotation, np.eye(3), atol=1e-12)
         np.testing.assert_allclose(rel.translation, 0.0, atol=1e-12)
 
     def test_relative_from_identity(self):
         pose = support.random_pose(np.random.default_rng(4))
-        rel = relative_pose(SE3Pose.identity(), pose)
+        rel = pose.compose(SE3Pose.identity().inverse())
         np.testing.assert_allclose(rel.matrix, pose.matrix, atol=1e-12)
 
     def test_relative_pose_recomposes(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             a, b = support.random_pose(rng), support.random_pose(rng)
-            rel = relative_pose(a, b)
+            rel = b.compose(a.inverse())
             np.testing.assert_allclose(rel.compose(a).matrix, b.matrix, atol=1e-10)
 
     def test_relative_pose_chain(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
             a, b, c = (support.random_pose(rng) for _ in range(3))
-            lhs = relative_pose(b, c).compose(relative_pose(a, b))
-            np.testing.assert_allclose(lhs.matrix, relative_pose(a, c).matrix, atol=1e-10)
+            lhs = c.compose(b.inverse()).compose(b.compose(a.inverse()))
+            np.testing.assert_allclose(lhs.matrix, c.compose(a.inverse()).matrix, atol=1e-10)
 
     def test_camera_center(self):
         pose = support.look_at_pose(np.array([1.0, 2.0, 3.0]), np.zeros(3))
         np.testing.assert_allclose(pose.camera_center, [1.0, 2.0, 3.0], atol=1e-12)
+
+
+def _triangulated(observations):
+    """One track's DLT point, its reject code and its polished point."""
+    arrays = support.track_arrays(observations)
+    point, reject = triangulate_dlt(*arrays)
+    polished = gauss_newton_polish(point, *arrays, np.array([len(observations)]))
+    return point[0], int(reject[0]), polished[0]
 
 
 class TestTriangulate:
@@ -220,7 +233,8 @@ class TestTriangulate:
         views = support.camera_ring(2, radius=4.0, intr=intr)
         point = np.array([0.1, -0.2, 0.05])
         obs = [(p, k, project(p, k, point)) for p, k in views]
-        got = triangulate(obs)
+        _, reject, got = _triangulated(obs)
+        assert reject == TRI_OK
         np.testing.assert_allclose(got, point, atol=1e-9)
 
     def test_noisy_eight_views_matches_grid_oracle(self):
@@ -232,7 +246,8 @@ class TestTriangulate:
             (p, k, project(p, k, point) + rng.normal(0.0, 0.5, size=2))
             for p, k in views
         ]
-        got = triangulate(obs)
+        _, reject, got = _triangulated(obs)
+        assert reject == TRI_OK
 
         oracle = support.grid_search_point(obs, center=point, radius=0.05)
         # one GN step lands essentially at the least-squares optimum here
@@ -255,14 +270,9 @@ class TestTriangulate:
             (pose, intr, project(pose, intr, point)),
             (tilt, intr, project(tilt, intr, point)),
         ]
-        with pytest.raises(DegenerateGeometryError):
-            triangulate(obs)
-
-    def test_too_few_observations(self):
-        intr = support.default_intrinsics()
-        pose = support.look_at_pose(np.array([3.0, 0.0, 1.0]), np.zeros(3))
-        with pytest.raises(ValueError):
-            triangulate([(pose, intr, np.array([0.0, 0.0]))])
+        point, reject, _ = _triangulated(obs)
+        assert reject == TRI_COINCIDENT
+        assert np.isnan(point).all()
 
     def test_cheirality_rejected(self):
         # diverging rays whose supporting lines meet behind both cameras
@@ -271,8 +281,9 @@ class TestTriangulate:
         b = SE3Pose(np.eye(3), np.array([-1.0, 0.0, 0.0]))  # center (+1, 0, 0)
         pix_a = np.array([intr.cx - 0.2 * intr.fx, intr.cy])
         pix_b = np.array([intr.cx + 0.2 * intr.fx, intr.cy])
-        with pytest.raises(CheiralityError):
-            triangulate([(a, intr, pix_a), (b, intr, pix_b)])
+        point, reject, _ = _triangulated([(a, intr, pix_a), (b, intr, pix_b)])
+        assert reject == TRI_BEHIND
+        assert np.isnan(point).all()
 
     def test_rigid_invariance(self):
         rng = np.random.default_rng(31)
@@ -282,21 +293,18 @@ class TestTriangulate:
         obs = [
             (p, k, project(p, k, point) + rng.normal(0, 0.3, size=2)) for p, k in views
         ]
-        base = triangulate(obs)
+        base = _triangulated(obs)[2]
         g = support.random_pose(rng)
         moved = [(p.compose(g.inverse()), k, pix) for p, k, pix in obs]
-        got = triangulate(moved)
+        got = _triangulated(moved)[2]
         np.testing.assert_allclose(got, g.transform(base), rtol=0, atol=1e-9 * (1 + np.linalg.norm(base)))
 
     def test_mean_reprojection_error(self):
         intr = support.default_intrinsics()
         views = support.camera_ring(3, radius=4.0, intr=intr)
         point = np.array([0.0, 0.1, 0.0])
-        R = np.array([p.rotation for p, _ in views])[None]
-        t = np.array([p.translation for p, _ in views])[None]
-        k = tuple(np.array([[getattr(i, a) for _, i in views]]) for a in ("fx", "fy", "cx", "cy"))
-        pixels = np.array([project(p, i, point) for p, i in views])[None]
-        assert mean_reprojection_errors(point[None], R, t, k, pixels) < 1e-12
+        arrays = support.track_arrays([(p, i, project(p, i, point)) for p, i in views])
+        assert mean_reprojection_errors(point[None], *arrays) < 1e-12
 
 
 class TestSizeRuns:

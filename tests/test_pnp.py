@@ -7,18 +7,15 @@ import pytest
 import support
 
 from semidense import pnp
-from semidense.errors import DegenerateGeometryError
 from semidense.geometry import SE3Pose, project
 from semidense.pnp import (
     _candidates,
     _homography_pose,
     _median,
     _rank,
-    _ranked_candidates,
+    _reprojection_errors,
     lm_pose_polish,
-    pnp_minimal,
     ransac_pnp,
-    reprojection_errors,
 )
 
 
@@ -36,9 +33,24 @@ def _unit(v):
     return v / np.linalg.norm(v)
 
 
-def _best(candidates, points, pixels, intr):
-    errs = [np.mean(reprojection_errors(p, intr, points, pixels)) for p in candidates]
-    return candidates[int(np.argmin(errs))]
+def _errors(pose, intr, points, pixels):
+    return _reprojection_errors(pose.rotation, pose.translation, intr, points, pixels)
+
+
+def _ranked(points, pixels, intr):
+    """The ranked candidates of a stack of sets: rotations, translations, filled slots."""
+    return _rank(*_candidates(points, pixels, intr), points, pixels, intr)
+
+
+def _polished(points, pixels, intr):
+    """The candidate poses of one set, each LM-polished, best first."""
+    P, X = points[None], pixels[None]
+    R, t, ok = _candidates(P, X, intr)
+    for k in np.flatnonzero(ok[0]):
+        pose = lm_pose_polish(SE3Pose(R[0, k], t[0, k]), points, pixels, intr)
+        R[0, k], t[0, k] = pose.rotation, pose.translation
+    R, t, ok = _rank(R, t, ok, P, X, intr)
+    return [SE3Pose(r, tr) for r, tr in zip(R[0, ok[0]], t[0, ok[0]])]
 
 
 class TestPnPMinimal:
@@ -46,7 +58,7 @@ class TestPnPMinimal:
         rng = np.random.default_rng(101)
         for _ in range(20):
             pose, points, pixels, intr = _pose_and_points(rng, 6)
-            best = _best(pnp_minimal(points, pixels, intr), points, pixels, intr)
+            best = _polished(points, pixels, intr)[0]
             # Frobenius gap ~ sqrt(2) * angle(rad); robust below the arccos floor
             rot_gap = np.linalg.norm(best.rotation @ pose.rotation.T - np.eye(3))
             assert rot_gap < 1e-6
@@ -59,8 +71,8 @@ class TestPnPMinimal:
         exact = 0
         for _ in range(20):
             pose, points, pixels, intr = _pose_and_points(rng, 4)
-            best = _best(pnp_minimal(points, pixels, intr), points, pixels, intr)
-            err = np.mean(reprojection_errors(best, intr, points, pixels))
+            best = _polished(points, pixels, intr)[0]
+            err = np.mean(_errors(best, intr, points, pixels))
             assert np.isfinite(err)
             exact += err < 1e-5
         assert exact >= 18
@@ -76,7 +88,7 @@ class TestPnPMinimal:
             uv = rng.uniform(-0.4, 0.4, size=(8, 2))
             points = uv[:, :1] * e1 + uv[:, 1:] * e2  # z = 0 plane
             pixels = project(pose, intr, points)
-            best = _best(pnp_minimal(points, pixels, intr), points, pixels, intr)
+            best = _polished(points, pixels, intr)[0]
             rot_gap = np.linalg.norm(best.rotation @ pose.rotation.T - np.eye(3))
             assert rot_gap < 1e-5
             assert np.linalg.norm(best.translation - pose.translation) < 1e-5
@@ -87,19 +99,15 @@ class TestPnPMinimal:
         pose = support.look_at_pose(np.array([4.0, 0.0, 1.0]), np.zeros(3))
         points = np.outer(np.linspace(-0.3, 0.3, 4), np.array([1.0, 0.2, 0.1]))
         pixels = project(pose, intr, points)
-        with pytest.raises(DegenerateGeometryError):
-            pnp_minimal(points, pixels, intr)
+        assert _polished(points, pixels, intr) == []
         del rng
-
-    def test_too_few_points(self):
-        intr = support.default_intrinsics()
-        with pytest.raises(ValueError):
-            pnp_minimal(np.zeros((3, 3)), np.zeros((3, 2)), intr)
 
     def test_candidates_respect_cheirality(self):
         rng = np.random.default_rng(105)
         pose, points, pixels, intr = _pose_and_points(rng, 10)
-        for cand in pnp_minimal(points, pixels, intr):
+        candidates = _polished(points, pixels, intr)
+        assert candidates
+        for cand in candidates:
             z = points @ cand.rotation[2] + cand.translation[2]
             assert np.all(z > 0)
 
@@ -111,14 +119,13 @@ class TestStackedEPnP:
         intr = sets[0][3]
         points = np.stack([s[1] for s in sets])
         pixels = np.stack([s[2] for s in sets]) + rng.normal(0, 0.5, (40, 4, 2))
-        R, t, ok = _ranked_candidates(points, pixels, intr)
+        R, t, ok = _ranked(points, pixels, intr)
         for b in range(len(sets)):
-            ref = pnp_minimal(points[b], pixels[b], intr, polish=False)
-            assert ok[b].sum() == len(ref)
-            assert ok[b, : len(ref)].all()
-            for k, pose in enumerate(ref):
-                assert np.max(np.abs(R[b, k] - pose.rotation)) < 1e-9
-                assert np.max(np.abs(t[b, k] - pose.translation)) < 1e-9
+            R1, t1, ok1 = _ranked(points[b : b + 1], pixels[b : b + 1], intr)
+            n = ok1.sum()
+            assert n and ok1[0, :n].all() and ok[b].sum() == n and ok[b, :n].all()
+            assert np.max(np.abs(R[b, :n] - R1[0, :n])) < 1e-9
+            assert np.max(np.abs(t[b, :n] - t1[0, :n])) < 1e-9
 
     def test_degenerate_samples_inside_stack(self):
         rng = np.random.default_rng(112)
@@ -128,21 +135,19 @@ class TestStackedEPnP:
         points[2] = np.outer(np.linspace(-0.3, 0.3, 4), [1.0, 0.2, 0.1])  # collinear: rejected
         pixels = np.stack([project(pose, intr, p) for p in points])
 
-        R, t, ok, rejected = _candidates(points, pixels, intr)
-        assert rejected.tolist() == [False, False, True]
-        assert ok[0].any() and not ok[2].any()
+        R, t, ok = _candidates(points, pixels, intr)
+        assert ok.any(axis=1).tolist() == [True, True, False]
         Rh, th, okh = _homography_pose(points[1], pixels[1], intr)
         assert np.array_equal(R[1, :2], Rh) and np.array_equal(t[1, :2], th)
         assert ok[1].tolist() == okh.tolist() + [False] * (ok.shape[1] - 2)
 
-        R, t, ok = _ranked_candidates(points, pixels, intr)
-        planar = pnp_minimal(points[1], pixels[1], intr, polish=False)
-        assert ok[1].sum() == len(planar)
-        assert np.max(np.abs(R[1, 0] - planar[0].rotation)) < 1e-9
+        R, t, ok = _ranked(points, pixels, intr)
+        R1, _, ok1 = _ranked(points[1:2], pixels[1:2], intr)
+        assert ok[1].sum() == ok1.sum() > 0
+        assert np.max(np.abs(R[1, 0] - R1[0, 0])) < 1e-9
         assert np.linalg.norm(R[1, 0] @ pose.rotation.T - np.eye(3)) < 1e-5
         assert not ok[2].any()
-        with pytest.raises(DegenerateGeometryError):
-            pnp_minimal(points[2], pixels[2], intr, polish=False)
+        assert not _ranked(points[2:], pixels[2:], intr)[2].any()
 
 
 class TestLMPolish:
@@ -155,9 +160,9 @@ class TestLMPolish:
                 support.random_rotation_perturbation(rng, 2.0) @ pose.rotation,
                 pose.translation + rng.normal(0, 0.02, 3),
             )
-            before = np.mean(reprojection_errors(rough, intr, points, noisy_pix))
+            before = np.mean(_errors(rough, intr, points, noisy_pix))
             polished = lm_pose_polish(rough, points, noisy_pix, intr)
-            after = np.mean(reprojection_errors(polished, intr, points, noisy_pix))
+            after = np.mean(_errors(polished, intr, points, noisy_pix))
             assert after <= before + 1e-12
 
 
@@ -191,7 +196,7 @@ class TestRansacPnP:
         pixels[:20] += rng.uniform(20, 100, (20, 2))
         res = ransac_pnp(points, pixels, intr, inlier_px=3.0, seed=2)
         assert res.ok
-        errs = reprojection_errors(res.pose, intr, points, pixels)
+        errs = _errors(res.pose, intr, points, pixels)
         assert np.all(errs[res.inliers] <= 3.0)
 
     def test_lost_polish_falls_back_to_hypothesis(self, monkeypatch):
@@ -206,7 +211,7 @@ class TestRansacPnP:
         res = ransac_pnp(points, pixels, intr, inlier_px=3.0, seed=2)
         assert res.ok
         assert not np.array_equal(res.pose.matrix, far.matrix)
-        errs = reprojection_errors(res.pose, intr, points, pixels)
+        errs = _errors(res.pose, intr, points, pixels)
         assert len(res.inliers) >= 4
         assert np.all(errs[res.inliers] <= 3.0)
         assert res.mean_error == pytest.approx(np.mean(errs[res.inliers]), rel=1e-12)
@@ -250,8 +255,7 @@ class TestRansacPnP:
         res = ransac_pnp(points, pixels, intr, inlier_px=3.0, seed=4)
         assert res.ok and calls and res.pose is calls[-1][2]
         P, X, first = calls[0]
-        R, t, ok, _ = _candidates(P[None], X[None], intr)
-        R, t, ok = _rank(R, t, ok, P[None], X[None], intr)
+        R, t, ok = _ranked(P[None], X[None], intr)
         assert ok[0, 0]
         refit = lm_pose_polish(SE3Pose(R[0, 0], t[0, 0]), P, X, intr)
         assert np.abs(refit.matrix - first.matrix).max() <= 1e-8

@@ -5,7 +5,13 @@ import pytest
 import support
 
 from semidense.errors import VisibilityError
-from semidense.geometry import SE3Pose, project_with_depth, triangulate
+from semidense.geometry import (
+    TRI_OK,
+    SE3Pose,
+    gauss_newton_polish,
+    project_with_depth,
+    triangulate_dlt,
+)
 from semidense.scene import (
     CELL_KEY_BITS,
     FINE_WINDOW_HALF,
@@ -295,6 +301,13 @@ class TestZeroNoiseComposition:
                 per_point.setdefault(int(pid), []).append((v, row, obs))
         return per_point
 
+    @staticmethod
+    def _triangulate(observations):
+        arrays = support.track_arrays(observations)
+        point, reject = triangulate_dlt(*arrays)
+        assert reject.tolist() == [TRI_OK]
+        return gauss_newton_polish(point, *arrays, np.array([len(observations)]))[0]
+
     def test_quantized_triangulation_within_grid_bound(self):
         scene = generate_scene(17, 100, 8, ZERO)
         for pid, nodes in self._tracks_by_point(scene).items():
@@ -304,7 +317,7 @@ class TestZeroNoiseComposition:
                 (scene.views[v][0], scene.views[v][1], obs.cells[row])
                 for v, row, obs in nodes
             ]
-            point = triangulate(obs_list)
+            point = self._triangulate(obs_list)
             depth = max(
                 scene.views[v][0].transform(scene.points[pid])[2] for v, _, _ in nodes
             )
@@ -324,5 +337,5 @@ class TestZeroNoiseComposition:
                 )
                 for v, _, _ in nodes
             ]
-            point = triangulate(obs_list)
+            point = self._triangulate(obs_list)
             assert np.linalg.norm(point - scene.points[pid]) < 1e-9

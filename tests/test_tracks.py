@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import support
 
-from semidense.errors import CheiralityError, DegenerateGeometryError
+from semidense.errors import CheiralityError
 from semidense.geometry import (
     MAX_CONDITION,
     MIN_DEPTH,
@@ -16,7 +16,6 @@ from semidense.geometry import (
     pinhole_jacobian,
     project,
     rotation_from_axis_angle,
-    triangulate,
     triangulate_dlt,
 )
 from semidense.matching import OracleMatcher, PairMatches, select_view_pairs
@@ -360,6 +359,10 @@ class TestTriangulateTracks:
 # here verbatim so the batch can be checked against it bit for bit.
 
 
+class DegenerateGeometryError(ValueError):
+    """The reference's rejection of a coincident, ill-conditioned or at-infinity track."""
+
+
 def _ref_stack(observations):
     R = np.array([pose.rotation for pose, _, _ in observations])
     t = np.array([pose.translation for pose, _, _ in observations])
@@ -453,13 +456,9 @@ def _assert_same_as_reference(tracks, poses, intrs, max_reproj_px=12.0):
     kept, stats = _ref_triangulate_tracks(tracks, poses, intrs, max_reproj_px)
     assert recon.tracks.track_ids.tolist() == [tid for tid, _, _ in kept]
     errors = recon.tracks.reproj_errors.tolist()
-    nodes = support.node_lists(recon.tracks)
-    for point, err, track, (_, ref_point, ref_err) in zip(recon.points, errors, nodes, kept):
+    for point, err, (_, ref_point, ref_err) in zip(recon.points, errors, kept):
         assert np.array_equal(point, ref_point)
         assert err == ref_err
-        # the one-track entry point gives the table's row bit for bit
-        obs = [(poses[v], intrs[v], np.asarray(c, dtype=float)) for v, c in track]
-        assert np.array_equal(triangulate(obs), point)
     assert recon.stats == stats
     return recon
 
