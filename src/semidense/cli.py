@@ -267,7 +267,7 @@ def run_estimate(scene, model, config: RunConfig, query_views, stacks, out: Path
 
     Raises EmptyResult, after writing, when no pose is solved.
     """
-    _check_inputs(scene, model, stacks)
+    _check_inputs(scene, model)
     if model.n_points == 0:
         raise EmptyResult("empty model")
     if not query_views or any(not 0 <= v < scene.n_views for v in query_views):
@@ -310,28 +310,31 @@ def run_estimate(scene, model, config: RunConfig, query_views, stacks, out: Path
     return queries
 
 
-def _load_stack(flag: str, path, min_width: int = 0) -> AttentionStack:
-    """The attention stack of an FMAT file; its errors name the flag and the file."""
-    sections = read_fmat(path)  # whose errors name the file already
-    try:
-        stack = AttentionStack.from_sections(sections)
-        if stack.n_layers and stack.width < min_width:
-            raise ValueError(
-                f"coarse attention weights take {stack.width}-wide input, "
-                f"narrower than the {min_width} that encode 3D positions"
-            )
-    except ValueError as exc:
-        raise ValueError(f"{flag} {path}: {exc}") from None
-    return stack
-
-
-def _stacks_from_args(args, config: RunConfig):
-    coarse, fine = _default_stacks(config)
-    if args.coarse_weights:
-        coarse = _load_stack("--coarse-weights", args.coarse_weights, MIN_ENCODED_WIDTH)
-    if args.fine_weights:
-        fine = _load_stack("--fine-weights", args.fine_weights)
-    return coarse, fine
+def _stacks_from_args(args, config: RunConfig, widths):
+    """The coarse and fine attention stacks: the --coarse-weights/--fine-weights
+    files, else the config's random weights. Each must take its descriptors'
+    width (of `widths`) as input; errors about a file name its flag and path."""
+    stacks = []
+    for kind, stack, width in zip(("coarse", "fine"), _default_stacks(config), widths):
+        path = getattr(args, f"{kind}_weights")
+        sections = read_fmat(path) if path else None  # whose errors name the file already
+        try:
+            if sections is not None:
+                stack = AttentionStack.from_sections(sections)
+            if stack.width not in (None, width):
+                raise ValueError(
+                    f"{kind} attention weights take {stack.width}-wide input, "
+                    f"scene descriptors are {width} wide"
+                )
+            if kind == "coarse" and stack.n_layers and stack.width < MIN_ENCODED_WIDTH:
+                raise ValueError(
+                    f"coarse attention weights take {stack.width}-wide input, "
+                    f"narrower than the {MIN_ENCODED_WIDTH} that encode 3D positions"
+                )
+        except ValueError as exc:
+            raise ValueError(f"--{kind}-weights {path}: {exc}" if path else str(exc)) from None
+        stacks.append(stack)
+    return tuple(stacks)
 
 
 # Largest deviation of a model feature's norm from 1 that `estimate` accepts;
@@ -339,19 +342,8 @@ def _stacks_from_args(args, config: RunConfig):
 _UNIT_NORM_TOL = 1e-5
 
 
-def _check_stack_widths(stacks, widths) -> None:
-    """The coarse and fine attention stacks must take the descriptors' widths as input."""
-    for kind, stack, width in zip(("coarse", "fine"), stacks, widths):
-        if stack.width not in (None, width):
-            raise ValueError(
-                f"{kind} attention weights take {stack.width}-wide input, "
-                f"scene descriptors are {width} wide"
-            )
-
-
-def _check_inputs(scene, model, stacks) -> None:
-    """Model features must be unit-norm rows, and they and the attention
-    stacks as wide as the scene's descriptors."""
+def _check_inputs(scene, model) -> None:
+    """Model features must be unit-norm rows as wide as the scene's descriptors."""
     widths = (scene.desc_coarse.shape[1], scene.desc_fine.shape[1])
     for kind, width, features in zip(
         ("coarse", "fine"), widths, (model.coarse_features, model.fine_features)
@@ -362,7 +354,6 @@ def _check_inputs(scene, model, stacks) -> None:
             )
         if not np.all(np.abs(np.linalg.norm(features, axis=1) - 1.0) <= _UNIT_NORM_TOL):
             raise ValueError(f"model {kind} features are not unit-norm")
-    _check_stack_widths(stacks, widths)
 
 
 def run_eval(scene, queries: list, config: RunConfig, out: Path) -> None:
@@ -504,7 +495,7 @@ def cmd_estimate(args) -> None:
     config = _load_config(args)
     scene = load_scene(args.scene)
     model, manifest = load_model(args.model)
-    stacks = _stacks_from_args(args, config)
+    stacks = _stacks_from_args(args, config, (scene.desc_coarse.shape[1], scene.desc_fine.shape[1]))
     views = _query_views(args.views, scene.n_views, manifest["recon_views"])
     run_estimate(scene, model, config, views, stacks, Path(args.out))
 
@@ -524,8 +515,7 @@ def cmd_pipeline(args) -> None:
     config = _load_config(args)
     if config.n_query_views < 1:
         raise ValueError("n_query_views must be at least 1 for pipeline")
-    stacks = _stacks_from_args(args, config)
-    _check_stack_widths(stacks, (config.coarse_dim, config.fine_dim))
+    stacks = _stacks_from_args(args, config, (config.coarse_dim, config.fine_dim))
     out = Path(args.out)
     with _writing(out):
         out.mkdir(parents=True, exist_ok=True)

@@ -4,10 +4,12 @@ The minimal solver is a control-point (EPnP-style) solve for n >= 4 with a
 homography-decomposition fallback for (near-)coplanar point sets; each set
 gets one candidate per beta initialisation (EPnP's cases N = 1, 2, 3), each
 refined by Gauss-Newton. RANSAC hypothesizes on random 4-subsets, solved a
-chunk at a time as one stacked EPnP, verifies by reprojection error with a
-cheirality gate, adapts its iteration count from the best inlier ratio,
-then polishes the best hypothesis on its inliers with Levenberg-Marquardt
-on the 6-DoF reprojection error, and once more on a tightened inlier set.
+chunk at a time as one stacked EPnP, and scores every valid candidate as
+solved (there is no per-sample ranking) by reprojection error with a
+cheirality gate. It adapts its iteration count from the best inlier ratio,
+then polishes the best hypothesis once with Levenberg-Marquardt on Tukey's
+biweight of the reprojection error over all points, at scale inlier_px:
+a smooth robust cost, so the pose moves continuously with its matches.
 """
 
 from __future__ import annotations
@@ -58,18 +60,6 @@ def _reprojection_errors(R, t, intr, points, pixels):
     pix = pinhole(np.where(ok[..., None], p_cam, 1.0), intr.fx, intr.fy, intr.cx, intr.cy)
     d = pix - pixels
     return np.where(ok, np.hypot(d[..., 0], d[..., 1]), np.inf)
-
-
-def _median(x: np.ndarray) -> float:
-    """np.median of a non-empty 1-D array of finite values, bit for bit.
-
-    The middle value of one sort, or the mean of the two middle values.
-    np.median would import numpy.ma (for its NaN check), a cost paid again
-    by every CLI process.
-    """
-    s = np.sort(x)
-    m = len(s) // 2
-    return float(s[m] if len(s) % 2 else (s[m - 1] + s[m]) / 2)
 
 
 def _umeyama_rigid(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -279,57 +269,36 @@ def _candidates(points, pixels, intr):
     return R, t, ok
 
 
-def _rank(R, t, ok, points, pixels, intr):
-    """Best-first candidates per set, near-duplicates dropped.
-
-    Candidates are ordered by mean reprojection error on their own set
-    (stable, so ties keep the initialisation order); one whose pose matrix
-    is np.allclose(atol=1e-9) to a better kept candidate is dropped.
-    Returns rotations (B, K, 3, 3), translations (B, K, 3) and a mask (B, K)
-    of the filled slots, best first.
-    """
-    err = _reprojection_errors(R, t, intr, points[:, None], pixels[:, None]).mean(axis=2)
-    ok = ok & np.isfinite(err)
-    order = np.argsort(np.where(ok, err, np.inf), axis=1, kind="stable")
-    flat = np.concatenate([R.reshape(*ok.shape, 9), t], axis=2)  # the pose matrix's free entries
-    flat = np.take_along_axis(flat, order[..., None], axis=1)
-    ok = np.take_along_axis(ok, order, axis=1)
-    # close[:, j, i]: candidate j lies within np.allclose(atol=1e-9) of candidate i
-    close = np.all(
-        np.abs(flat[:, :, None] - flat[:, None]) <= 1e-9 + 1e-5 * np.abs(flat[:, None]), axis=3
-    )
-    for j in range(1, ok.shape[1]):
-        ok[:, j] &= ~np.any(close[:, j, :j] & ok[:, :j], axis=1)
-    slot = np.argsort(~ok, axis=1, kind="stable")
-    flat = np.take_along_axis(flat, slot[..., None], axis=1)
-    ok = np.take_along_axis(ok, slot, axis=1)
-    return flat[..., :9].reshape(*slot.shape, 3, 3), flat[..., 9:], ok
-
-
 def lm_pose_polish(
     pose: SE3Pose,
     points: np.ndarray,
     pixels: np.ndarray,
     intr: CameraIntrinsics,
+    scale: float,
     max_iters: int = 20,
 ) -> SE3Pose:
-    """Levenberg-Marquardt on reprojection error over (rotation, translation).
+    """Levenberg-Marquardt on Tukey's biweight of the reprojection error.
 
+    Minimises the sum over all points of 1 - (1 - (e/scale)^2)^3 by
+    iteratively reweighted least squares, with weights (1 - (e/scale)^2)^2;
+    a point at e >= scale, or behind the camera, costs 1 and has weight 0.
     Left-multiplicative rotation update; only cost-decreasing steps are
-    accepted, so the polished pose never reprojects worse than the input.
+    accepted, so the polished pose never costs more than the input.
     """
     R, t = pose.rotation.copy(), pose.translation.copy()
 
     def residuals(Rc, tc):
+        """Pixel residuals, camera-frame points (1 behind), IRLS weights and cost."""
         p = points @ Rc.T + tc
-        if np.any(p[:, 2] <= MIN_DEPTH):
-            return None, None
-        return pinhole(p, intr.fx, intr.fy, intr.cx, intr.cy) - pixels, p
+        front = p[:, 2] > MIN_DEPTH
+        p = np.where(front[:, None], p, 1.0)
+        r = pinhole(p, intr.fx, intr.fy, intr.cx, intr.cy) - pixels
+        # (e/scale)^2 capped at 1: no scale can overflow it
+        x = np.where(front, np.minimum(np.hypot(r[:, 0], r[:, 1]), scale) / scale, 1.0) ** 2
+        # 1 - (1 - x)^3, expanded so a small x keeps its digits
+        return r, p, (1.0 - x) ** 2, float(np.sum(x * (3.0 + x * (x - 3.0))))
 
-    r, p_cam = residuals(R, t)
-    if r is None:
-        return pose
-    cost = float(np.sum(r * r))
+    r, p_cam, w, cost = residuals(R, t)
     lam = 1e-3
 
     for _ in range(max_iters):
@@ -349,19 +318,19 @@ def lm_pose_polish(
         J[:, :3] = (-Jproj @ skew).reshape(2 * n, 3)   # d/d(rotation vector)
         J[:, 3:] = Jproj.reshape(2 * n, 3)             # d/d(translation)
 
-        g = J.T @ r.ravel()
-        H = J.T @ J
+        wJ = np.repeat(w, 2)[:, None] * J
+        g = wJ.T @ r.ravel()
+        H = wJ.T @ J
         try:
             step = np.linalg.solve(H + lam * np.diag(np.diag(H)) + 1e-12 * np.eye(6), -g)
         except np.linalg.LinAlgError:
             break
         R_new = rotation_from_rotvec(step[:3]) @ R
         t_new = t + step[3:]
-        r_new, p_new = residuals(R_new, t_new)
-        if r_new is not None and float(np.sum(r_new * r_new)) < cost:
-            decrease = cost - float(np.sum(r_new * r_new))
-            R, t, r, p_cam = R_new, t_new, r_new, p_new
-            cost = float(np.sum(r * r))
+        r_new, p_new, w_new, cost_new = residuals(R_new, t_new)
+        if cost_new < cost:
+            decrease = cost - cost_new
+            R, t, r, p_cam, w, cost = R_new, t_new, r_new, p_new, w_new, cost_new
             lam = max(lam / 10.0, 1e-12)
             if decrease <= 1e-12 * cost + 1e-24:
                 break
@@ -382,12 +351,13 @@ def ransac_pnp(
     confidence: float = DEFAULT_CONFIDENCE,
     seed: int = 0,
 ) -> PnPResult:
-    """Hypothesize-and-verify EPnP with adaptive termination and LM polish.
+    """Hypothesize-and-verify EPnP with adaptive termination and one robust polish.
 
     Deterministic given the seed. Returns a failure result (pose=None)
-    when no hypothesis reaches 4 inliers. The returned inlier set is
-    recomputed under the final polished pose, so every reported inlier
-    reprojects within inlier_px.
+    when no hypothesis reaches 4 inliers. The best hypothesis is polished
+    on all points by lm_pose_polish at scale inlier_px. The returned
+    inlier set is recomputed under the final polished pose, so every
+    reported inlier reprojects within inlier_px.
     """
     points = np.asarray(points, dtype=float)
     pixels = np.asarray(pixels, dtype=float)
@@ -410,8 +380,8 @@ def ransac_pnp(
         chunk *= 2
         idx = np.array([rng.choice(n, size=4, replace=False) for _ in range(size)])
         P, X = points[idx], pixels[idx]
-        R, t, ok = _rank(*_candidates(P, X, intr), P, X, intr)
-        R, t = R[ok], t[ok]  # draw order, best candidate of each sample first
+        R, t, ok = _candidates(P, X, intr)
+        R, t = R[ok], t[ok]  # draw order, each sample's candidates in slot order
         errs = _reprojection_errors(R, t, intr, points, pixels)  # (candidates, n)
         mask = errs <= inlier_px
         counts = mask.sum(axis=1)
@@ -439,24 +409,13 @@ def ransac_pnp(
         return PnPResult(pose=None, iterations=i)
 
     hypothesis = SE3Pose(*best)
-    hyp_errs = _reprojection_errors(*best, intr, points, pixels)
-    inliers = np.flatnonzero(hyp_errs <= inlier_px)
-    pose = lm_pose_polish(hypothesis, points[inliers], pixels[inliers], intr)
-
-    # second pass on a tightened inlier set: reduces the pull of the
-    # within-threshold error tail once the gross outliers are gone
+    pose = lm_pose_polish(hypothesis, points, pixels, intr, inlier_px)
     errs = _reprojection_errors(pose.rotation, pose.translation, intr, points, pixels)
-    core = errs <= inlier_px
-    if core.sum() >= 8:
-        tight = min(inlier_px, max(3.0 * _median(errs[core]), 0.25 * inlier_px))
-        tight_set = np.flatnonzero(errs <= tight)
-        if len(tight_set) >= max(8, 0.5 * core.sum()):
-            pose = lm_pose_polish(pose, points[tight_set], pixels[tight_set], intr)
-
-    final_errs = _reprojection_errors(pose.rotation, pose.translation, intr, points, pixels)
-    final_inliers = np.flatnonzero(final_errs <= inlier_px)
-    if len(final_inliers) < 4:
+    inliers = np.flatnonzero(errs <= inlier_px)
+    if len(inliers) < 4:
         # the polish lost the consensus: report the hypothesis it started from
-        pose, final_errs, final_inliers = hypothesis, hyp_errs, inliers
-    mean_err = float(np.mean(final_errs[final_inliers]))
-    return PnPResult(pose=pose, inliers=final_inliers, mean_error=mean_err, iterations=i)
+        pose = hypothesis
+        errs = _reprojection_errors(*best, intr, points, pixels)
+        inliers = np.flatnonzero(errs <= inlier_px)
+    mean_err = float(np.mean(errs[inliers]))
+    return PnPResult(pose=pose, inliers=inliers, mean_error=mean_err, iterations=i)

@@ -461,15 +461,23 @@ def _window_expectations(
     fine_tau: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Expected pixel and peak probability of each (B, C) point feature over
-    the window of fine-map rows x cols (each (B, w)) it is matched in."""
+    the window of fine-map rows x cols (each (B, w)) it is matched in.
+
+    The expectation is taken over the cells' offsets from the window's
+    centre, which is then added: the float32 probabilities sum to 1 only to
+    ~1e-7, and an expectation over absolute positions would move with the
+    window's distance from the map's origin.
+    """
     n, window = rows.shape
-    # (B, w*w, C) windows in row-major order, and (B, w*w, 2) their (u, v) pixels
+    # (B, w*w, C) windows in row-major order
     # (np.take on flat cells gathers faster than indexing the map by rows and cols)
     hf, wf, c = query.fine.shape
     cells = (rows[:, :, None] * wf + cols[:, None, :]).reshape(n, window * window)
     f2 = np.take(query.fine.reshape(hf * wf, c), cells, axis=0)
-    positions = np.stack([np.tile(cols, window), np.repeat(rows, window, axis=1)], axis=2)
-    positions = positions * float(FINE_STRIDE)
+    # (w*w, 2) (u, v) offsets of the cells from the centre, and (B, 2) the centres, in pixels
+    steps = (np.arange(window) - window // 2) * float(FINE_STRIDE)
+    offsets = np.stack([np.tile(steps, window), np.repeat(steps, window)], axis=1)
+    centres = np.stack([cols[:, window // 2], rows[:, window // 2]], axis=1) * float(FINE_STRIDE)
     f3 = features[:, None, :]  # (B, 1, C)
     if stack.n_layers > 0:
         f3, f2 = stack.transform(f3, f2)
@@ -479,7 +487,7 @@ def _window_expectations(
     logits = (f2 @ np.swapaxes(f3, -1, -2))[:, :, 0]
     logits /= fine_tau  # in place: a float32 block stays float32
     p = shifted_softmax(logits, axis=1)
-    return window_expectation(p[:, None, :], positions)[:, 0], p.max(axis=1)
+    return window_expectation(p[:, None, :], offsets)[:, 0] + centres, p.max(axis=1)
 
 
 def ground_truth_matches(

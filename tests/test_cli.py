@@ -354,7 +354,9 @@ class TestBadInputs:
         write_fmat(weights, AttentionStack.random(1, 16, seed=1).to_sections())
         rc = run("estimate", "--scene", workspace / "scene.json", "--model", workspace / "model",
                  "--out", tmp_path / "est", "--coarse-weights", weights, *FAST)
-        self._assert_usage_error(rc, capsys, "coarse attention weights take 16-wide input")
+        self._assert_usage_error(
+            rc, capsys, f"--coarse-weights {weights}: coarse attention weights take 16-wide input"
+        )
 
     def test_estimate_inconsistent_fine_weights(self, tmp_path, workspace, capsys):
         # as wide as the scene, but one key projection disagrees with its query
@@ -415,11 +417,14 @@ class TestBadInputs:
 
     @pytest.mark.parametrize("kind", ["coarse", "fine"])
     def test_pipeline_weights_narrower_than_the_config(self, tmp_path, capsys, kind):
-        # the weights' width is checked against the config before any file is written
+        # the weights' width is checked against the config before any file is
+        # written, and the error names the flag and the file
         weights = tmp_path / f"{kind}16.fmat"
         write_fmat(weights, AttentionStack.random(1, 16, seed=1).to_sections())
         rc = run("pipeline", "--out", tmp_path / "run", *FAST_SIZE, f"--{kind}-weights", weights)
-        self._assert_usage_error(rc, capsys, f"{kind} attention weights take 16-wide input")
+        self._assert_usage_error(
+            rc, capsys, f"--{kind}-weights {weights}: {kind} attention weights take 16-wide input"
+        )
         assert not (tmp_path / "run").exists()
 
     def test_pipeline_noise_sigma_past_bound(self, tmp_path, capsys):

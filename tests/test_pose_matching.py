@@ -151,11 +151,10 @@ def reference_fine_match(model, query, corr, stack, window=5, fine_tau=0.08):
         c0 = int(np.clip(cf - half, 0, wf - window))
         r0 = int(np.clip(rf - half, 0, hf - window))
         crop = fine[r0 : r0 + window, c0 : c0 + window].reshape(-1, fine.shape[2])
-        pos_u = (c0 + offsets) * FINE_STRIDE
-        pos_v = (r0 + offsets) * FINE_STRIDE
-        positions = np.stack(
-            [np.tile(pos_u, window), np.repeat(pos_v, window)], axis=1
-        ).astype(float)
+        # the cells' offsets from the window's centre, and the centre
+        steps = (offsets - half) * float(FINE_STRIDE)
+        positions = np.stack([np.tile(steps, window), np.repeat(steps, window)], axis=1)
+        centre = np.array([c0 + half, r0 + half]) * float(FINE_STRIDE)
         f3 = model.fine_features[j][None, :]
         f2 = crop
         if stack.n_layers > 0:
@@ -167,7 +166,7 @@ def reference_fine_match(model, query, corr, stack, window=5, fine_tau=0.08):
         p = np.exp(logits)
         p /= p.sum()
         points.append(j)
-        pixels.append(window_expectation(p, positions))
+        pixels.append(window_expectation(p, positions) + centre)
         confs.append(float(p.max()))
         clamped.append((c0 != cf - half) or (r0 != rf - half))
     return (
@@ -961,6 +960,42 @@ class TestFineMatch2d3d:
                 np.testing.assert_array_equal(out.fine_conf, whole.fine_conf)
                 np.testing.assert_array_equal(out.fine_clamped, whole.fine_clamped)
             monkeypatch.undo()
+
+    def test_expectation_independent_of_the_frame(self):
+        # the same float32 window, k cells deeper into a padded copy of the map,
+        # gives the same fine pixel shifted by k cells: float32 probabilities sum
+        # to 1 only to ~1e-7, which must not scale with the window's distance
+        # from the map's origin (it moved fine pixels by up to 1.1e-4 px)
+        rng = np.random.default_rng(93)
+        model = random_model(rng, n=40, cf=8)
+        model = dataclasses.replace(model, fine_features=model.fine_features.astype(np.float32))
+        query = random_query(rng, hw=8, cf=8)
+        fine = query.fine.astype(np.float32)
+        cells = rng.integers(1, 7, size=(40, 2))  # windows clear of the map's borders
+        stack = AttentionStack.random(1, 8, seed=93).astype(np.float32)
+
+        def match(fine, shift):
+            hf, wf = fine.shape[:2]
+            intr = dataclasses.replace(
+                query.intrinsics, width=wf * FINE_STRIDE, height=hf * FINE_STRIDE
+            )
+            maps = QueryFeatureMaps(np.zeros((hf // 4, wf // 4, 16)), fine, intr)
+            corr = CorrespondenceSet(
+                coarse_points=np.arange(40),
+                coarse_pixels=cells * GRID_STRIDE + GRID_STRIDE / 2.0 + shift * FINE_STRIDE,
+                coarse_conf=np.ones(40),
+            )
+            return fine_match_2d3d(model, maps, corr, stack)
+
+        base = match(fine, np.zeros(2))
+        assert not base.fine_clamped.any()
+        for cols, rows in ((0, 2000), (2000, 0), (200, 200)):
+            padded = np.pad(fine, ((rows, 0), (cols, 0), (0, 0)), constant_values=0.25)
+            out = match(padded, np.array([cols, rows]))
+            np.testing.assert_array_equal(out.fine_conf, base.fine_conf)
+            np.testing.assert_array_equal(out.fine_clamped, base.fine_clamped)
+            moved = out.fine_pixels - np.array([cols, rows]) * FINE_STRIDE
+            assert np.abs(moved - base.fine_pixels).max() <= 1e-9
 
     def test_even_window_rejected(self):
         rng = np.random.default_rng(81)
